@@ -30,8 +30,9 @@
 // on the sampler tick), flightrec.bytes (flight-recorder budget),
 // slo.incident_dir (where hpcbb.incident.v1 bundles land on page). No
 // slo.* keys = no monitor, and timing bit-identical to a build without it.
-// Malformed resilience keys exit with status 2 instead of silently
-// defaulting.
+// A config file that cannot be read or parsed, a malformed key=value
+// argument, and malformed resilience keys exit with status 2 instead of
+// silently defaulting.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -59,31 +60,29 @@ using cluster::Cluster;
 using cluster::FsKind;
 using sim::Task;
 
-Properties parse_args(int argc, char** argv) {
+// Each argument is a key=value pair or a config file path. Running the
+// defaults after a typo would report results for an experiment nobody asked
+// for, so any argument that does not parse is an error.
+Result<Properties> parse_args(int argc, char** argv) {
   Properties props;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string text = arg;
     if (arg.find('=') == std::string::npos) {  // a config file path
       std::ifstream in(arg);
       if (!in) {
-        std::fprintf(stderr, "cannot open config file: %s\n", arg.c_str());
-        continue;
+        return error(StatusCode::kNotFound, "cannot open config file " + arg);
       }
       std::stringstream buffer;
       buffer << in.rdbuf();
-      auto parsed = Properties::parse(buffer.str());
-      if (!parsed.is_ok()) {
-        std::fprintf(stderr, "bad config %s: %s\n", arg.c_str(),
-                     parsed.status().to_string().c_str());
-        continue;
-      }
-      for (const auto& [k, v] : parsed.value().entries()) props.set(k, v);
-    } else {
-      auto parsed = Properties::parse(arg);
-      if (parsed.is_ok()) {
-        for (const auto& [k, v] : parsed.value().entries()) props.set(k, v);
-      }
+      text = buffer.str();
     }
+    auto parsed = Properties::parse(text);
+    if (!parsed.is_ok()) {
+      return error(StatusCode::kInvalidArgument,
+                   arg + ": " + parsed.status().message());
+    }
+    for (const auto& [k, v] : parsed.value().entries()) props.set(k, v);
   }
   return props;
 }
@@ -91,7 +90,12 @@ Properties parse_args(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Properties props = parse_args(argc, argv);
+  const Result<Properties> args = parse_args(argc, argv);
+  if (!args.is_ok()) {
+    std::fprintf(stderr, "bad config: %s\n", args.status().to_string().c_str());
+    return 2;
+  }
+  const Properties& props = args.value();
 
   cluster::ClusterConfig config;
   config.compute_nodes =

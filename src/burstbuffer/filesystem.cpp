@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 
 #include "common/crc32c.h"
 #include "sim/sync.h"
@@ -45,9 +44,6 @@ class BbWriter final : public fs::Writer {
           chunk_buf_.end(),
           data->begin() + static_cast<std::ptrdiff_t>(offset),
           data->begin() + static_cast<std::ptrdiff_t>(offset + take));
-      block_crc_ = crc32c(block_crc_,
-                          data->data() + static_cast<std::ptrdiff_t>(offset),
-                          take);
       block_bytes_ += take;
       offset += take;
 
@@ -110,7 +106,6 @@ class BbWriter final : public fs::Writer {
     write_through_ =
         bbfs_->params_.scheme == Scheme::kSync || buffer_optional_;
     block_bytes_ = 0;
-    block_crc_ = 0;
     next_chunk_ = 0;
     chunk_crcs_.clear();
     block_open_ = true;
@@ -235,7 +230,6 @@ class BbWriter final : public fs::Writer {
     req->path = path_;
     req->block_index = block_index_;
     req->size = block_bytes_;
-    req->crc32c = block_crc_;
     req->chunk_crcs = chunk_crcs_;
     req->already_durable = write_through_;
     req->op_id = op_id_;
@@ -281,7 +275,6 @@ class BbWriter final : public fs::Writer {
   std::uint32_t next_chunk_ = 0;
   std::uint64_t block_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::uint32_t block_crc_ = 0;
   std::vector<std::uint32_t> chunk_crcs_;
   Bytes chunk_buf_;
   std::optional<lustre::FileLayout> lustre_layout_;
@@ -358,7 +351,7 @@ class BbReader final : public fs::Reader {
           client_, *block.local_node, kAgentRead, req);
       if (result.is_ok()) {
         Bytes data(*result.value()->data);
-        if (validate(block, aligned_off, data).is_ok()) {
+        if (verify_chunks(block, chunk, aligned_off, data).is_ok()) {
           co_return Bytes(
               data.begin() + static_cast<std::ptrdiff_t>(skip),
               data.begin() + static_cast<std::ptrdiff_t>(skip + length));
@@ -397,7 +390,7 @@ class BbReader final : public fs::Reader {
       if (!data.is_ok()) co_return data.status();
       // The buffer copy was evicted (or never promoted): served from Lustre.
       sim.metrics().counter("bb.read.lustre_fallbacks").add();
-      if (Status st = validate(block, aligned_off, data.value());
+      if (Status st = verify_chunks(block, chunk, aligned_off, data.value());
           !st.is_ok()) {
         // Last tier: corrupt here (with every earlier tier exhausted) is a
         // hard read failure, never silently served.
@@ -434,30 +427,22 @@ class BbReader final : public fs::Reader {
     std::vector<Result<BytesPtr>> pieces = co_await sim::parallel_collect(
         bbfs_->hub_->transport().fabric().simulation(), std::move(gets));
 
-    const std::uint64_t expected_chunks =
-        (block.size + chunk_size - 1) / chunk_size;
-    const bool have_crcs = block.chunk_crcs.size() == expected_chunks;
     Bytes assembled;
     assembled.reserve(static_cast<std::size_t>(last - first + 1) * chunk_size);
     for (std::uint32_t c = first; c <= last; ++c) {
       auto& piece = pieces[c - first];
       if (!piece.is_ok()) co_return piece.status();  // miss or server down
-      // Verify each fetched chunk against the writer-registered CRC over
-      // its logical prefix (stored values are padded to the slab class).
-      // The KV layer already catches in-store bit rot; this catches a value
-      // that is internally consistent but not what the writer sealed.
-      const std::uint64_t logical = std::min(
-          chunk_size, block.size - static_cast<std::uint64_t>(c) * chunk_size);
-      if (have_crcs && piece.value()->size() >= logical &&
-          crc32c(std::span<const std::uint8_t>(piece.value()->data(),
-                                               logical)) !=
-              block.chunk_crcs[c]) {
+      // Verify each fetched chunk against the writer-registered CRC (stored
+      // values are padded to the slab class). The KV layer already catches
+      // in-store bit rot; this catches a value that is internally consistent
+      // but not what the writer sealed.
+      if (Status st = verify_chunks(block, chunk_size,
+                                    std::uint64_t{c} * chunk_size,
+                                    *piece.value());
+          !st.is_ok()) {
         bbfs_->hub_->transport().fabric().simulation().metrics()
             .counter("bb.read.buffer_crc_failures").add();
-        co_return error(StatusCode::kDataLoss,
-                        "chunk " + std::to_string(c) +
-                            " checksum mismatch in buffer for block " +
-                            std::to_string(block.index));
+        co_return st;
       }
       assembled.insert(assembled.end(), piece.value()->begin(),
                        piece.value()->end());
@@ -466,16 +451,9 @@ class BbReader final : public fs::Reader {
     if (skip + length > assembled.size()) {
       co_return error(StatusCode::kInternal, "short buffer read");
     }
-    Bytes out(assembled.begin() + static_cast<std::ptrdiff_t>(skip),
-              assembled.begin() + static_cast<std::ptrdiff_t>(skip + length));
-    // Full-block reads also check the rolling block CRC (end-to-end: the
-    // concatenation matches what the writer streamed, not just each chunk).
-    if (offset == 0 && length == block.size && crc32c(out) != block.crc32c) {
-      co_return error(StatusCode::kDataLoss,
-                      "checksum mismatch on block " +
-                          std::to_string(block.index));
-    }
-    co_return out;
+    co_return Bytes(
+        assembled.begin() + static_cast<std::ptrdiff_t>(skip),
+        assembled.begin() + static_cast<std::ptrdiff_t>(skip + length));
   }
 
   // Read promotion: push the complete chunks covered by this Lustre read
@@ -509,42 +487,6 @@ class BbReader final : public fs::Reader {
                   bbfs->params_.kv_client);
     (void)co_await kv.set(std::move(key), std::move(payload),
                           /*pinned=*/false);
-  }
-
-  // Verify `data` — which starts at chunk-aligned `aligned_off` within the
-  // block and covers whole chunks (the last possibly short at the block
-  // tail) — against the writer-registered per-chunk CRCs. This covers
-  // partial reads, which the rolling block CRC (the pre-chunk-CRC scheme,
-  // kept as a fallback for metadata sealed without per-chunk provenance)
-  // cannot.
-  Status validate(const BbBlockInfo& block, std::uint64_t aligned_off,
-                  const Bytes& data) const {
-    const std::uint64_t chunk = bbfs_->params_.chunk_size;
-    const std::uint64_t expected = (block.size + chunk - 1) / chunk;
-    if (block.chunk_crcs.size() != expected) {
-      if (aligned_off == 0 && data.size() == block.size &&
-          crc32c(data) != block.crc32c) {
-        return error(StatusCode::kDataLoss,
-                     "checksum mismatch on block " +
-                         std::to_string(block.index));
-      }
-      return Status::ok();
-    }
-    std::uint64_t pos = 0;
-    while (pos < data.size()) {
-      const std::uint64_t c = (aligned_off + pos) / chunk;
-      const std::uint64_t logical = std::min(chunk, block.size - c * chunk);
-      if (pos + logical > data.size()) break;  // under-covered tail
-      if (crc32c(std::span<const std::uint8_t>(data.data() + pos, logical)) !=
-          block.chunk_crcs[static_cast<std::size_t>(c)]) {
-        return error(StatusCode::kDataLoss,
-                     "chunk " + std::to_string(c) +
-                         " checksum mismatch on block " +
-                         std::to_string(block.index));
-      }
-      pos += logical;
-    }
-    return Status::ok();
   }
 
   BurstBufferFileSystem* bbfs_;

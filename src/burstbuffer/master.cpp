@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <span>
 
-#include "common/crc32c.h"
 #include "common/metrics.h"
 
 namespace hpcbb::bb {
@@ -425,8 +423,13 @@ sim::Task<net::RpcResponse> Master::handle_complete_block(
     // retransmission — the first one already settled the accounting.
     co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
   }
+  if (!one_crc_per_chunk(req->size, req->chunk_crcs)) {
+    // Per-chunk CRCs are a block's only integrity provenance: refuse the
+    // seal and leave the block open rather than accept unverifiable data.
+    co_return net::rpc_error(error(StatusCode::kInvalidArgument,
+                                   "seal must carry one CRC per chunk"));
+  }
   block.size = req->size;
-  block.crc32c = req->crc32c;
   block.chunk_crcs = req->chunk_crcs;
   block.local_node = req->local_node;
   if (recovery_ != nullptr && req->size > 0) {
@@ -473,7 +476,6 @@ sim::Task<net::RpcResponse> Master::handle_complete_block(
     record.path = req->path;
     record.block_index = req->block_index;
     record.size = req->size;
-    record.crc32c = req->crc32c;
     record.chunk_crcs = req->chunk_crcs;
     record.already_durable = req->already_durable;
     record.has_local_node = req->local_node.has_value();
@@ -691,7 +693,6 @@ std::vector<integrity::ScrubChunk> Master::scrub_inventory() const {
       }
       const auto chunks = static_cast<std::uint32_t>(
           (block.size + params_.chunk_size - 1) / params_.chunk_size);
-      if (block.chunk_crcs.size() != chunks) continue;  // no provenance
       const bool durable = block.state == BlockState::kFlushed;
       for (std::uint32_t c = 0; c < chunks; ++c) {
         const std::uint64_t c_start =
@@ -714,26 +715,6 @@ std::vector<integrity::ScrubChunk> Master::scrub_inventory() const {
     }
   }
   return out;
-}
-
-bool Master::block_matches_crcs(const BbBlockInfo& block,
-                                const Bytes& data) const {
-  const auto chunks = static_cast<std::uint32_t>(
-      (block.size + params_.chunk_size - 1) / params_.chunk_size);
-  if (block.chunk_crcs.size() != chunks) {
-    return block.size == 0 || crc32c(data) == block.crc32c;
-  }
-  std::uint64_t pos = 0;
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    const std::uint64_t logical =
-        std::min(params_.chunk_size, block.size - pos);
-    if (crc32c(std::span<const std::uint8_t>(data.data() + pos, logical)) !=
-        block.chunk_crcs[c]) {
-      return false;
-    }
-    pos += logical;
-  }
-  return true;
 }
 
 sim::Task<void> Master::wait_all_flushed() {
@@ -918,7 +899,7 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
   // replica — it must match the writer-registered CRCs before it may touch
   // Lustre. Never persist corrupt bytes.
   if (buffer_ok && data.size() == block_size &&
-      !block_matches_crcs(*block, data)) {
+      !verify_chunks(*block, params_.chunk_size, 0, data).is_ok()) {
     buffer_ok = false;
     corrupt = true;
   }
@@ -1068,21 +1049,7 @@ MdCheckpoint Master::make_checkpoint() const {
     file.create_token = meta.create_token;
     file.size = meta.size;
     file.closed = meta.closed;
-    for (const BbBlockInfo& block : meta.blocks) {
-      MdBlockSnapshot snap;
-      snap.index = block.index;
-      snap.size = block.size;
-      snap.crc32c = block.crc32c;
-      snap.chunk_crcs = block.chunk_crcs;
-      snap.state = static_cast<std::uint8_t>(block.state);
-      snap.has_local_node = block.local_node.has_value();
-      snap.local_node = block.local_node.has_value()
-                            ? static_cast<std::uint32_t>(*block.local_node)
-                            : 0;
-      snap.op_id = block.op_id;
-      snap.replicas = block.replicas;
-      file.blocks.push_back(std::move(snap));
-    }
+    file.blocks = meta.blocks;
     checkpoint.files.push_back(std::move(file));
   }
   return checkpoint;
@@ -1100,20 +1067,7 @@ void Master::install_checkpoint(MdCheckpoint&& checkpoint) {
     meta.create_token = file.create_token;
     meta.size = file.size;
     meta.closed = file.closed;
-    for (MdBlockSnapshot& snap : file.blocks) {
-      BbBlockInfo block;
-      block.index = snap.index;
-      block.size = snap.size;
-      block.crc32c = snap.crc32c;
-      block.chunk_crcs = std::move(snap.chunk_crcs);
-      block.state = static_cast<BlockState>(snap.state);
-      if (snap.has_local_node) {
-        block.local_node = static_cast<net::NodeId>(snap.local_node);
-      }
-      block.op_id = snap.op_id;
-      block.replicas = std::move(snap.replicas);
-      meta.blocks.push_back(std::move(block));
-    }
+    meta.blocks = std::move(file.blocks);
     // Lustre layouts are not snapshotted; reconcile() re-resolves them from
     // the (surviving) MDS.
     files_[file.path] = std::move(meta);
@@ -1150,8 +1104,14 @@ void Master::apply_record(const MdRecord& record) {
     case MdRecordType::kBlockSeal: {
       BbBlockInfo* block = find_block();
       if (block == nullptr || block->state != BlockState::kOpen) break;
+      if (!one_crc_per_chunk(record.size, record.chunk_crcs)) {
+        // The seal handler never journals such a record: this one is
+        // damaged. Leave the block open rather than trust it.
+        hub_->transport().fabric().simulation().metrics()
+            .counter("bb.md.recovery_errors").add();
+        break;
+      }
       block->size = record.size;
-      block->crc32c = record.crc32c;
       block->chunk_crcs = record.chunk_crcs;
       if (record.has_local_node) {
         block->local_node = static_cast<net::NodeId>(record.local_node);

@@ -190,10 +190,6 @@ class Master {
   }
 
  private:
-  struct BlockMeta {
-    BbBlockInfo info;
-    std::string path;  // back-reference for flush items
-  };
   struct FileMeta {
     std::vector<BbBlockInfo> blocks;
     lustre::FileLayout lustre_layout;
@@ -247,12 +243,8 @@ class Master {
   // Inventory of buffer-resident replicated chunks for the recovery
   // manager (every sealed block's chunk keys, with pin state).
   [[nodiscard]] std::vector<repl::ChunkRef> replicated_chunks() const;
-  // Inventory of scrubbable chunks (sealed blocks with CRC provenance).
+  // Inventory of scrubbable chunks (every chunk of a dirty or flushed block).
   [[nodiscard]] std::vector<integrity::ScrubChunk> scrub_inventory() const;
-  // Does `data` (exactly block.size bytes) match the writer-registered
-  // CRCs? Falls back to the rolling block CRC without per-chunk provenance.
-  [[nodiscard]] bool block_matches_crcs(const BbBlockInfo& block,
-                                        const Bytes& data) const;
   sim::Task<void> flush_worker(std::uint64_t generation,
                                std::uint32_t worker_index);
   sim::Task<Status> flush_block(std::uint64_t generation,
@@ -291,6 +283,11 @@ class Master {
   [[nodiscard]] std::uint64_t block_footprint(std::uint64_t size) const {
     return (size + params_.chunk_size - 1) / params_.chunk_size *
            params_.chunk_size;
+  }
+  // The seal invariant every reader relies on: one writer CRC per chunk.
+  [[nodiscard]] bool one_crc_per_chunk(
+      std::uint64_t size, const std::vector<std::uint32_t>& crcs) const {
+    return crcs.size() == block_footprint(size) / params_.chunk_size;
   }
 
   net::RpcHub* hub_;

@@ -122,7 +122,6 @@ Bytes encode_record(const MdRecord& record) {
   put_u32(out, record.block_index);
   put_u64(out, record.size);
   put_u64(out, record.token);
-  put_u32(out, record.crc32c);
   const std::uint8_t flags =
       static_cast<std::uint8_t>(record.already_durable ? 1 : 0) |
       static_cast<std::uint8_t>(record.has_local_node ? 2 : 0);
@@ -142,7 +141,6 @@ Result<MdRecord> decode_record(const Bytes& bytes) {
   record.block_index = cur.get_u32();
   record.size = cur.get_u64();
   record.token = cur.get_u64();
-  record.crc32c = cur.get_u32();
   const std::uint8_t flags = cur.get_u8();
   record.already_durable = (flags & 1) != 0;
   record.has_local_node = (flags & 2) != 0;
@@ -171,13 +169,12 @@ Bytes encode_checkpoint(const MdCheckpoint& checkpoint) {
     put_u64(out, file.size);
     put_u8(out, file.closed ? 1 : 0);
     put_u64(out, file.blocks.size());
-    for (const MdBlockSnapshot& block : file.blocks) {
+    for (const BbBlockInfo& block : file.blocks) {
       put_u32(out, block.index);
       put_u64(out, block.size);
-      put_u32(out, block.crc32c);
-      put_u8(out, block.state);
-      put_u8(out, block.has_local_node ? 1 : 0);
-      put_u32(out, block.local_node);
+      put_u8(out, static_cast<std::uint8_t>(block.state));
+      put_u8(out, block.local_node.has_value() ? 1 : 0);
+      put_u32(out, block.local_node.value_or(0));
       put_u64(out, block.op_id);
       put_u32vec(out, block.chunk_crcs);
       put_u32vec(out, block.replicas);
@@ -206,13 +203,13 @@ Result<MdCheckpoint> decode_checkpoint(const Bytes& bytes) {
     file.closed = cur.get_u8() != 0;
     const std::uint64_t block_count = cur.get_u64();
     for (std::uint64_t b = 0; cur.ok && b < block_count; ++b) {
-      MdBlockSnapshot block;
+      BbBlockInfo block;
       block.index = cur.get_u32();
       block.size = cur.get_u64();
-      block.crc32c = cur.get_u32();
-      block.state = cur.get_u8();
-      block.has_local_node = cur.get_u8() != 0;
-      block.local_node = cur.get_u32();
+      block.state = static_cast<BlockState>(cur.get_u8());
+      const bool has_local_node = cur.get_u8() != 0;
+      const net::NodeId local_node = cur.get_u32();
+      if (has_local_node) block.local_node = local_node;
       block.op_id = cur.get_u64();
       block.chunk_crcs = cur.get_u32vec();
       block.replicas = cur.get_u32vec();

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "burstbuffer/protocol.h"
 #include "common/bytes.h"
 #include "common/properties.h"
 #include "common/status.h"
@@ -81,13 +82,14 @@ struct MdRecord {
   std::uint32_t block_index = 0;
   std::uint64_t size = 0;
   std::uint64_t token = 0;  // create idempotency token
-  std::uint32_t crc32c = 0;
   std::vector<std::uint32_t> chunk_crcs;
   bool already_durable = false;
   bool has_local_node = false;
   std::uint32_t local_node = 0;
   std::uint64_t op_id = 0;
   std::vector<std::uint32_t> replicas;  // replica-set at seal time
+
+  bool operator==(const MdRecord&) const = default;
 };
 
 Bytes encode_record(const MdRecord& record);
@@ -95,24 +97,16 @@ Result<MdRecord> decode_record(const Bytes& bytes);
 
 // Full-map snapshot written by a checkpoint. Counter totals ride along so a
 // restarted master reports cumulative flush/loss telemetry, not a reset.
-struct MdBlockSnapshot {
-  std::uint32_t index = 0;
-  std::uint64_t size = 0;
-  std::uint32_t crc32c = 0;
-  std::vector<std::uint32_t> chunk_crcs;
-  std::uint8_t state = 0;  // BlockState
-  bool has_local_node = false;
-  std::uint32_t local_node = 0;
-  std::uint64_t op_id = 0;
-  std::vector<std::uint32_t> replicas;
-};
-
+// Blocks keep their in-memory form; reservation_held (admission credits,
+// which die with the master) is not encoded and decodes as false.
 struct MdFileSnapshot {
   std::string path;
   std::uint64_t create_token = 0;
   std::uint64_t size = 0;
   bool closed = false;
-  std::vector<MdBlockSnapshot> blocks;
+  std::vector<BbBlockInfo> blocks;
+
+  bool operator==(const MdFileSnapshot&) const = default;
 };
 
 struct MdCheckpoint {
@@ -122,6 +116,8 @@ struct MdCheckpoint {
   std::uint64_t recovered_blocks = 0;
   std::uint64_t quarantined_blocks = 0;
   std::vector<MdFileSnapshot> files;
+
+  bool operator==(const MdCheckpoint&) const = default;
 };
 
 Bytes encode_checkpoint(const MdCheckpoint& checkpoint);

@@ -1,13 +1,17 @@
 // Burst-buffer wire messages: master metadata ops and node-agent reads.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "burstbuffer/scheme.h"
 #include "common/bytes.h"
+#include "common/crc32c.h"
+#include "common/status.h"
 #include "net/rpc.h"
 
 namespace hpcbb::bb {
@@ -82,12 +86,11 @@ struct BbCompleteBlockRequest {
   std::string path;
   std::uint32_t block_index = 0;
   std::uint64_t size = 0;
-  std::uint32_t crc32c = 0;
   // Per-chunk CRCs over each chunk's logical (unpadded) bytes, in chunk
-  // order. They let readers verify partial reads — the rolling block CRC
-  // only covers full-block reads. Like the KV reply CRC, this provenance
-  // rides the fixed header budget: wire_size is deliberately unchanged so
-  // healthy-run timing stays bit-identical for the perf gates.
+  // order: exactly one per chunk, or the master rejects the seal. Like the
+  // KV reply CRC, this provenance rides the fixed header budget: wire_size
+  // is deliberately unchanged so healthy-run timing stays bit-identical for
+  // the perf gates.
   std::vector<std::uint32_t> chunk_crcs;
   bool already_durable = false;           // BB-Sync wrote through to Lustre
   std::optional<net::NodeId> local_node;  // BB-Local replica location
@@ -108,9 +111,9 @@ struct BbCloseRequest {
 struct BbBlockInfo {
   std::uint32_t index = 0;
   std::uint64_t size = 0;
-  std::uint32_t crc32c = 0;
-  // Writer-registered per-chunk CRCs (logical bytes, chunk order): the
-  // checksum provenance readers, flushers, and the scrubber verify against.
+  // Writer-registered per-chunk CRCs (logical bytes, chunk order), one per
+  // chunk: the only integrity provenance a block has. Readers, flushers,
+  // and the scrubber verify against them.
   std::vector<std::uint32_t> chunk_crcs;
   BlockState state = BlockState::kOpen;
   std::optional<net::NodeId> local_node;
@@ -120,7 +123,36 @@ struct BbBlockInfo {
   // ring replica sets). Empty at kv.repl.factor=1 — the ring alone locates
   // the single copy.
   std::vector<std::uint32_t> replicas;
+
+  bool operator==(const BbBlockInfo&) const = default;
 };
+
+// The one block-integrity check, shared by every tier (node-local replica,
+// KV buffer, Lustre) and the flusher. `data` holds bytes of `block` from
+// the chunk-aligned offset `aligned_off` on; each chunk's logical bytes
+// must match its writer-registered CRC. Bytes past the block's end (the
+// slab padding of a buffered tail chunk) are not checked. A chunk that
+// mismatches or is cut short is kDataLoss. Relies on the seal invariant
+// that chunk_crcs holds one CRC per chunk.
+inline Status verify_chunks(const BbBlockInfo& block, std::uint64_t chunk_size,
+                            std::uint64_t aligned_off,
+                            std::span<const std::uint8_t> data) {
+  std::uint64_t pos = 0;
+  while (pos < data.size() && aligned_off + pos < block.size) {
+    const std::uint64_t c = (aligned_off + pos) / chunk_size;
+    const std::uint64_t logical =
+        std::min(chunk_size, block.size - c * chunk_size);
+    if (pos + logical > data.size() ||
+        crc32c(data.subspan(pos, logical)) != block.chunk_crcs[c]) {
+      return error(StatusCode::kDataLoss,
+                   "chunk " + std::to_string(c) +
+                       " checksum mismatch on block " +
+                       std::to_string(block.index));
+    }
+    pos += logical;
+  }
+  return Status::ok();
+}
 
 struct BbLocationsRequest {
   std::string path;

@@ -75,9 +75,6 @@ class Client {
   [[nodiscard]] std::uint32_t server_index_for(const std::string& key) const {
     return ring_.server_for(key);
   }
-  [[nodiscard]] net::NodeId failover_server_for(const std::string& key) const {
-    return servers_[ring_.next_server_for(key)];
-  }
   // Server indices of the key's R replicas, primary first.
   [[nodiscard]] std::vector<std::uint32_t> replica_indices(
       const std::string& key) const {

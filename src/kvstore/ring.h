@@ -52,13 +52,6 @@ class HashRing {
     return (it == points_.end() ? points_.front() : *it).server;
   }
 
-  // The next distinct server clockwise from the key's owner — the failover
-  // target / first replica location.
-  [[nodiscard]] std::uint32_t next_server_for(std::string_view key) const {
-    const auto repl = successors(key, 2);
-    return repl.size() > 1 ? repl[1] : repl[0];
-  }
-
   // The first `count` distinct servers clockwise from the key's hash: the
   // owner first, then the replica chain in failover order. Capped at the
   // server count; a full-count request enumerates every server, giving the

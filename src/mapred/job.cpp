@@ -188,7 +188,7 @@ sim::Task<Result<JobStats>> JobRunner::run(
     Job& job, const std::vector<std::string>& inputs,
     const std::string& output_prefix) {
   sim::Simulation& sim = hub_->transport().fabric().simulation();
-  RunState state(sim);
+  RunState state;
   const sim::SimTime started = sim.now();
 
   if (Status st = co_await build_splits(inputs, state.pending, nodes_.front(),

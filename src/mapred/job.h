@@ -107,12 +107,10 @@ class JobRunner {
     std::vector<BytesPtr> parts;   // one buffer per reducer
   };
   struct RunState {
-    explicit RunState(sim::Simulation& sim) : compute_done(sim) {}
     std::vector<InputSplit> pending;
     std::vector<MapOutput> outputs;  // by split index
     JobStats stats;
     Status first_error;
-    sim::Condition compute_done;  // unused placeholder for future use
   };
 
   sim::Task<Status> build_splits(const std::vector<std::string>& inputs,

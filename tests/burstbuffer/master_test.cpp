@@ -170,5 +170,40 @@ TEST(BbMasterTest, TraceSpansCoverEveryFlushedBlock) {
   EXPECT_EQ(wait_spans, 3u);
 }
 
+TEST(BbMasterTest, SealWithoutOneCrcPerChunkIsRejected) {
+  // Per-chunk CRCs are a block's only integrity provenance, so the master
+  // refuses a seal that does not carry one per chunk: the block stays open
+  // and nothing is queued for flushing.
+  Rig rig(/*capacity=*/64 * MiB);
+  Status seal;
+  BlockState state = BlockState::kDirty;
+  rig.sim.spawn([](Rig& r, Status& out, BlockState& st) -> Task<void> {
+    // Requests are named locals: GCC destroys aggregate temporaries inside
+    // a co_await expression twice.
+    auto create = std::make_shared<const BbCreateRequest>(
+        BbCreateRequest{"/f", 1});
+    CO_ASSERT_OK(co_await r.hub.call<void>(0, 3, kBbCreate, create));
+    auto add = std::make_shared<const BbAddBlockRequest>(
+        BbAddBlockRequest{"/f", 0, 0, 0});
+    CO_ASSERT_OK(co_await r.hub.call<BbAddBlockReply>(0, 3, kBbAddBlock, add));
+    auto seal_req = std::make_shared<BbCompleteBlockRequest>();
+    seal_req->path = "/f";
+    seal_req->size = 2 * MiB;          // two 1 MiB chunks...
+    seal_req->chunk_crcs = {0x1234u};  // ...but one CRC
+    std::shared_ptr<const BbCompleteBlockRequest> sealed = std::move(seal_req);
+    out = (co_await r.hub.call<void>(0, 3, kBbCompleteBlock, sealed)).status();
+    auto meta = co_await r.fs->locations("/f", 0);
+    CO_ASSERT_OK(meta);
+    CO_ASSERT(meta.value().blocks.size() == 1u);
+    st = meta.value().blocks[0].state;
+  }(rig, seal, state));
+  rig.sim.run();
+  EXPECT_EQ(seal.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(state, BlockState::kOpen);
+  EXPECT_EQ(rig.master->dirty_blocks(), 0u);
+  EXPECT_EQ(rig.master->flush_queue_depth(), 0u);
+  EXPECT_EQ(rig.master->flushed_blocks(), 0u);
+}
+
 }  // namespace
 }  // namespace hpcbb::bb

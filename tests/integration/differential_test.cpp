@@ -28,7 +28,10 @@ using sim::Task;
 struct FsCase {
   FsKind kind;
   bb::Scheme scheme;
-  const char* label;
+  // Held inline, not as a pointer: gtest prints the parameter's raw bytes
+  // into each test's name, and a pointer would make that name depend on
+  // where the binary happens to be loaded.
+  char label[8];
 };
 
 class DifferentialTest : public ::testing::TestWithParam<FsCase> {};

@@ -191,7 +191,7 @@ TEST(KvClusterTest, ExplicitPlacementOnSecondaryServer) {
   Client client = cluster.make_client(0);
   cluster.sim.spawn([](Cluster& cl, Client& c) -> Task<void> {
     const NodeId primary = c.server_for("key");
-    const NodeId secondary = c.failover_server_for("key");
+    const NodeId secondary = c.servers()[c.ring().successors("key", 2)[1]];
     CO_ASSERT(primary != secondary);
     CO_ASSERT((co_await c.set_on(secondary, "key",
                                    make_bytes(Bytes(256, 8)), false)).is_ok());

@@ -36,14 +36,14 @@ TEST(HashRingTest, SingleServerOwnsEverything) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(ring.server_for("key-" + std::to_string(i)), 0u);
   }
-  EXPECT_EQ(ring.next_server_for("any"), 0u);
+  EXPECT_EQ(ring.successors("any", 2), std::vector<std::uint32_t>{0u});
 }
 
 TEST(HashRingTest, FailoverTargetDiffersFromPrimary) {
   HashRing ring(4);
   for (int i = 0; i < 200; ++i) {
     const std::string key = "key-" + std::to_string(i);
-    EXPECT_NE(ring.server_for(key), ring.next_server_for(key)) << key;
+    EXPECT_NE(ring.server_for(key), ring.successors(key, 2)[1]) << key;
   }
 }
 
@@ -54,9 +54,9 @@ TEST(HashRingTest, SuccessorsStartAtOwnerAndAreDistinct) {
     const auto repl = ring.successors(key, 3);
     ASSERT_EQ(repl.size(), 3u) << key;
     // The replica list is the owner followed by the ring-walk successors,
-    // so R=1 placement and the legacy failover target fall out of it.
+    // so R=1 placement and the failover target fall out of it.
     EXPECT_EQ(repl[0], ring.server_for(key)) << key;
-    EXPECT_EQ(repl[1], ring.next_server_for(key)) << key;
+    EXPECT_EQ(repl[1], ring.successors(key, 2)[1]) << key;
     EXPECT_NE(repl[0], repl[1]) << key;
     EXPECT_NE(repl[0], repl[2]) << key;
     EXPECT_NE(repl[1], repl[2]) << key;

@@ -32,7 +32,10 @@ ClusterConfig small_config(bb::Scheme scheme = bb::Scheme::kAsync) {
 struct FsCase {
   FsKind kind;
   bb::Scheme scheme;
-  const char* label;
+  // Held inline, not as a pointer: gtest prints the parameter's raw bytes
+  // into each test's name, and a pointer would make that name depend on
+  // where the binary happens to be loaded.
+  char label[8];
 };
 
 class MapredFsTest : public ::testing::TestWithParam<FsCase> {};
