@@ -21,6 +21,10 @@ flowctl::FlowControlParams scheme_policy(flowctl::FlowControlParams params,
 }
 
 namespace {
+// Longest wait between flush retries while Lustre is unreachable: bounds
+// how late a flush resumes after Lustre returns.
+constexpr sim::SimTime kMaxFlushRetryBackoff = 500 * duration::ms;
+
 flowctl::FlowControlParams master_flowctl_params(const MasterParams& params,
                                                  Scheme scheme) {
   flowctl::FlowControlParams fp = scheme_policy(params.flowctl, scheme);
@@ -949,8 +953,23 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
   if (block == nullptr) co_return Status::ok();
   if (!st.is_ok()) {
     // Lustre hiccup: requeue and retry later rather than dropping data.
+    // Each retry re-reads the whole block from the KV tier, so back off
+    // exponentially (from the heartbeat interval, capped) instead of
+    // hammering the buffer for as long as Lustre stays down.
     block->state = BlockState::kDirty;
-    enqueue_flush(item);
+    sim::Simulation& sim = hub_->transport().fabric().simulation();
+    sim.metrics().counter("bb.flush.retries").add();
+    const sim::SimTime base = params_.heartbeat_interval_ns > 0
+                                  ? params_.heartbeat_interval_ns
+                                  : duration::ms;
+    co_await sim.delay(std::min(
+        base << std::min<std::uint32_t>(item.lustre_retries, 16),
+        kMaxFlushRetryBackoff));
+    if (generation != generation_) co_return Status::ok();
+    if (lookup() == nullptr) co_return Status::ok();
+    FlushItem retry = item;
+    ++retry.lustre_retries;
+    enqueue_flush(std::move(retry));
     co_return st;
   }
   (void)co_await lustre_.set_size(

@@ -210,6 +210,10 @@ class Master {
     // read during an outage is requeued (replica writes and repair may
     // still be in flight) instead of immediately declaring the block lost.
     std::uint32_t attempts = 0;
+    // Lustre-write retries so far; sets the backoff before the next one.
+    // Kept apart from `attempts` so a Lustre outage does not use up the
+    // buffer-read grace window.
+    std::uint32_t lustre_retries = 0;
     // Stamped by enqueue_flush; the flush worker records the enqueue -> pace
     // dwell as a "wait.flush_queue" span so latency attribution can split
     // the flush pipeline into queueing and service time.

@@ -2,7 +2,11 @@
 // integrity bugs are caught by content checks, not inferred from timing.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -20,24 +24,54 @@ inline BytesPtr make_bytes(Bytes b) {
   return std::make_shared<const Bytes>(std::move(b));
 }
 
+// Little-endian word stores and loads of the low `n` bytes (n <= 8): the
+// byte order every generator below defines, as one memcpy on the hosts that
+// share it.
+inline void store_le(std::uint8_t* dst, std::uint64_t word,
+                     std::size_t n = 8) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &word, n);
+  } else {
+    for (std::size_t b = 0; b < n; ++b) {
+      dst[b] = static_cast<std::uint8_t>(word >> (8 * b));
+    }
+  }
+}
+
+inline std::uint64_t load_le(const std::uint8_t* src) noexcept {
+  std::uint64_t word = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&word, src, sizeof word);
+  } else {
+    for (std::size_t b = 0; b < 8; ++b) {
+      word |= static_cast<std::uint64_t>(src[b]) << (8 * b);
+    }
+  }
+  return word;
+}
+
+// Content is a function of absolute 8-byte-aligned position, so any slice
+// of a file can be independently generated and verified.
+inline std::uint64_t pattern_word(std::uint64_t seed,
+                                  std::uint64_t pos) noexcept {
+  return SplitMix64(seed ^ (pos * 0x9E3779B97F4A7C15ull)).next();
+}
+
 // Deterministic content for (seed, offset, size): two writers producing the
 // "same" region produce identical bytes, and a reader can verify any slice
 // without storing the original. seed typically hashes the file path.
 inline Bytes pattern_bytes(std::uint64_t seed, std::uint64_t offset,
                            std::size_t size) {
   Bytes out(size);
-  // Content is a function of absolute 8-byte-aligned position, so any
-  // slice of a file can be independently generated and verified.
+  std::uint8_t* dst = out.data();
   std::uint64_t pos = offset / 8;
   std::size_t i = 0;
-  const std::uint64_t head_skip = offset % 8;
-  while (i < size) {
-    const std::uint64_t word = SplitMix64(seed ^ (pos * 0x9E3779B97F4A7C15ull)).next();
-    for (std::uint64_t b = (i == 0 ? head_skip : 0); b < 8 && i < size; ++b) {
-      out[i++] = static_cast<std::uint8_t>(word >> (8 * b));
-    }
-    ++pos;
+  if (const std::size_t head = offset % 8; head != 0 && size > 0) {
+    i = std::min<std::size_t>(8 - head, size);
+    store_le(dst, pattern_word(seed, pos++) >> (8 * head), i);
   }
+  for (; size - i >= 8; i += 8) store_le(dst + i, pattern_word(seed, pos++));
+  if (i < size) store_le(dst + i, pattern_word(seed, pos), size - i);
   return out;
 }
 
@@ -45,8 +79,26 @@ inline Bytes pattern_bytes(std::uint64_t seed, std::uint64_t offset,
 // stream generated by `seed`, has the expected content.
 inline bool verify_pattern(std::uint64_t seed, std::uint64_t offset,
                            std::span<const std::uint8_t> data) {
-  const Bytes expect = pattern_bytes(seed, offset, data.size());
-  return std::equal(data.begin(), data.end(), expect.begin());
+  const std::size_t size = data.size();
+  std::uint64_t pos = offset / 8;
+  std::size_t i = 0;
+  // Head and tail compare byte by byte against the word they belong to.
+  const auto bytes_match = [&](std::uint64_t word, std::size_t n) {
+    for (std::size_t b = 0; b < n; ++b, ++i) {
+      if (data[i] != static_cast<std::uint8_t>(word >> (8 * b))) return false;
+    }
+    return true;
+  };
+  if (const std::size_t head = offset % 8; head != 0 && size > 0) {
+    if (!bytes_match(pattern_word(seed, pos++) >> (8 * head),
+                     std::min<std::size_t>(8 - head, size))) {
+      return false;
+    }
+  }
+  for (; size - i >= 8; i += 8) {
+    if (load_le(data.data() + i) != pattern_word(seed, pos++)) return false;
+  }
+  return bytes_match(pattern_word(seed, pos), size - i);
 }
 
 }  // namespace hpcbb

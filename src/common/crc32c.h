@@ -10,7 +10,9 @@
 
 namespace hpcbb {
 
-// Extend `crc` (use 0 for a fresh checksum) over `data`.
+// Extend `crc` (use 0 for a fresh checksum) over `data`. Runs the CPU's
+// CRC32C instruction where it has one (chosen once, from CPUID); the value
+// is the same on every path.
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) noexcept;
 
 inline std::uint32_t crc32c(std::span<const std::uint8_t> data) noexcept {

@@ -22,20 +22,17 @@ inline Bytes generate_records(std::uint64_t seed, std::uint64_t count) {
   Rng rng(seed);
   for (std::uint64_t r = 0; r < count; ++r) {
     std::uint8_t* rec = out.data() + r * kRecordSize;
-    for (std::uint64_t k = 0; k < kKeySize; k += 8) {
-      const std::uint64_t word = rng.next();
-      for (std::uint64_t b = 0; b < 8 && k + b < kKeySize; ++b) {
-        rec[k + b] = static_cast<std::uint8_t>(word >> (8 * b));
-      }
-    }
+    // Whole words, then the low bytes of one more word: the loop bounds
+    // are constants, so every store has a fixed size.
+    static_assert(kKeySize % 8 != 0 && (kRecordSize - kKeySize) % 8 != 0);
+    std::uint64_t k = 0;
+    for (; k + 8 <= kKeySize; k += 8) store_le(rec + k, rng.next());
+    store_le(rec + k, rng.next(), kKeySize - k);
     // Payload derives from the key so corruption is detectable.
     SplitMix64 payload(seed ^ r);
-    for (std::uint64_t p = kKeySize; p < kRecordSize; p += 8) {
-      const std::uint64_t word = payload.next();
-      for (std::uint64_t b = 0; b < 8 && p + b < kRecordSize; ++b) {
-        rec[p + b] = static_cast<std::uint8_t>(word >> (8 * b));
-      }
-    }
+    std::uint64_t p = kKeySize;
+    for (; p + 8 <= kRecordSize; p += 8) store_le(rec + p, payload.next());
+    store_le(rec + p, payload.next(), kRecordSize - p);
   }
   return out;
 }

@@ -5,6 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c_internal.h"
+#include "common/rng.h"
+
 namespace hpcbb {
 namespace {
 
@@ -40,6 +43,80 @@ TEST(Crc32cTest, SensitiveToSingleBitFlip) {
     data[pos] ^= 0x01;
     EXPECT_NE(crc32c(data), clean) << "flip at " << pos;
     data[pos] ^= 0x01;
+  }
+}
+
+// Bit-at-a-time CRC32C straight from the polynomial: the reference both
+// implementation paths are compared against.
+std::uint32_t crc32c_bitwise(std::uint32_t crc, const std::uint8_t* p,
+                             std::size_t n) {
+  crc = ~crc;
+  while (n-- > 0) {
+    crc ^= *p++;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+using Crc32cFn = std::uint32_t (*)(std::uint32_t, const void*,
+                                   std::size_t) noexcept;
+
+// Checks `fn` against the bitwise reference on every length up to
+// 3 * kStride + 64 (past the first three-stream block) at start alignments
+// 0..15, from random initial CRCs, and chained across the stride boundary.
+void expect_matches_reference(Crc32cFn fn) {
+  constexpr std::size_t kMaxLen = 3 * crc32c_detail::kStride + 64;
+  Rng rng(2024);
+  std::vector<std::uint8_t> buf(kMaxLen + 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t align = 0; align < 16; ++align) {
+    const std::uint8_t* p = buf.data() + align;
+    const auto init = static_cast<std::uint32_t>(rng.next());
+    // The reference for length n+1 extends the one for length n by a byte.
+    std::uint32_t ref = init;
+    for (std::size_t n = 0; n <= kMaxLen; ++n) {
+      ASSERT_EQ(fn(init, p, n), ref) << "align " << align << " len " << n;
+      if (n < kMaxLen) ref = crc32c_bitwise(ref, p + n, 1);
+    }
+    for (const std::size_t cut : {std::size_t{1}, crc32c_detail::kStride - 1,
+                                  3 * crc32c_detail::kStride - 8,
+                                  3 * crc32c_detail::kStride,
+                                  3 * crc32c_detail::kStride + 3}) {
+      const std::uint32_t head = fn(init, p, cut);
+      EXPECT_EQ(fn(head, p + cut, kMaxLen - cut), ref)
+          << "align " << align << " cut " << cut;
+    }
+  }
+}
+
+TEST(Crc32cTest, TablePathMatchesBitwiseReference) {
+  expect_matches_reference(&crc32c_detail::crc32c_table);
+}
+
+TEST(Crc32cTest, HardwarePathMatchesBitwiseReference) {
+  if (!crc32c_detail::crc32c_hw_supported()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
+  }
+  expect_matches_reference(&crc32c_detail::crc32c_hw);
+}
+
+TEST(Crc32cTest, PathsAgreeOnLargeRandomBuffers) {
+  // Many three-stream blocks plus a ragged tail, at random offsets.
+  Rng rng(7);
+  std::vector<std::uint8_t> buf(256 * 1024 + 77);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (int i = 0; i < 32; ++i) {
+    const std::size_t off = rng.uniform(0, 4095);
+    const std::size_t len = rng.uniform(0, buf.size() - off);
+    const auto init = static_cast<std::uint32_t>(rng.next());
+    const std::uint32_t table =
+        crc32c_detail::crc32c_table(init, buf.data() + off, len);
+    EXPECT_EQ(crc32c(init, buf.data() + off, len), table);
+    if (crc32c_detail::crc32c_hw_supported()) {
+      EXPECT_EQ(crc32c_detail::crc32c_hw(init, buf.data() + off, len), table);
+    }
   }
 }
 

@@ -55,9 +55,13 @@ TEST(FailureTest, HdfsWriterSurvivesNothingButReportsPipelineDeath) {
 
 TEST(FailureTest, FlushRetriesThroughLustreOutage) {
   // Lustre (all OSS nodes) goes down after the burst is acked; the flusher
-  // must requeue, then complete once Lustre returns — no data loss.
+  // must requeue with backoff, then complete once Lustre returns — no data
+  // loss, and no retry storm against the KV tier meanwhile.
   Cluster cluster(small_config(bb::Scheme::kAsync));
-  cluster.sim().spawn([](Cluster& c) -> Task<void> {
+  std::uint64_t outage_gets = 0;
+  std::uint64_t retries = 0;
+  cluster.sim().spawn([](Cluster& c, std::uint64_t& gets,
+                         std::uint64_t& flush_retries) -> Task<void> {
     fs::FileSystem& fs = c.filesystem(FsKind::kBurstBuffer);
     auto writer = co_await fs.create("/f", 0);
     CO_ASSERT(writer.is_ok());
@@ -69,8 +73,16 @@ TEST(FailureTest, FlushRetriesThroughLustreOutage) {
     CO_ASSERT_OK(co_await writer.value()->append(
         make_bytes(pattern_bytes(2, 0, 16 * MiB))));
     CO_ASSERT_OK(co_await writer.value()->close());  // ack needs no Lustre
-    // Let flushers spin against the outage for a while.
+    // Flushers retry against the outage for a while. The writer is done, so
+    // every KV GET in this window is a flusher re-reading a block.
+    const auto kv_gets = [&c] {
+      return c.sim().metrics().counter_value("kv.hits") +
+             c.sim().metrics().counter_value("kv.misses");
+    };
+    const std::uint64_t gets_before = kv_gets();
     co_await c.sim().delay(2 * sec);
+    gets = kv_gets() - gets_before;
+    flush_retries = c.sim().metrics().counter_value("bb.flush.retries");
     CO_ASSERT(c.bb_master().flushed_blocks() == 0u);
     CO_ASSERT(c.bb_master().lost_blocks() == 0u);
     // Recovery.
@@ -79,9 +91,14 @@ TEST(FailureTest, FlushRetriesThroughLustreOutage) {
     co_await c.bb_master().wait_all_flushed();
     CO_ASSERT(c.bb_master().flushed_blocks() == 2u);
     CO_ASSERT(c.bb_master().lost_blocks() == 0u);
-  }(cluster));
+  }(cluster, outage_gets, retries));
   cluster.sim().run();
   EXPECT_EQ(cluster.bb_master().flushed_bytes(), 16 * MiB);
+  EXPECT_GT(retries, 0u);
+  // Two 8-chunk blocks, each re-read once per backoff retry: at most 16
+  // re-reads per block in 2 s. Requeueing at once re-read each block about
+  // 1,150 times (18k GETs), because a write to a down OSS fails at once.
+  EXPECT_LE(outage_gets, 2u * 8u * 16u) << retries << " flush retries";
 }
 
 TEST(FailureTest, BbLocalReadDegradesToBufferWhenAgentDies) {

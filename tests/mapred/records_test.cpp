@@ -13,6 +13,43 @@ TEST(RecordsTest, GenerationDeterministic) {
   EXPECT_NE(generate_records(5, 100), generate_records(6, 100));
 }
 
+// The byte-at-a-time generator generate_records replaced.
+Bytes records_reference(std::uint64_t seed, std::uint64_t count) {
+  Bytes out(count * kRecordSize);
+  Rng rng(seed);
+  for (std::uint64_t r = 0; r < count; ++r) {
+    std::uint8_t* rec = out.data() + r * kRecordSize;
+    for (std::uint64_t k = 0; k < kKeySize; k += 8) {
+      const std::uint64_t word = rng.next();
+      for (std::uint64_t b = 0; b < 8 && k + b < kKeySize; ++b) {
+        rec[k + b] = static_cast<std::uint8_t>(word >> (8 * b));
+      }
+    }
+    SplitMix64 payload(seed ^ r);
+    for (std::uint64_t p = kKeySize; p < kRecordSize; p += 8) {
+      const std::uint64_t word = payload.next();
+      for (std::uint64_t b = 0; b < 8 && p + b < kRecordSize; ++b) {
+        rec[p + b] = static_cast<std::uint8_t>(word >> (8 * b));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(RecordsTest, GenerationMatchesByteReference) {
+  for (std::uint64_t count = 0; count <= 16; ++count) {
+    ASSERT_EQ(generate_records(count, count), records_reference(count, count))
+        << "count " << count;
+  }
+  Rng rng(3);
+  for (int i = 0; i < 20; ++i) {
+    const std::uint64_t seed = rng.next();
+    const std::uint64_t count = rng.uniform(0, 2000);
+    ASSERT_EQ(generate_records(seed, count), records_reference(seed, count))
+        << "seed " << seed << " count " << count;
+  }
+}
+
 TEST(RecordsTest, SizesExact) {
   EXPECT_EQ(generate_records(1, 7).size(), 7 * kRecordSize);
   EXPECT_TRUE(generate_records(1, 0).empty());

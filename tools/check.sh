@@ -7,7 +7,8 @@
 #   tools/check.sh --chaos    # chaos-labeled tests + seeded bench_a4_chaos
 #                             # smoke, both under ASan+UBSan
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
-#                             # bench_f1_kv_latency vs bench/baselines/,
+#                             # bench_f1_kv_latency + bench_f3_dfsio_write +
+#                             # bench_f4_dfsio_read vs bench/baselines/,
 #                             # plus an injected-regression self-test
 #
 # Build trees: build/ and build-sanitize/ at the repo root.
@@ -28,10 +29,13 @@ if [[ "${gate}" == 1 ]]; then
   echo "== gate: configure (RelWithDebInfo) =="
   cmake -B build -S .
   echo "== gate: build gated benches =="
-  cmake --build build -j "${jobs}" --target bench_f1_kv_latency bench_m1_kv_micro
+  cmake --build build -j "${jobs}" --target bench_f1_kv_latency \
+    bench_f3_dfsio_write bench_f4_dfsio_read bench_m1_kv_micro
   out="$(mktemp -d)"
-  echo "== gate: bench_f1_kv_latency (simulated time, deterministic) =="
-  HPCBB_BENCH_OUT="${out}" ./build/bench/bench_f1_kv_latency --gate
+  for bench in bench_f1_kv_latency bench_f3_dfsio_write bench_f4_dfsio_read; do
+    echo "== gate: ${bench} (simulated time, deterministic) =="
+    HPCBB_BENCH_OUT="${out}" "./build/bench/${bench}" --gate
+  done
   echo "== gate: bench_m1_kv_micro (real time, loose tolerances) =="
   HPCBB_BENCH_OUT="${out}" ./build/bench/bench_m1_kv_micro --gate \
     --benchmark_min_time=0.02
