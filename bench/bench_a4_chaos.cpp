@@ -13,7 +13,9 @@
 //   * resilience counters: retry attempts/recoveries, ring failovers,
 //     server restarts, injected faults.
 //
-// Accepts key=value overrides (e.g. smoke=1 faults.seed=7 files=4). The
+// Accepts key=value overrides (e.g. smoke=1 faults.seed=7 files=4): the
+// keys in kChaosKeys and the cluster keys of examples/example.conf, which
+// override each section's defaults (a section's swept R still wins). The
 // whole chaos schedule is deterministic in faults.seed.
 #include <cstdio>
 #include <cstdlib>
@@ -21,8 +23,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cluster/config.h"
 #include "faults/injector.h"
-#include "net/retry.h"
 #include "obs/attribution.h"
 #include "obs/flightrec.h"
 #include "obs/health.h"
@@ -36,31 +38,69 @@ using hpcbb::bench::Cluster;
 using hpcbb::bench::ClusterConfig;
 using sim::SimTime;
 using sim::Task;
+using cluster::field;
+using enum ValueType;
 
 struct ChaosKnobs {
   bool smoke = false;
-  std::uint32_t files = 8;
-  std::uint64_t file_size = 64 * MiB;
+  mapred::DfsioParams dfsio{.files = 8, .file_size = 64 * MiB};
   std::uint64_t records_per_file = 80000;  // 8 MiB of sort input per file
-  faults::InjectorParams faults;
 };
 
-ChaosKnobs knobs_from(const Properties& props) {
-  ChaosKnobs k;
-  k.smoke = props.get_bool_or("smoke", false);
-  if (k.smoke) {
-    k.files = 2;
-    k.file_size = 8 * MiB;
-    k.records_per_file = 10000;
-  }
-  k.files = static_cast<std::uint32_t>(props.get_u64_or("files", k.files));
-  k.file_size = props.get_u64_or("file.size", k.file_size);
-  k.records_per_file =
-      props.get_u64_or("sort.records", k.records_per_file);
+constexpr cluster::ConfigKey<ChaosKnobs> kChaosKeys[] = {
+    {"smoke", kBool, field<&ChaosKnobs::smoke>},
+    {"files", kSize, field<&ChaosKnobs::dfsio, &mapred::DfsioParams::files>},
+    {"file.size", kSize,
+     field<&ChaosKnobs::dfsio, &mapred::DfsioParams::file_size>},
+    {"sort.records", kSize, field<&ChaosKnobs::records_per_file>},
+};
 
-  faults::InjectorParams faults;
+// Checks the whole command line once; the sections overlay it unchecked.
+Result<ChaosKnobs> knobs_from(const Properties& props) {
+  if (props.contains("bb.scheme")) {
+    return error(StatusCode::kInvalidArgument,
+                 "key bb.scheme: A4 runs every scheme");
+  }
+  ChaosKnobs k;
+  ClusterConfig checked;
+  const Status st = cluster::apply_properties(props, checked, kChaosKeys, k);
+  if (!st.is_ok()) return st;
+  if (k.smoke) {  // smaller defaults; explicit keys still win
+    k.dfsio.files = 2;
+    k.dfsio.file_size = 8 * MiB;
+    k.records_per_file = 10000;
+    (void)cluster::apply_keys(props, kChaosKeys, k);
+  }
+  return k;
+}
+
+// A section's config: its defaults with the command line's keys on top.
+ClusterConfig with_args(ClusterConfig config, const Properties& props) {
+  (void)cluster::apply_properties(props, config);  // checked in knobs_from
+  return config;
+}
+
+// Chaos and healthy runs share identical resilience settings; only the
+// injector differs, so the throughput delta is attributable to the faults.
+ClusterConfig base_config(bb::Scheme scheme, const ChaosKnobs& k) {
+  ClusterConfig config = hpcbb::bench::default_config(scheme);
+  config.retry.max_attempts = 4;
+  // The full-geometry write burst (8 x 64 MiB) queues individual RPCs for
+  // longer than the smoke run's aggressive deadline — a 20 ms per-attempt
+  // cutoff makes even the healthy baseline time out. Crash downtime is
+  // 200 ms, so the longer deadline still detects dead servers in time.
+  config.retry.timeout_ns = k.smoke ? 20 * duration::ms : 200 * duration::ms;
+  config.kv_client.failover = true;
+  config.bb_heartbeat_interval_ns = 10 * duration::ms;
+  return config;
+}
+
+// Rolling KV crashes plus transient RPC drops and delay spikes.
+ClusterConfig chaos_config(bb::Scheme scheme, const Properties& props,
+                           const ChaosKnobs& k) {
+  ClusterConfig config = base_config(scheme, k);
+  faults::InjectorParams& faults = config.faults;
   faults.enabled = true;
-  faults.seed = 1;
   faults.rpc_drop_prob = 0.002;
   faults.rpc_delay_prob = 0.01;
   faults.rpc_delay_ns = 1 * duration::ms;
@@ -69,29 +109,7 @@ ChaosKnobs knobs_from(const Properties& props) {
   faults.crash_downtime_ns =
       k.smoke ? 50 * duration::ms : 200 * duration::ms;
   faults.crash_count = k.smoke ? 1 : 2;
-  k.faults = faults::InjectorParams::from_properties(props, faults);
-  return k;
-}
-
-// Chaos and healthy runs share identical resilience settings; only the
-// injector differs, so the throughput delta is attributable to the faults.
-ClusterConfig base_config(bb::Scheme scheme, const Properties& props) {
-  ClusterConfig config = hpcbb::bench::default_config(scheme);
-  net::RetryPolicy retry;
-  retry.max_attempts = 4;
-  // The full-geometry write burst (8 x 64 MiB) queues individual RPCs for
-  // longer than the smoke run's aggressive deadline — a 20 ms per-attempt
-  // cutoff makes even the healthy baseline time out. Crash downtime is
-  // 200 ms, so the longer deadline still detects dead servers in time.
-  retry.timeout_ns = props.get_bool_or("smoke", false) ? 20 * duration::ms
-                                                       : 200 * duration::ms;
-  config.retry = net::RetryPolicy::from_properties(props, retry);
-  config.kv_client.failover = true;
-  // kv.failover / kv.repl.factor / kv.repl.ack overrides apply to every run.
-  config.kv_client.apply_properties(props);
-  config.bb_heartbeat_interval_ns =
-      props.get_duration_ns_or("bb.heartbeat", 10 * duration::ms);
-  return config;
+  return with_args(config, props);
 }
 
 struct Outcome {
@@ -146,12 +164,8 @@ Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   sim::Simulation& sim = c.sim();
 
   // Phase 1: DFSIO write burst (the crash schedule fires mid-burst).
-  mapred::DfsioParams dfsio;
-  dfsio.files = k.files;
-  dfsio.file_size = k.file_size;
-  dfsio.verify_on_read = true;
   auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), dfsio);
+      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
   out.write_ok = write_result.is_ok();
   if (write_result.is_ok()) {
     out.write_mbps = write_result.value().aggregate_mbps;
@@ -161,11 +175,11 @@ Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   out.blocks_recovered = c.bb_master().recovered_blocks();
 
   // Phase 2: verified read-back of every file, from rotated nodes.
-  out.files_total = k.files;
+  out.files_total = k.dfsio.files;
   const SimTime read_start = sim.now();
   std::uint64_t read_bytes = 0;
-  for (std::uint32_t i = 0; i < k.files; ++i) {
-    const std::string path = dfsio.dir + "/io_file_" + std::to_string(i);
+  for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
+    const std::string path = k.dfsio.dir + "/io_file_" + std::to_string(i);
     auto reader = co_await c.filesystem(kind).open(
         path, c.compute_nodes()[(i + 1) % c.compute_nodes().size()]);
     if (!reader.is_ok()) continue;
@@ -189,13 +203,13 @@ Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   // Phase 3: Sort with the fault schedule still armed (RPC faults apply to
   // the whole run; later crashes land here in the full schedule).
   mapred::GenerateParams gen;
-  gen.files = k.files;
+  gen.files = k.dfsio.files;
   gen.records_per_file = k.records_per_file;
   auto generated = co_await mapred::generate_records_input(
       c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), gen);
   if (generated.is_ok()) {
     std::vector<std::string> inputs;
-    for (std::uint32_t i = 0; i < k.files; ++i) {
+    for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
       inputs.push_back(gen.dir + "/part-" + std::to_string(i));
     }
     auto runner = c.make_runner(kind);
@@ -241,12 +255,8 @@ Task<void> integrity_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   const auto kind = cluster::FsKind::kBurstBuffer;
   sim::Simulation& sim = c.sim();
 
-  mapred::DfsioParams dfsio;
-  dfsio.files = k.files;
-  dfsio.file_size = k.file_size;
-  dfsio.verify_on_read = true;
   auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), dfsio);
+      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
   out.write_ok = write_result.is_ok();
   if (write_result.is_ok()) {
     out.write_mbps = write_result.value().aggregate_mbps;
@@ -272,11 +282,11 @@ Task<void> integrity_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
     co_await sim.delay(2 * interval);
   }
 
-  out.files_total = k.files;
+  out.files_total = k.dfsio.files;
   std::uint64_t read_bytes = 0;
   const SimTime read_start = sim.now();
-  for (std::uint32_t i = 0; i < k.files; ++i) {
-    const std::string path = dfsio.dir + "/io_file_" + std::to_string(i);
+  for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
+    const std::string path = k.dfsio.dir + "/io_file_" + std::to_string(i);
     auto reader = co_await c.filesystem(kind).open(
         path, c.compute_nodes()[(i + 1) % c.compute_nodes().size()]);
     if (!reader.is_ok()) continue;
@@ -316,12 +326,8 @@ Task<void> master_crash_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   const auto kind = cluster::FsKind::kBurstBuffer;
   sim::Simulation& sim = c.sim();
 
-  mapred::DfsioParams dfsio;
-  dfsio.files = k.files;
-  dfsio.file_size = k.file_size;
-  dfsio.verify_on_read = true;
   auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), dfsio);
+      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
   out.write_ok = write_result.is_ok();
   if (write_result.is_ok()) {
     out.write_mbps = write_result.value().aggregate_mbps;
@@ -331,11 +337,11 @@ Task<void> master_crash_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   out.blocks_lost = c.bb_master().lost_blocks();
   out.blocks_recovered = c.bb_master().recovered_blocks();
 
-  out.files_total = k.files;
+  out.files_total = k.dfsio.files;
   std::uint64_t read_bytes = 0;
   const SimTime read_start = sim.now();
-  for (std::uint32_t i = 0; i < k.files; ++i) {
-    const std::string path = dfsio.dir + "/io_file_" + std::to_string(i);
+  for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
+    const std::string path = k.dfsio.dir + "/io_file_" + std::to_string(i);
     auto reader = co_await c.filesystem(kind).open(
         path, c.compute_nodes()[(i + 1) % c.compute_nodes().size()]);
     if (!reader.is_ok()) continue;
@@ -417,8 +423,8 @@ void collect_counters(Cluster& c, Outcome& out) {
 Outcome run_scheme(bb::Scheme scheme, const Properties& props,
                    const ChaosKnobs& k, bool with_faults,
                    std::uint32_t repl_factor = 0) {
-  ClusterConfig config = base_config(scheme, props);
-  if (with_faults) config.faults = k.faults;
+  ClusterConfig config = chaos_config(scheme, props, k);
+  if (!with_faults) config.faults = faults::InjectorParams{};
   if (repl_factor > 0) config.kv_client.replication_factor = repl_factor;
   Cluster cluster(config);
   Outcome outcome;
@@ -433,18 +439,14 @@ Outcome run_scheme(bb::Scheme scheme, const Properties& props,
 // kv.scrub.* properties override the storm defaults.
 ClusterConfig integrity_config(const Properties& props, const ChaosKnobs& k,
                                std::uint32_t repl_factor) {
-  ClusterConfig config = base_config(bb::Scheme::kAsync, props);
-  faults::InjectorParams storm;
+  ClusterConfig config = base_config(bb::Scheme::kAsync, k);
+  faults::InjectorParams& storm = config.faults;
   storm.enabled = true;
-  storm.seed = k.faults.seed;
   storm.corrupt_first_ns = k.smoke ? 4 * duration::ms : 30 * duration::ms;
   storm.corrupt_period_ns = k.smoke ? 2 * duration::ms : 15 * duration::ms;
   storm.corrupt_count = k.smoke ? 6 : 40;
-  config.faults = faults::InjectorParams::from_properties(props, storm);
-  config.bb_scrub.interval_ns = props.get_duration_ns_or(
-      "kv.scrub.interval", k.smoke ? 10 * duration::ms : 50 * duration::ms);
-  config.bb_scrub.chunk_pace_ns =
-      props.get_duration_ns_or("kv.scrub.pace", 0);
+  config.bb_scrub.interval_ns = k.smoke ? 10 * duration::ms : 50 * duration::ms;
+  config = with_args(config, props);
   config.kv_client.replication_factor = repl_factor;
   return config;
 }
@@ -466,25 +468,22 @@ Outcome run_integrity(const Properties& props, const ChaosKnobs& k,
 ClusterConfig master_crash_config(bb::Scheme scheme, const Properties& props,
                                   const ChaosKnobs& k,
                                   std::uint32_t repl_factor) {
-  ClusterConfig config = base_config(scheme, props);
+  ClusterConfig config = base_config(scheme, k);
   config.bb_md.journal = true;
-  config.kv_client.replication_factor = repl_factor;
   // Riding out the outage needs backoff that spans the downtime window:
   // retries against the downed master node fail fast at the fabric, so the
   // attempt budget, not the per-attempt deadline, is what must cover it.
-  net::RetryPolicy retry = config.retry;
-  retry.max_attempts = 12;
-  retry.backoff_base_ns = 2 * duration::ms;
-  retry.backoff_max_ns = 20 * duration::ms;
-  config.retry = net::RetryPolicy::from_properties(props, retry);
-  faults::InjectorParams faults;
+  config.retry.max_attempts = 12;
+  config.retry.backoff_base_ns = 2 * duration::ms;
+  config.retry.backoff_max_ns = 20 * duration::ms;
+  faults::InjectorParams& faults = config.faults;
   faults.enabled = true;
-  faults.seed = k.faults.seed;
   faults.master_first_ns = k.smoke ? 4 * duration::ms : 60 * duration::ms;
   faults.master_downtime_ns =
       k.smoke ? 10 * duration::ms : 50 * duration::ms;
   faults.master_count = 1;
-  config.faults = faults::InjectorParams::from_properties(props, faults);
+  config = with_args(config, props);
+  config.kv_client.replication_factor = repl_factor;
   return config;
 }
 
@@ -549,11 +548,8 @@ Task<void> with_sampler(Task<void> inner, obs::TimeSeriesSampler& sampler) {
 // every slow flush is attributable to the degraded devices.
 Task<void> limp_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   const auto kind = cluster::FsKind::kBurstBuffer;
-  mapred::DfsioParams dfsio;
-  dfsio.files = k.files;
-  dfsio.file_size = k.file_size;
   auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), dfsio);
+      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
   out.write_ok = write_result.is_ok();
   if (write_result.is_ok()) {
     out.write_mbps = write_result.value().aggregate_mbps;
@@ -566,10 +562,9 @@ Task<void> limp_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
 // the put path co_awaits), spanning the write burst. Episodes are serialized
 // by the injector, so one long episode beats many short ones here.
 ClusterConfig limp_config(const Properties& props, const ChaosKnobs& k) {
-  ClusterConfig config = base_config(bb::Scheme::kAsync, props);
-  faults::InjectorParams limp;
+  ClusterConfig config = base_config(bb::Scheme::kAsync, k);
+  faults::InjectorParams& limp = config.faults;
   limp.enabled = true;
-  limp.seed = k.faults.seed;
   // The episode must be in force before the burst's first puts reach the
   // journal: Device::io prices each transfer when it is *enqueued*, so a
   // slowdown applied mid-queue would not reprice writes already in line.
@@ -577,8 +572,7 @@ ClusterConfig limp_config(const Properties& props, const ChaosKnobs& k) {
   limp.limp_duration_ns = k.smoke ? 60 * duration::ms : 600 * duration::ms;
   limp.limp_factor = 8.0;
   limp.limp_count = 1;
-  config.faults = faults::InjectorParams::from_properties(props, limp);
-  return config;
+  return with_args(config, props);
 }
 
 // The limpware SLO threshold is relative: 3x the put-latency max of a
@@ -586,7 +580,9 @@ ClusterConfig limp_config(const Properties& props, const ChaosKnobs& k) {
 // instead of hard-coding a simulator constant.
 std::uint64_t healthy_put_max_ns(const Properties& props,
                                  const ChaosKnobs& k) {
-  Cluster cluster(base_config(bb::Scheme::kAsync, props));
+  ClusterConfig config = chaos_config(bb::Scheme::kAsync, props, k);
+  config.faults = faults::InjectorParams{};
+  Cluster cluster(config);
   Outcome outcome;
   hpcbb::bench::run_to_completion(cluster, limp_task(cluster, k, outcome));
   const auto histograms = cluster.sim().metrics().histograms();
@@ -664,18 +660,20 @@ HealthOutcome run_health(const ClusterConfig& config, const Properties& slo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Properties props;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--gate") continue;  // handled by bench::finish below
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      std::fprintf(stderr, "usage: %s [--gate] [key=value ...]\n", argv[0]);
-      return 2;
-    }
-    props.set(arg.substr(0, eq), arg.substr(eq + 1));
+  constexpr std::string_view kFlags[] = {"--gate"};  // bench::finish's
+  const Result<Properties> args = Properties::from_args(argc, argv, kFlags);
+  const Result<ChaosKnobs> parsed =
+      args.is_ok() ? knobs_from(args.value())
+                   : Result<ChaosKnobs>(args.status());
+  if (!parsed.is_ok()) {
+    std::fprintf(stderr, "bad config: %s\n",
+                 parsed.status().to_string().c_str());
+    return 2;
   }
-  const ChaosKnobs knobs = knobs_from(props);
+  const Properties& props = args.value();
+  const ChaosKnobs& knobs = parsed.value();
+  const faults::InjectorParams shown =
+      chaos_config(bb::Scheme::kAsync, props, knobs).faults;
 
   hpcbb::bench::print_header(
       "A4",
@@ -684,10 +682,9 @@ int main(int argc, char** argv) {
       "bounded; the cluster recovers within the downtime window");
   std::printf("faults: seed=%llu drop=%.4f delay=%.4f crashes=%u "
               "(downtime %.0fms)%s\n",
-              static_cast<unsigned long long>(knobs.faults.seed),
-              knobs.faults.rpc_drop_prob, knobs.faults.rpc_delay_prob,
-              knobs.faults.crash_count,
-              static_cast<double>(knobs.faults.crash_downtime_ns) /
+              static_cast<unsigned long long>(shown.seed),
+              shown.rpc_drop_prob, shown.rpc_delay_prob, shown.crash_count,
+              static_cast<double>(shown.crash_downtime_ns) /
                   hpcbb::duration::ms,
               knobs.smoke ? "  [smoke]" : "");
   hpcbb::bench::JsonResult result(
@@ -958,15 +955,16 @@ int main(int argc, char** argv) {
   {
     // KV crash: the failure detector's live-peer gauge dips below the full
     // ring while a server is down.
-    ClusterConfig faulted = base_config(bb::Scheme::kAsync, props);
-    faulted.faults = knobs.faults;
+    const ClusterConfig faulted =
+        chaos_config(bb::Scheme::kAsync, props, knobs);
+    ClusterConfig healthy = faulted;
+    healthy.faults = faults::InjectorParams{};
     Properties slo = slo_base("incident-kvcrash");
     slo.set("slo.kv_live_min", std::to_string(faulted.kv_servers));
     HealthOutcome chaos =
         run_health(faulted, slo, knobs, "kv_live_min", chaos_task);
-    chaos.healthy_alerts = healthy_alerts(run_health(
-        base_config(bb::Scheme::kAsync, props), slo, knobs, "kv_live_min",
-        chaos_task));
+    chaos.healthy_alerts = healthy_alerts(
+        run_health(healthy, slo, knobs, "kv_live_min", chaos_task));
     report_health("kv-crash", "kv_live_min", chaos, true);
   }
   {

@@ -3,12 +3,13 @@
 //
 //   ./quickstart [key=value ...]     e.g.  ./quickstart bb.scheme=local
 //
-// Recognized keys: bb.scheme={async,sync,local}, file.size (e.g. 256m),
-// cluster.nodes, kv.servers.
+// Accepts every cluster key of examples/example.conf (bb.scheme,
+// cluster.nodes, kv.servers, ...) plus file.size (e.g. 256m).
 #include <cstdio>
 #include <string>
 
 #include "cluster/cluster.h"
+#include "cluster/config.h"
 #include "common/properties.h"
 #include "common/strings.h"
 #include "common/units.h"
@@ -21,6 +22,15 @@ using namespace hpcbb::duration;  // NOLINT
 using cluster::Cluster;
 using cluster::FsKind;
 using sim::Task;
+
+struct DemoOptions {
+  std::uint64_t file_size = 256 * MiB;
+};
+
+constexpr cluster::ConfigKey<DemoOptions> kDemoKeys[] = {
+    {"file.size", ValueType::kSize,
+     cluster::field<&DemoOptions::file_size>},
+};
 
 Task<void> demo(Cluster& c, std::uint64_t file_size) {
   fs::FileSystem& fs = c.filesystem(FsKind::kBurstBuffer);
@@ -86,27 +96,17 @@ Task<void> demo(Cluster& c, std::uint64_t file_size) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Properties props;
-  for (int i = 1; i < argc; ++i) {
-    auto parsed = Properties::parse(argv[i]);
-    if (!parsed.is_ok()) {
-      std::fprintf(stderr, "bad argument '%s': %s\n", argv[i],
-                   parsed.status().to_string().c_str());
-      return 1;
-    }
-    for (const auto& [k, v] : parsed.value().entries()) props.set(k, v);
-  }
-
+  const Result<Properties> props = Properties::from_args(argc, argv);
   cluster::ClusterConfig config;
-  config.compute_nodes =
-      static_cast<std::uint32_t>(props.get_u64_or("cluster.nodes", 8));
-  config.kv_servers =
-      static_cast<std::uint32_t>(props.get_u64_or("kv.servers", 4));
-  const std::string scheme = props.get_or("bb.scheme", "async");
-  config.scheme = scheme == "sync"    ? bb::Scheme::kSync
-                  : scheme == "local" ? bb::Scheme::kLocal
-                                      : bb::Scheme::kAsync;
-  const std::uint64_t file_size = props.get_u64_or("file.size", 256 * MiB);
+  DemoOptions options;
+  const Status status =
+      props.is_ok()
+          ? cluster::apply_properties(props.value(), config, kDemoKeys, options)
+          : props.status();
+  if (!status.is_ok()) {
+    std::fprintf(stderr, "bad config: %s\n", status.to_string().c_str());
+    return 2;
+  }
 
   std::printf("cluster: %u compute nodes, %u KV burst-buffer servers, "
               "%u OSS; scheme=%s\n",
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
               std::string(to_string(config.scheme)).c_str());
 
   Cluster cluster(config);
-  cluster.sim().spawn(demo(cluster, file_size));
+  cluster.sim().spawn(demo(cluster, options.file_size));
   cluster.sim().run();
   std::printf("simulation: %llu events, %s simulated\n",
               static_cast<unsigned long long>(cluster.sim().events_processed()),

@@ -24,13 +24,6 @@ namespace {
 // Longest wait between flush retries while Lustre is unreachable: bounds
 // how late a flush resumes after Lustre returns.
 constexpr sim::SimTime kMaxFlushRetryBackoff = 500 * duration::ms;
-
-flowctl::FlowControlParams master_flowctl_params(const MasterParams& params,
-                                                 Scheme scheme) {
-  flowctl::FlowControlParams fp = scheme_policy(params.flowctl, scheme);
-  fp.capacity_bytes = params.buffer_capacity_bytes;
-  return fp;
-}
 }  // namespace
 
 Master::Master(net::RpcHub& hub, net::NodeId node,
@@ -44,7 +37,7 @@ Master::Master(net::RpcHub& hub, net::NodeId node,
       params_(params),
       lustre_(hub, lustre_mds),
       flowctl_(hub.transport().fabric().simulation(),
-               master_flowctl_params(params, scheme),
+               scheme_policy(params.flowctl, scheme),
                static_cast<std::uint32_t>(node)),
       flush_queue_(hub.transport().fabric().simulation()),
       flush_done_(hub.transport().fabric().simulation()),

@@ -29,13 +29,11 @@ struct MasterParams {
   std::uint32_t flusher_count = 4;
   sim::SimTime md_op_ns = 15 * duration::us;
   std::string lustre_prefix = "/bb";
-  // Flow control: total KV buffer memory (0 disables the subsystem). The
-  // CapacityController gates block admission by watermarks over
-  // dirty+clean+reserved bytes, escalates the flushers under pressure, and
-  // evicts flushed (clean) blocks before ever delaying a writer — see
-  // flowctl/controller.h. `flowctl.capacity_bytes` is overridden by
-  // `buffer_capacity_bytes` at construction.
-  std::uint64_t buffer_capacity_bytes = 0;
+  // Flow control over the total KV buffer memory, flowctl.capacity_bytes
+  // (0 disables the subsystem). The CapacityController gates block
+  // admission by watermarks over dirty+clean+reserved bytes, escalates the
+  // flushers under pressure, and evicts flushed (clean) blocks before ever
+  // delaying a writer — see flowctl/controller.h.
   flowctl::FlowControlParams flowctl;
   // Heartbeat failure detector over the KV servers (0 interval = off, the
   // seed behaviour). `suspect_after`/`dead_after` are consecutive missed

@@ -101,20 +101,6 @@ struct Cursor {
 
 }  // namespace
 
-MdParams MdParams::from_properties(const Properties& props, MdParams defaults) {
-  MdParams params = defaults;
-  params.journal = props.get_bool_or("bb.md.journal", params.journal);
-  params.checkpoint_interval_ns = props.get_duration_ns_or(
-      "bb.md.checkpoint_interval", params.checkpoint_interval_ns);
-  params.journal_max_bytes =
-      props.get_u64_or("bb.md.journal_max_bytes", params.journal_max_bytes);
-  return params;
-}
-
-MdParams MdParams::from_properties(const Properties& props) {
-  return from_properties(props, MdParams{});
-}
-
 Bytes encode_record(const MdRecord& record) {
   Bytes out;
   put_u8(out, static_cast<std::uint8_t>(record.type));

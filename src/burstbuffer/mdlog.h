@@ -36,7 +36,6 @@
 
 #include "burstbuffer/protocol.h"
 #include "common/bytes.h"
-#include "common/properties.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "kvstore/client.h"
@@ -55,11 +54,6 @@ struct MdParams {
   sim::SimTime checkpoint_interval_ns = 100 * duration::ms;
   // Journal bytes that trigger an immediate checkpoint (0 = never).
   std::uint64_t journal_max_bytes = 1 * MiB;
-
-  // Reads bb.md.journal, bb.md.checkpoint_interval, bb.md.journal_max_bytes
-  // over `defaults`.
-  static MdParams from_properties(const Properties& props, MdParams defaults);
-  static MdParams from_properties(const Properties& props);
 };
 
 // One journaled master mutation. A single struct covers every record type;

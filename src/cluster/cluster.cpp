@@ -95,7 +95,7 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   master_params.chunk_size = config_.chunk_size;
   master_params.flusher_count = config_.flusher_count;
   master_params.flowctl = config_.bb_flowctl;
-  master_params.buffer_capacity_bytes =
+  master_params.flowctl.capacity_bytes =
       config_.kv_memory_per_server * config_.kv_servers;
   master_params.heartbeat_interval_ns = config_.bb_heartbeat_interval_ns;
   master_params.suspect_after = config_.bb_suspect_after;

@@ -1,7 +1,12 @@
 #include "common/properties.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <sstream>
 
 #include "common/strings.h"
 #include "common/units.h"
@@ -33,6 +38,33 @@ Result<Properties> Properties::parse(std::string_view text) {
   return props;
 }
 
+Result<Properties> Properties::from_args(
+    int argc, const char* const* argv,
+    std::span<const std::string_view> flags) {
+  Properties props;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (std::find(flags.begin(), flags.end(), arg) != flags.end()) continue;
+    std::string text = arg;
+    if (arg.find('=') == std::string::npos) {  // a properties file
+      std::ifstream in(arg);
+      if (!in) {
+        return error(StatusCode::kNotFound, "cannot open config file " + arg);
+      }
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      text = buffer.str();
+    }
+    auto parsed = parse(text);
+    if (!parsed.is_ok()) {
+      return error(StatusCode::kInvalidArgument,
+                   arg + ": " + parsed.status().message());
+    }
+    for (const auto& [k, v] : parsed.value().entries()) props.set(k, v);
+  }
+  return props;
+}
+
 void Properties::set(std::string key, std::string value) {
   entries_[std::move(key)] = std::move(value);
 }
@@ -43,76 +75,101 @@ std::optional<std::string> Properties::get(const std::string& key) const {
   return it->second;
 }
 
-std::string Properties::get_or(const std::string& key,
-                               std::string fallback) const {
-  auto v = get(key);
-  return v ? *v : std::move(fallback);
-}
-
 Result<std::uint64_t> Properties::get_u64(const std::string& key) const {
-  const auto v = get(key);
-  if (!v) return error(StatusCode::kNotFound, "missing key: " + key);
-  std::string_view s = trim(*v);
-  std::uint64_t multiplier = 1;
-  if (!s.empty()) {
-    switch (std::tolower(static_cast<unsigned char>(s.back()))) {
-      case 'k': multiplier = KiB; s.remove_suffix(1); break;
-      case 'm': multiplier = MiB; s.remove_suffix(1); break;
-      case 'g': multiplier = GiB; s.remove_suffix(1); break;
-      case 't': multiplier = TiB; s.remove_suffix(1); break;
-      default: break;
-    }
-  }
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    return error(StatusCode::kInvalidArgument,
-                 "key " + key + ": not an integer: " + *v);
-  }
-  return value * multiplier;
-}
-
-std::uint64_t Properties::get_u64_or(const std::string& key,
-                                     std::uint64_t fallback) const {
-  const auto r = get_u64(key);
-  return r.is_ok() ? r.value() : fallback;
-}
-
-double Properties::get_double_or(const std::string& key,
-                                 double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (...) {
-    return fallback;
-  }
+  auto value = get_value(key, ValueType::kSize);
+  if (!value.is_ok()) return value.status();
+  return value.value().number;
 }
 
 Result<std::uint64_t> Properties::get_duration_ns(
     const std::string& key) const {
-  const auto v = get(key);
-  if (!v) return error(StatusCode::kNotFound, "missing key: " + key);
-  const auto parsed = parse_duration_ns(*v);
-  if (!parsed) {
-    return error(StatusCode::kInvalidArgument,
-                 "key " + key + ": not a duration (want e.g. 100ms): " + *v);
+  auto value = get_value(key, ValueType::kDuration);
+  if (!value.is_ok()) return value.status();
+  return value.value().number;
+}
+
+Result<TypedValue> Properties::get_value(
+    const std::string& key, ValueType type,
+    std::span<const std::string_view> choices) const {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    return error(StatusCode::kNotFound, "missing key: " + key);
   }
-  return *parsed;
-}
-
-std::uint64_t Properties::get_duration_ns_or(const std::string& key,
-                                             std::uint64_t fallback) const {
-  const auto r = get_duration_ns(key);
-  return r.is_ok() ? r.value() : fallback;
-}
-
-bool Properties::get_bool_or(const std::string& key, bool fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  if (*v == "true" || *v == "1" || *v == "yes") return true;
-  if (*v == "false" || *v == "0" || *v == "no") return false;
-  return fallback;
+  const std::string& raw = it->second;
+  const std::string_view s = trim(raw);
+  const auto malformed = [&](const std::string& want) {
+    return error(StatusCode::kInvalidArgument,
+                 "key " + key + ": " + want + ": " + raw);
+  };
+  TypedValue value;
+  switch (type) {
+    case ValueType::kSize:
+    case ValueType::kMicros: {
+      std::string_view digits = s;
+      std::uint64_t scale = type == ValueType::kMicros ? duration::us : 1;
+      if (!digits.empty()) {
+        switch (std::tolower(static_cast<unsigned char>(digits.back()))) {
+          case 'k': scale *= KiB; digits.remove_suffix(1); break;
+          case 'm': scale *= MiB; digits.remove_suffix(1); break;
+          case 'g': scale *= GiB; digits.remove_suffix(1); break;
+          case 't': scale *= TiB; digits.remove_suffix(1); break;
+          default: break;
+        }
+      }
+      const auto [end, ec] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), value.number);
+      if (ec != std::errc() || end != digits.data() + digits.size() ||
+          value.number > UINT64_MAX / scale) {
+        return malformed("not a size that fits in 64 bits");
+      }
+      value.number *= scale;
+      return value;
+    }
+    case ValueType::kDuration: {
+      const auto ns = parse_duration_ns(s);
+      if (!ns) return malformed("not a duration (want e.g. 100ms)");
+      value.number = *ns;
+      return value;
+    }
+    case ValueType::kFraction:
+    case ValueType::kReal: {
+      // The whole value as a finite number: "0.5x", "nan" and "inf" fail.
+      const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(),
+                                             value.real);
+      if (s.empty() || ec != std::errc() || end != s.data() + s.size() ||
+          !std::isfinite(value.real)) {
+        return malformed("not a finite number");
+      }
+      if (type == ValueType::kFraction &&
+          !(value.real >= 0.0 && value.real <= 1.0)) {
+        return malformed("not a fraction in [0,1]");
+      }
+      return value;
+    }
+    case ValueType::kBool:
+      value.number = s == "true" || s == "1" || s == "yes";
+      if (!value.number && s != "false" && s != "0" && s != "no") {
+        return malformed("not a boolean (want 0/1)");
+      }
+      return value;
+    case ValueType::kChoice: {
+      const auto pos = std::find(choices.begin(), choices.end(), s);
+      if (pos == choices.end()) {
+        std::string names;
+        for (const std::string_view name : choices) {
+          names.append(names.empty() ? "" : "|").append(name);
+        }
+        return malformed("not one of " + names);
+      }
+      value.number = static_cast<std::uint64_t>(pos - choices.begin());
+      return value;
+    }
+    case ValueType::kText:
+      if (s.empty()) return malformed("empty value");
+      value.text = s;
+      return value;
+  }
+  return error(StatusCode::kInternal, "unreachable");
 }
 
 bool Properties::contains(const std::string& key) const {

@@ -82,10 +82,13 @@ std::optional<std::uint64_t> parse_duration_ns(std::string_view s) {
   if (s.empty()) return std::nullopt;
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size() || value < 0.0) {
+  // The range check also rejects nan and inf, which from_chars accepts.
+  const double ns = value * scale + 0.5;
+  if (ec != std::errc() || ptr != s.data() + s.size() ||
+      !(value >= 0.0 && ns < 0x1p64)) {
     return std::nullopt;
   }
-  return static_cast<std::uint64_t>(value * scale + 0.5);
+  return static_cast<std::uint64_t>(ns);
 }
 
 }  // namespace hpcbb

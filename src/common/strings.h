@@ -31,7 +31,7 @@ std::string format_duration_ns(std::uint64_t t_ns);
 
 // Inverse of format_duration_ns for config values: "100ms", "5us", "2s",
 // "250ns", or a plain number (nanoseconds). Fractions ("1.5ms") are fine.
-// Returns nullopt on malformed or negative input.
+// Returns nullopt on malformed, negative, non-finite or out-of-range input.
 std::optional<std::uint64_t> parse_duration_ns(std::string_view s);
 
 }  // namespace hpcbb

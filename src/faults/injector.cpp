@@ -6,54 +6,6 @@
 
 namespace hpcbb::faults {
 
-InjectorParams InjectorParams::from_properties(const Properties& props) {
-  return from_properties(props, InjectorParams{});
-}
-
-InjectorParams InjectorParams::from_properties(const Properties& props,
-                                               InjectorParams defaults) {
-  InjectorParams p = defaults;
-  p.enabled = props.get_bool_or("faults.enabled", p.enabled);
-  p.seed = props.get_u64_or("faults.seed", p.seed);
-  p.rpc_drop_prob =
-      props.get_double_or("faults.rpc.drop_prob", p.rpc_drop_prob);
-  p.rpc_delay_prob =
-      props.get_double_or("faults.rpc.delay_prob", p.rpc_delay_prob);
-  p.rpc_delay_ns = props.get_duration_ns_or("faults.rpc.delay", p.rpc_delay_ns);
-  p.crash_first_ns =
-      props.get_duration_ns_or("faults.crash.first", p.crash_first_ns);
-  p.crash_period_ns =
-      props.get_duration_ns_or("faults.crash.period", p.crash_period_ns);
-  p.crash_downtime_ns =
-      props.get_duration_ns_or("faults.crash.downtime", p.crash_downtime_ns);
-  p.crash_count = static_cast<std::uint32_t>(
-      props.get_u64_or("faults.crash.count", p.crash_count));
-  p.master_first_ns =
-      props.get_duration_ns_or("faults.master.first", p.master_first_ns);
-  p.master_period_ns =
-      props.get_duration_ns_or("faults.master.period", p.master_period_ns);
-  p.master_downtime_ns =
-      props.get_duration_ns_or("faults.master.downtime", p.master_downtime_ns);
-  p.master_count = static_cast<std::uint32_t>(
-      props.get_u64_or("faults.master.count", p.master_count));
-  p.limp_first_ns =
-      props.get_duration_ns_or("faults.limp.first", p.limp_first_ns);
-  p.limp_period_ns =
-      props.get_duration_ns_or("faults.limp.period", p.limp_period_ns);
-  p.limp_duration_ns =
-      props.get_duration_ns_or("faults.limp.duration", p.limp_duration_ns);
-  p.limp_factor = props.get_double_or("faults.limp.factor", p.limp_factor);
-  p.limp_count = static_cast<std::uint32_t>(
-      props.get_u64_or("faults.limp.count", p.limp_count));
-  p.corrupt_first_ns =
-      props.get_duration_ns_or("faults.corrupt.first", p.corrupt_first_ns);
-  p.corrupt_period_ns =
-      props.get_duration_ns_or("faults.corrupt.period", p.corrupt_period_ns);
-  p.corrupt_count = static_cast<std::uint32_t>(
-      props.get_u64_or("faults.corrupt.count", p.corrupt_count));
-  return p;
-}
-
 FaultInjector::FaultInjector(sim::Simulation& sim,
                              const InjectorParams& params)
     : sim_(&sim),

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/corrupt.h"
-#include "common/properties.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/fabric.h"
@@ -73,19 +72,6 @@ struct InjectorParams {
   sim::SimTime corrupt_first_ns = 0;  // 0 = no scheduled corruption
   sim::SimTime corrupt_period_ns = 0;
   std::uint32_t corrupt_count = 1;
-
-  // Reads faults.* keys over built-in defaults:
-  //   faults.enabled, faults.seed
-  //   faults.rpc.drop_prob / delay_prob / delay (duration)
-  //   faults.crash.first / period / downtime (durations), faults.crash.count
-  //   faults.master.first / period / downtime (durations),
-  //   faults.master.count
-  //   faults.limp.first / period / duration (durations),
-  //   faults.limp.factor, faults.limp.count
-  //   faults.corrupt.first / period (durations), faults.corrupt.count
-  static InjectorParams from_properties(const Properties& props,
-                                        InjectorParams defaults);
-  static InjectorParams from_properties(const Properties& props);
 };
 
 class FaultInjector {

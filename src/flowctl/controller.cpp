@@ -5,28 +5,6 @@
 
 namespace hpcbb::flowctl {
 
-FlowControlParams FlowControlParams::from_properties(
-    const Properties& props, FlowControlParams defaults) {
-  FlowControlParams params = defaults;
-  params.capacity_bytes =
-      props.get_u64_or("bb.flowctl.capacity", params.capacity_bytes);
-  params.low_watermark =
-      props.get_double_or("bb.flowctl.low", params.low_watermark);
-  params.high_watermark =
-      props.get_double_or("bb.flowctl.high", params.high_watermark);
-  params.critical_watermark =
-      props.get_double_or("bb.flowctl.critical", params.critical_watermark);
-  params.background_pace_ns =
-      props.get_u64_or("bb.flowctl.pace_us",
-                       params.background_pace_ns / duration::us) *
-      duration::us;
-  return params;
-}
-
-FlowControlParams FlowControlParams::from_properties(const Properties& props) {
-  return from_properties(props, FlowControlParams{});
-}
-
 CapacityController::CapacityController(sim::Simulation& sim,
                                        const FlowControlParams& params,
                                        std::uint32_t trace_track)

@@ -37,7 +37,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "common/properties.h"
 #include "common/units.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -77,14 +76,6 @@ struct FlowControlParams {
   // readers); between low and high the pace quarters; at or above high the
   // flusher drains flat out.
   sim::SimTime background_pace_ns = 500 * duration::us;
-
-  // Reads bb.flowctl.* keys over `defaults`:
-  //   bb.flowctl.low / high / critical  (fractions)
-  //   bb.flowctl.pace_us                (background pace, microseconds)
-  //   bb.flowctl.capacity               (bytes, accepts k/m/g suffixes)
-  static FlowControlParams from_properties(const Properties& props,
-                                           FlowControlParams defaults);
-  static FlowControlParams from_properties(const Properties& props);
 };
 
 // A flushed-but-resident block, eligible for eviction. `bytes` is the

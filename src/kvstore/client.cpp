@@ -44,16 +44,6 @@ sim::Task<void> detached_replica_set(net::RpcHub* hub, net::NodeId self,
 
 }  // namespace
 
-void ClientParams::apply_properties(const Properties& props) {
-  failover = props.get_bool_or("kv.failover", failover);
-  replication_factor = static_cast<std::uint32_t>(
-      props.get_u64_or("kv.repl.factor", replication_factor));
-  if (replication_factor == 0) replication_factor = 1;
-  const std::string mode =
-      props.get_or("kv.repl.ack", ack == AckMode::kAll ? "all" : "primary");
-  ack = (mode == "all") ? AckMode::kAll : AckMode::kPrimary;
-}
-
 Client::Client(net::RpcHub& hub, net::NodeId self,
                std::vector<net::NodeId> servers, const ClientParams& params)
     : hub_(&hub),

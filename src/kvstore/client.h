@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/properties.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "kvstore/protocol.h"
@@ -38,10 +37,6 @@ struct ClientParams {
   // keeps the unreplicated fast path.
   std::uint32_t replication_factor = 1;
   AckMode ack = AckMode::kPrimary;
-
-  // Reads kv.failover, kv.repl.factor, kv.repl.ack (primary|all) on top of
-  // the current values.
-  void apply_properties(const Properties& props);
 };
 
 class Client {

@@ -12,8 +12,8 @@
 
 #include <cstdint>
 
-#include "common/properties.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/units.h"
 #include "sim/simulation.h"
 
@@ -56,16 +56,6 @@ struct RetryPolicy {
     const sim::SimTime half = base / 2;
     return base + (half == 0 ? 0 : sm.next() % (half + 1));
   }
-
-  // Reads net.retry.* keys over `defaults`:
-  //   net.retry.max_attempts              (total attempts)
-  //   net.retry.timeout_us                (per-attempt deadline)
-  //   net.retry.backoff_us / backoff_max_us / multiplier
-  //   net.retry.jitter_seed
-  //   net.retry.non_idempotent            (bool)
-  static RetryPolicy from_properties(const Properties& props,
-                                     RetryPolicy defaults);
-  static RetryPolicy from_properties(const Properties& props);
 };
 
 // Only transient transport-level failures are worth re-attempting; every

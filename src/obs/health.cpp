@@ -1,7 +1,6 @@
 #include "obs/health.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "sim/trace.h"
@@ -15,18 +14,6 @@
 namespace hpcbb::obs {
 
 namespace {
-
-// Strict fraction parse: the whole string must be a double in [0, 1].
-std::optional<double> parse_fraction(const std::string& raw) {
-  if (raw.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end != raw.c_str() + raw.size()) return std::nullopt;
-  if (value < 0.0 || value > 1.0) return std::nullopt;
-  return value;
-}
-
-enum class ValueType { kDuration, kCount, kFraction };
 
 struct BuiltinRule {
   const char* suffix;  // key is "slo." + suffix
@@ -57,18 +44,18 @@ const std::vector<BuiltinRule>& builtin_rules() {
        {"kv.hits", "kv.misses"}},
       {"degraded_window_max_ns", SloKind::kDegradedWindowMax,
        ValueType::kDuration, 0.99, {}},
-      {"kv_live_min", SloKind::kGaugeMin, ValueType::kCount, 0.99,
+      {"kv_live_min", SloKind::kGaugeMin, ValueType::kSize, 0.99,
        {"bb.kv_live"}},
-      {"master_up_min", SloKind::kGaugeMin, ValueType::kCount, 0.99,
+      {"master_up_min", SloKind::kGaugeMin, ValueType::kSize, 0.99,
        {"bb.master_up"}},
-      {"under_replicated_max", SloKind::kGaugeMax, ValueType::kCount, 0.99,
+      {"under_replicated_max", SloKind::kGaugeMax, ValueType::kSize, 0.99,
        {"kv.repl.under_replicated"}},
-      {"retry_exhausted_max", SloKind::kCounterMax, ValueType::kCount, 0.99,
+      {"retry_exhausted_max", SloKind::kCounterMax, ValueType::kSize, 0.99,
        {"net.retry.exhausted"}},
-      {"integrity_detected_max", SloKind::kCounterMax, ValueType::kCount, 0.99,
+      {"integrity_detected_max", SloKind::kCounterMax, ValueType::kSize, 0.99,
        {"kv.integrity.detected", "kv.scrub.repaired",
         "kv.scrub.unrepairable"}},
-      {"quarantined_max", SloKind::kCounterMax, ValueType::kCount, 0.99,
+      {"quarantined_max", SloKind::kCounterMax, ValueType::kSize, 0.99,
        {"bb.quarantined_blocks"}},
   };
   return kRules;
@@ -83,36 +70,20 @@ struct GenericRule {
 };
 
 constexpr GenericRule kGenericRules[] = {
-    {"counter_max", SloKind::kCounterMax, ValueType::kCount},
-    {"gauge_min", SloKind::kGaugeMin, ValueType::kCount},
-    {"gauge_max", SloKind::kGaugeMax, ValueType::kCount},
+    {"counter_max", SloKind::kCounterMax, ValueType::kSize},
+    {"gauge_min", SloKind::kGaugeMin, ValueType::kSize},
+    {"gauge_max", SloKind::kGaugeMax, ValueType::kSize},
     {"p99_max", SloKind::kQuantileMax, ValueType::kDuration},
     {"max_max", SloKind::kHistMax, ValueType::kDuration},
 };
 
 Result<double> parse_threshold(const Properties& props, const std::string& key,
                                ValueType type) {
-  switch (type) {
-    case ValueType::kDuration: {
-      auto parsed = props.get_duration_ns(key);
-      if (!parsed.is_ok()) return parsed.status();
-      return static_cast<double>(parsed.value());
-    }
-    case ValueType::kCount: {
-      auto parsed = props.get_u64(key);
-      if (!parsed.is_ok()) return parsed.status();
-      return static_cast<double>(parsed.value());
-    }
-    case ValueType::kFraction: {
-      const auto value = parse_fraction(props.get(key).value_or(""));
-      if (!value) {
-        return error(StatusCode::kInvalidArgument,
-                     "key " + key + ": not a fraction in [0,1]");
-      }
-      return *value;
-    }
-  }
-  return error(StatusCode::kInternal, "unreachable");
+  const auto value = props.get_value(key, type);
+  if (!value.is_ok()) return value.status();
+  return type == ValueType::kFraction
+             ? value.value().real
+             : static_cast<double>(value.value().number);
 }
 
 }  // namespace
@@ -175,14 +146,15 @@ Result<HealthParams> HealthParams::from_properties(const Properties& props) {
     }
     if (suffix == "warn_fast" || suffix == "page_fast" ||
         suffix == "page_slow") {
-      const auto value = parse_fraction(raw);
-      if (!value || *value == 0.0) {
+      const auto value = props.get_value(key, ValueType::kFraction);
+      if (!value.is_ok() || value.value().real == 0.0) {
         return error(StatusCode::kInvalidArgument,
                      "key " + key + ": not a fraction in (0,1]");
       }
-      if (suffix == "warn_fast") out.warn_fast = *value;
-      else if (suffix == "page_fast") out.page_fast = *value;
-      else out.page_slow = *value;
+      const double fraction = value.value().real;
+      if (suffix == "warn_fast") out.warn_fast = fraction;
+      else if (suffix == "page_fast") out.page_fast = fraction;
+      else out.page_slow = fraction;
       continue;
     }
     if (suffix == "incident_dir") {

@@ -69,7 +69,7 @@ struct Rig {
     MasterParams mp;
     mp.block_size = block_size;
     mp.chunk_size = 1 * MiB;
-    mp.buffer_capacity_bytes = kv_mem_per_server * 2;
+    mp.flowctl.capacity_bytes = kv_mem_per_server * 2;
     master = std::make_unique<Master>(hub, kMasterNode, kv_nodes, kMdsNode,
                                       scheme, mp);
     BbFsParams fp;

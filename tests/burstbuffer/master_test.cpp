@@ -45,7 +45,7 @@ struct Rig {
     MasterParams mp;
     mp.block_size = block_size;
     mp.chunk_size = 1 * MiB;
-    mp.buffer_capacity_bytes = capacity;
+    mp.flowctl.capacity_bytes = capacity;
     master = std::make_unique<Master>(hub, 3,
                                       std::vector<NodeId>{6}, 4,
                                       Scheme::kAsync, mp);

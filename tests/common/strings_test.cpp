@@ -78,6 +78,10 @@ TEST(StringsTest, ParseDurationRejectsGarbage) {
   EXPECT_FALSE(parse_duration_ns("").has_value());
   EXPECT_FALSE(parse_duration_ns("fast").has_value());
   EXPECT_FALSE(parse_duration_ns("-5ms").has_value());
+  EXPECT_FALSE(parse_duration_ns("6O0ms").has_value());
+  EXPECT_FALSE(parse_duration_ns("nan").has_value());
+  EXPECT_FALSE(parse_duration_ns("infs").has_value());
+  EXPECT_FALSE(parse_duration_ns("1e30s").has_value());  // past 2^64 ns
   EXPECT_FALSE(parse_duration_ns("10 q").has_value());
   EXPECT_FALSE(parse_duration_ns("ms").has_value());
 }

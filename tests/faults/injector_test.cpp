@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/config.h"
 #include "common/properties.h"
 #include "common/units.h"
 #include "net/transport.h"
@@ -180,10 +181,10 @@ TEST(FaultInjectorTest, FromPropertiesLayersOverDefaults) {
   props.set("faults.crash.first", "10ms");
   props.set("faults.crash.count", "5");
   props.set("faults.limp.factor", "16");
-  InjectorParams defaults;
-  defaults.rpc_delay_prob = 0.5;  // survives: not overridden by props
-  const InjectorParams params =
-      InjectorParams::from_properties(props, defaults);
+  cluster::ClusterConfig config;
+  config.faults.rpc_delay_prob = 0.5;  // survives: not overridden by props
+  ASSERT_TRUE(cluster::apply_properties(props, config).is_ok());
+  const InjectorParams& params = config.faults;
   EXPECT_TRUE(params.enabled);
   EXPECT_EQ(params.seed, 42u);
   EXPECT_DOUBLE_EQ(params.rpc_drop_prob, 0.25);

@@ -196,28 +196,6 @@ TEST(CapacityControllerTest, ForgetAndReleaseAccounting) {
   EXPECT_EQ(fc.clean_block_count(), 0u);
 }
 
-TEST(FlowControlParamsTest, FromPropertiesReadsKnobs) {
-  const auto props = Properties::parse(
-      "bb.flowctl.capacity=64m\n"
-      "bb.flowctl.low=0.4\n"
-      "bb.flowctl.high=0.6\n"
-      "bb.flowctl.critical=0.8\n"
-      "bb.flowctl.pace_us=250\n");
-  ASSERT_TRUE(props.is_ok());
-  const FlowControlParams p = FlowControlParams::from_properties(props.value());
-  EXPECT_EQ(p.capacity_bytes, 64 * MiB);
-  EXPECT_DOUBLE_EQ(p.low_watermark, 0.4);
-  EXPECT_DOUBLE_EQ(p.high_watermark, 0.6);
-  EXPECT_DOUBLE_EQ(p.critical_watermark, 0.8);
-  EXPECT_EQ(p.background_pace_ns, 250 * us);
-  // Missing keys keep the caller's defaults.
-  const auto empty = Properties::parse("");
-  ASSERT_TRUE(empty.is_ok());
-  const FlowControlParams d = FlowControlParams::from_properties(
-      empty.value(), small_params(123));
-  EXPECT_EQ(d.capacity_bytes, 123u);
-}
-
 // ---- End-to-end through the burst-buffer master ----------------------------
 
 struct Rig {
@@ -244,7 +222,7 @@ struct Rig {
     bb::MasterParams mp;
     mp.block_size = block_size;
     mp.chunk_size = 1 * MiB;
-    mp.buffer_capacity_bytes = capacity;
+    mp.flowctl.capacity_bytes = capacity;
     master = std::make_unique<bb::Master>(hub, 3, std::vector<NodeId>{6}, 4,
                                           scheme, mp);
     bb::BbFsParams fp;

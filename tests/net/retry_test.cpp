@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "testing/co_assert.h"
-#include "common/properties.h"
 #include "common/units.h"
 #include "net/rpc.h"
 #include "sim/sync.h"
@@ -322,25 +321,6 @@ TEST(RetryPolicyTest, BackoffDeterministicBoundedAndCapped) {
   const sim::SimTime late = policy.backoff_ns(30, 0, 1, 7000);
   EXPECT_GE(late, 8 * ms);
   EXPECT_LE(late, 8 * ms + 4 * ms);
-}
-
-TEST(RetryPolicyTest, FromPropertiesReadsKnobs) {
-  Properties props;
-  props.set("net.retry.max_attempts", "4");
-  props.set("net.retry.timeout_us", "2500");
-  props.set("net.retry.backoff_us", "300");
-  props.set("net.retry.backoff_max_us", "10000");
-  props.set("net.retry.multiplier", "3.0");
-  props.set("net.retry.non_idempotent", "true");
-  const RetryPolicy policy = RetryPolicy::from_properties(props);
-  EXPECT_EQ(policy.max_attempts, 4u);
-  EXPECT_EQ(policy.timeout_ns, 2500 * us);
-  EXPECT_EQ(policy.backoff_base_ns, 300 * us);
-  EXPECT_EQ(policy.backoff_max_ns, 10 * ms);
-  EXPECT_DOUBLE_EQ(policy.backoff_multiplier, 3.0);
-  EXPECT_TRUE(policy.retry_non_idempotent);
-  // Untouched knobs keep their defaults.
-  EXPECT_EQ(policy.jitter_seed, RetryPolicy{}.jitter_seed);
 }
 
 TEST(RpcHubTest, RebindAfterUnbindServesCalls) {

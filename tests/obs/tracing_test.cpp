@@ -63,7 +63,7 @@ struct TraceRig {
     MasterParams mp;
     mp.block_size = 8 * MiB;
     mp.chunk_size = 1 * MiB;
-    mp.buffer_capacity_bytes = 128 * MiB;
+    mp.flowctl.capacity_bytes = 128 * MiB;
     master = std::make_unique<Master>(hub, kMasterNode, kv_nodes, kMdsNode,
                                       Scheme::kAsync, mp);
     BbFsParams fp;

@@ -9,6 +9,7 @@
 
 #include "testing/co_assert.h"
 #include "cluster/cluster.h"
+#include "cluster/config.h"
 #include "common/metrics.h"
 #include "common/properties.h"
 #include "common/units.h"
@@ -55,16 +56,24 @@ TEST(ReplClientTest, ParamsFromProperties) {
   auto props = Properties::parse("kv.failover=1\nkv.repl.factor=3\n"
                                  "kv.repl.ack=all\n");
   ASSERT_TRUE(props.is_ok());
-  ClientParams params;
-  params.apply_properties(props.value());
+  cluster::ClusterConfig config;
+  ASSERT_TRUE(cluster::apply_properties(props.value(), config).is_ok());
+  const ClientParams& params = config.kv_client;
   EXPECT_TRUE(params.failover);
   EXPECT_EQ(params.replication_factor, 3u);
   EXPECT_EQ(params.ack, AckMode::kAll);
   // kv.repl.factor=0 degenerates to the unreplicated fast path.
-  params.apply_properties(
-      Properties::parse("kv.repl.factor=0\nkv.repl.ack=primary\n").value());
+  ASSERT_TRUE(cluster::apply_properties(
+                  Properties::parse("kv.repl.factor=0\nkv.repl.ack=primary\n")
+                      .value(),
+                  config)
+                  .is_ok());
   EXPECT_EQ(params.replication_factor, 1u);
   EXPECT_EQ(params.ack, AckMode::kPrimary);
+  // A misspelled mode is an error, not a silent kPrimary.
+  EXPECT_FALSE(cluster::apply_properties(
+                   Properties::parse("kv.repl.ack=al").value(), config)
+                   .is_ok());
 }
 
 TEST(ReplClientTest, AckAllPlacesCopiesOnEveryReplica) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Pretty-print and diff hpcbb experiment reports (hpcbb.report.v1/v2/v3).
+"""Pretty-print and diff hpcbb experiment reports (hpcbb.report.v3).
 
 Usage:
     tools/report.py show report.json
@@ -7,13 +7,13 @@ Usage:
     tools/report.py incidents bundle.json [more.json ...]
 
 `show` renders counters, gauges (with high-watermarks), histogram
-summaries, (v2) the latency-attribution section — per-layer time with
-its queue/service split plus the slowest ops and their bottleneck layers —
-and (v3) the SLO health section as aligned tables. `diff` compares two
+summaries, the latency-attribution section — per-layer time with its
+queue/service split plus the slowest ops and their bottleneck layers —
+and the SLO health section as aligned tables. `diff` compares two
 reports metric-by-metric and prints absolute and relative deltas, flagging
 metrics present in only one report; when only one side has a health
 section it prints "n/a" for it instead of failing. `incidents` renders
-hpcbb.incident.v1 bundles (or the incident timeline of v3 reports): the
+hpcbb.incident.v1 bundles (or the incident timeline of reports): the
 alert timeline, the rule -> injected-fault correlation, and the suspect
 op_ids in flight when each fault hit. Exit status for `diff` is 0 even
 when values differ — it is a reporting tool, not a gate (see
@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-SCHEMAS = ("hpcbb.report.v1", "hpcbb.report.v2", "hpcbb.report.v3")
+REPORT_SCHEMA = "hpcbb.report.v3"
 INCIDENT_SCHEMA = "hpcbb.incident.v1"
 
 # Counters surfaced in the dedicated resilience section (retry/timeout
@@ -72,9 +72,9 @@ def load(path):
     with open(path) as f:
         report = json.load(f)
     schema = report.get("schema")
-    if schema not in SCHEMAS:
+    if schema != REPORT_SCHEMA:
         sys.exit(f"{path}: unsupported schema {schema!r} "
-                 f"(want one of {', '.join(map(repr, SCHEMAS))})")
+                 f"(want {REPORT_SCHEMA!r})")
     return report
 
 
@@ -261,14 +261,7 @@ def diff_section(title, left, right, values):
         if name not in right:
             lines.append(f"  {name:<{width}}  only in baseline")
             continue
-        try:
-            a, b = values(left[name], right[name])
-        except (KeyError, TypeError):
-            # Schema drift (e.g. a v1 report next to a v2 one): a metric
-            # may exist on both sides but lack the field this section
-            # compares. Report it instead of crashing the whole diff.
-            lines.append(f"  {name:<{width}}  n/a (field missing in one report)")
-            continue
+        a, b = values(left[name], right[name])
         line = delta_line(name, a, b, width)
         if line:
             lines.append(line)
@@ -311,8 +304,8 @@ def diff(baseline, candidate):
 
 
 def diff_health(baseline, candidate):
-    """Health is optional (v3, and only with slo.* rules configured): a
-    one-sided section is schema drift to report, never a crash."""
+    """Health is optional (only with slo.* rules configured): a one-sided
+    section is reported, never a crash."""
     b, c = baseline.get("health"), candidate.get("health")
     if b is None and c is None:
         return
@@ -389,7 +382,7 @@ def show_incident(path, doc):
 
 
 def incidents(paths):
-    """Render incident bundles; v3 reports render their health section."""
+    """Render incident bundles; reports render their health section."""
     for i, path in enumerate(paths):
         if i:
             print()
@@ -398,7 +391,7 @@ def incidents(paths):
         schema = doc.get("schema")
         if schema == INCIDENT_SCHEMA:
             show_incident(path, doc)
-        elif schema in SCHEMAS:
+        elif schema == REPORT_SCHEMA:
             print(f"== {path} ==")
             health = doc.get("health")
             if health:
