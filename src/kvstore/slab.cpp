@@ -41,7 +41,9 @@ bool SlabAllocator::grow_class(int cls) {
   if (allocated_pages_bytes() + params_.page_size > params_.memory_budget) {
     return false;
   }
-  pages_.push_back(std::make_unique<std::byte[]>(params_.page_size));
+  // Not zero-filled: an item's fill() writes every byte that is read back.
+  pages_.push_back(
+      std::make_unique_for_overwrite<std::byte[]>(params_.page_size));
   std::byte* page = pages_.back().get();
   const std::uint32_t chunk = chunk_size(cls);
   auto& state = per_class_[static_cast<std::size_t>(cls)];

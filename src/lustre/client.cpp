@@ -67,29 +67,66 @@ std::vector<LustreClient::Chunk> LustreClient::chunks_for(
   return chunks;
 }
 
+namespace {
+
+// The bytes [at, at + length) of `pieces` laid back to back. `first` and
+// `first_at` track the piece holding `at` and its offset, across calls with
+// increasing `at`. A stripe inside one piece is a slice of it; one that
+// straddles pieces is gathered into a buffer of its own.
+ByteSlice stripe_of(const std::vector<ByteSlice>& pieces, std::size_t& first,
+                    std::uint64_t& first_at, std::uint64_t at,
+                    std::uint64_t length) {
+  while (first_at + pieces[first].length <= at) {
+    first_at += pieces[first].length;
+    ++first;
+  }
+  const ByteSlice& piece = pieces[first];
+  if (at + length <= first_at + piece.length) {
+    return ByteSlice{piece.bytes, piece.offset + (at - first_at), length};
+  }
+  Bytes gathered;
+  gathered.reserve(length);
+  std::uint64_t piece_at = first_at;
+  for (std::size_t p = first; gathered.size() < length; ++p) {
+    const auto part = pieces[p].span();
+    const std::uint64_t from = at + gathered.size() - piece_at;
+    const std::uint64_t take =
+        std::min<std::uint64_t>(part.size() - from, length - gathered.size());
+    gathered.insert(gathered.end(),
+                    part.begin() + static_cast<std::ptrdiff_t>(from),
+                    part.begin() + static_cast<std::ptrdiff_t>(from + take));
+    piece_at += part.size();
+  }
+  return whole(make_bytes(std::move(gathered)));
+}
+
+}  // namespace
+
 sim::Task<Status> LustreClient::write(net::NodeId client,
                                       const FileLayout& layout,
-                                      std::uint64_t offset, BytesPtr data,
+                                      std::uint64_t offset,
+                                      std::vector<ByteSlice> pieces,
                                       std::uint64_t op_id) {
   if (layout.targets.empty()) {
     co_return error(StatusCode::kFailedPrecondition, "layout has no targets");
   }
-  const std::vector<Chunk> chunks = chunks_for(layout, offset, data->size());
+  std::uint64_t length = 0;
+  for (const ByteSlice& piece : pieces) length += piece.length;
+  const std::vector<Chunk> chunks = chunks_for(layout, offset, length);
   sim::Simulation& sim = hub_->transport().fabric().simulation();
 
   std::vector<sim::Task<Status>> ops;
   ops.reserve(chunks.size());
+  std::size_t first = 0;
+  std::uint64_t first_at = offset;
   for (const Chunk& chunk : chunks) {
     auto req = std::make_shared<OssWriteRequest>();
     req->ost_index = chunk.target.ost_index;
     req->object = layout.path;
     req->offset = chunk.object_offset;
     req->op_id = op_id;
-    req->data = make_bytes(
-        Bytes(data->begin() + static_cast<std::ptrdiff_t>(chunk.file_offset -
-                                                          offset),
-              data->begin() + static_cast<std::ptrdiff_t>(
-                                  chunk.file_offset - offset + chunk.length)));
+    req->data =
+        stripe_of(pieces, first, first_at, chunk.file_offset, chunk.length);
     ops.push_back([](net::RpcHub& hub, net::NodeId src, net::NodeId dst,
                      std::shared_ptr<const OssWriteRequest> r)
                       -> sim::Task<Status> {
@@ -119,7 +156,7 @@ sim::Task<Result<Bytes>> LustreClient::read(net::NodeId client,
   const std::vector<Chunk> chunks = chunks_for(layout, offset, length);
   sim::Simulation& sim = hub_->transport().fabric().simulation();
 
-  std::vector<sim::Task<Result<Bytes>>> ops;
+  std::vector<sim::Task<Result<BytesPtr>>> ops;
   ops.reserve(chunks.size());
   for (const Chunk& chunk : chunks) {
     auto req = std::make_shared<const OssReadRequest>(OssReadRequest{
@@ -127,20 +164,21 @@ sim::Task<Result<Bytes>> LustreClient::read(net::NodeId client,
         chunk.length, op_id});
     ops.push_back([](net::RpcHub& hub, net::NodeId src, net::NodeId dst,
                      std::shared_ptr<const OssReadRequest> r)
-                      -> sim::Task<Result<Bytes>> {
+                      -> sim::Task<Result<BytesPtr>> {
       auto result = co_await hub.call<OssReadReply>(src, dst, kOssRead, r);
       if (!result.is_ok()) co_return result.status();
-      co_return Bytes(*result.value()->data);
+      co_return result.value()->data;
     }(*hub_, client, chunk.target.oss_node, std::move(req)));
   }
-  std::vector<Result<Bytes>> results = co_await sim::parallel_collect(
+  std::vector<Result<BytesPtr>> results = co_await sim::parallel_collect(
       sim, std::move(ops));
 
+  // Each reply buffer is copied once, straight into the result.
   Bytes out;
   out.reserve(length);
-  for (auto& piece : results) {
+  for (const auto& piece : results) {
     if (!piece.is_ok()) co_return piece.status();
-    const Bytes& bytes = piece.value();
+    const Bytes& bytes = *piece.value();
     out.insert(out.end(), bytes.begin(), bytes.end());
   }
   co_return out;
@@ -157,8 +195,9 @@ class LustreWriter final : public fs::Writer {
 
   sim::Task<Status> append(BytesPtr data) override {
     const std::uint64_t size = data->size();
+    std::vector<ByteSlice> pieces{whole(std::move(data))};
     Status st = co_await client_->write(node_, layout_, cursor_,
-                                        std::move(data));
+                                        std::move(pieces));
     if (st.is_ok()) cursor_ += size;
     co_return st;
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "lustre/protocol.h"
 #include "net/rpc.h"
@@ -29,9 +30,11 @@ class LustreClient {
 
   // Striped write/read at an absolute file offset; chunks go to their OSTs
   // in parallel. `op_id` (optional) tags OSS-side trace spans with the
-  // caller's causal operation id.
+  // caller's causal operation id. A write takes its bytes as `pieces` laid
+  // back to back; each stripe ships as a slice of the piece that holds it,
+  // and only a stripe that straddles two pieces is copied.
   sim::Task<Status> write(net::NodeId client, const FileLayout& layout,
-                          std::uint64_t offset, BytesPtr data,
+                          std::uint64_t offset, std::vector<ByteSlice> pieces,
                           std::uint64_t op_id = 0);
   sim::Task<Result<Bytes>> read(net::NodeId client, const FileLayout& layout,
                                 std::uint64_t offset, std::uint64_t length,

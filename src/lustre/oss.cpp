@@ -49,11 +49,11 @@ sim::Task<net::RpcResponse> Oss::handle_write(
   Gauge& queue = sim.metrics().gauge("lustre.queue_depth");
   queue.add();
   Status st = co_await store_->write_at(object_key(req->ost_index, req->object),
-                                        req->offset, *req->data);
+                                        req->offset, req->data.span());
   queue.sub();
   sim.metrics().histogram("lustre.write").record(sim.now() - start);
   if (!st.is_ok()) co_return net::rpc_error(std::move(st));
-  sim.metrics().counter("lustre.write_bytes").add(req->data->size());
+  sim.metrics().counter("lustre.write_bytes").add(req->data.length);
   co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
 }
 

@@ -91,10 +91,10 @@ struct OssWriteRequest {
   std::uint32_t ost_index = 0;
   std::string object;  // object name (derived from the file path)
   std::uint64_t offset = 0;
-  BytesPtr data;
+  ByteSlice data;  // the stripe: a slice of the caller's buffer
   std::uint64_t op_id = 0;  // causal trace id; rides the header
   [[nodiscard]] std::uint64_t wire_size() const {
-    return kHeaderBytes + object.size() + data->size();
+    return kHeaderBytes + object.size() + data.length;
   }
 };
 

@@ -2,6 +2,9 @@
 // end-to-end FileSystem behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "testing/co_assert.h"
 #include "common/units.h"
 #include "lustre/client.h"
@@ -205,6 +208,110 @@ TEST(LustreTest, SharedOssContentionSlowsConcurrentWriters) {
   const auto t1 = run(1);
   const auto t4 = run(4);
   EXPECT_GT(static_cast<double>(t4), 2.0 * static_cast<double>(t1));
+}
+
+// 768 KiB pieces against 1 MiB stripes: most stripes straddle two pieces.
+TEST(LustreTest, PieceWritesStraddlingStripesReadBackExactly) {
+  Rig rig;
+  constexpr std::uint64_t kPiece = 768 * KiB;
+  constexpr std::uint64_t kSize = 12 * kPiece;
+  Bytes got;
+  rig.sim.spawn([](Rig& r, Bytes& out) -> Task<void> {
+    LustreClient& client = r.fs.client();
+    auto layout = co_await client.create(0, "/pieces");
+    CO_ASSERT_OK(layout);
+    std::vector<ByteSlice> pieces;
+    for (std::uint64_t at = 0; at < kSize; at += kPiece) {
+      if (at == 4 * kPiece) {
+        // One piece is a slice from the middle of a larger buffer.
+        Bytes framed(kPiece + 3000, 0xEE);
+        const Bytes body = pattern_bytes(5, at, kPiece);
+        std::copy(body.begin(), body.end(), framed.begin() + 1000);
+        pieces.push_back(
+            ByteSlice{make_bytes(std::move(framed)), 1000, kPiece});
+      } else {
+        pieces.push_back(whole(make_bytes(pattern_bytes(5, at, kPiece))));
+      }
+    }
+    CO_ASSERT_OK(
+        co_await client.write(0, layout.value(), 0, std::move(pieces)));
+    CO_ASSERT_OK(co_await client.set_size(0, "/pieces", kSize));
+    auto rd = co_await r.fs.open("/pieces", 1);
+    CO_ASSERT_OK(rd);
+    auto data = co_await rd.value()->read(0, kSize);
+    CO_ASSERT_OK(data);
+    out = std::move(data).value();
+  }(rig, got));
+  rig.sim.run();
+  ASSERT_EQ(got.size(), kSize);
+  EXPECT_TRUE(verify_pattern(5, 0, got));
+  EXPECT_EQ(rig.sim.metrics().counter_value("lustre.write_bytes"), kSize);
+}
+
+sim::Task<net::RpcResponse> record_write(
+    std::vector<std::shared_ptr<const OssWriteRequest>>& seen,
+    std::shared_ptr<const OssWriteRequest> req) {
+  seen.push_back(std::move(req));
+  co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
+}
+
+// A stripe inside one piece ships as a slice of that piece's buffer, and
+// its request is sized by the slice, not by the buffer behind it.
+TEST(LustreTest, StripesShipAsSlicesSizedByTheirBytes) {
+  Simulation sim;
+  net::Fabric fabric(sim, 2, net::FabricParams{});
+  net::Transport transport(fabric,
+                           net::transport_preset(net::TransportKind::kRdma));
+  net::RpcHub hub(transport);
+  std::vector<std::shared_ptr<const OssWriteRequest>> seen;
+  hub.bind(1, kOssWrite, net::typed_handler<OssWriteRequest>([&seen](auto req) {
+             return record_write(seen, std::move(req));
+           }));
+  FileLayout layout;
+  layout.path = "/spy";
+  layout.stripe_size = 1 * MiB;
+  layout.targets = {OstTarget{1, 0}, OstTarget{1, 1}};
+
+  // Stripes 0 and 2 lie inside one piece each; 1 and 3 straddle two.
+  Bytes framed(3 * MiB / 2, 0xEE);
+  const Bytes third = pattern_bytes(6, 2 * MiB, 1 * MiB);
+  std::copy(third.begin(), third.end(), framed.begin() + MiB / 2);
+  const std::vector<ByteSlice> pieces = {
+      whole(make_bytes(pattern_bytes(6, 0, 1 * MiB))),
+      whole(make_bytes(pattern_bytes(6, 1 * MiB, 768 * KiB))),
+      whole(make_bytes(pattern_bytes(6, 1 * MiB + 768 * KiB, 256 * KiB))),
+      ByteSlice{make_bytes(std::move(framed)), MiB / 2, 1 * MiB},
+      whole(make_bytes(pattern_bytes(6, 3 * MiB, MiB / 2 + 100))),
+      whole(make_bytes(
+          pattern_bytes(6, 3 * MiB + MiB / 2 + 100, MiB / 2 - 100))),
+  };
+  LustreClient client(hub, 0);
+  Status status = error(StatusCode::kInternal, "not run");
+  sim.spawn([](LustreClient& c, const FileLayout& l,
+               std::vector<ByteSlice> p, Status& out) -> Task<void> {
+    out = co_await c.write(0, l, 0, std::move(p));
+  }(client, layout, pieces, status));
+  sim.run();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  ASSERT_EQ(seen.size(), 4u);
+  std::sort(seen.begin(), seen.end(), [](const auto& a, const auto& b) {
+    return std::pair(a->offset, a->ost_index) <
+           std::pair(b->offset, b->ost_index);
+  });
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const OssWriteRequest& req = *seen[i];
+    EXPECT_EQ(req.data.length, 1 * MiB);
+    EXPECT_EQ(req.wire_size(), kHeaderBytes + req.object.size() + 1 * MiB);
+    EXPECT_TRUE(verify_pattern(6, i * MiB, req.data.span())) << "stripe " << i;
+  }
+  EXPECT_EQ(seen[0]->data.bytes, pieces[0].bytes);
+  EXPECT_EQ(seen[2]->data.bytes, pieces[3].bytes);
+  EXPECT_EQ(seen[2]->data.offset, MiB / 2);
+  for (const std::size_t straddler : {1u, 3u}) {
+    for (const ByteSlice& piece : pieces) {
+      EXPECT_NE(seen[straddler]->data.bytes, piece.bytes);
+    }
+  }
 }
 
 }  // namespace

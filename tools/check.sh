@@ -8,8 +8,9 @@
 #                             # smoke, both under ASan+UBSan
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f3_dfsio_write +
-#                             # bench_f4_dfsio_read vs bench/baselines/,
-#                             # plus an injected-regression self-test
+#                             # bench_f4_dfsio_read + bench_f5_sort vs
+#                             # bench/baselines/, plus an
+#                             # injected-regression self-test
 #
 # Build trees: build/ and build-sanitize/ at the repo root.
 set -euo pipefail
@@ -30,9 +31,10 @@ if [[ "${gate}" == 1 ]]; then
   cmake -B build -S .
   echo "== gate: build gated benches =="
   cmake --build build -j "${jobs}" --target bench_f1_kv_latency \
-    bench_f3_dfsio_write bench_f4_dfsio_read bench_m1_kv_micro
+    bench_f3_dfsio_write bench_f4_dfsio_read bench_f5_sort bench_m1_kv_micro
   out="$(mktemp -d)"
-  for bench in bench_f1_kv_latency bench_f3_dfsio_write bench_f4_dfsio_read; do
+  for bench in bench_f1_kv_latency bench_f3_dfsio_write bench_f4_dfsio_read \
+      bench_f5_sort; do
     echo "== gate: ${bench} (simulated time, deterministic) =="
     HPCBB_BENCH_OUT="${out}" "./build/bench/${bench}" --gate
   done
