@@ -306,7 +306,7 @@ class BbReader final : public fs::Reader {
     const std::uint64_t end = offset + length;
     sim::Simulation& sim = bbfs_->hub_->transport().fabric().simulation();
     const std::uint64_t op_id = sim.next_op_id();
-    sim::ScopedSpan span(sim.trace(), "read." + path_, "bb", client_, op_id);
+    sim::ScopedSpan span(sim.trace(), "read.", path_, "bb", client_, op_id);
     while (cursor < end) {
       const std::uint64_t block_index = cursor / meta_.block_size;
       const std::uint64_t in_off = cursor % meta_.block_size;

@@ -39,6 +39,7 @@ Master::Master(net::RpcHub& hub, net::NodeId node,
       flowctl_(hub.transport().fabric().simulation(),
                scheme_policy(params.flowctl, scheme),
                static_cast<std::uint32_t>(node)),
+      md_{.chunk_size = params.chunk_size},
       flush_queue_(hub.transport().fabric().simulation()),
       flush_done_(hub.transport().fabric().simulation()),
       recovered_cond_(hub.transport().fabric().simulation()) {
@@ -258,7 +259,7 @@ void Master::on_recovery_complete(std::uint32_t kv_index) {
 
 std::vector<repl::ChunkRef> Master::replicated_chunks() const {
   std::vector<repl::ChunkRef> out;
-  for (const auto& [path, meta] : files_) {
+  for (const auto& [path, meta] : md_.files) {
     for (const BbBlockInfo& block : meta.blocks) {
       if (block.size == 0) continue;
       if (block.state != BlockState::kDirty &&
@@ -266,8 +267,7 @@ std::vector<repl::ChunkRef> Master::replicated_chunks() const {
           block.state != BlockState::kFlushed) {
         continue;
       }
-      const auto chunks = static_cast<std::uint32_t>(
-          (block.size + params_.chunk_size - 1) / params_.chunk_size);
+      const std::uint32_t chunks = chunk_count(block.size);
       // Dirty chunks stay pinned until their flush completes.
       const bool pinned = block.state != BlockState::kFlushed;
       const std::string block_id = local_object(path, block.index);
@@ -314,7 +314,7 @@ void Master::update_health_mode() {
 sim::Task<net::RpcResponse> Master::handle_create(
     std::shared_ptr<const BbCreateRequest> req) {
   co_await charge_md_op();
-  if (const auto it = files_.find(req->path); it != files_.end()) {
+  if (const auto it = md_.files.find(req->path); it != md_.files.end()) {
     if (req->token != 0 && it->second.create_token == req->token) {
       // Retransmitted create whose first reply was lost: already done.
       co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
@@ -327,22 +327,17 @@ sim::Task<net::RpcResponse> Master::handle_create(
   Result<lustre::FileLayout> layout =
       co_await lustre_.create(node_, lustre_path(req->path));
   if (!layout.is_ok()) co_return net::rpc_error(layout.status());
-  FileMeta meta;
-  meta.lustre_layout = std::move(layout).value();
-  meta.create_token = req->token;
-  files_[req->path] = std::move(meta);
-  if (journal_ != nullptr) {
-    // Apply-then-journal-then-ack: the mutation and its sequence number are
-    // allocated in the same synchronous segment, so any checkpoint snapshot
-    // covers exactly the journaled prefix. The token rides along so create
-    // retransmissions stay idempotent across a restart.
-    MdRecord record;
-    record.type = MdRecordType::kFileCreate;
-    record.path = req->path;
-    record.token = req->token;
-    if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-      co_return net::rpc_error(std::move(st));
-    }
+  // Apply-then-journal-then-ack: the mutation and its sequence number are
+  // allocated in the same synchronous segment, so any checkpoint snapshot
+  // covers exactly the journaled prefix. The token rides along so create
+  // retransmissions stay idempotent across a restart.
+  MdRecord record{.type = MdRecordType::kFileCreate,
+                  .path = req->path,
+                  .token = req->token};
+  (void)md_.apply(record);
+  md_.files.at(req->path).lustre_layout = std::move(layout).value();
+  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
+    co_return net::rpc_error(std::move(st));
   }
   co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
 }
@@ -350,8 +345,8 @@ sim::Task<net::RpcResponse> Master::handle_create(
 sim::Task<net::RpcResponse> Master::handle_add_block(
     std::shared_ptr<const BbAddBlockRequest> req) {
   co_await charge_md_op();
-  const auto it = files_.find(req->path);
-  if (it == files_.end()) {
+  const auto it = md_.files.find(req->path);
+  if (it == md_.files.end()) {
     co_return net::rpc_error(
         error(StatusCode::kNotFound, "no such file: " + req->path));
   }
@@ -374,8 +369,8 @@ sim::Task<net::RpcResponse> Master::handle_add_block(
   // reject) under memory pressure.
   (void)co_await flowctl_.admit(params_.block_size, req->op_id);
   // Re-find: the admission wait suspends, and the file may change meanwhile.
-  const auto it2 = files_.find(req->path);
-  if (it2 == files_.end()) {
+  const auto it2 = md_.files.find(req->path);
+  if (it2 == md_.files.end()) {
     flowctl_.release_reservation(params_.block_size);
     co_return net::rpc_error(
         error(StatusCode::kNotFound, "file deleted while admitting block"));
@@ -385,19 +380,14 @@ sim::Task<net::RpcResponse> Master::handle_add_block(
   // Suspect/dead KV servers: have the writer establish durability on the
   // write path instead of trusting the buffer to survive until flush.
   reply->write_through = degraded_ && scheme_ != Scheme::kSync;
-  BbBlockInfo block;
-  block.index = reply->block_index;
-  block.reservation_held = flowctl_.enabled();
-  it2->second.blocks.push_back(block);
-  if (journal_ != nullptr) {
-    MdRecord record;
-    record.type = MdRecordType::kBlockAdd;
-    record.path = req->path;
-    record.block_index = reply->block_index;
-    record.op_id = req->op_id;
-    if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-      co_return net::rpc_error(std::move(st));
-    }
+  MdRecord record{.type = MdRecordType::kBlockAdd,
+                  .path = req->path,
+                  .block_index = reply->block_index,
+                  .op_id = req->op_id};
+  (void)md_.apply(record);
+  it2->second.blocks.back().reservation_held = flowctl_.enabled();
+  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
+    co_return net::rpc_error(std::move(st));
   }
   const std::uint64_t wire = reply->wire_size();
   co_return net::rpc_ok<BbAddBlockReply>(std::move(reply), wire);
@@ -406,8 +396,8 @@ sim::Task<net::RpcResponse> Master::handle_add_block(
 sim::Task<net::RpcResponse> Master::handle_complete_block(
     std::shared_ptr<const BbCompleteBlockRequest> req) {
   co_await charge_md_op();
-  const auto it = files_.find(req->path);
-  if (it == files_.end()) {
+  const auto it = md_.files.find(req->path);
+  if (it == md_.files.end()) {
     co_return net::rpc_error(
         error(StatusCode::kNotFound, "no such file: " + req->path));
   }
@@ -420,70 +410,51 @@ sim::Task<net::RpcResponse> Master::handle_complete_block(
     // retransmission — the first one already settled the accounting.
     co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
   }
-  if (!one_crc_per_chunk(req->size, req->chunk_crcs)) {
-    // Per-chunk CRCs are a block's only integrity provenance: refuse the
-    // seal and leave the block open rather than accept unverifiable data.
-    co_return net::rpc_error(error(StatusCode::kInvalidArgument,
-                                   "seal must carry one CRC per chunk"));
-  }
-  block.size = req->size;
-  block.chunk_crcs = req->chunk_crcs;
-  block.local_node = req->local_node;
+  // The seal is the record that makes acknowledged data recoverable: it
+  // carries everything a restarted master needs to re-flush (CRCs, local
+  // replica, replica set).
+  MdRecord record{.type = MdRecordType::kBlockSeal,
+                  .path = req->path,
+                  .block_index = req->block_index,
+                  .size = req->size,
+                  .chunk_crcs = req->chunk_crcs,
+                  .already_durable = req->already_durable,
+                  .has_local_node = req->local_node.has_value(),
+                  .local_node = static_cast<std::uint32_t>(
+                      req->local_node.value_or(0)),
+                  .op_id = req->op_id};
   if (recovery_ != nullptr && req->size > 0) {
     // Record where the block's chunks live: the union of the chunks' ring
     // replica sets (deterministic, so clients and recovery agree).
-    const auto chunks = static_cast<std::uint32_t>(
-        (req->size + params_.chunk_size - 1) / params_.chunk_size);
-    for (std::uint32_t c = 0; c < chunks; ++c) {
+    std::vector<std::uint32_t>& replicas = record.replicas;
+    for (std::uint32_t c = 0; c < chunk_count(req->size); ++c) {
       for (const std::uint32_t s :
            recovery_->replicas(chunk_key(req->path, block.index, c))) {
-        if (std::find(block.replicas.begin(), block.replicas.end(), s) ==
-            block.replicas.end()) {
-          block.replicas.push_back(s);
+        if (std::find(replicas.begin(), replicas.end(), s) ==
+            replicas.end()) {
+          replicas.push_back(s);
         }
       }
     }
-    std::sort(block.replicas.begin(), block.replicas.end());
+    std::sort(replicas.begin(), replicas.end());
+  }
+  if (Status st = md_.apply(record); !st.is_ok()) {
+    co_return net::rpc_error(std::move(st));
   }
   const std::uint64_t reserved =
       block.reservation_held ? params_.block_size : 0;
   block.reservation_held = false;
   if (req->already_durable) {
-    // BB-Sync: durable at ack; the buffer copy is immediately clean.
     flowctl_.reservation_to_clean(reserved,
                                   local_object(req->path, block.index),
                                   block_footprint(req->size));
-    block.state = BlockState::kFlushed;
-    ++flushed_blocks_;
-    flushed_bytes_ += req->size;
   } else {
     flowctl_.reservation_to_dirty(reserved, block_footprint(req->size));
-    block.state = BlockState::kDirty;
-    block.op_id = req->op_id;
     ++dirty_or_flushing_;
     enqueue_flush(FlushItem{req->path, req->block_index, req->op_id});
   }
-  if (journal_ != nullptr) {
-    // The seal is the record that makes acknowledged data recoverable: it
-    // carries everything a restarted master needs to re-flush (CRCs, local
-    // replica, replica set). Built before the append suspends — the block
-    // reference does not survive a co_await.
-    MdRecord record;
-    record.type = MdRecordType::kBlockSeal;
-    record.path = req->path;
-    record.block_index = req->block_index;
-    record.size = req->size;
-    record.chunk_crcs = req->chunk_crcs;
-    record.already_durable = req->already_durable;
-    record.has_local_node = req->local_node.has_value();
-    record.local_node = req->local_node.has_value()
-                            ? static_cast<std::uint32_t>(*req->local_node)
-                            : 0;
-    record.op_id = req->op_id;
-    record.replicas = block.replicas;
-    if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-      co_return net::rpc_error(std::move(st));
-    }
+  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
+    co_return net::rpc_error(std::move(st));
   }
   co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
 }
@@ -491,21 +462,16 @@ sim::Task<net::RpcResponse> Master::handle_complete_block(
 sim::Task<net::RpcResponse> Master::handle_close(
     std::shared_ptr<const BbCloseRequest> req) {
   co_await charge_md_op();
-  const auto it = files_.find(req->path);
-  if (it == files_.end()) {
+  if (!md_.files.contains(req->path)) {
     co_return net::rpc_error(
         error(StatusCode::kNotFound, "no such file: " + req->path));
   }
-  it->second.closed = true;
-  it->second.size = req->size;
-  if (journal_ != nullptr) {
-    MdRecord record;
-    record.type = MdRecordType::kFileClose;
-    record.path = req->path;
-    record.size = req->size;
-    if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-      co_return net::rpc_error(std::move(st));
-    }
+  MdRecord record{.type = MdRecordType::kFileClose,
+                  .path = req->path,
+                  .size = req->size};
+  (void)md_.apply(record);
+  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
+    co_return net::rpc_error(std::move(st));
   }
   // Record the logical size on Lustre now; block data lands as flushes
   // complete (MDS set-size keeps the max).
@@ -518,8 +484,8 @@ sim::Task<net::RpcResponse> Master::handle_close(
 sim::Task<net::RpcResponse> Master::handle_locations(
     std::shared_ptr<const BbLocationsRequest> req) {
   co_await charge_md_op();
-  const auto it = files_.find(req->path);
-  if (it == files_.end()) {
+  const auto it = md_.files.find(req->path);
+  if (it == md_.files.end()) {
     co_return net::rpc_error(
         error(StatusCode::kNotFound, "no such file: " + req->path));
   }
@@ -542,17 +508,19 @@ sim::Task<net::RpcResponse> Master::handle_locations(
 sim::Task<net::RpcResponse> Master::handle_delete(
     std::shared_ptr<const BbDeleteRequest> req) {
   co_await charge_md_op();
-  const auto it = files_.find(req->path);
-  if (it == files_.end()) {
+  const auto it = md_.files.find(req->path);
+  if (it == md_.files.end()) {
     co_return net::rpc_error(
         error(StatusCode::kNotFound, "no such file: " + req->path));
   }
-  // Capture and erase first so queued flushes see the file as gone; settle
-  // all the (synchronous) accounting before the first suspension so the
-  // metadata map never holds a half-deleted file across a scheduling point.
-  FileMeta meta = std::move(it->second);
-  files_.erase(it);
-  for (BbBlockInfo& block : meta.blocks) {
+  // Capture the blocks and delete first so queued flushes see the file as
+  // gone; settle all the (synchronous) accounting before the first
+  // suspension so the metadata map never holds a half-deleted file across a
+  // scheduling point.
+  std::vector<BbBlockInfo> blocks = std::move(it->second.blocks);
+  MdRecord record{.type = MdRecordType::kFileDelete, .path = req->path};
+  (void)md_.apply(record);
+  for (BbBlockInfo& block : blocks) {
     switch (block.state) {
       case BlockState::kDirty:
       case BlockState::kFlushing:
@@ -573,21 +541,12 @@ sim::Task<net::RpcResponse> Master::handle_delete(
         break;
     }
   }
-  if (journal_ != nullptr) {
-    MdRecord record;
-    record.type = MdRecordType::kFileDelete;
-    record.path = req->path;
-    if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-      co_return net::rpc_error(std::move(st));
-    }
+  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
+    co_return net::rpc_error(std::move(st));
   }
-  for (const BbBlockInfo& block : meta.blocks) {
-    const std::uint32_t chunks = static_cast<std::uint32_t>(
-        (block.size + params_.chunk_size - 1) / params_.chunk_size);
-    kv::Client& kv = *flusher_clients_.front();
-    for (std::uint32_t c = 0; c < chunks; ++c) {
-      (void)co_await kv.erase(chunk_key(req->path, block.index, c));
-    }
+  for (const BbBlockInfo& block : blocks) {
+    co_await erase_chunks(*flusher_clients_.front(), req->path, block.index,
+                          chunk_count(block.size));
   }
   Status st = co_await lustre_.unlink(node_, lustre_path(req->path));
   if (!st.is_ok() && st.code() != StatusCode::kNotFound) {
@@ -600,7 +559,7 @@ sim::Task<net::RpcResponse> Master::handle_list(
     std::shared_ptr<const BbListRequest> req) {
   co_await charge_md_op();
   auto reply = std::make_shared<BbListReply>();
-  for (const auto& [path, meta] : files_) {
+  for (const auto& [path, meta] : md_.files) {
     if (path.starts_with(req->prefix)) reply->paths.push_back(path);
   }
   const std::uint64_t wire = reply->wire_size();
@@ -624,62 +583,54 @@ void Master::release_reservation(BbBlockInfo& block) {
 void Master::finish_block(const std::string& path, BbBlockInfo& block,
                           BlockState state) {
   release_reservation(block);
-  block.state = state;
+  MdRecord record{
+      .type = state == BlockState::kFlushed ? MdRecordType::kFlushComplete
+              : state == BlockState::kLost  ? MdRecordType::kBlockLost
+                                            : MdRecordType::kQuarantine,
+      .path = path,
+      .block_index = block.index,
+      .size = block.size,
+      .op_id = block.op_id};
+  (void)md_.apply(record);
   assert(dirty_or_flushing_ > 0);
   --dirty_or_flushing_;
   if (state == BlockState::kFlushed) {
-    ++flushed_blocks_;
-    flushed_bytes_ += block.size;
     // Durable and still buffer-resident: the block becomes clean, evictable
     // cache data.
     flowctl_.dirty_to_clean(local_object(path, block.index),
                             block_footprint(block.size));
-  } else if (state == BlockState::kLost) {
-    ++lost_blocks_;
+  } else {
+    // Lost, or corrupt on every copy before it could be flushed: the dirty
+    // bytes leave the buffer accounting, and the flusher never writes them.
     flowctl_.drop_dirty(block_footprint(block.size));
-  } else if (state == BlockState::kQuarantined) {
-    // Corrupt on every copy before it could be flushed: the dirty bytes
-    // leave the buffer accounting, but the flusher will never write them.
-    ++quarantined_blocks_;
-    flowctl_.drop_dirty(block_footprint(block.size));
-    hub_->transport().fabric().simulation().metrics()
-        .counter("bb.quarantined_blocks").add();
+    if (state == BlockState::kQuarantined) {
+      hub_->transport().fabric().simulation().metrics()
+          .counter("bb.quarantined_blocks").add();
+    }
   }
-  if (journal_ != nullptr) {
-    // Flush outcomes have no client waiting for an ack, so they journal
-    // asynchronously: the worst a crash costs is a re-flush of an
-    // already-durable block (idempotent — Lustre writes are absolute-offset).
-    MdRecord record;
-    record.type = state == BlockState::kFlushed  ? MdRecordType::kFlushComplete
-                  : state == BlockState::kLost   ? MdRecordType::kBlockLost
-                                                 : MdRecordType::kQuarantine;
-    record.path = path;
-    record.block_index = block.index;
-    record.size = block.size;
-    record.op_id = block.op_id;
-    journal_append_async(std::move(record));
-  }
+  // Flush outcomes have no client waiting for an ack, so they journal
+  // asynchronously: the worst a crash costs is a re-flush of an
+  // already-durable block (idempotent — Lustre writes are absolute-offset).
+  journal_append_async(std::move(record));
   if (dirty_or_flushing_ == 0) flush_done_.notify_all();
 }
 
 void Master::quarantine_block(const std::string& path,
                               std::uint32_t block_index) {
-  const auto it = files_.find(path);
-  if (it == files_.end() || block_index >= it->second.blocks.size()) return;
-  BbBlockInfo& block = it->second.blocks[block_index];
-  if (block.state != BlockState::kDirty) return;
+  BbBlockInfo* block = md_.block(path, block_index);
+  if (block == nullptr || block->state != BlockState::kDirty) return;
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   if (trace_ != nullptr) {
     trace_->record("quarantine." + local_object(path, block_index), "bb",
                    static_cast<std::uint32_t>(node_), sim.now(), sim.now());
   }
   // The queued flush item finds the block no longer kDirty and skips it.
-  finish_block(path, block, BlockState::kQuarantined);
+  finish_block(path, *block, BlockState::kQuarantined);
 }
 
 std::vector<integrity::ScrubChunk> Master::scrub_inventory() const {
   std::vector<integrity::ScrubChunk> out;
-  for (const auto& [path, meta] : files_) {
+  for (const auto& [path, meta] : md_.files) {
     for (const BbBlockInfo& block : meta.blocks) {
       if (block.size == 0) continue;
       // kFlushing is skipped: the flusher is mid-read and verifies every
@@ -688,8 +639,7 @@ std::vector<integrity::ScrubChunk> Master::scrub_inventory() const {
           block.state != BlockState::kFlushed) {
         continue;
       }
-      const auto chunks = static_cast<std::uint32_t>(
-          (block.size + params_.chunk_size - 1) / params_.chunk_size);
+      const std::uint32_t chunks = chunk_count(block.size);
       const bool durable = block.state == BlockState::kFlushed;
       for (std::uint32_t c = 0; c < chunks; ++c) {
         const std::uint64_t c_start =
@@ -802,57 +752,53 @@ sim::Task<void> Master::evict_worker(std::uint64_t generation) {
     // chunk count falls out of the byte count.
     const std::size_t sep = victim.id.rfind('#');
     if (sep != std::string::npos) {
-      const std::string path = victim.id.substr(0, sep);
-      const auto index = static_cast<std::uint32_t>(
-          std::strtoul(victim.id.c_str() + sep + 1, nullptr, 10));
-      const auto chunks =
-          static_cast<std::uint32_t>(victim.bytes / params_.chunk_size);
-      kv::Client& kv = *flusher_clients_.front();
-      for (std::uint32_t c = 0; c < chunks; ++c) {
-        (void)co_await kv.erase(chunk_key(path, index, c));
-      }
+      co_await erase_chunks(
+          *flusher_clients_.front(), victim.id.substr(0, sep),
+          static_cast<std::uint32_t>(
+              std::strtoul(victim.id.c_str() + sep + 1, nullptr, 10)),
+          static_cast<std::uint32_t>(victim.bytes / params_.chunk_size));
     }
     if (trace_ != nullptr) trace_->end(span);
+  }
+}
+
+sim::Task<void> Master::erase_chunks(kv::Client& kv, std::string path,
+                                     std::uint32_t block_index,
+                                     std::uint32_t chunks) {
+  for (std::uint32_t c = 0; c < chunks; ++c) {
+    (void)co_await kv.erase(chunk_key(path, block_index, c));
   }
 }
 
 sim::Task<Status> Master::flush_block(std::uint64_t generation,
                                       std::uint32_t worker_index,
                                       const FlushItem& item) {
-  // NOTE: references into files_ must be re-resolved after every co_await —
-  // writers add blocks (vector reallocation) and files can be deleted while
-  // a flush is in flight. A generation check rides along: after a crash the
-  // rebuilt map may hold the same path again, but this flush belongs to the
-  // dead master and must not touch the recovered state.
-  const auto lookup = [this, &item]() -> BbBlockInfo* {
-    const auto it = files_.find(item.path);
-    if (it == files_.end() || item.block_index >= it->second.blocks.size()) {
-      return nullptr;
-    }
-    return &it->second.blocks[item.block_index];
+  // NOTE: references into md_.files must be re-resolved after every
+  // co_await — writers add blocks (vector reallocation) and files can be
+  // deleted while a flush is in flight. A generation check rides along:
+  // after a crash the rebuilt map may hold the same path again, but this
+  // flush belongs to the dead master and must not touch the recovered state.
+  const auto lookup = [this, &item] {
+    return md_.block(item.path, item.block_index);
   };
 
   BbBlockInfo* block = lookup();
   if (block == nullptr) co_return Status::ok();  // deleted while queued
   if (block->state != BlockState::kDirty) co_return Status::ok();
   flowctl_.note_flush_begin();
-  block->state = BlockState::kFlushing;
-  if (journal_ != nullptr) {
-    MdRecord record;
-    record.type = MdRecordType::kFlushStart;
-    record.path = item.path;
-    record.block_index = item.block_index;
-    record.op_id = item.op_id;
-    journal_append_async(std::move(record));
-  }
+  MdRecord record{.type = MdRecordType::kFlushStart,
+                  .path = item.path,
+                  .block_index = item.block_index,
+                  .op_id = item.op_id};
+  (void)md_.apply(record);
+  journal_append_async(std::move(record));
   const std::uint64_t block_size = block->size;
   const std::uint32_t block_index = block->index;
   const auto local_node = block->local_node;
 
   kv::Client& kv = *flusher_clients_[worker_index];
   const net::NodeId self = kv.self();
-  const std::uint32_t chunks = static_cast<std::uint32_t>(
-      (block_size + params_.chunk_size - 1) / params_.chunk_size);
+  const std::uint32_t chunks = chunk_count(block_size);
 
   // Pull the block out of the burst buffer as its chunks, each trimmed to
   // its logical bytes (stored chunks are padded to uniform size)...
@@ -891,7 +837,7 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
       pieces = {whole(result.value()->data)};
       fetched = pieces.front().length;
       buffer_ok = true;
-      ++recovered_blocks_;
+      ++md_.recovered_blocks;
     }
   }
 
@@ -950,7 +896,7 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
     co_return error(StatusCode::kDataLoss, "dirty block lost before flush");
   }
 
-  const auto layout = files_.find(item.path)->second.lustre_layout;
+  const auto layout = md_.files.find(item.path)->second.lustre_layout;
   Status st = co_await lustre_.write(
       self, layout,
       static_cast<std::uint64_t>(block_index) * params_.block_size,
@@ -999,6 +945,7 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
 // ---- metadata durability ----
 
 sim::Task<Status> Master::journal_append(MdRecord record) {
+  if (journal_ == nullptr) co_return Status::ok();
   // The append task allocates the record's sequence number synchronously at
   // co_await, in the same segment as the mutation the caller just applied —
   // that pairing is what makes checkpoint snapshots consistent.
@@ -1054,154 +1001,12 @@ sim::Task<void> Master::run_checkpoint(std::uint64_t generation) {
   // Snapshot and watermark in one synchronous segment: the snapshot then
   // reflects exactly the mutations journaled as records [0, upto).
   const std::uint64_t upto = journal_->next_seq();
-  Bytes snapshot = encode_checkpoint(make_checkpoint());
+  Bytes snapshot = encode_checkpoint(md_.checkpoint());
   (void)co_await journal_->write_checkpoint(std::move(snapshot), upto);
   if (trace_ != nullptr) trace_->end(span);
   if (generation != generation_) co_return;  // crashed mid-checkpoint
   checkpoint_running_ = false;
   sim.metrics().histogram("bb.md.checkpoint_ns").record(sim.now() - start);
-}
-
-MdCheckpoint Master::make_checkpoint() const {
-  MdCheckpoint checkpoint;
-  checkpoint.flushed_blocks = flushed_blocks_;
-  checkpoint.flushed_bytes = flushed_bytes_;
-  checkpoint.lost_blocks = lost_blocks_;
-  checkpoint.recovered_blocks = recovered_blocks_;
-  checkpoint.quarantined_blocks = quarantined_blocks_;
-  for (const auto& [path, meta] : files_) {
-    MdFileSnapshot file;
-    file.path = path;
-    file.create_token = meta.create_token;
-    file.size = meta.size;
-    file.closed = meta.closed;
-    file.blocks = meta.blocks;
-    checkpoint.files.push_back(std::move(file));
-  }
-  return checkpoint;
-}
-
-void Master::install_checkpoint(MdCheckpoint&& checkpoint) {
-  flushed_blocks_ = checkpoint.flushed_blocks;
-  flushed_bytes_ = checkpoint.flushed_bytes;
-  lost_blocks_ = checkpoint.lost_blocks;
-  recovered_blocks_ = checkpoint.recovered_blocks;
-  quarantined_blocks_ = checkpoint.quarantined_blocks;
-  files_.clear();
-  for (MdFileSnapshot& file : checkpoint.files) {
-    FileMeta meta;
-    meta.create_token = file.create_token;
-    meta.size = file.size;
-    meta.closed = file.closed;
-    meta.blocks = std::move(file.blocks);
-    // Lustre layouts are not snapshotted; reconcile() re-resolves them from
-    // the (surviving) MDS.
-    files_[file.path] = std::move(meta);
-  }
-}
-
-void Master::apply_record(const MdRecord& record) {
-  const auto find_block = [this, &record]() -> BbBlockInfo* {
-    const auto it = files_.find(record.path);
-    if (it == files_.end() ||
-        record.block_index >= it->second.blocks.size()) {
-      return nullptr;
-    }
-    return &it->second.blocks[record.block_index];
-  };
-  switch (record.type) {
-    case MdRecordType::kFileCreate: {
-      FileMeta meta;
-      meta.create_token = record.token;
-      files_[record.path] = std::move(meta);
-      break;
-    }
-    case MdRecordType::kBlockAdd: {
-      const auto it = files_.find(record.path);
-      if (it == files_.end()) break;
-      // Records replay in journal order, so the index always extends the
-      // block vector of a single-writer file.
-      if (record.block_index != it->second.blocks.size()) break;
-      BbBlockInfo block;
-      block.index = record.block_index;
-      it->second.blocks.push_back(std::move(block));
-      break;
-    }
-    case MdRecordType::kBlockSeal: {
-      BbBlockInfo* block = find_block();
-      if (block == nullptr || block->state != BlockState::kOpen) break;
-      if (!one_crc_per_chunk(record.size, record.chunk_crcs)) {
-        // The seal handler never journals such a record: this one is
-        // damaged. Leave the block open rather than trust it.
-        hub_->transport().fabric().simulation().metrics()
-            .counter("bb.md.recovery_errors").add();
-        break;
-      }
-      block->size = record.size;
-      block->chunk_crcs = record.chunk_crcs;
-      if (record.has_local_node) {
-        block->local_node = static_cast<net::NodeId>(record.local_node);
-      }
-      block->op_id = record.op_id;
-      block->replicas = record.replicas;
-      if (record.already_durable) {
-        block->state = BlockState::kFlushed;
-        ++flushed_blocks_;
-        flushed_bytes_ += record.size;
-      } else {
-        block->state = BlockState::kDirty;
-      }
-      break;
-    }
-    case MdRecordType::kFlushStart: {
-      BbBlockInfo* block = find_block();
-      if (block != nullptr && block->state == BlockState::kDirty) {
-        block->state = BlockState::kFlushing;
-      }
-      break;
-    }
-    case MdRecordType::kFlushComplete: {
-      BbBlockInfo* block = find_block();
-      if (block == nullptr) break;
-      if (block->state == BlockState::kDirty ||
-          block->state == BlockState::kFlushing) {
-        block->state = BlockState::kFlushed;
-        ++flushed_blocks_;
-        flushed_bytes_ += block->size;
-      }
-      break;
-    }
-    case MdRecordType::kBlockLost: {
-      BbBlockInfo* block = find_block();
-      if (block == nullptr) break;
-      if (block->state == BlockState::kDirty ||
-          block->state == BlockState::kFlushing) {
-        block->state = BlockState::kLost;
-        ++lost_blocks_;
-      }
-      break;
-    }
-    case MdRecordType::kQuarantine: {
-      BbBlockInfo* block = find_block();
-      if (block == nullptr) break;
-      if (block->state == BlockState::kDirty ||
-          block->state == BlockState::kFlushing) {
-        block->state = BlockState::kQuarantined;
-        ++quarantined_blocks_;
-      }
-      break;
-    }
-    case MdRecordType::kFileClose: {
-      const auto it = files_.find(record.path);
-      if (it == files_.end()) break;
-      it->second.closed = true;
-      it->second.size = record.size;
-      break;
-    }
-    case MdRecordType::kFileDelete:
-      files_.erase(record.path);
-      break;
-  }
 }
 
 sim::Task<void> Master::reconcile(std::uint64_t generation) {
@@ -1218,7 +1023,7 @@ sim::Task<void> Master::reconcile(std::uint64_t generation) {
   }
   kv::Client& kv = *kv_ptr;
   std::vector<std::string> dropped_files;
-  for (auto& [path, meta] : files_) {
+  for (auto& [path, meta] : md_.files) {
     // The Lustre MDS survives the master crash: re-resolve each file's
     // backing layout (journal records deliberately don't carry it).
     Result<lustre::FileLayout> layout =
@@ -1244,13 +1049,9 @@ sim::Task<void> Master::reconcile(std::uint64_t generation) {
       discarded.push_back(meta.blocks.back().index);
       meta.blocks.pop_back();
     }
-    const auto max_chunks = static_cast<std::uint32_t>(
-        params_.block_size / params_.chunk_size);
     for (const std::uint32_t index : discarded) {
-      for (std::uint32_t c = 0; c < max_chunks; ++c) {
-        (void)co_await kv.erase(chunk_key(path, index, c));
-        if (generation != generation_) co_return;
-      }
+      co_await erase_chunks(kv, path, index, chunk_count(params_.block_size));
+      if (generation != generation_) co_return;
     }
     for (BbBlockInfo& block : meta.blocks) {
       block.reservation_held = false;  // admission credits died in the crash
@@ -1289,7 +1090,7 @@ sim::Task<void> Master::reconcile(std::uint64_t generation) {
       }
     }
   }
-  for (const std::string& path : dropped_files) files_.erase(path);
+  for (const std::string& path : dropped_files) md_.files.erase(path);
 }
 
 void Master::crash() {
@@ -1306,14 +1107,9 @@ void Master::crash() {
     sim.metrics().gauge("bb.flush_queue_depth").sub();
   }
   flush_queue_depth_ = 0;
-  files_.clear();
+  md_ = MdState{.chunk_size = params_.chunk_size};
   dirty_or_flushing_ = 0;
   flush_done_.notify_all();
-  flushed_blocks_ = 0;
-  flushed_bytes_ = 0;
-  lost_blocks_ = 0;
-  recovered_blocks_ = 0;
-  quarantined_blocks_ = 0;
   flowctl_.reset_accounting();
   flowctl_.force_urgent(false);
   degraded_ = false;
@@ -1349,12 +1145,18 @@ sim::Task<void> Master::restart_task() {
     if (!recovered.checkpoint.empty()) {
       Result<MdCheckpoint> checkpoint = decode_checkpoint(recovered.checkpoint);
       if (checkpoint.is_ok()) {
-        install_checkpoint(std::move(checkpoint).value());
+        md_.install(std::move(checkpoint).value());
       } else {
         sim.metrics().counter("bb.md.recovery_errors").add();
       }
     }
-    for (const MdRecord& record : recovered.tail) apply_record(record);
+    for (const MdRecord& record : recovered.tail) {
+      if (!md_.apply(record).is_ok()) {
+        // The seal handler never journals such a record: this one is
+        // damaged, and its block stays open.
+        sim.metrics().counter("bb.md.recovery_errors").add();
+      }
+    }
     replayed = recovered.tail.size();
     co_await reconcile(generation);
     if (generation != generation_) co_return;
@@ -1362,11 +1164,11 @@ sim::Task<void> Master::restart_task() {
   }
   ++restarts_;
   replayed_records_ += replayed;
-  recovered_files_ += files_.size();
+  recovered_files_ += md_.files.size();
   sim.metrics().counter("bb.md.restarts").add();
   sim.metrics().counter("bb.md.replayed_records").add(replayed);
   sim.metrics().counter("bb.md.recovered_files")
-      .add(static_cast<std::uint64_t>(files_.size()));
+      .add(static_cast<std::uint64_t>(md_.files.size()));
   // Fresh detector state: peers re-prove liveness from scratch.
   for (PeerHealth& health : peer_health_) health = PeerHealth{};
   if (probe_client_ != nullptr) {

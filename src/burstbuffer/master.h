@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,19 +93,19 @@ class Master {
     return dirty_or_flushing_;
   }
   [[nodiscard]] std::uint64_t flushed_blocks() const noexcept {
-    return flushed_blocks_;
+    return md_.flushed_blocks;
   }
   [[nodiscard]] std::uint64_t flushed_bytes() const noexcept {
-    return flushed_bytes_;
+    return md_.flushed_bytes;
   }
   [[nodiscard]] std::uint64_t lost_blocks() const noexcept {
-    return lost_blocks_;
+    return md_.lost_blocks;
   }
   [[nodiscard]] std::uint64_t recovered_blocks() const noexcept {
-    return recovered_blocks_;
+    return md_.recovered_blocks;
   }
   [[nodiscard]] std::uint64_t quarantined_blocks() const noexcept {
-    return quarantined_blocks_;
+    return md_.quarantined_blocks;
   }
   [[nodiscard]] std::uint64_t flush_queue_depth() const noexcept {
     return flush_queue_depth_;
@@ -188,13 +187,6 @@ class Master {
   }
 
  private:
-  struct FileMeta {
-    std::vector<BbBlockInfo> blocks;
-    lustre::FileLayout lustre_layout;
-    std::uint64_t size = 0;
-    std::uint64_t create_token = 0;  // idempotency token of the create
-    bool closed = false;
-  };
   struct PeerHealth {
     PeerState state = PeerState::kLive;
     std::uint32_t missed = 0;       // consecutive failed probes
@@ -253,6 +245,10 @@ class Master {
                                 std::uint32_t worker_index,
                                 const FlushItem& item);
   sim::Task<void> evict_worker(std::uint64_t generation);
+  // Erases chunks [0, chunks) of a block from the buffer.
+  sim::Task<void> erase_chunks(kv::Client& kv, std::string path,
+                               std::uint32_t block_index,
+                               std::uint32_t chunks);
 
   // ---- metadata durability internals ----
   void bind_ports();
@@ -264,7 +260,8 @@ class Master {
   void make_scrubber();
   // Durable journal append for the acknowledge path (returns kUnavailable
   // on crash — the caller must not ack); the async variant is for
-  // background mutations nothing acknowledges against.
+  // background mutations nothing acknowledges against. Both return at once
+  // when journaling is off.
   sim::Task<Status> journal_append(MdRecord record);
   void journal_append_async(MdRecord record);
   void maybe_trigger_checkpoint();
@@ -273,23 +270,17 @@ class Master {
   // Recovery pipeline (restart()): journal load -> checkpoint install ->
   // record replay -> inventory reconciliation -> worker respawn.
   sim::Task<void> restart_task();
-  [[nodiscard]] MdCheckpoint make_checkpoint() const;
-  void install_checkpoint(MdCheckpoint&& checkpoint);
-  void apply_record(const MdRecord& record);
   sim::Task<void> reconcile(std::uint64_t generation);
   void finish_block(const std::string& path, BbBlockInfo& block,
                     BlockState state);
   void release_reservation(BbBlockInfo& block);
+  [[nodiscard]] std::uint32_t chunk_count(std::uint64_t size) const {
+    return bb::chunk_count(size, params_.chunk_size);
+  }
   // Buffer-resident footprint of a sealed block: chunks are padded to
   // chunk_size, so the block occupies a whole number of chunks.
   [[nodiscard]] std::uint64_t block_footprint(std::uint64_t size) const {
-    return (size + params_.chunk_size - 1) / params_.chunk_size *
-           params_.chunk_size;
-  }
-  // The seal invariant every reader relies on: one writer CRC per chunk.
-  [[nodiscard]] bool one_crc_per_chunk(
-      std::uint64_t size, const std::vector<std::uint32_t>& crcs) const {
-    return crcs.size() == block_footprint(size) / params_.chunk_size;
+    return std::uint64_t{chunk_count(size)} * params_.chunk_size;
   }
 
   net::RpcHub* hub_;
@@ -301,7 +292,8 @@ class Master {
   lustre::LustreClient lustre_;
   flowctl::CapacityController flowctl_;
 
-  std::map<std::string, FileMeta> files_;
+  // File and block metadata. Every journaled transition is md_.apply().
+  MdState md_;
   sim::Channel<FlushItem> flush_queue_;
   sim::Condition flush_done_;
   std::vector<std::unique_ptr<kv::Client>> flusher_clients_;
@@ -335,11 +327,6 @@ class Master {
   sim::TraceRecorder* trace_ = nullptr;
   std::uint64_t flush_queue_depth_ = 0;
   std::uint64_t dirty_or_flushing_ = 0;
-  std::uint64_t flushed_blocks_ = 0;
-  std::uint64_t flushed_bytes_ = 0;
-  std::uint64_t lost_blocks_ = 0;
-  std::uint64_t recovered_blocks_ = 0;
-  std::uint64_t quarantined_blocks_ = 0;
 };
 
 }  // namespace hpcbb::bb

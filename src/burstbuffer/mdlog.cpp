@@ -209,6 +209,126 @@ Result<MdCheckpoint> decode_checkpoint(const Bytes& bytes) {
   return checkpoint;
 }
 
+// ---- MdState ---------------------------------------------------------------
+
+Status MdState::apply(const MdRecord& record) {
+  switch (record.type) {
+    case MdRecordType::kFileCreate:
+      files[record.path] = MdFile{.create_token = record.token};
+      break;
+    case MdRecordType::kBlockAdd: {
+      const auto it = files.find(record.path);
+      // Files are single-writer, so a new block always extends the vector.
+      if (it == files.end() ||
+          record.block_index != it->second.blocks.size()) {
+        break;
+      }
+      it->second.blocks.emplace_back().index = record.block_index;
+      break;
+    }
+    case MdRecordType::kBlockSeal: {
+      BbBlockInfo* b = block(record.path, record.block_index);
+      if (b == nullptr || b->state != BlockState::kOpen) break;
+      if (!one_crc_per_chunk(record.size, chunk_size, record.chunk_crcs)) {
+        // Per-chunk CRCs are a block's only integrity provenance: leave the
+        // block open rather than accept unverifiable data.
+        return error(StatusCode::kInvalidArgument,
+                     "seal must carry one CRC per chunk");
+      }
+      b->size = record.size;
+      b->chunk_crcs = record.chunk_crcs;
+      if (record.has_local_node) {
+        b->local_node = static_cast<net::NodeId>(record.local_node);
+      }
+      b->op_id = record.op_id;
+      b->replicas = record.replicas;
+      if (record.already_durable) {
+        // BB-Sync: durable at ack; the buffer copy is immediately clean.
+        b->state = BlockState::kFlushed;
+        ++flushed_blocks;
+        flushed_bytes += record.size;
+      } else {
+        b->state = BlockState::kDirty;
+      }
+      break;
+    }
+    case MdRecordType::kFlushStart: {
+      BbBlockInfo* b = block(record.path, record.block_index);
+      if (b != nullptr && b->state == BlockState::kDirty) {
+        b->state = BlockState::kFlushing;
+      }
+      break;
+    }
+    case MdRecordType::kFlushComplete:
+    case MdRecordType::kBlockLost:
+    case MdRecordType::kQuarantine: {
+      BbBlockInfo* b = block(record.path, record.block_index);
+      if (b == nullptr || (b->state != BlockState::kDirty &&
+                           b->state != BlockState::kFlushing)) {
+        break;
+      }
+      if (record.type == MdRecordType::kFlushComplete) {
+        b->state = BlockState::kFlushed;
+        ++flushed_blocks;
+        flushed_bytes += b->size;
+      } else if (record.type == MdRecordType::kBlockLost) {
+        b->state = BlockState::kLost;
+        ++lost_blocks;
+      } else {
+        b->state = BlockState::kQuarantined;
+        ++quarantined_blocks;
+      }
+      break;
+    }
+    case MdRecordType::kFileClose: {
+      const auto it = files.find(record.path);
+      if (it == files.end()) break;
+      it->second.closed = true;
+      it->second.size = record.size;
+      break;
+    }
+    case MdRecordType::kFileDelete:
+      files.erase(record.path);
+      break;
+  }
+  return Status::ok();
+}
+
+BbBlockInfo* MdState::block(const std::string& path, std::uint32_t index) {
+  const auto it = files.find(path);
+  if (it == files.end() || index >= it->second.blocks.size()) return nullptr;
+  return &it->second.blocks[index];
+}
+
+MdCheckpoint MdState::checkpoint() const {
+  MdCheckpoint out;
+  out.flushed_blocks = flushed_blocks;
+  out.flushed_bytes = flushed_bytes;
+  out.lost_blocks = lost_blocks;
+  out.recovered_blocks = recovered_blocks;
+  out.quarantined_blocks = quarantined_blocks;
+  for (const auto& [path, file] : files) {
+    out.files.push_back(MdFileSnapshot{path, file.create_token, file.size,
+                                       file.closed, file.blocks});
+  }
+  return out;
+}
+
+void MdState::install(MdCheckpoint&& checkpoint) {
+  flushed_blocks = checkpoint.flushed_blocks;
+  flushed_bytes = checkpoint.flushed_bytes;
+  lost_blocks = checkpoint.lost_blocks;
+  recovered_blocks = checkpoint.recovered_blocks;
+  quarantined_blocks = checkpoint.quarantined_blocks;
+  files.clear();
+  for (MdFileSnapshot& file : checkpoint.files) {
+    files[file.path] = MdFile{.blocks = std::move(file.blocks),
+                              .size = file.size,
+                              .create_token = file.create_token,
+                              .closed = file.closed};
+  }
+}
+
 // ---- MetadataJournal -------------------------------------------------------
 
 namespace {

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "kvstore/client.h"
+#include "lustre/protocol.h"
 #include "net/rpc.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -76,12 +78,12 @@ struct MdRecord {
   std::uint32_t block_index = 0;
   std::uint64_t size = 0;
   std::uint64_t token = 0;  // create idempotency token
-  std::vector<std::uint32_t> chunk_crcs;
+  std::vector<std::uint32_t> chunk_crcs{};
   bool already_durable = false;
   bool has_local_node = false;
   std::uint32_t local_node = 0;
   std::uint64_t op_id = 0;
-  std::vector<std::uint32_t> replicas;  // replica-set at seal time
+  std::vector<std::uint32_t> replicas{};  // replica-set at seal time
 
   bool operator==(const MdRecord&) const = default;
 };
@@ -116,6 +118,48 @@ struct MdCheckpoint {
 
 Bytes encode_checkpoint(const MdCheckpoint& checkpoint);
 Result<MdCheckpoint> decode_checkpoint(const Bytes& bytes);
+
+// One file of the master's metadata. The Lustre layout is live-only: no
+// record or checkpoint carries it, and recovery re-resolves it from the MDS.
+struct MdFile {
+  std::vector<BbBlockInfo> blocks{};
+  lustre::FileLayout lustre_layout{};
+  std::uint64_t size = 0;
+  std::uint64_t create_token = 0;
+  bool closed = false;
+};
+
+// The master's file and block metadata plus its flush/loss counters, as a
+// state machine over MdRecord. The live RPC handlers, the flusher and
+// journal replay all change files and blocks through apply(), so replaying
+// the journal rebuilds the state the live master held. Outside it stays
+// what no record carries: admission reservations (reservation_held), the
+// Lustre layout, the flusher's requeue of a kFlushing block back to kDirty
+// (recovery re-flushes both alike), and recovered_blocks, which the live
+// flusher counts and only a checkpoint restores.
+struct MdState {
+  std::uint64_t chunk_size = 1 * MiB;  // for the seal invariant
+  std::map<std::string, MdFile> files{};
+  std::uint64_t flushed_blocks = 0;
+  std::uint64_t flushed_bytes = 0;
+  std::uint64_t lost_blocks = 0;
+  std::uint64_t recovered_blocks = 0;
+  std::uint64_t quarantined_blocks = 0;
+
+  // Applies one mutation. A record that finds its file or block gone, or
+  // the block already past the state it moves it from, changes nothing (a
+  // delete or an earlier record got there first). A seal without one CRC
+  // per chunk is refused with kInvalidArgument and changes nothing either.
+  Status apply(const MdRecord& record);
+
+  // The block, or null when its file or the block does not exist.
+  [[nodiscard]] BbBlockInfo* block(const std::string& path,
+                                   std::uint32_t index);
+
+  [[nodiscard]] MdCheckpoint checkpoint() const;
+  // Replaces the files and counters (not chunk_size) with a checkpoint's.
+  void install(MdCheckpoint&& checkpoint);
+};
 
 class MetadataJournal {
  public:

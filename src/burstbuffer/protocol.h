@@ -127,6 +127,17 @@ struct BbBlockInfo {
   bool operator==(const BbBlockInfo&) const = default;
 };
 
+// Chunks a block of `size` bytes occupies; only the last may be partial.
+inline std::uint32_t chunk_count(std::uint64_t size, std::uint64_t chunk_size) {
+  return static_cast<std::uint32_t>((size + chunk_size - 1) / chunk_size);
+}
+
+// The seal invariant every reader relies on: one writer CRC per chunk.
+inline bool one_crc_per_chunk(std::uint64_t size, std::uint64_t chunk_size,
+                              const std::vector<std::uint32_t>& crcs) {
+  return crcs.size() == chunk_count(size, chunk_size);
+}
+
 // The one block-integrity check, shared by every tier (node-local replica,
 // KV buffer, Lustre) and the flusher. `data` holds bytes of `block` from
 // the chunk-aligned offset `aligned_off` on; each chunk's logical bytes

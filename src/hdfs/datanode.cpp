@@ -66,7 +66,7 @@ sim::Task<net::RpcResponse> DataNode::handle_write_packet(
   const std::string name = block_name(req->block_id);
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
-  sim::ScopedSpan span(sim.trace(), "write." + name, "hdfs", node_,
+  sim::ScopedSpan span(sim.trace(), "write.", name, "hdfs", node_,
                        req->op_id);
   sim.metrics().counter("hdfs.dn.write_bytes").add(req->data->size());
 
@@ -121,7 +121,7 @@ sim::Task<net::RpcResponse> DataNode::handle_read(
   const std::string name = block_name(req->block_id);
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
-  sim::ScopedSpan span(sim.trace(), "read." + name, "hdfs", node_,
+  sim::ScopedSpan span(sim.trace(), "read.", name, "hdfs", node_,
                        req->op_id);
   Result<Bytes> data = co_await store_->read(name, req->offset, req->length);
   sim.metrics().histogram("hdfs.dn.read").record(sim.now() - start);

@@ -54,7 +54,10 @@ struct Item {
     value_len = static_cast<std::uint32_t>(value.size());
     value_crc = crc32c(value);
     std::memcpy(data(), key.data(), key.size());
-    std::memcpy(data() + key.size(), value.data(), value.size());
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (!value.empty()) {
+      std::memcpy(data() + key.size(), value.data(), value.size());
+    }
   }
 };
 

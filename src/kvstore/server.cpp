@@ -108,7 +108,7 @@ sim::Task<net::RpcResponse> Server::handle_set(
   if (crashed_) co_return unavailable();
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
-  sim::ScopedSpan span(sim.trace(), "set." + req->key, "kv", node_,
+  sim::ScopedSpan span(sim.trace(), "set.", req->key, "kv", node_,
                        req->op_id);
   // RDMA-placed payloads skip the receive-path copy.
   co_await charge_op(req->payload_by_rdma ? 0 : req->value->size());
@@ -132,7 +132,7 @@ sim::Task<net::RpcResponse> Server::handle_get(
   if (crashed_) co_return unavailable();
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
-  sim::ScopedSpan span(sim.trace(), "get." + req->key, "kv", node_,
+  sim::ScopedSpan span(sim.trace(), "get.", req->key, "kv", node_,
                        req->op_id);
   const std::uint64_t now = sim.now();
   Result<VerifiedValue> value = store_.get_verified(req->key, now);

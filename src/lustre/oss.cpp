@@ -44,7 +44,7 @@ sim::Task<net::RpcResponse> Oss::handle_write(
   }
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
-  sim::ScopedSpan span(sim.trace(), "write." + req->object, "lustre", node_,
+  sim::ScopedSpan span(sim.trace(), "write.", req->object, "lustre", node_,
                        req->op_id);
   Gauge& queue = sim.metrics().gauge("lustre.queue_depth");
   queue.add();
@@ -61,7 +61,7 @@ sim::Task<net::RpcResponse> Oss::handle_read(
     std::shared_ptr<const OssReadRequest> req) {
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
-  sim::ScopedSpan span(sim.trace(), "read." + req->object, "lustre", node_,
+  sim::ScopedSpan span(sim.trace(), "read.", req->object, "lustre", node_,
                        req->op_id);
   Gauge& queue = sim.metrics().gauge("lustre.queue_depth");
   queue.add();

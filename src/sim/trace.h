@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -98,15 +99,17 @@ class TraceRecorder {
   std::function<void(const TraceSpan&)> span_sink_;
 };
 
-// RAII span: closes on scope exit. Null recorder => no-op.
+// RAII span named prefix + subject ("get." + key): closes on scope exit.
+// Null recorder => no-op, and the name is never built.
 class [[nodiscard]] ScopedSpan {
  public:
-  ScopedSpan(TraceRecorder* recorder, std::string name, std::string category,
+  ScopedSpan(TraceRecorder* recorder, std::string_view prefix,
+             std::string_view subject, std::string_view category,
              std::uint32_t track, std::uint64_t op_id = 0)
       : recorder_(recorder) {
     if (recorder_ != nullptr) {
-      index_ = recorder_->begin(std::move(name), std::move(category), track,
-                                op_id);
+      index_ = recorder_->begin(std::string(prefix).append(subject),
+                                std::string(category), track, op_id);
     }
   }
   ~ScopedSpan() {

@@ -235,7 +235,9 @@ struct Rig {
   }
 };
 
-Task<void> write_file(Rig& r, const std::string& path, std::uint64_t bytes,
+// `path` is taken by value: a spawned call's argument is often a temporary
+// that is gone before the coroutine first runs.
+Task<void> write_file(Rig& r, std::string path, std::uint64_t bytes,
                       SimTime* ack_time = nullptr) {
   auto writer = co_await r.fs->create(path, 0);
   CO_ASSERT(writer.is_ok());

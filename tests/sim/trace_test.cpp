@@ -52,18 +52,19 @@ TEST(TraceTest, ScopedSpanClosesOnExit) {
   TraceRecorder trace(sim);
   sim.spawn([](Simulation& s, TraceRecorder& t) -> Task<void> {
     {
-      ScopedSpan span(&t, "scoped", "x", 1);
+      ScopedSpan span(&t, "scoped.", "span", "x", 1);
       co_await s.delay(42);
     }
     co_await s.delay(58);
   }(sim, trace));
   sim.run();
   ASSERT_EQ(trace.spans().size(), 1u);
+  EXPECT_EQ(trace.spans()[0].name, "scoped.span");
   EXPECT_EQ(trace.spans()[0].end_ns, 42u);
 }
 
 TEST(TraceTest, NullRecorderScopedSpanIsNoop) {
-  ScopedSpan span(nullptr, "n", "x", 0);  // must not crash
+  ScopedSpan span(nullptr, "n.", "x", "x", 0);  // must not crash
 }
 
 TEST(TraceTest, ChromeJsonWellFormedish) {

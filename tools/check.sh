@@ -8,8 +8,9 @@
 #                             # smoke, both under ASan+UBSan
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f3_dfsio_write +
-#                             # bench_f4_dfsio_read + bench_f5_sort vs
-#                             # bench/baselines/, plus an
+#                             # bench_f4_dfsio_read + bench_f5_sort +
+#                             # bench_f8_fault + the seeded bench_a4_chaos
+#                             # smoke vs bench/baselines/, plus an
 #                             # injected-regression self-test
 #
 # Build trees: build/ and build-sanitize/ at the repo root.
@@ -31,13 +32,18 @@ if [[ "${gate}" == 1 ]]; then
   cmake -B build -S .
   echo "== gate: build gated benches =="
   cmake --build build -j "${jobs}" --target bench_f1_kv_latency \
-    bench_f3_dfsio_write bench_f4_dfsio_read bench_f5_sort bench_m1_kv_micro
+    bench_f3_dfsio_write bench_f4_dfsio_read bench_f5_sort bench_f8_fault \
+    bench_a4_chaos bench_m1_kv_micro
   out="$(mktemp -d)"
   for bench in bench_f1_kv_latency bench_f3_dfsio_write bench_f4_dfsio_read \
-      bench_f5_sort; do
+      bench_f5_sort bench_f8_fault; do
     echo "== gate: ${bench} (simulated time, deterministic) =="
     HPCBB_BENCH_OUT="${out}" "./build/bench/${bench}" --gate
   done
+  # A master crash and journal replay per scheme, among other fault paths.
+  echo "== gate: bench_a4_chaos smoke (simulated time, seeded) =="
+  HPCBB_BENCH_OUT="${out}" ./build/bench/bench_a4_chaos smoke=1 \
+    faults.seed=1 --gate
   echo "== gate: bench_m1_kv_micro (real time, loose tolerances) =="
   HPCBB_BENCH_OUT="${out}" ./build/bench/bench_m1_kv_micro --gate \
     --benchmark_min_time=0.02
@@ -55,7 +61,7 @@ if [[ "${chaos}" == 1 ]]; then
   echo "== chaos: configure (Sanitize) =="
   cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize
   echo "== chaos: build =="
-  cmake --build build-sanitize -j "${jobs}" --target resilience_test repl_test integrity_test master_recovery_test health_test bench_a4_chaos
+  cmake --build build-sanitize -j "${jobs}" --target resilience_test repl_test integrity_test master_recovery_test master_replay_test health_test bench_a4_chaos
   echo "== chaos: ctest -L chaos =="
   ctest --test-dir build-sanitize --output-on-failure -j "${jobs}" -L chaos
   echo "== chaos: bench_a4_chaos smoke (seeded) =="
