@@ -4,6 +4,9 @@
 // time, and prints the series the paper reports.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -60,11 +63,17 @@ inline void print_header(const char* figure, const char* title,
 
 inline double ratio(double a, double b) { return b == 0 ? 0.0 : a / b; }
 
+// When the bench process started, taken during static initialisation.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
+
 // Machine-readable benchmark results. Every data point the bench prints is
 // also recorded here; write() emits one JSON document per binary (schema
 // hpcbb.bench.v1) so plots and regression diffs never have to scrape
 // stdout. Output lands in "<id>_result.json" in the working directory, or
-// under $HPCBB_BENCH_OUT if that directory variable is set.
+// under $HPCBB_BENCH_OUT if that directory variable is set. write() also
+// appends the process's host wall time and peak RSS as the "host.wall_s"
+// and "host.peak_rss_mb" series: informational, never pinned by a gate.
 class JsonResult {
  public:
   JsonResult(std::string id, std::string title)
@@ -87,22 +96,32 @@ class JsonResult {
     if (const char* dir = std::getenv("HPCBB_BENCH_OUT")) {
       path = std::string(dir) + "/" + path;
     }
+    std::vector<Point> points = points_;
+    points.push_back(Point{"host.wall_s", "process",
+                           std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() -
+                               kProcessStart)
+                               .count()});
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KiB on Linux
+    points.push_back(Point{"host.peak_rss_mb", "process",
+                           static_cast<double>(usage.ru_maxrss) / 1024.0});
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) return {};
     out << "{\n  \"schema\": \"hpcbb.bench.v1\",\n  \"bench\": \""
         << escape(id_) << "\",\n  \"title\": \"" << escape(title_)
         << "\",\n  \"points\": [";
-    for (std::size_t i = 0; i < points_.size(); ++i) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
       if (i > 0) out << ",";
       char value[32];
-      std::snprintf(value, sizeof value, "%.6g", points_[i].value);
-      out << "\n    {\"series\": \"" << escape(points_[i].series)
-          << "\", \"x\": \"" << escape(points_[i].x) << "\", \"value\": "
+      std::snprintf(value, sizeof value, "%.6g", points[i].value);
+      out << "\n    {\"series\": \"" << escape(points[i].series)
+          << "\", \"x\": \"" << escape(points[i].x) << "\", \"value\": "
           << value << "}";
     }
     out << "\n  ]\n}\n";
     if (!out.flush()) return {};
-    std::printf("results: %zu points written to %s\n", points_.size(),
+    std::printf("results: %zu points written to %s\n", points.size(),
                 path.c_str());
     return path;
   }

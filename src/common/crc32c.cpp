@@ -1,7 +1,6 @@
 #include "common/crc32c.h"
 
 #include <array>
-#include <atomic>
 #include <cstring>
 
 #include "common/crc32c_internal.h"
@@ -168,15 +167,11 @@ std::uint32_t crc32c_hw(std::uint32_t crc, const void* data,
 }  // namespace crc32c_detail
 
 namespace {
-std::atomic<std::uint64_t> checksummed_bytes{0};
+thread_local std::uint64_t checksummed_bytes = 0;
 }  // namespace
 
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) noexcept {
-  // A plain load and store, not a locked add: the simulator is
-  // single-threaded, and a count lost to a concurrent caller is harmless.
-  checksummed_bytes.store(
-      checksummed_bytes.load(std::memory_order_relaxed) + n,
-      std::memory_order_relaxed);
+  checksummed_bytes += n;
   using Fn = std::uint32_t (*)(std::uint32_t, const void*, std::size_t) noexcept;
   static const Fn kImpl = crc32c_detail::crc32c_hw_supported()
                               ? &crc32c_detail::crc32c_hw
@@ -184,8 +179,6 @@ std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) noexcep
   return kImpl(crc, data, n);
 }
 
-std::uint64_t crc32c_bytes() noexcept {
-  return checksummed_bytes.load(std::memory_order_relaxed);
-}
+std::uint64_t crc32c_bytes() noexcept { return checksummed_bytes; }
 
 }  // namespace hpcbb

@@ -15,9 +15,10 @@ namespace hpcbb {
 // is the same on every path.
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) noexcept;
 
-// Bytes checksummed by crc32c() in this process so far: what tests read to
-// pin how many times each stored byte is checksummed. Exact for one thread;
-// concurrent callers may lose counts.
+// Bytes checksummed by crc32c() on the calling thread so far: what tests
+// read to pin how many times each stored byte is checksummed. Each thread
+// keeps its own exact count, so simulations run on separate threads do not
+// disturb each other's.
 std::uint64_t crc32c_bytes() noexcept;
 
 inline std::uint32_t crc32c(std::span<const std::uint8_t> data) noexcept {

@@ -147,8 +147,10 @@ sim::Task<void> JobRunner::reduce_task(Job& job, RunState& state,
                                        std::uint32_t reducer, net::NodeId node,
                                        const std::string& output_prefix) {
   // Shuffle: pull this reducer's partition from every map output. The
-  // fetch is charged on the fabric as map-node -> reduce-node transfers.
-  Bytes input;
+  // fetch is charged on the fabric as map-node -> reduce-node transfers;
+  // the reduce then reads the partitions where the maps left them.
+  std::vector<BytesPtr> parts;
+  std::uint64_t input_bytes = 0;
   for (const MapOutput& output : state.outputs) {
     if (reducer >= output.parts.size()) continue;
     const BytesPtr& part = output.parts[reducer];
@@ -160,11 +162,16 @@ sim::Task<void> JobRunner::reduce_task(Job& job, RunState& state,
       co_return;
     }
     state.stats.shuffle_bytes += part->size();
-    input.insert(input.end(), part->begin(), part->end());
+    input_bytes += part->size();
+    parts.push_back(part);
   }
 
-  co_await charge_compute(node, job.reduce_cpu_ns(input.size()));
-  Result<Bytes> folded = job.reduce(reducer, std::move(input));
+  co_await charge_compute(node, job.reduce_cpu_ns(input_bytes));
+  Result<Bytes> folded = job.reduce(reducer, parts);
+  parts.clear();
+  for (MapOutput& output : state.outputs) {
+    if (reducer < output.parts.size()) output.parts[reducer].reset();
+  }
   if (!folded.is_ok()) {
     if (state.first_error.is_ok()) state.first_error = folded.status();
     co_return;

@@ -41,9 +41,12 @@ class Job {
                          std::span<const std::uint8_t> data,
                          std::vector<Bytes>& out) = 0;
 
-  // Fold one reducer's concatenated map outputs into the final bytes
-  // written to <output>/part-<r>.
-  virtual Result<Bytes> reduce(std::uint32_t reducer, Bytes input) = 0;
+  // Fold one reducer's map partitions into the final bytes written to
+  // <output>/part-<r>. `parts` are the non-empty partitions in map-output
+  // order, shared read-only with the map side; the engine frees them once
+  // the reduce returns.
+  virtual Result<Bytes> reduce(std::uint32_t reducer,
+                               std::span<const BytesPtr> parts) = 0;
 
   // Fixed input record size (1 = byte stream). The engine aligns split and
   // chunk boundaries to it so no record is ever torn between two map tasks.
@@ -104,7 +107,7 @@ class JobRunner {
  private:
   struct MapOutput {
     net::NodeId node = 0;          // where the map ran (shuffle source)
-    std::vector<BytesPtr> parts;   // one buffer per reducer
+    std::vector<BytesPtr> parts;   // one per reducer, dropped once it ran
   };
   struct RunState {
     std::vector<InputSplit> pending;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <bit>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -192,6 +193,20 @@ void SortJob::map_chunk(const InputSplit& split,
                         std::span<const std::uint8_t> data,
                         std::vector<Bytes>& out) {
   (void)split;
+  // Count first, so each bucket grows at most once per chunk and each
+  // record is copied once.
+  std::vector<std::uint64_t> need(reducers_, 0);
+  for (std::uint64_t off = 0; off + kRecordSize <= data.size();
+       off += kRecordSize) {
+    need[partition_of(data.data() + off, reducers_)] += kRecordSize;
+  }
+  for (std::uint32_t p = 0; p < reducers_; ++p) {
+    Bytes& bucket = out[p];
+    const std::uint64_t size = bucket.size() + need[p];
+    if (size > bucket.capacity()) {
+      bucket.reserve(std::max<std::uint64_t>(size, 2 * bucket.capacity()));
+    }
+  }
   for (std::uint64_t off = 0; off + kRecordSize <= data.size();
        off += kRecordSize) {
     const std::uint8_t* rec = data.data() + off;
@@ -200,26 +215,85 @@ void SortJob::map_chunk(const InputSplit& split,
   }
 }
 
-Result<Bytes> SortJob::reduce(std::uint32_t reducer, Bytes input) {
+namespace {
+
+// One record's sort key: `hi` is key bytes 0-7 big-endian; `lo` is key bytes
+// 8-9 above the record's input position, so (hi, lo) order is key order with
+// ties broken by position, a stable sort.
+struct SortEntry {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  friend bool operator<(const SortEntry& a, const SortEntry& b) noexcept {
+    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+  }
+};
+static_assert(kKeySize == 10);
+
+}  // namespace
+
+Result<Bytes> SortJob::reduce(std::uint32_t reducer,
+                              std::span<const BytesPtr> parts) {
   (void)reducer;
-  if (input.size() % kRecordSize != 0) {
-    return error(StatusCode::kInternal, "torn record in sort input");
+  std::uint64_t count = 0;
+  for (const BytesPtr& part : parts) {
+    if (part->size() % kRecordSize != 0) {
+      return error(StatusCode::kInternal, "torn record in sort input");
+    }
+    count += part->size() / kRecordSize;
   }
-  const std::uint64_t count = input.size() / kRecordSize;
-  std::vector<std::uint32_t> order(count);
-  for (std::uint32_t i = 0; i < count; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&input](std::uint32_t a, std::uint32_t b) {
-              return compare_keys(input.data() + a * kRecordSize,
-                                  input.data() + b * kRecordSize) < 0;
-            });
-  Bytes sorted(input.size());
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::memcpy(sorted.data() + static_cast<std::uint64_t>(i) * kRecordSize,
-                input.data() + static_cast<std::uint64_t>(order[i]) * kRecordSize,
-                kRecordSize);
+  if (count > std::numeric_limits<std::uint32_t>::max()) {
+    return error(StatusCode::kInvalidArgument,
+                 "sort reducer input exceeds 2^32 records");
   }
-  return sorted;
+
+  std::vector<const std::uint8_t*> records;
+  std::vector<SortEntry> entries;
+  records.reserve(count);
+  entries.reserve(count);
+  for (const BytesPtr& part : parts) {
+    for (std::uint64_t off = 0; off < part->size(); off += kRecordSize) {
+      const std::uint8_t* key = part->data() + off;
+      std::uint64_t hi = 0;
+      for (std::uint64_t b = 0; b < 8; ++b) hi = (hi << 8) | key[b];
+      const std::uint64_t lo = (std::uint64_t{key[8]} << 40) |
+                               (std::uint64_t{key[9]} << 32) | records.size();
+      entries.push_back(SortEntry{hi, lo});
+      records.push_back(key);
+    }
+  }
+
+  // Bucket by the 16 bits just below the prefix every `hi` shares (a
+  // reducer's keys share their range-partition prefix), then sort each
+  // bucket. If all `hi` are equal, everything lands in one bucket.
+  std::uint64_t differ = 0;
+  for (const SortEntry& e : entries) differ |= e.hi ^ entries.front().hi;
+  const int shift = std::max(0, 48 - std::countl_zero(differ));
+  const auto bucket_of = [shift](const SortEntry& e) {
+    return static_cast<std::uint32_t>((e.hi >> shift) & 0xFFFF);
+  };
+  std::vector<std::uint32_t> start(0x10001, 0);
+  for (const SortEntry& e : entries) ++start[bucket_of(e) + 1];
+  for (std::uint32_t b = 1; b <= 0x10000; ++b) start[b] += start[b - 1];
+  std::vector<SortEntry> sorted(count);
+  {
+    std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+    for (const SortEntry& e : entries) sorted[next[bucket_of(e)]++] = e;
+  }
+  entries = {};
+  for (std::uint32_t b = 0; b < 0x10000; ++b) {
+    if (start[b + 1] - start[b] > 1) {
+      std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(start[b]),
+                sorted.begin() + static_cast<std::ptrdiff_t>(start[b + 1]));
+    }
+  }
+
+  Bytes out;
+  out.reserve(count * kRecordSize);
+  for (const SortEntry& e : sorted) {
+    const std::uint8_t* rec = records[e.lo & 0xFFFFFFFFu];
+    out.insert(out.end(), rec, rec + kRecordSize);
+  }
+  return out;
 }
 
 std::uint64_t SortJob::reduce_cpu_ns(std::uint64_t bytes) const {
@@ -248,19 +322,17 @@ void GrepJob::map_chunk(const InputSplit& split,
   }
 }
 
-Result<Bytes> GrepJob::reduce(std::uint32_t reducer, Bytes input) {
+Result<Bytes> GrepJob::reduce(std::uint32_t reducer,
+                              std::span<const BytesPtr> parts) {
   (void)reducer;
-  if (input.size() % 8 != 0) {
-    return error(StatusCode::kInternal, "torn count in grep input");
-  }
   std::uint64_t total = 0;
-  for (std::size_t off = 0; off < input.size(); off += 8) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v |= static_cast<std::uint64_t>(input[off + static_cast<std::size_t>(b)])
-           << (8 * b);
+  for (const BytesPtr& part : parts) {
+    if (part->size() % 8 != 0) {
+      return error(StatusCode::kInternal, "torn count in grep input");
     }
-    total += v;
+    for (std::size_t off = 0; off < part->size(); off += 8) {
+      total += load_le(part->data() + off);
+    }
   }
   total_matches_ = total;
   Bytes out;
@@ -276,11 +348,6 @@ void encode_u64(Bytes& out, std::uint64_t v) {
   for (int b = 0; b < 8; ++b) {
     out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
   }
-}
-std::uint64_t decode_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
-  return v;
 }
 }  // namespace
 
@@ -302,13 +369,16 @@ void ByteHistogramJob::map_chunk(const InputSplit& split,
   }
 }
 
-Result<Bytes> ByteHistogramJob::reduce(std::uint32_t reducer, Bytes input) {
-  if (input.size() % 9 != 0) {
-    return error(StatusCode::kInternal, "torn histogram entry");
-  }
+Result<Bytes> ByteHistogramJob::reduce(std::uint32_t reducer,
+                                       std::span<const BytesPtr> parts) {
   std::array<std::uint64_t, 256> bins{};
-  for (std::size_t off = 0; off < input.size(); off += 9) {
-    bins[input[off]] += decode_u64(input.data() + off + 1);
+  for (const BytesPtr& part : parts) {
+    if (part->size() % 9 != 0) {
+      return error(StatusCode::kInternal, "torn histogram entry");
+    }
+    for (std::size_t off = 0; off < part->size(); off += 9) {
+      bins[(*part)[off]] += load_le(part->data() + off + 1);
+    }
   }
   const auto [first, last] = bin_range(reducer);
   Bytes out;

@@ -70,7 +70,8 @@ sim::Task<Result<GenerateResult>> generate_records_input(
 // ---- Sort ------------------------------------------------------------------
 
 // TeraSort-shaped job: identity map partitioned by key range, reducers sort
-// their range. Output part files concatenate to a globally sorted order.
+// their range. Output part files concatenate to a globally sorted order, and
+// each part is a stable sort of its reducer's partitions in map-output order.
 class SortJob final : public Job {
  public:
   // cpu_scale calibrates the compute fraction: 2015-era Hadoop sort spends
@@ -85,7 +86,8 @@ class SortJob final : public Job {
   }
   void map_chunk(const InputSplit& split, std::span<const std::uint8_t> data,
                  std::vector<Bytes>& out) override;
-  Result<Bytes> reduce(std::uint32_t reducer, Bytes input) override;
+  Result<Bytes> reduce(std::uint32_t reducer,
+                       std::span<const BytesPtr> parts) override;
 
   [[nodiscard]] std::uint64_t input_record_size() const override {
     return kRecordSize;
@@ -116,7 +118,8 @@ class GrepJob final : public Job {
   [[nodiscard]] std::uint32_t num_reducers() const override { return 1; }
   void map_chunk(const InputSplit& split, std::span<const std::uint8_t> data,
                  std::vector<Bytes>& out) override;
-  Result<Bytes> reduce(std::uint32_t reducer, Bytes input) override;
+  Result<Bytes> reduce(std::uint32_t reducer,
+                       std::span<const BytesPtr> parts) override;
 
   [[nodiscard]] std::uint64_t total_matches() const noexcept {
     return total_matches_;
@@ -144,7 +147,8 @@ class ByteHistogramJob final : public Job {
   }
   void map_chunk(const InputSplit& split, std::span<const std::uint8_t> data,
                  std::vector<Bytes>& out) override;
-  Result<Bytes> reduce(std::uint32_t reducer, Bytes input) override;
+  Result<Bytes> reduce(std::uint32_t reducer,
+                       std::span<const BytesPtr> parts) override;
 
   // Grand total across all reducers (each reduce() adds its bins).
   [[nodiscard]] std::uint64_t total_count() const noexcept {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32c_internal.h"
@@ -128,6 +129,21 @@ TEST(Crc32cTest, UnalignedStartMatches) {
     const std::uint32_t copied = crc32c(std::string(suffix));
     EXPECT_EQ(direct, copied);
   }
+}
+
+TEST(Crc32cTest, ByteCountIsPerThread) {
+  const std::string data(1000, 'x');
+  const std::uint64_t before = crc32c_bytes();
+  std::uint64_t other = 0;
+  std::thread worker([&data, &other] {
+    const std::uint64_t start = crc32c_bytes();
+    for (int i = 0; i < 100; ++i) (void)crc32c(data);
+    other = crc32c_bytes() - start;
+  });
+  (void)crc32c(data);
+  worker.join();
+  EXPECT_EQ(other, 100 * data.size());
+  EXPECT_EQ(crc32c_bytes() - before, data.size());
 }
 
 }  // namespace

@@ -91,6 +91,33 @@ TEST(RecordsTest, ChecksumOrderIndependent) {
   EXPECT_EQ(records_checksum(a), records_checksum(b));
 }
 
+TEST(RecordsTest, ChecksumSeesEveryByteOfARecordButNotItsPosition) {
+  const Bytes data = generate_records(8, 40);
+  const std::uint64_t clean = records_checksum(data);
+  for (const std::uint64_t record : {0u, 17u, 39u}) {
+    for (std::uint64_t b = 0; b < kRecordSize; ++b) {
+      for (const int flip : {0x01, 0x80, 0xFF}) {
+        Bytes changed = data;
+        changed[record * kRecordSize + b] ^= static_cast<std::uint8_t>(flip);
+        EXPECT_NE(records_checksum(changed), clean)
+            << "record " << record << " byte " << b;
+      }
+    }
+  }
+  // Any permutation of the records keeps the sum.
+  std::vector<std::uint64_t> order(40);
+  for (std::uint64_t i = 0; i < 40; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), Rng(3));
+  Bytes permuted;
+  for (const std::uint64_t i : order) {
+    const auto first = data.begin() + static_cast<std::ptrdiff_t>(i * kRecordSize);
+    permuted.insert(permuted.end(), first,
+                    first + static_cast<std::ptrdiff_t>(kRecordSize));
+  }
+  EXPECT_NE(permuted, data);
+  EXPECT_EQ(records_checksum(permuted), clean);
+}
+
 TEST(RecordsTest, PartitionCoversAllAndBalances) {
   const Bytes data = generate_records(11, 20000);
   std::map<std::uint32_t, int> counts;

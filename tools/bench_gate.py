@@ -21,6 +21,9 @@ is how CI self-tests that an injected 2x regression actually trips the gate.
 
 `update` (re)generates a baseline from a result file — run it after an
 intentional perf change and commit the new bench/baselines/<id>.json.
+Host-time series (names starting "host.", such as host.wall_s and
+host.peak_rss_mb) are never written to a baseline; `check` lists them as
+informational.
 
 Baseline schema (hpcbb.gatebase.v1):
     {"schema": "hpcbb.gatebase.v1", "bench": "f1", "default_tolerance": 0.05,
@@ -40,6 +43,9 @@ import sys
 
 GATEBASE_SCHEMA = "hpcbb.gatebase.v1"
 BENCH_SCHEMA = "hpcbb.bench.v1"
+
+# Series measured on the host clock: reported, never pinned.
+HOST_PREFIX = "host."
 
 # google-benchmark time_unit -> nanoseconds
 TIME_UNITS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -128,8 +134,10 @@ def check(args):
         print(f"  {name:<{width}}  {base:>12.6g}  {cand_s:>12}  "
               f"{tol:>6.0%}  {verdict}")
     for key in extras:
+        note = ("informational (host)" if key[0].startswith(HOST_PREFIX)
+                else "new (not gated)")
         print(f"  {f'{key[0]} @ {key[1]}':<{width}}  {'-':>12}  "
-              f"{candidate[key]:>12.6g}  {'':>6}  new (not gated)")
+              f"{candidate[key]:>12.6g}  {'':>6}  {note}")
 
     if failures:
         print(f"gate: FAIL ({failures} of {len(rows)} points out of "
@@ -148,7 +156,8 @@ def update(args):
         "bench": bench,
         "default_tolerance": args.tol if args.tol is not None else 0.05,
         "points": [{"series": series, "x": x, "value": value}
-                   for (series, x), value in sorted(points.items())],
+                   for (series, x), value in sorted(points.items())
+                   if not series.startswith(HOST_PREFIX)],
     }
     path = os.path.join(args.out, f"{bench}.json")
     os.makedirs(args.out, exist_ok=True)
