@@ -120,13 +120,14 @@ class BbWriter final : public fs::Writer {
         static_cast<std::uint64_t>(chunk_index) * bbfs_->params_.chunk_size;
     // Per-chunk CRC over the logical (unpadded) bytes: chunks are emitted
     // in order, so the vector index is the chunk index.
-    chunk_crcs_.push_back(crc32c(chunk_buf_));
+    const std::uint32_t crc = crc32c(chunk_buf_);
+    chunk_crcs_.push_back(crc);
     BytesPtr payload = make_bytes(std::move(chunk_buf_));
     chunk_buf_.clear();
 
     co_await window_.acquire();
     bbfs_->hub_->transport().fabric().simulation().spawn(
-        store_chunk(chunk_index, chunk_offset, std::move(payload)));
+        store_chunk(chunk_index, chunk_offset, std::move(payload), crc));
     if (!first_error_.is_ok()) {
       // A previous chunk store failed and this error will abort the write.
       // The caller is free to destroy the writer as soon as it sees it, so
@@ -139,7 +140,8 @@ class BbWriter final : public fs::Writer {
   }
 
   sim::Task<void> store_chunk(std::uint32_t chunk_index,
-                              std::uint64_t chunk_offset, BytesPtr payload) {
+                              std::uint64_t chunk_offset, BytesPtr payload,
+                              std::uint32_t crc) {
     const BbFsParams& p = bbfs_->params_;
     const std::string key = chunk_key(path_, block_index_, chunk_index);
     // Write-through blocks (BB-Sync or degraded mode) are durable on Lustre
@@ -154,19 +156,23 @@ class BbWriter final : public fs::Writer {
     // bound to the full-chunk class can never serve a trailing partial
     // chunk, and class-local LRU could then wedge permanently (memcached's
     // slab-calcification problem). Readers and the flusher trim by the
-    // block's logical size.
+    // block's logical size. A full chunk is stored as is, so the KV item
+    // takes the writer's CRC instead of hashing the bytes again.
     BytesPtr stored = payload;
+    std::optional<std::uint32_t> stored_crc = crc;
     if (payload->size() < p.chunk_size) {
       Bytes padded(*payload);
       padded.resize(p.chunk_size, 0);
       stored = make_bytes(std::move(padded));
+      stored_crc = std::nullopt;
     }
     Status st;
     sim::Simulation& simref = bbfs_->hub_->transport().fabric().simulation();
     const sim::SimTime store_start = simref.now();
     bool backed_off = false;
     for (std::uint32_t attempt = 0; attempt < p.store_retry_limit; ++attempt) {
-      st = co_await kv_.set(key, stored, pin, /*expiry_ns=*/0, op_id_);
+      st = co_await kv_.set(key, stored, pin, /*expiry_ns=*/0, op_id_,
+                            stored_crc);
       if (st.code() != StatusCode::kResourceExhausted) break;
       backed_off = true;
       simref.metrics().counter("bb.store.backpressure_retries").add();
@@ -425,11 +431,12 @@ class BbReader final : public fs::Reader {
     const std::uint32_t last =
         static_cast<std::uint32_t>((offset + length - 1) / chunk_size);
 
-    std::vector<sim::Task<Result<BytesPtr>>> gets;
+    using Fetched = Result<std::shared_ptr<const kv::GetReply>>;
+    std::vector<sim::Task<Fetched>> gets;
     for (std::uint32_t c = first; c <= last; ++c) {
-      gets.push_back(kv_.get(chunk_key(path_, block.index, c), op_id));
+      gets.push_back(kv_.get_verified(chunk_key(path_, block.index, c), op_id));
     }
-    std::vector<Result<BytesPtr>> pieces = co_await sim::parallel_collect(
+    std::vector<Fetched> pieces = co_await sim::parallel_collect(
         bbfs_->hub_->transport().fabric().simulation(), std::move(gets));
 
     // Each chunk is verified where it lies, then only its share of the
@@ -440,13 +447,13 @@ class BbReader final : public fs::Reader {
     for (std::uint32_t c = first; c <= last; ++c) {
       auto& piece = pieces[c - first];
       if (!piece.is_ok()) co_return piece.status();  // miss or server down
-      // Verify each fetched chunk against the writer-registered CRC (stored
-      // values are padded to the slab class). The KV layer already catches
-      // in-store bit rot; this catches a value that is internally consistent
-      // but not what the writer sealed.
+      // Check each fetched chunk against the writer-registered CRC. The KV
+      // server already caught in-store bit rot; this catches a value that is
+      // internally consistent but not what the writer sealed.
       const std::uint64_t c_start = std::uint64_t{c} * chunk_size;
-      const Bytes& data = *piece.value();
-      if (Status st = verify_chunks(block, chunk_size, c_start, data);
+      const Bytes& data = *piece.value()->value;
+      if (Status st = verify_buffered_chunk(block, chunk_size, c, data,
+                                            piece.value()->value_crc);
           !st.is_ok()) {
         bbfs_->hub_->transport().fabric().simulation().metrics()
             .counter("bb.read.buffer_crc_failures").add();

@@ -801,15 +801,18 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
   const std::uint32_t chunks = chunk_count(block_size);
 
   // Pull the block out of the burst buffer as its chunks, each trimmed to
-  // its logical bytes (stored chunks are padded to uniform size)...
+  // its logical bytes (stored chunks are padded to uniform size), keeping
+  // the item CRC each was verified against on the KV server...
   std::vector<ByteSlice> pieces;
+  std::vector<std::uint32_t> item_crcs;
   pieces.reserve(chunks);
+  item_crcs.reserve(chunks);
   std::uint64_t fetched = 0;
   bool buffer_ok = true;
   bool corrupt = false;
   for (std::uint32_t c = 0; c < chunks && buffer_ok; ++c) {
-    Result<BytesPtr> piece =
-        co_await kv.get(chunk_key(item.path, block_index, c), item.op_id);
+    auto piece = co_await kv.get_verified(
+        chunk_key(item.path, block_index, c), item.op_id);
     if (!piece.is_ok()) {
       buffer_ok = false;
       // The verified-read client only reports kDataLoss once EVERY replica
@@ -819,9 +822,10 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
     }
     const std::uint64_t logical = std::min<std::uint64_t>(
         params_.chunk_size, block_size - std::uint64_t{c} * params_.chunk_size);
-    const std::uint64_t take =
-        std::min<std::uint64_t>(piece.value()->size(), logical);
-    pieces.push_back(ByteSlice{std::move(piece).value(), 0, take});
+    const BytesPtr& value = piece.value()->value;
+    const std::uint64_t take = std::min<std::uint64_t>(value->size(), logical);
+    pieces.push_back(ByteSlice{value, 0, take});
+    item_crcs.push_back(piece.value()->value_crc);
     fetched += take;
   }
   if (generation != generation_) co_return Status::ok();
@@ -835,6 +839,7 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
     if (generation != generation_) co_return Status::ok();
     if (result.is_ok()) {
       pieces = {whole(result.value()->data)};
+      item_crcs.clear();
       fetched = pieces.front().length;
       buffer_ok = true;
       ++md_.recovered_blocks;
@@ -847,12 +852,18 @@ sim::Task<Status> Master::flush_block(std::uint64_t generation,
   // Whatever source produced the block — buffer chunks or the node-local
   // replica — it must match the writer-registered CRCs before it may touch
   // Lustre. Never persist corrupt bytes. Each piece is checked where it
-  // lies; none is copied.
+  // lies; none is copied. A buffered chunk is checked by its item CRC, the
+  // node-local replica (one piece) by hashing.
   if (buffer_ok && fetched == block_size) {
     std::uint64_t at = 0;
-    for (const ByteSlice& piece : pieces) {
-      if (!verify_chunks(*block, params_.chunk_size, at, piece.span())
-               .is_ok()) {
+    for (std::uint32_t i = 0; i < pieces.size(); ++i) {
+      const ByteSlice& piece = pieces[i];
+      const Status st =
+          item_crcs.empty()
+              ? verify_chunks(*block, params_.chunk_size, at, piece.span())
+              : verify_buffered_chunk(*block, params_.chunk_size, i,
+                                      *piece.bytes, item_crcs[i]);
+      if (!st.is_ok()) {
         buffer_ok = false;
         corrupt = true;
         break;

@@ -165,6 +165,30 @@ inline Status verify_chunks(const BbBlockInfo& block, std::uint64_t chunk_size,
   return Status::ok();
 }
 
+// Provenance of buffered chunk `c` of `block`, fetched from the KV tier as
+// `data` together with `item_crc`, the item CRC the KV server has just
+// checked against exactly these bytes. A full chunk is stored unpadded, so
+// its item CRC is the CRC of its logical bytes: comparing it with the
+// writer's CRC proves the bytes are what the writer sealed, without hashing
+// them again. A tail chunk is stored padded to the slab class, so its
+// logical bytes are hashed by verify_chunks.
+inline Status verify_buffered_chunk(const BbBlockInfo& block,
+                                    std::uint64_t chunk_size, std::uint32_t c,
+                                    std::span<const std::uint8_t> data,
+                                    std::uint32_t item_crc) {
+  const std::uint64_t c_start = std::uint64_t{c} * chunk_size;
+  if (c_start + chunk_size > block.size || data.size() != chunk_size) {
+    return verify_chunks(block, chunk_size, c_start, data);
+  }
+  if (item_crc != block.chunk_crcs[c]) {
+    return error(StatusCode::kDataLoss,
+                 "chunk " + std::to_string(c) + " of block " +
+                     std::to_string(block.index) +
+                     " holds bytes the writer did not seal");
+  }
+  return Status::ok();
+}
+
 struct BbLocationsRequest {
   std::string path;
   [[nodiscard]] std::uint64_t wire_size() const {

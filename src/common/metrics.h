@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace hpcbb {
@@ -171,6 +172,39 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+// A registry metric looked up on its first use and held from then on, so a
+// hot path pays the registry's lock and string-keyed map search once instead
+// of on every update. Being lazy, it registers the metric exactly when a
+// registry.counter(name) call at the same place would: reports and
+// find_counter() read the same either way. The pointer stays valid for the
+// registry's lifetime, because reset() keeps every metric object.
+template <typename Metric>
+class MetricHandle {
+ public:
+  MetricHandle(MetricRegistry& registry, std::string name)
+      : registry_(&registry), name_(std::move(name)) {}
+
+  Metric& operator*() {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<Metric, Counter>) {
+        metric_ = &registry_->counter(name_);
+      } else if constexpr (std::is_same_v<Metric, Gauge>) {
+        metric_ = &registry_->gauge(name_);
+      } else {
+        static_assert(std::is_same_v<Metric, Histogram>);
+        metric_ = &registry_->histogram(name_);
+      }
+    }
+    return *metric_;
+  }
+  Metric* operator->() { return &**this; }
+
+ private:
+  MetricRegistry* registry_;
+  std::string name_;
+  Metric* metric_ = nullptr;
 };
 
 }  // namespace hpcbb

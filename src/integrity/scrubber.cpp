@@ -65,7 +65,7 @@ sim::Task<void> Scrubber::scrub_pass() {
     // inline at R>1, and only reports kDataLoss when EVERY buffer copy is
     // corrupt. kNotFound means the (clean, durable) chunk was evicted —
     // nothing resident to scrub.
-    Result<BytesPtr> data = co_await kv_.get(chunk.key, op_id);
+    auto data = co_await kv_.get_verified(chunk.key, op_id);
     if (!data.is_ok() && data.code() != StatusCode::kDataLoss) {
       pace_end(chunk.padded_len);
       continue;  // evicted or transient outage; re-probed next pass
@@ -76,11 +76,19 @@ sim::Task<void> Scrubber::scrub_pass() {
     bool bad = true;
     if (data.is_ok()) {
       // Defense in depth past the KV item checksum: the value must match
-      // what the WRITER sealed, not merely be internally consistent.
-      const Bytes& bytes = *data.value();
-      bad = bytes.size() < chunk.logical_len ||
-            crc32c(std::span<const std::uint8_t>(
-                bytes.data(), chunk.logical_len)) != chunk.crc;
+      // what the WRITER sealed, not merely be internally consistent. A full
+      // chunk is stored unpadded, so the item CRC the server just verified
+      // the bytes against is comparable with the writer's as it is; a
+      // padded tail chunk hashes its logical bytes.
+      const Bytes& bytes = *data.value()->value;
+      if (chunk.logical_len == chunk.padded_len &&
+          bytes.size() == chunk.logical_len) {
+        bad = data.value()->value_crc != chunk.crc;
+      } else {
+        bad = bytes.size() < chunk.logical_len ||
+              crc32c(std::span<const std::uint8_t>(
+                  bytes.data(), chunk.logical_len)) != chunk.crc;
+      }
     }
     if (bad) {
       bool fixed = false;

@@ -2,10 +2,8 @@
 
 #include <cassert>
 #include <map>
-#include <span>
 #include <utility>
 
-#include "common/crc32c.h"
 #include "sim/sync.h"
 
 namespace hpcbb::kv {
@@ -18,7 +16,9 @@ sim::Task<void> detached_replica_set(net::RpcHub* hub, net::NodeId self,
                                      net::NodeId server, std::string key,
                                      BytesPtr value, bool pinned,
                                      std::uint64_t expiry_ns,
-                                     std::uint64_t op_id, bool by_rdma) {
+                                     std::uint64_t op_id,
+                                     std::optional<std::uint32_t> value_crc,
+                                     bool by_rdma) {
   auto& metrics = hub->transport().fabric().simulation().metrics();
   if (by_rdma) {
     Status st =
@@ -35,6 +35,7 @@ sim::Task<void> detached_replica_set(net::RpcHub* hub, net::NodeId self,
   req->expiry_ns = expiry_ns;
   req->payload_by_rdma = by_rdma;
   req->op_id = op_id;
+  req->value_crc = value_crc;
   auto result = co_await hub->call<void>(
       self, server, kOpSet, std::shared_ptr<const SetRequest>(std::move(req)));
   if (!result.is_ok()) {
@@ -72,12 +73,13 @@ std::uint32_t Client::walk_limit() const noexcept {
 
 sim::Task<Status> Client::set(std::string key, BytesPtr value,
                               bool pinned, std::uint64_t expiry_ns,
-                              std::uint64_t op_id) {
+                              std::uint64_t op_id,
+                              std::optional<std::uint32_t> value_crc) {
   const std::uint32_t r = effective_factor();
   if (r == 1 && !params_.failover) {
     const net::NodeId server = server_for(key);
     co_return co_await set_on(server, std::move(key), std::move(value),
-                              pinned, expiry_ns, op_id);
+                              pinned, expiry_ns, op_id, value_crc);
   }
 
   auto& sim = hub_->transport().fabric().simulation();
@@ -91,9 +93,8 @@ sim::Task<Status> Client::set(std::string key, BytesPtr value,
   std::size_t acked = order.size();
   Status last = Status::ok();
   for (std::size_t i = 0; i < order.size(); ++i) {
-    Status st =
-        co_await set_on(servers_[order[i]], key, value, pinned, expiry_ns,
-                        op_id);
+    Status st = co_await set_on(servers_[order[i]], key, value, pinned,
+                                expiry_ns, op_id, value_crc);
     if (st.is_ok()) {
       acked = i;
       break;
@@ -117,8 +118,8 @@ sim::Task<Status> Client::set(std::string key, BytesPtr value,
   if (params_.ack == AckMode::kAll) {
     std::vector<sim::Task<Status>> writes;
     for (std::size_t i = acked + 1; i < r; ++i) {
-      writes.push_back(
-          set_on(servers_[order[i]], key, value, pinned, expiry_ns, op_id));
+      writes.push_back(set_on(servers_[order[i]], key, value, pinned,
+                              expiry_ns, op_id, value_crc));
     }
     if (!writes.empty()) {
       const auto statuses =
@@ -136,7 +137,7 @@ sim::Task<Status> Client::set(std::string key, BytesPtr value,
     for (std::size_t i = acked + 1; i < r; ++i) {
       sim.spawn(detached_replica_set(hub_, self_, servers_[order[i]], key,
                                      value, pinned, expiry_ns, op_id,
-                                     use_rdma(value->size())));
+                                     value_crc, use_rdma(value->size())));
     }
     if (r > 1) {
       metrics.histogram("kv.repl.ack_primary_ns").record(sim.now() - start);
@@ -148,7 +149,8 @@ sim::Task<Status> Client::set(std::string key, BytesPtr value,
 sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
                                  BytesPtr value, bool pinned,
                                  std::uint64_t expiry_ns,
-                                 std::uint64_t op_id) {
+                                 std::uint64_t op_id,
+                                 std::optional<std::uint32_t> value_crc) {
   auto req = std::make_shared<SetRequest>();
   req->key = std::move(key);
   req->value = std::move(value);
@@ -156,6 +158,7 @@ sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
   req->expiry_ns = expiry_ns;
   req->payload_by_rdma = use_rdma(req->value->size());
   req->op_id = op_id;
+  req->value_crc = value_crc;
 
   if (req->payload_by_rdma) {
     // Push the payload into the server's registered region first; the
@@ -172,19 +175,23 @@ sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
 
 sim::Task<Result<BytesPtr>> Client::get(std::string key,
                                         std::uint64_t op_id) {
+  auto reply = co_await get_verified(std::move(key), op_id);
+  if (!reply.is_ok()) co_return reply.status();
+  co_return reply.value()->value;
+}
+
+sim::Task<Result<std::shared_ptr<const GetReply>>> Client::get_verified(
+    std::string key, std::uint64_t op_id) {
   const std::uint32_t r = effective_factor();
   auto& metrics = hub_->transport().fabric().simulation().metrics();
   if (r == 1 && !params_.failover) {
     const net::NodeId server = server_for(key);
     auto fetched = co_await fetch_from(server, std::move(key), op_id);
-    if (!fetched.is_ok()) {
-      // No replica to repair from: the corruption is detected but final.
-      if (fetched.code() == StatusCode::kDataLoss) {
-        metrics.counter("kv.integrity.unrepairable").add();
-      }
-      co_return fetched.status();
+    // No replica to repair from: the corruption is detected but final.
+    if (fetched.code() == StatusCode::kDataLoss) {
+      metrics.counter("kv.integrity.unrepairable").add();
     }
-    co_return fetched.value()->value;
+    co_return fetched;
   }
 
   const auto order = ring_.successors(key, walk_limit());
@@ -211,7 +218,7 @@ sim::Task<Result<BytesPtr>> Client::get(std::string key,
           metrics.counter("kv.integrity.repair_failures").add();
         }
       }
-      co_return fetched.value()->value;
+      co_return fetched;
     }
     last = fetched.status();
     const StatusCode code = last.code();
@@ -256,15 +263,6 @@ sim::Task<Result<std::shared_ptr<const GetReply>>> Client::fetch_from(
                                                      reply->value->size());
     if (!st.is_ok()) co_return st;
   }
-  // The server verified against its store; re-verify at the client so
-  // corruption past that point (one-sided RDMA bypasses the server CPU
-  // entirely) is caught before the value is used.
-  if (crc32c(std::span<const std::uint8_t>(*reply->value)) !=
-      reply->value_crc) {
-    hub_->transport().fabric().simulation().metrics()
-        .counter("kv.integrity.detected").add();
-    co_return error(StatusCode::kDataLoss, "client-side checksum mismatch");
-  }
   co_return reply;
 }
 
@@ -306,19 +304,11 @@ sim::Task<Result<std::vector<std::optional<BytesPtr>>>> Client::multi_get(
     if (reply->values.size() != indices.size()) {
       co_return error(StatusCode::kInternal, "multi-get shape mismatch");
     }
-    auto& metrics = hub_->transport().fabric().simulation().metrics();
     for (std::size_t j = 0; j < indices.size(); ++j) {
       out[indices[j]] = reply->values[j];
-      // Client-side verification of the batch payloads; a corrupt entry is
-      // demoted to a miss so the per-key fallback runs the repair walk.
-      if (out[indices[j]] && j < reply->crcs.size() &&
-          crc32c(std::span<const std::uint8_t>(**out[indices[j]])) !=
-              reply->crcs[j]) {
-        metrics.counter("kv.integrity.detected").add();
-        out[indices[j]] = std::nullopt;
-      }
       // A replicated miss may still hit further along the chain (e.g. the
-      // primary restarted empty).
+      // primary restarted empty), and a corrupt entry, which the server
+      // reports as a miss, gets the get() walk that repairs it.
       if (!out[indices[j]] && effective_factor() > 1) {
         auto one = co_await get(keys[indices[j]]);
         if (one.is_ok()) out[indices[j]] = std::move(one).value();

@@ -46,11 +46,22 @@ class Client {
 
   // Store a value under `key` on its ring owner. `op_id` (optional) tags the
   // server-side trace spans with the caller's causal operation id.
+  // `value_crc`, when given, must be the CRC32C of `value`: the server
+  // stores it instead of hashing the value, and a wrong one turns the next
+  // get() of the key into kDataLoss.
   sim::Task<Status> set(std::string key, BytesPtr value,
                         bool pinned = false, std::uint64_t expiry_ns = 0,
-                        std::uint64_t op_id = 0);
+                        std::uint64_t op_id = 0,
+                        std::optional<std::uint32_t> value_crc = std::nullopt);
 
   sim::Task<Result<BytesPtr>> get(std::string key, std::uint64_t op_id = 0);
+
+  // get() with the whole reply: `value` beside `value_crc`, the item CRC the
+  // server checked against exactly those bytes before shipping them. A
+  // caller holding the writer's CRC of the value compares the two instead
+  // of hashing the bytes again.
+  sim::Task<Result<std::shared_ptr<const GetReply>>> get_verified(
+      std::string key, std::uint64_t op_id = 0);
 
   // Batched get from one round trip per involved server.
   sim::Task<Result<std::vector<std::optional<BytesPtr>>>> multi_get(
@@ -86,7 +97,9 @@ class Client {
   sim::Task<Status> set_on(net::NodeId server, std::string key,
                            BytesPtr value, bool pinned,
                            std::uint64_t expiry_ns = 0,
-                           std::uint64_t op_id = 0);
+                           std::uint64_t op_id = 0,
+                           std::optional<std::uint32_t> value_crc =
+                               std::nullopt);
   sim::Task<Result<BytesPtr>> get_from(net::NodeId server,
                                        std::string key,
                                        std::uint64_t op_id = 0);
@@ -95,9 +108,9 @@ class Client {
                            bool pinned);
 
  private:
-  // One server round trip with end-to-end verification: the payload is
-  // re-checksummed against the reply's fill-time CRC at the client (the
-  // server already verified against its store); a mismatch is kDataLoss.
+  // One server round trip. The server checks the copy it ships against the
+  // item CRC (a mismatch is kDataLoss); the reply is immutable from there
+  // on, so the client does not hash it again.
   sim::Task<Result<std::shared_ptr<const GetReply>>> fetch_from(
       net::NodeId server, std::string key, std::uint64_t op_id);
   [[nodiscard]] bool use_rdma(std::uint64_t bytes) const noexcept;

@@ -8,8 +8,6 @@
 #include <span>
 #include <string_view>
 
-#include "common/crc32c.h"
-
 namespace hpcbb::kv {
 
 struct Item {
@@ -49,10 +47,13 @@ struct Item {
     return {reinterpret_cast<std::uint8_t*>(data()) + key_len, value_len};
   }
 
-  void fill(std::string_view key, std::span<const std::uint8_t> value) noexcept {
+  // Copies key and value in; `crc` is the value's CRC32C, stored as given
+  // (a wrong one is caught by the next verified read).
+  void fill(std::string_view key, std::span<const std::uint8_t> value,
+            std::uint32_t crc) noexcept {
     key_len = static_cast<std::uint32_t>(key.size());
     value_len = static_cast<std::uint32_t>(value.size());
-    value_crc = crc32c(value);
+    value_crc = crc;
     std::memcpy(data(), key.data(), key.size());
     // An empty span may carry a null pointer, which memcpy must not see.
     if (!value.empty()) {

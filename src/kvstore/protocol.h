@@ -26,6 +26,9 @@ struct SetRequest {
   std::uint64_t expiry_ns = 0;
   bool payload_by_rdma = false;  // payload already RDMA-WRITTEN by client
   std::uint64_t op_id = 0;       // causal trace id; rides the header
+  // CRC32C of `value` from its writer, stored without rehashing; none: the
+  // server hashes the value. Rides the header budget.
+  std::optional<std::uint32_t> value_crc = std::nullopt;
 
   [[nodiscard]] std::uint64_t wire_size() const {
     return kMsgHeaderBytes + key.size() +
@@ -45,10 +48,10 @@ struct GetRequest {
 struct GetReply {
   BytesPtr value;
   bool inline_payload = true;  // false: client fetches via RDMA READ
-  // Fill-time CRC32C and pin state. Verified again client-side; read-repair
-  // forwards the pin so a repaired dirty chunk stays eviction-proof. Both
-  // ride the existing header budget — wire_size is unchanged, keeping
-  // healthy-run timing identical.
+  // Fill-time CRC32C, which the server has checked against exactly the
+  // bytes in `value`, and the pin state, which read-repair forwards so a
+  // repaired dirty chunk stays eviction-proof. Both ride the existing header
+  // budget — wire_size is unchanged, keeping healthy-run timing identical.
   std::uint32_t value_crc = 0;
   bool pinned = false;
 
@@ -68,9 +71,8 @@ struct MultiGetRequest {
 };
 
 struct MultiGetReply {
-  std::vector<std::optional<BytesPtr>> values;  // nullopt = miss or corrupt
-  // Per-entry fill-time CRC32C (0 for absent entries), header-budgeted.
-  std::vector<std::uint32_t> crcs;
+  // Each present value verified by the server; nullopt = miss or corrupt.
+  std::vector<std::optional<BytesPtr>> values;
 
   [[nodiscard]] std::uint64_t wire_size() const {
     std::uint64_t total = kMsgHeaderBytes;

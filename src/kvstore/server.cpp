@@ -4,9 +4,26 @@
 #include "sim/trace.h"
 
 namespace hpcbb::kv {
+namespace {
+MetricRegistry& metrics_of(net::RpcHub& hub) {
+  return hub.transport().fabric().simulation().metrics();
+}
+}  // namespace
 
 Server::Server(net::RpcHub& hub, net::NodeId node, const ServerParams& params)
-    : hub_(&hub), node_(node), params_(params), store_(params.store) {
+    : hub_(&hub),
+      node_(node),
+      params_(params),
+      store_(params.store),
+      hits_(metrics_of(hub), "kv.hits"),
+      misses_(metrics_of(hub), "kv.misses"),
+      get_bytes_(metrics_of(hub), "kv.get_bytes"),
+      put_bytes_(metrics_of(hub), "kv.put_bytes"),
+      evictions_(metrics_of(hub), "kv.evictions"),
+      get_ns_(metrics_of(hub), "kv.get"),
+      put_ns_(metrics_of(hub), "kv.put"),
+      bytes_(metrics_of(hub), "kv.bytes"),
+      node_bytes_(metrics_of(hub), labeled("kv.bytes", "node", node)) {
   if (params_.persist_writes) {
     journal_ = std::make_unique<storage::Device>(
         hub_->transport().fabric().simulation(), params_.journal);
@@ -85,20 +102,18 @@ net::RpcResponse unavailable() {
 }  // namespace
 
 void Server::update_store_metrics() {
-  sim::Simulation& sim = hub_->transport().fabric().simulation();
   const StoreStats s = store_.stats();
   // Aggregate gauge moves by delta so all servers can share one series;
   // the per-node labeled gauge holds this store's absolute level.
   if (s.bytes >= metered_bytes_) {
-    sim.metrics().gauge("kv.bytes").add(s.bytes - metered_bytes_);
+    bytes_->add(s.bytes - metered_bytes_);
   } else {
-    sim.metrics().gauge("kv.bytes").sub(metered_bytes_ - s.bytes);
+    bytes_->sub(metered_bytes_ - s.bytes);
   }
   metered_bytes_ = s.bytes;
-  sim.metrics().gauge(labeled("kv.bytes", "node", node_)).set(s.bytes);
+  node_bytes_->set(s.bytes);
   if (s.evictions > metered_evictions_) {
-    sim.metrics().counter("kv.evictions").add(s.evictions -
-                                              metered_evictions_);
+    evictions_->add(s.evictions - metered_evictions_);
     metered_evictions_ = s.evictions;
   }
 }
@@ -114,7 +129,8 @@ sim::Task<net::RpcResponse> Server::handle_set(
   co_await charge_op(req->payload_by_rdma ? 0 : req->value->size());
   Status st = store_.set(req->key, *req->value,
                          SetOptions{.pinned = req->pinned,
-                                    .expiry_ns = req->expiry_ns});
+                                    .expiry_ns = req->expiry_ns,
+                                    .value_crc = req->value_crc});
   update_store_metrics();
   if (!st.is_ok()) co_return net::rpc_error(std::move(st));
   if (journal_ != nullptr) {
@@ -122,8 +138,8 @@ sim::Task<net::RpcResponse> Server::handle_set(
     co_await journal_->write(journal_cursor_, req->value->size());
     journal_cursor_ += req->value->size();
   }
-  sim.metrics().histogram("kv.put").record(sim.now() - start);
-  sim.metrics().counter("kv.put_bytes").add(req->value->size());
+  put_ns_->record(sim.now() - start);
+  put_bytes_->add(req->value->size());
   co_return net::RpcResponse{Status::ok(), nullptr, kMsgHeaderBytes};
 }
 
@@ -141,9 +157,9 @@ sim::Task<net::RpcResponse> Server::handle_get(
     if (value.code() == StatusCode::kDataLoss) {
       sim.metrics().counter("kv.integrity.detected").add();
     } else {
-      sim.metrics().counter("kv.misses").add();
+      misses_->add();
     }
-    sim.metrics().histogram("kv.get").record(sim.now() - start);
+    get_ns_->record(sim.now() - start);
     co_return net::rpc_error(value.status());
   }
   const bool use_rdma =
@@ -158,9 +174,9 @@ sim::Task<net::RpcResponse> Server::handle_get(
   reply->value = make_bytes(std::move(value.value().value));
   reply->inline_payload = !use_rdma;
   const std::uint64_t wire = reply->wire_size();
-  sim.metrics().counter("kv.hits").add();
-  sim.metrics().counter("kv.get_bytes").add(reply->value->size());
-  sim.metrics().histogram("kv.get").record(sim.now() - start);
+  hits_->add();
+  get_bytes_->add(reply->value->size());
+  get_ns_->record(sim.now() - start);
   co_return net::rpc_ok<GetReply>(std::move(reply), wire);
 }
 
@@ -171,13 +187,11 @@ sim::Task<net::RpcResponse> Server::handle_multi_get(
   const std::uint64_t now = sim.now();
   auto reply = std::make_shared<MultiGetReply>();
   reply->values.reserve(req->keys.size());
-  reply->crcs.reserve(req->keys.size());
   std::uint64_t copy_bytes = 0;
   for (const auto& key : req->keys) {
     Result<VerifiedValue> value = store_.get_verified(key, now);
     if (value.is_ok()) {
       copy_bytes += value.value().value.size();
-      reply->crcs.push_back(value.value().crc);
       reply->values.emplace_back(make_bytes(std::move(value.value().value)));
     } else {
       // Corrupt entries surface as absent — the client's per-key fallback
@@ -185,7 +199,6 @@ sim::Task<net::RpcResponse> Server::handle_multi_get(
       if (value.code() == StatusCode::kDataLoss) {
         sim.metrics().counter("kv.integrity.detected").add();
       }
-      reply->crcs.push_back(0);
       reply->values.emplace_back(std::nullopt);
     }
   }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "common/metrics.h"
 #include "common/units.h"
 #include "kvstore/protocol.h"
 #include "kvstore/store.h"
@@ -95,6 +96,16 @@ class Server {
   std::uint64_t metered_evictions_ = 0;  // evictions already counted
   std::uint64_t incarnation_ = 1;
   bool crashed_ = false;
+  // Per-message metrics, resolved on first use.
+  MetricHandle<Counter> hits_;
+  MetricHandle<Counter> misses_;
+  MetricHandle<Counter> get_bytes_;
+  MetricHandle<Counter> put_bytes_;
+  MetricHandle<Counter> evictions_;
+  MetricHandle<Histogram> get_ns_;
+  MetricHandle<Histogram> put_ns_;
+  MetricHandle<Gauge> bytes_;       // all servers' bytes, moved by delta
+  MetricHandle<Gauge> node_bytes_;  // this server's bytes
 };
 
 }  // namespace hpcbb::kv

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/strings.h"
 
 namespace hpcbb::kv {
@@ -31,6 +32,8 @@ class KvStore::Shard {
       return error(StatusCode::kInvalidArgument,
                    "value too large for slab chunks");
     }
+    const std::uint32_t crc =
+        options.value_crc ? *options.value_crc : crc32c(value);
 
     std::lock_guard<std::mutex> lock(mu_);
     void* chunk = allocate_with_eviction(cls);
@@ -51,7 +54,7 @@ class KvStore::Shard {
     item->slab_class = static_cast<std::uint16_t>(cls);
     item->pinned = options.pinned;
     item->expiry_ns = options.expiry_ns;
-    item->fill(key, value);
+    item->fill(key, value, crc);
 
     link_hash(item);
     link_lru_front(item);
@@ -69,8 +72,11 @@ class KvStore::Shard {
       ++stats_.misses;
       return error(StatusCode::kNotFound, "key not found");
     }
+    // Copy first, then check the copy: one pass over the slab, and the
+    // bytes verified are exactly the bytes returned.
     const auto value = item->value();
-    if (crc32c(value) != item->value_crc) {
+    Bytes copy(value.begin(), value.end());
+    if (crc32c(copy) != item->value_crc) {
       // Keep the corrupt item: replicas must see "corrupt", not "missing",
       // or an R=1 store could silently re-admit the key as a fresh miss.
       ++stats_.integrity_failures;
@@ -78,8 +84,7 @@ class KvStore::Shard {
     }
     ++stats_.hits;
     touch(item);
-    return VerifiedValue{Bytes(value.begin(), value.end()), item->value_crc,
-                         item->pinned};
+    return VerifiedValue{std::move(copy), item->value_crc, item->pinned};
   }
 
   Result<std::uint64_t> value_size(std::uint64_t hash, std::string_view key,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,10 @@ struct StoreParams {
 struct SetOptions {
   bool pinned = false;
   std::uint64_t expiry_ns = 0;  // absolute simulated/real time; 0 = never
+  // CRC32C of the value as its writer computed it. The store keeps it
+  // without hashing the value again; a wrong one makes the next get()
+  // return kDataLoss. None: the store hashes the value itself.
+  std::optional<std::uint32_t> value_crc = std::nullopt;
 };
 
 struct StoreStats {
@@ -58,6 +63,7 @@ struct StoreStats {
 
 // A verified read: the value plus its fill-time checksum and pin state, so
 // callers (the server, read-repair) can forward both without recomputing.
+// `value` is exactly the bytes that were checked against `crc`.
 struct VerifiedValue {
   Bytes value;
   std::uint32_t crc = 0;
@@ -79,9 +85,10 @@ class KvStore {
              const SetOptions& options = {});
 
   // Copy of the value, LRU-touched. `now_ns` drives TTL expiry. Every get
-  // re-checksums the value against the fill-time CRC; a mismatch returns
-  // kDataLoss (the corrupt item is kept, so repeated reads keep reporting
-  // "corrupt" rather than "missing" — replicas and repair rely on that).
+  // checksums the copy it returns against the fill-time CRC; a mismatch
+  // returns kDataLoss (the corrupt item is kept, so repeated reads keep
+  // reporting "corrupt" rather than "missing" — replicas and repair rely on
+  // that).
   Result<Bytes> get(std::string_view key, std::uint64_t now_ns = 0);
 
   // get() plus the stored CRC and pin state (the server forwards both).

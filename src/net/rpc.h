@@ -60,7 +60,11 @@ class RpcHub {
   using Handler =
       std::function<sim::Task<RpcResponse>(std::shared_ptr<const void>)>;
 
-  explicit RpcHub(Transport& transport) noexcept : transport_(&transport) {}
+  explicit RpcHub(Transport& transport)
+      : transport_(&transport),
+        rpc_ns_(transport.fabric().simulation().metrics(), "net.rpc"),
+        rpc_calls_(transport.fabric().simulation().metrics(),
+                   "net.rpc.calls") {}
 
   RpcHub(const RpcHub&) = delete;
   RpcHub& operator=(const RpcHub&) = delete;
@@ -103,8 +107,8 @@ class RpcHub {
     const sim::SimTime start = sim.now();
     RpcResponse response = co_await call_raw_impl(
         src, dst, port, std::move(request), request_wire_bytes);
-    sim.metrics().histogram("net.rpc").record(sim.now() - start);
-    sim.metrics().counter("net.rpc.calls").add();
+    rpc_ns_->record(sim.now() - start);
+    rpc_calls_->add();
     co_return response;
   }
 
@@ -247,6 +251,8 @@ class RpcHub {
   }
 
   Transport* transport_;
+  MetricHandle<Histogram> rpc_ns_;
+  MetricHandle<Counter> rpc_calls_;
   RetryPolicy retry_policy_;
   std::unordered_map<std::uint64_t, Handler> handlers_;
 };

@@ -49,9 +49,8 @@ TransportParams transport_preset(TransportKind kind) noexcept {
 
 sim::Task<Status> Transport::send(NodeId src, NodeId dst,
                                   std::uint64_t bytes) {
-  MetricRegistry& metrics = fabric_->simulation().metrics();
-  metrics.counter("net.tx_bytes").add(bytes);
-  metrics.counter("net.msgs").add();
+  tx_bytes_->add(bytes);
+  msgs_->add();
   co_await fabric_->charge_cpu(src, params_.send_overhead_ns);
   Status st = co_await fabric_->deliver(src, dst, bytes, params_.flow_rate_cap);
   if (!st.is_ok()) co_return st;
@@ -66,7 +65,7 @@ sim::Task<Status> Transport::rdma_read(NodeId initiator, NodeId target,
     co_return error(StatusCode::kFailedPrecondition,
                     "transport has no one-sided support");
   }
-  fabric_->simulation().metrics().counter("net.rdma_read_bytes").add(bytes);
+  rdma_read_bytes_->add(bytes);
   co_await fabric_->charge_cpu(initiator, params_.send_overhead_ns);
   // Read descriptor to the target NIC...
   Status st = co_await fabric_->deliver(initiator, target, 64,
@@ -86,7 +85,7 @@ sim::Task<Status> Transport::rdma_write(NodeId initiator, NodeId target,
     co_return error(StatusCode::kFailedPrecondition,
                     "transport has no one-sided support");
   }
-  fabric_->simulation().metrics().counter("net.rdma_write_bytes").add(bytes);
+  rdma_write_bytes_->add(bytes);
   co_await fabric_->charge_cpu(initiator, params_.send_overhead_ns);
   Status st = co_await fabric_->deliver(initiator, target, bytes,
                                         params_.flow_rate_cap);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "net/fabric.h"
 #include "sim/simulation.h"
@@ -43,8 +44,14 @@ TransportParams transport_preset(TransportKind kind) noexcept;
 
 class Transport {
  public:
-  Transport(Fabric& fabric, const TransportParams& params) noexcept
-      : fabric_(&fabric), params_(params) {}
+  Transport(Fabric& fabric, const TransportParams& params)
+      : fabric_(&fabric),
+        params_(params),
+        tx_bytes_(fabric.simulation().metrics(), "net.tx_bytes"),
+        msgs_(fabric.simulation().metrics(), "net.msgs"),
+        rdma_read_bytes_(fabric.simulation().metrics(), "net.rdma_read_bytes"),
+        rdma_write_bytes_(fabric.simulation().metrics(),
+                          "net.rdma_write_bytes") {}
 
   [[nodiscard]] const TransportParams& params() const noexcept {
     return params_;
@@ -67,6 +74,10 @@ class Transport {
  private:
   Fabric* fabric_;
   TransportParams params_;
+  MetricHandle<Counter> tx_bytes_;
+  MetricHandle<Counter> msgs_;
+  MetricHandle<Counter> rdma_read_bytes_;
+  MetricHandle<Counter> rdma_write_bytes_;
 };
 
 }  // namespace hpcbb::net

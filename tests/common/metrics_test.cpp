@@ -319,5 +319,29 @@ TEST(MetricRegistryTest, HistogramSnapshotsExported) {
   EXPECT_EQ(snaps.at("lat").sum, 12000u);
 }
 
+TEST(MetricHandleTest, RegistersOnFirstUseAndSurvivesReset) {
+  MetricRegistry registry;
+  MetricHandle<Counter> hits(registry, "kv.hits");
+  MetricHandle<Gauge> bytes(registry, labeled("kv.bytes", "node", 2));
+  MetricHandle<Histogram> lat(registry, "kv.get");
+  // Constructing a handle registers nothing.
+  EXPECT_FALSE(registry.find_counter("kv.hits").has_value());
+  EXPECT_FALSE(registry.find_gauge("kv.bytes{node=2}").has_value());
+  EXPECT_FALSE(registry.find_histogram("kv.get").has_value());
+
+  hits->add(3);
+  bytes->set(7);
+  lat->record(100);
+  EXPECT_EQ(registry.find_counter("kv.hits"), 3u);
+  EXPECT_EQ(registry.gauge_value("kv.bytes{node=2}"), 7u);
+  EXPECT_EQ(&*hits, &registry.counter("kv.hits"));
+
+  // reset() keeps the metric objects, so the held pointers stay live.
+  registry.reset();
+  hits->add();
+  EXPECT_EQ(registry.counter_value("kv.hits"), 1u);
+  EXPECT_EQ(&*lat, &registry.histogram("kv.get"));
+}
+
 }  // namespace
 }  // namespace hpcbb

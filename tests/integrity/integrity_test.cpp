@@ -1,7 +1,8 @@
 // End-to-end data-integrity tests: seed-deterministic corruption injection,
 // verified reads with read-repair at R=2, partial-read detection (the
-// regression the per-chunk CRCs fix), scrubber-driven at-rest repair, and
-// unrepairable-at-R=1 quarantine that keeps corrupt bytes off Lustre.
+// regression the per-chunk CRCs fix), scrubber-driven at-rest repair,
+// unrepairable-at-R=1 quarantine that keeps corrupt bytes off Lustre, and
+// provenance: a chunk key holding another chunk's (self-consistent) bytes.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -211,6 +212,104 @@ TEST(IntegrityTest, UnrepairableDirtyBlockIsQuarantinedNotFlushed) {
   EXPECT_EQ(cluster.bb_master().flushed_blocks(), 0u);
   EXPECT_GE(cluster.sim().metrics().counter_value("bb.quarantined_blocks"),
             1u);
+}
+
+// Stores chunk `from`'s bytes of pattern file `seed` under chunk `to`'s key
+// on that key's primary, through KvStore::set: the item CRC matches the bytes
+// it holds, so the KV layer sees a healthy value that the writer never
+// sealed under this key.
+bool misplace_chunk(Cluster& c, const std::string& path, std::uint64_t seed,
+                    std::uint32_t from, std::uint32_t to, bool pinned) {
+  const std::string key = bb::chunk_key(path, 0, to);
+  const std::uint32_t primary =
+      kv::HashRing(c.kv_server_count()).server_for(key);
+  const Bytes bytes = pattern_bytes(seed, std::uint64_t{from} * MiB, MiB);
+  return c.kv_server(primary)
+      .store()
+      .set(key, bytes, kv::SetOptions{.pinned = pinned})
+      .is_ok();
+}
+
+TEST(IntegrityTest, ReaderRejectsAnotherChunksBytesUnderAChunkKey) {
+  // The KV item is internally consistent, so only the comparison of its
+  // CRC with the writer's can tell. The reader must count the mismatch and
+  // fall through to Lustre for the right bytes.
+  Cluster cluster(small_config(bb::Scheme::kAsync));
+  bool verified = false;
+  cluster.sim().spawn([](Cluster& c, bool& ok) -> Task<void> {
+    co_await write_file(c, "/m", 27, 8 * MiB);
+    co_await c.bb_master().wait_all_flushed();
+    CO_ASSERT(misplace_chunk(c, "/m", 27, 5, 4, /*pinned=*/false));
+    auto reader = co_await c.filesystem(FsKind::kBurstBuffer).open("/m", 1);
+    CO_ASSERT(reader.is_ok());
+    auto data = co_await reader.value()->read(0, 8 * MiB);
+    CO_ASSERT(data.is_ok());
+    ok = verify_pattern(27, 0, data.value());
+    MetricRegistry& m = c.sim().metrics();
+    CO_ASSERT(m.counter_value("bb.read.buffer_crc_failures") == 1u);
+    CO_ASSERT(m.counter_value("bb.read.lustre_fallbacks") >= 1u);
+    CO_ASSERT(m.counter_value("kv.integrity.detected") == 0u);
+  }(cluster, verified));
+  cluster.sim().run();
+  EXPECT_TRUE(verified);
+}
+
+TEST(IntegrityTest, FlusherNeverWritesAnotherChunksBytes) {
+  // R=1, flush paced far out: before the flusher reads the dirty block, its
+  // chunk 1 key comes to hold chunk 2's bytes. The flusher must quarantine
+  // the block and write nothing of it to Lustre.
+  ClusterConfig config = small_config(bb::Scheme::kAsync);
+  config.bb_flowctl.background_pace_ns = 100 * ms;
+  Cluster cluster(config);
+  bool saw_data_loss = false;
+  cluster.sim().spawn([](Cluster& c, bool& loss) -> Task<void> {
+    co_await write_file(c, "/w", 28, 8 * MiB);
+    CO_ASSERT(c.bb_master().dirty_blocks() == 1u);
+    CO_ASSERT(misplace_chunk(c, "/w", 28, 2, 1, /*pinned=*/true));
+    co_await c.bb_master().wait_all_flushed();
+    CO_ASSERT(c.bb_master().quarantined_blocks() == 1u);
+    CO_ASSERT(c.bb_master().flushed_blocks() == 0u);
+    CO_ASSERT(c.sim().metrics().counter_value("kv.integrity.detected") == 0u);
+    auto reader = co_await c.filesystem(FsKind::kBurstBuffer).open("/w", 1);
+    CO_ASSERT(reader.is_ok());
+    auto data = co_await reader.value()->read(0, 8 * MiB);
+    CO_ASSERT(!data.is_ok());
+    loss = data.code() == StatusCode::kDataLoss;
+  }(cluster, saw_data_loss));
+  cluster.sim().run();
+  EXPECT_TRUE(saw_data_loss);
+  EXPECT_EQ(cluster.bb_master().flushed_bytes(), 0u);
+  EXPECT_EQ(cluster.sim().metrics().counter_value("lustre.write_bytes"), 0u);
+}
+
+TEST(IntegrityTest, ScrubberRepairsAnotherChunksBytesFromLustre) {
+  // A flushed block's chunk 2 key holds chunk 3's bytes. Nobody reads the
+  // file; the scrubber's CRC comparison finds it and rewrites the chunk
+  // from Lustre, so a later read is served from the buffer.
+  ClusterConfig config = small_config(bb::Scheme::kAsync);
+  config.bb_scrub.interval_ns = 50 * ms;
+  Cluster cluster(config);
+  bool verified = false;
+  cluster.sim().spawn([](Cluster& c, bool& ok) -> Task<void> {
+    co_await write_file(c, "/r", 29, 8 * MiB);
+    co_await c.bb_master().wait_all_flushed();
+    CO_ASSERT(misplace_chunk(c, "/r", 29, 3, 2, /*pinned=*/false));
+    co_await c.sim().delay(120 * ms);
+    // Stopped before any check, so a failing one still lets the run end.
+    c.bb_master().stop_heartbeat();
+    MetricRegistry& m = c.sim().metrics();
+    CO_ASSERT(m.counter_value("kv.scrub.repaired") >= 1u);
+    CO_ASSERT(m.counter_value("kv.scrub.unrepairable") == 0u);
+    auto reader = co_await c.filesystem(FsKind::kBurstBuffer).open("/r", 1);
+    CO_ASSERT(reader.is_ok());
+    auto data = co_await reader.value()->read(0, 8 * MiB);
+    CO_ASSERT(data.is_ok());
+    ok = verify_pattern(29, 0, data.value());
+    CO_ASSERT(m.counter_value("bb.read.buffer_crc_failures") == 0u);
+    CO_ASSERT(m.counter_value("bb.read.lustre_fallbacks") == 0u);
+  }(cluster, verified));
+  cluster.sim().run();
+  EXPECT_TRUE(verified);
 }
 
 TEST(IntegrityTest, ScheduledCorruptionIsSeedDeterministic) {

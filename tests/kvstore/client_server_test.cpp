@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/co_assert.h"
+#include "common/crc32c.h"
 #include "common/units.h"
 #include "kvstore/client.h"
 #include "kvstore/server.h"
@@ -225,6 +226,66 @@ TEST(KvClusterTest, ConcurrentClientsAllSucceed) {
   }
   cluster.sim.run();
   EXPECT_EQ(completed, 4);
+}
+
+TEST(KvClusterTest, GetHashesEachValueByteOnce) {
+  // The server checks the copy it ships against the item CRC; the client
+  // trusts that immutable copy. Inline (1 KiB) and RDMA (256 KiB) values.
+  Cluster cluster(2);
+  Client client = cluster.make_client(0);
+  cluster.sim.spawn([](Client& c) -> Task<void> {
+    for (const std::uint64_t n : {1 * KiB, 256 * KiB}) {
+      const std::string key = "v" + std::to_string(n);
+      CO_ASSERT_OK(co_await c.set(key, make_bytes(pattern_bytes(2, 0, n))));
+      const std::uint64_t before = crc32c_bytes();
+      auto got = co_await c.get(key);
+      CO_ASSERT(crc32c_bytes() - before == n);
+      CO_ASSERT(got.is_ok());
+      CO_ASSERT(verify_pattern(2, 0, *got.value()));
+    }
+  }(client));
+  cluster.sim.run();
+}
+
+TEST(KvClusterTest, SetWithItsCrcHashesNothing) {
+  Cluster cluster(2);
+  Client client = cluster.make_client(0);
+  cluster.sim.spawn([](Client& c) -> Task<void> {
+    const Bytes value = pattern_bytes(3, 0, 256 * KiB);
+    const std::uint32_t crc = crc32c(value);
+    const std::uint64_t before = crc32c_bytes();
+    CO_ASSERT_OK(co_await c.set("k", make_bytes(value), false, 0, 0, crc));
+    CO_ASSERT(crc32c_bytes() == before);
+    // Without a CRC the server hashes the value once.
+    CO_ASSERT_OK(co_await c.set("h", make_bytes(value)));
+    CO_ASSERT(crc32c_bytes() - before == value.size());
+    auto got = co_await c.get_verified("k");
+    CO_ASSERT(got.is_ok());
+    CO_ASSERT(got.value()->value_crc == crc);
+    CO_ASSERT(*got.value()->value == value);
+  }(client));
+  cluster.sim.run();
+}
+
+TEST(KvClusterTest, WrongSuppliedCrcFailsEveryReadLoudly) {
+  // A SET whose supplied CRC does not match its bytes is stored, and every
+  // later read of the key reports kDataLoss; the bytes are never returned.
+  Cluster cluster(1);
+  Client client = cluster.make_client(0);
+  cluster.sim.spawn([](Cluster& cl, Client& c) -> Task<void> {
+    const Bytes value = pattern_bytes(4, 0, 64 * KiB);
+    CO_ASSERT_OK(co_await c.set("bad", make_bytes(value), false, 0, 0,
+                                crc32c(value) ^ 1u));
+    auto got = co_await c.get("bad");
+    CO_ASSERT(got.code() == StatusCode::kDataLoss);
+    CO_ASSERT(cl.sim.metrics().counter_value("kv.integrity.detected") == 1u);
+    std::vector<std::string> keys{"bad"};
+    auto batch = co_await c.multi_get(std::move(keys));
+    CO_ASSERT(batch.is_ok());
+    CO_ASSERT(!batch.value()[0].has_value());
+    CO_ASSERT(cl.sim.metrics().counter_value("kv.integrity.detected") == 2u);
+  }(cluster, client));
+  cluster.sim.run();
 }
 
 }  // namespace
