@@ -64,7 +64,7 @@ OverloadPoint run_case(std::uint64_t buffer_total, std::uint64_t dataset) {
   point.stalls = metrics.counter("flowctl.stalls").get();
   point.peak_dirty = fc.peak_dirty_bytes();
   point.high_bytes = fc.high_bytes();
-  point.block_size = cluster.bb_master().params().block_size;
+  point.block_size = cluster.bb_master().common().block_size;
   point.evicted_bytes = metrics.counter("flowctl.evicted_bytes").get();
   point.urgent_flushes = metrics.counter("flowctl.urgent_flushes").get();
   point.lost_blocks = cluster.bb_master().lost_blocks();

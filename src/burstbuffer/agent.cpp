@@ -25,8 +25,7 @@ sim::Task<net::RpcResponse> NodeAgent::handle_read(
   if (!data.is_ok()) co_return net::rpc_error(data.status());
   auto reply = std::make_shared<AgentReadReply>();
   reply->data = make_bytes(std::move(data).value());
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<AgentReadReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 }  // namespace hpcbb::bb

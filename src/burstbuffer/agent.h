@@ -24,7 +24,6 @@ class NodeAgent {
   NodeAgent(const NodeAgent&) = delete;
   NodeAgent& operator=(const NodeAgent&) = delete;
 
-  [[nodiscard]] net::NodeId node() const noexcept { return node_; }
   [[nodiscard]] storage::LocalStore& store() noexcept { return *store_; }
   [[nodiscard]] std::uint64_t used_bytes() const noexcept {
     return store_->used_bytes();
@@ -36,7 +35,6 @@ class NodeAgent {
     store_->wipe();
   }
   void restart() { crashed_ = false; }
-  [[nodiscard]] bool is_crashed() const noexcept { return crashed_; }
 
  private:
   sim::Task<net::RpcResponse> handle_read(

@@ -17,19 +17,19 @@ class BbWriter final : public fs::Writer {
       : bbfs_(&bbfs),
         path_(std::move(path)),
         client_(client),
-        kv_(*bbfs.hub_, client, bbfs.kv_servers_, bbfs.params_.kv_client),
+        kv_(*bbfs.hub_, client, bbfs.kv_servers_, bbfs.common_.kv_client),
         lustre_(*bbfs.hub_, bbfs.lustre_mds_),
         window_(bbfs.hub_->transport().fabric().simulation(),
                 bbfs.params_.write_window) {
     const auto it = bbfs.agents_.find(client);
-    if (bbfs.params_.scheme == Scheme::kLocal && it != bbfs.agents_.end()) {
+    if (bbfs.common_.scheme == Scheme::kLocal && it != bbfs.agents_.end()) {
       agent_ = it->second;
     }
   }
 
   sim::Task<Status> append(BytesPtr data) override {
     std::uint64_t offset = 0;
-    const BbFsParams& p = bbfs_->params_;
+    const CommonParams& p = bbfs_->common_;
     while (offset < data->size()) {
       if (!block_open_) {
         if (Status st = co_await start_block(); !st.is_ok()) co_return st;
@@ -104,7 +104,7 @@ class BbWriter final : public fs::Writer {
     // the write path requires the buffer tier.
     buffer_optional_ = result.value()->write_through;
     write_through_ =
-        bbfs_->params_.scheme == Scheme::kSync || buffer_optional_;
+        bbfs_->common_.scheme == Scheme::kSync || buffer_optional_;
     block_bytes_ = 0;
     next_chunk_ = 0;
     chunk_crcs_.clear();
@@ -117,7 +117,7 @@ class BbWriter final : public fs::Writer {
     assert(!chunk_buf_.empty());
     const std::uint32_t chunk_index = next_chunk_++;
     const std::uint64_t chunk_offset =
-        static_cast<std::uint64_t>(chunk_index) * bbfs_->params_.chunk_size;
+        static_cast<std::uint64_t>(chunk_index) * bbfs_->common_.chunk_size;
     // Per-chunk CRC over the logical (unpadded) bytes: chunks are emitted
     // in order, so the vector index is the chunk index.
     const std::uint32_t crc = crc32c(chunk_buf_);
@@ -160,9 +160,9 @@ class BbWriter final : public fs::Writer {
     // takes the writer's CRC instead of hashing the bytes again.
     BytesPtr stored = payload;
     std::optional<std::uint32_t> stored_crc = crc;
-    if (payload->size() < p.chunk_size) {
+    if (payload->size() < bbfs_->common_.chunk_size) {
       Bytes padded(*payload);
-      padded.resize(p.chunk_size, 0);
+      padded.resize(bbfs_->common_.chunk_size, 0);
       stored = make_bytes(std::move(padded));
       stored_crc = std::nullopt;
     }
@@ -214,13 +214,13 @@ class BbWriter final : public fs::Writer {
   sim::Task<Status> write_through(std::uint64_t chunk_offset,
                                   BytesPtr payload) {
     if (!lustre_layout_.has_value()) {
-      auto layout =
-          co_await lustre_.lookup(client_, bbfs_->params_.lustre_prefix + path_);
+      auto layout = co_await lustre_.lookup(
+          client_, bbfs_->common_.lustre_prefix + path_);
       if (!layout.is_ok()) co_return layout.status();
       lustre_layout_ = std::move(layout).value();
     }
     const std::uint64_t file_offset =
-        static_cast<std::uint64_t>(block_index_) * bbfs_->params_.block_size +
+        static_cast<std::uint64_t>(block_index_) * bbfs_->common_.block_size +
         chunk_offset;
     std::vector<ByteSlice> pieces{whole(std::move(payload))};
     co_return co_await lustre_.write(client_, *lustre_layout_, file_offset,
@@ -297,7 +297,7 @@ class BbReader final : public fs::Reader {
       : bbfs_(&bbfs),
         path_(std::move(path)),
         client_(client),
-        kv_(*bbfs.hub_, client, bbfs.kv_servers_, bbfs.params_.kv_client),
+        kv_(*bbfs.hub_, client, bbfs.kv_servers_, bbfs.common_.kv_client),
         lustre_(*bbfs.hub_, bbfs.lustre_mds_),
         meta_(std::move(meta)) {}
 
@@ -345,7 +345,7 @@ class BbReader final : public fs::Reader {
     // Chunk-aligned covering range: block-object tiers (local replica,
     // Lustre) read whole chunks so partial reads are verifiable against the
     // per-chunk CRCs, then slice to the caller's range.
-    const std::uint64_t chunk = bbfs_->params_.chunk_size;
+    const std::uint64_t chunk = bbfs_->common_.chunk_size;
     const std::uint64_t aligned_off = offset / chunk * chunk;
     const std::uint64_t aligned_end =
         std::min(block.size, ((offset + length - 1) / chunk + 1) * chunk);
@@ -389,7 +389,8 @@ class BbReader final : public fs::Reader {
       }
     }
     if (state == BlockState::kFlushed) {
-      auto layout = co_await lustre_.lookup(client_, bbfs_->params_.lustre_prefix + path_);
+      auto layout = co_await lustre_.lookup(
+          client_, bbfs_->common_.lustre_prefix + path_);
       if (!layout.is_ok()) co_return layout.status();
       const std::uint64_t file_offset =
           static_cast<std::uint64_t>(block.index) * meta_.block_size +
@@ -425,7 +426,7 @@ class BbReader final : public fs::Reader {
                                             std::uint64_t offset,
                                             std::uint64_t length,
                                             std::uint64_t op_id) {
-    const std::uint64_t chunk_size = bbfs_->params_.chunk_size;
+    const std::uint64_t chunk_size = bbfs_->common_.chunk_size;
     const std::uint32_t first =
         static_cast<std::uint32_t>(offset / chunk_size);
     const std::uint32_t last =
@@ -475,7 +476,7 @@ class BbReader final : public fs::Reader {
   // evict, already durable). The next reader hits RDMA speed again.
   void promote(const BbBlockInfo& block, std::uint64_t offset,
                const Bytes& data) {
-    const std::uint64_t chunk = bbfs_->params_.chunk_size;
+    const std::uint64_t chunk = bbfs_->common_.chunk_size;
     const std::uint64_t end = offset + data.size();
     std::uint32_t c = static_cast<std::uint32_t>(
         (offset + chunk - 1) / chunk);  // first chunk fully covered
@@ -498,7 +499,7 @@ class BbReader final : public fs::Reader {
                                        net::NodeId client, std::string key,
                                        BytesPtr payload) {
     kv::Client kv(*bbfs->hub_, client, bbfs->kv_servers_,
-                  bbfs->params_.kv_client);
+                  bbfs->common_.kv_client);
     (void)co_await kv.set(std::move(key), std::move(payload),
                           /*pinned=*/false);
   }
@@ -516,12 +517,14 @@ class BbReader final : public fs::Reader {
 BurstBufferFileSystem::BurstBufferFileSystem(
     net::RpcHub& hub, net::NodeId master_node,
     std::vector<net::NodeId> kv_servers, net::NodeId lustre_mds,
-    std::map<net::NodeId, NodeAgent*> agents, const BbFsParams& params)
+    std::map<net::NodeId, NodeAgent*> agents, const CommonParams& common,
+    const BbFsParams& params)
     : hub_(&hub),
       master_node_(master_node),
       kv_servers_(std::move(kv_servers)),
       lustre_mds_(lustre_mds),
       agents_(std::move(agents)),
+      common_(common),
       params_(params) {}
 
 sim::Task<Result<BbLocationsReply>> BurstBufferFileSystem::locations(
@@ -563,7 +566,7 @@ sim::Task<Result<fs::FileInfo>> BurstBufferFileSystem::stat(
   info.path = path;
   info.size = meta.value().file_size;
   info.block_size = meta.value().block_size;
-  info.replication = params_.scheme == Scheme::kAsync ? 1 : 2;
+  info.replication = common_.scheme == Scheme::kAsync ? 1 : 2;
   co_return info;
 }
 

@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "burstbuffer/agent.h"
-#include "burstbuffer/master.h"
+#include "burstbuffer/params.h"
+#include "burstbuffer/protocol.h"
 #include "kvstore/client.h"
 #include "lustre/client.h"
 #include "storage/filesystem.h"
@@ -21,36 +22,29 @@
 namespace hpcbb::bb {
 
 struct BbFsParams {
-  Scheme scheme = Scheme::kAsync;
-  std::uint64_t block_size = 128 * MiB;  // must match the Master's
-  std::uint64_t chunk_size = 1 * MiB;    // must match the Master's
-  std::uint32_t write_window = 8;        // outstanding chunk stores
+  std::uint32_t write_window = 8;  // outstanding chunk stores
   // Backpressure: when the buffer is full of not-yet-flushed data, stores
   // fail kResourceExhausted and the writer retries — its throughput then
   // degrades toward the flush (Lustre) rate, exactly the capacity-pressure
   // behaviour experiment F11 measures.
   std::uint32_t store_retry_limit = 100000;
   sim::SimTime store_retry_backoff_ns = 2 * duration::ms;
-  std::string lustre_prefix = "/bb";  // must match the Master's
   // Read promotion: when a read misses the buffer and is served from
   // Lustre, asynchronously re-populate the buffer (unpinned — plain cache
   // data) so subsequent readers hit RDMA speed again. An extension of the
   // paper's design: the buffer doubles as a read cache for hot inputs.
   bool promote_on_read = false;
-  // Client config for writer/reader KV access (ring failover during
-  // outages); must match the Master's so flushers find failover chunks.
-  kv::ClientParams kv_client;
 };
 
 class BurstBufferFileSystem final : public fs::FileSystem {
  public:
   // `agents` maps compute nodes to their RAM-disk agents (BB-Local); may be
-  // empty for the other schemes.
+  // empty for the other schemes. `common` must be the Master's.
   BurstBufferFileSystem(net::RpcHub& hub, net::NodeId master_node,
                         std::vector<net::NodeId> kv_servers,
                         net::NodeId lustre_mds,
                         std::map<net::NodeId, NodeAgent*> agents,
-                        const BbFsParams& params);
+                        const CommonParams& common, const BbFsParams& params);
 
   sim::Task<Result<std::unique_ptr<fs::Writer>>> create(
       const std::string& path, net::NodeId client) override;
@@ -65,12 +59,7 @@ class BurstBufferFileSystem final : public fs::FileSystem {
   sim::Task<Result<std::vector<std::vector<net::NodeId>>>> block_locations(
       const std::string& path, net::NodeId client) override;
   [[nodiscard]] std::string name() const override {
-    return std::string(to_string(params_.scheme));
-  }
-
-  [[nodiscard]] const BbFsParams& params() const noexcept { return params_; }
-  [[nodiscard]] net::NodeId master_node() const noexcept {
-    return master_node_;
+    return std::string(to_string(common_.scheme));
   }
 
   sim::Task<Result<BbLocationsReply>> locations(const std::string& path,
@@ -85,6 +74,7 @@ class BurstBufferFileSystem final : public fs::FileSystem {
   std::vector<net::NodeId> kv_servers_;
   net::NodeId lustre_mds_;
   std::map<net::NodeId, NodeAgent*> agents_;
+  CommonParams common_;
   BbFsParams params_;
 };
 

@@ -1,7 +1,8 @@
-// Burst-buffer master: metadata for buffered files, the flush pipeline that
-// drains dirty blocks from the KV burst buffer to Lustre, and loss
-// accounting. This is the control plane of the paper's design; the data
-// plane is the RDMA KV store itself.
+// Burst-buffer master: metadata for buffered files, its write-ahead journal
+// and checkpoints, and crash/restart. This is the control plane of the
+// paper's design; the data plane is the RDMA KV store itself. Draining
+// dirty blocks to Lustre is the FlushPipeline's job (burstbuffer/flush.h),
+// and KV-server liveness the PeerMonitor's (burstbuffer/peer_monitor.h).
 #pragma once
 
 #include <cstdint>
@@ -9,25 +10,15 @@
 #include <string>
 #include <vector>
 
-#include "burstbuffer/mdlog.h"
-#include "burstbuffer/protocol.h"
-#include "flowctl/controller.h"
+#include "burstbuffer/flush.h"
+#include "burstbuffer/peer_monitor.h"
 #include "integrity/scrubber.h"
-#include "kvstore/client.h"
-#include "lustre/client.h"
-#include "net/rpc.h"
 #include "repl/recovery.h"
-#include "sim/sync.h"
-#include "sim/trace.h"
 
 namespace hpcbb::bb {
 
 struct MasterParams {
-  std::uint64_t block_size = 128 * MiB;
-  std::uint64_t chunk_size = 1 * MiB;
-  std::uint32_t flusher_count = 4;
   sim::SimTime md_op_ns = 15 * duration::us;
-  std::string lustre_prefix = "/bb";
   // Flow control over the total KV buffer memory, flowctl.capacity_bytes
   // (0 disables the subsystem). The CapacityController gates block
   // admission by watermarks over dirty+clean+reserved bytes, escalates the
@@ -40,12 +31,6 @@ struct MasterParams {
   sim::SimTime heartbeat_interval_ns = 0;
   std::uint32_t suspect_after = 2;
   std::uint32_t dead_after = 4;
-  // Client config for the flush workers (ring failover during outages).
-  // `kv_client.replication_factor > 1` also turns on the replication
-  // recovery subsystem: the master tracks per-block replica sets and runs a
-  // repl::RecoveryManager off the failure detector (re-replication on
-  // death, anti-entropy on rejoin).
-  kv::ClientParams kv_client;
   // Background integrity scrubber over the sealed buffer-resident chunks
   // (interval 0 = off, the seed behaviour). See integrity/scrubber.h.
   integrity::ScrubParams scrub;
@@ -56,12 +41,6 @@ struct MasterParams {
   MdParams md;
 };
 
-// Failure-detector verdict for one KV server. kRecovering: the server
-// rejoined after a restart but anti-entropy has not finished restoring its
-// key ranges — it counts as non-live (degraded mode stays on, and it takes
-// no placements as a repair source/destination) until recovery completes.
-enum class PeerState { kLive, kSuspect, kDead, kRecovering };
-
 // Scheme-aware flow-control policy: BB-Sync never accumulates dirty bytes
 // (durability is established on the write path), so its dirty-credit gate
 // is lifted to the critical watermark and background pacing is moot.
@@ -70,27 +49,26 @@ flowctl::FlowControlParams scheme_policy(flowctl::FlowControlParams params,
 
 class Master {
  public:
-  // Flush workers are placed round-robin on the KV server nodes: in the
-  // paper's deployment the burst-buffer servers persist data to Lustre.
+  // `common` must be the same CommonParams the file system clients get.
   Master(net::RpcHub& hub, net::NodeId node,
          std::vector<net::NodeId> kv_servers, net::NodeId lustre_mds,
-         Scheme scheme, const MasterParams& params);
+         const CommonParams& common, const MasterParams& params);
   ~Master();
 
   Master(const Master&) = delete;
   Master& operator=(const Master&) = delete;
 
   [[nodiscard]] net::NodeId node() const noexcept { return node_; }
-  [[nodiscard]] Scheme scheme() const noexcept { return scheme_; }
+  [[nodiscard]] const CommonParams& common() const noexcept { return common_; }
   [[nodiscard]] const MasterParams& params() const noexcept { return params_; }
 
   [[nodiscard]] std::string lustre_path(const std::string& path) const {
-    return params_.lustre_prefix + path;
+    return common_.lustre_prefix + path;
   }
 
   // Flush/durability telemetry (harness-side observability).
   [[nodiscard]] std::uint64_t dirty_blocks() const noexcept {
-    return dirty_or_flushing_;
+    return flush_.dirty_blocks();
   }
   [[nodiscard]] std::uint64_t flushed_blocks() const noexcept {
     return md_.flushed_blocks;
@@ -108,12 +86,12 @@ class Master {
     return md_.quarantined_blocks;
   }
   [[nodiscard]] std::uint64_t flush_queue_depth() const noexcept {
-    return flush_queue_depth_;
+    return flush_.queue_depth();
   }
 
   // Blocks until no block is dirty or mid-flush (the durability window has
   // closed). Used by benchmarks and failure experiments.
-  sim::Task<void> wait_all_flushed();
+  sim::Task<void> wait_all_flushed() { return flush_.wait_all_flushed(); }
 
   // ---- crash-restart (metadata durability) ----
   // Crash the master process: unbind every RPC port, drop all volatile
@@ -142,12 +120,16 @@ class Master {
 
   // Failure-detector introspection. With the detector off every peer reads
   // kLive and the master never enters degraded mode.
-  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
+  [[nodiscard]] bool degraded() const noexcept { return monitor_.degraded(); }
   [[nodiscard]] PeerState peer_state(std::uint32_t kv_index) const {
-    return peer_health_[kv_index].state;
+    return monitor_.state(kv_index);
   }
-  [[nodiscard]] std::uint32_t live_kv_count() const noexcept;
-  [[nodiscard]] std::uint32_t suspect_kv_count() const noexcept;
+  [[nodiscard]] std::uint32_t live_kv_count() const noexcept {
+    return monitor_.count(PeerState::kLive);
+  }
+  [[nodiscard]] std::uint32_t suspect_kv_count() const noexcept {
+    return monitor_.count(PeerState::kSuspect);
+  }
   // Stop the periodic prober, the integrity scrubber, and the checkpoint
   // timer (each wakes at most once more). Harnesses call this when the
   // measured phase ends so the simulation can run to quiescence — otherwise
@@ -177,38 +159,21 @@ class Master {
     return recovery_.get();
   }
 
-  // Optional span tracing of the flush pipeline ("bb" category), the
-  // flow-control subsystem ("flowctl" category), and the metadata journal
-  // ("md" category — its own attribution layer).
+  // Optional span tracing of the flush pipeline and the failure detector
+  // ("bb" category), the flow-control subsystem ("flowctl" category), and
+  // the metadata journal ("md" category — its own attribution layer).
   void set_trace(sim::TraceRecorder* recorder) noexcept {
     trace_ = recorder;
+    flush_.set_trace(recorder);
+    monitor_.set_trace(recorder);
     flowctl_.set_trace(recorder);
     if (journal_ != nullptr) journal_->set_trace(recorder);
   }
 
  private:
-  struct PeerHealth {
-    PeerState state = PeerState::kLive;
-    std::uint32_t missed = 0;       // consecutive failed probes
-    std::uint64_t incarnation = 0;  // last seen; 0 = never probed
-  };
-  struct FlushItem {
-    std::string path;
-    std::uint32_t block_index = 0;
-    std::uint64_t op_id = 0;  // causal trace id from the writer
-    // Buffer-read retries so far: with replication armed a failed chunk
-    // read during an outage is requeued (replica writes and repair may
-    // still be in flight) instead of immediately declaring the block lost.
-    std::uint32_t attempts = 0;
-    // Lustre-write retries so far; sets the backoff before the next one.
-    // Kept apart from `attempts` so a Lustre outage does not use up the
-    // buffer-read grace window.
-    std::uint32_t lustre_retries = 0;
-    // Stamped by enqueue_flush; the flush worker records the enqueue -> pace
-    // dwell as a "wait.flush_queue" span so latency attribution can split
-    // the flush pipeline into queueing and service time.
-    sim::SimTime enqueued_ns = 0;
-  };
+  [[nodiscard]] sim::Simulation& sim() const noexcept {
+    return hub_->transport().fabric().simulation();
+  }
 
   sim::Task<net::RpcResponse> handle_create(
       std::shared_ptr<const BbCreateRequest>);
@@ -223,32 +188,25 @@ class Master {
   sim::Task<net::RpcResponse> handle_delete(
       std::shared_ptr<const BbDeleteRequest>);
   sim::Task<net::RpcResponse> handle_list(std::shared_ptr<const BbListRequest>);
+  // Serves `port` with one of the handlers above.
+  template <typename Req>
+  void bind(net::Port port, sim::Task<net::RpcResponse> (Master::*handler)(
+                                std::shared_ptr<const Req>)) {
+    hub_->bind(node_, port, net::typed_handler<Req>([this, handler](auto req) {
+      return (this->*handler)(std::move(req));
+    }));
+  }
 
   sim::Task<void> charge_md_op();
-  // Periodic liveness probing of every KV server; drives the
-  // suspect -> dead -> rejoined lifecycle and degraded-mode transitions.
-  // `generation` retires the worker after a crash (see crash()).
+  // Periodic liveness probing of every KV server, fed to monitor_; acts on
+  // the transitions it reports. `generation` retires the worker after a
+  // crash (see crash()).
   sim::Task<void> heartbeat_worker(std::uint64_t generation);
-  void apply_probe_result(std::uint32_t kv_index, bool reachable,
-                          std::uint64_t incarnation);
-  void update_health_mode();
-  // Anti-entropy finished: the recovering server becomes live again.
-  void on_recovery_complete(std::uint32_t kv_index);
   // Inventory of buffer-resident replicated chunks for the recovery
   // manager (every sealed block's chunk keys, with pin state).
   [[nodiscard]] std::vector<repl::ChunkRef> replicated_chunks() const;
   // Inventory of scrubbable chunks (every chunk of a dirty or flushed block).
   [[nodiscard]] std::vector<integrity::ScrubChunk> scrub_inventory() const;
-  sim::Task<void> flush_worker(std::uint64_t generation,
-                               std::uint32_t worker_index);
-  sim::Task<Status> flush_block(std::uint64_t generation,
-                                std::uint32_t worker_index,
-                                const FlushItem& item);
-  sim::Task<void> evict_worker(std::uint64_t generation);
-  // Erases chunks [0, chunks) of a block from the buffer.
-  sim::Task<void> erase_chunks(kv::Client& kv, std::string path,
-                               std::uint32_t block_index,
-                               std::uint32_t chunks);
 
   // ---- metadata durability internals ----
   void bind_ports();
@@ -271,46 +229,34 @@ class Master {
   // record replay -> inventory reconciliation -> worker respawn.
   sim::Task<void> restart_task();
   sim::Task<void> reconcile(std::uint64_t generation);
-  void finish_block(const std::string& path, BbBlockInfo& block,
-                    BlockState state);
-  void release_reservation(BbBlockInfo& block);
   [[nodiscard]] std::uint32_t chunk_count(std::uint64_t size) const {
-    return bb::chunk_count(size, params_.chunk_size);
-  }
-  // Buffer-resident footprint of a sealed block: chunks are padded to
-  // chunk_size, so the block occupies a whole number of chunks.
-  [[nodiscard]] std::uint64_t block_footprint(std::uint64_t size) const {
-    return std::uint64_t{chunk_count(size)} * params_.chunk_size;
+    return bb::chunk_count(size, common_.chunk_size);
   }
 
   net::RpcHub* hub_;
   net::NodeId node_;
   std::vector<net::NodeId> kv_servers_;
   net::NodeId lustre_mds_;
-  Scheme scheme_;
+  CommonParams common_;
   MasterParams params_;
   lustre::LustreClient lustre_;
   flowctl::CapacityController flowctl_;
 
   // File and block metadata. Every journaled transition is md_.apply().
   MdState md_;
-  sim::Channel<FlushItem> flush_queue_;
-  sim::Condition flush_done_;
-  std::vector<std::unique_ptr<kv::Client>> flusher_clients_;
+  FlushPipeline flush_;
+  PeerMonitor monitor_;
   std::unique_ptr<kv::Client> probe_client_;  // heartbeat pings, from node_
-  std::vector<PeerHealth> peer_health_;
   std::unique_ptr<repl::RecoveryManager> recovery_;
   std::unique_ptr<integrity::Scrubber> scrubber_;
   std::unique_ptr<MetadataJournal> journal_;
   bool heartbeat_stop_ = false;
-  bool degraded_ = false;
-  sim::SimTime degraded_since_ = 0;
 
   // Crash-restart machinery: every worker coroutine captures generation_
-  // at spawn and retires when it no longer matches (crash() bumps it), so
-  // stale coroutines resumed across a restart can never mutate recovered
-  // state. `bound_` makes port teardown idempotent between crash() and the
-  // destructor.
+  // at spawn and retires when it no longer matches (crash() bumps it, and
+  // the flush pipeline's own), so stale coroutines resumed across a
+  // restart can never mutate recovered state. `bound_` makes port teardown
+  // idempotent between crash() and the destructor.
   std::uint64_t generation_ = 0;
   bool crashed_ = false;
   bool bound_ = false;
@@ -320,13 +266,7 @@ class Master {
   std::uint64_t replayed_records_ = 0;
   std::uint64_t recovered_files_ = 0;
 
-  // Enqueue/dequeue wrapper keeping the depth counter and the
-  // `bb.flush_queue_depth` gauge in lock-step with flush_queue_.
-  void enqueue_flush(FlushItem item);
-
   sim::TraceRecorder* trace_ = nullptr;
-  std::uint64_t flush_queue_depth_ = 0;
-  std::uint64_t dirty_or_flushing_ = 0;
 };
 
 }  // namespace hpcbb::bb

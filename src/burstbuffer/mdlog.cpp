@@ -16,19 +16,13 @@ constexpr std::uint32_t kCheckpointMagic = 0x4D444350;  // "MDCP"
 
 // ---- compact little-endian codec -------------------------------------------
 
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+void put_le(Bytes& out, std::uint64_t v, std::size_t n) {
+  out.resize(out.size() + n);
+  store_le(out.data() + out.size() - n, v, n);
 }
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void put_u8(Bytes& out, std::uint8_t v) { put_le(out, v, 1); }
+void put_u32(Bytes& out, std::uint32_t v) { put_le(out, v, 4); }
+void put_u64(Bytes& out, std::uint64_t v) { put_le(out, v, 8); }
 
 void put_string(Bytes& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
@@ -46,35 +40,17 @@ struct Cursor {
   std::size_t pos = 0;
   bool ok = true;
 
-  std::uint8_t get_u8() {
-    if (pos + 1 > bytes->size()) {
+  std::uint64_t get_le(std::size_t n) {
+    if (pos + n > bytes->size()) {
       ok = false;
       return 0;
     }
-    return (*bytes)[pos++];
+    pos += n;
+    return load_le(bytes->data() + pos - n, n);
   }
-  std::uint32_t get_u32() {
-    if (pos + 4 > bytes->size()) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>((*bytes)[pos++]) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t get_u64() {
-    if (pos + 8 > bytes->size()) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>((*bytes)[pos++]) << (8 * i);
-    }
-    return v;
-  }
+  std::uint8_t get_u8() { return static_cast<std::uint8_t>(get_le(1)); }
+  std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_le(4)); }
+  std::uint64_t get_u64() { return get_le(8); }
   std::string get_string() {
     const std::uint32_t len = get_u32();
     if (!ok || pos + len > bytes->size()) {

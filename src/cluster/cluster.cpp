@@ -90,30 +90,28 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
       agent_map[n] = agents_.back().get();
     }
   }
+  bb::CommonParams bb_common;
+  bb_common.scheme = config_.scheme;
+  bb_common.block_size = config_.block_size;
+  bb_common.chunk_size = config_.chunk_size;
+  bb_common.kv_client = config_.kv_client;
   bb::MasterParams master_params;
-  master_params.block_size = config_.block_size;
-  master_params.chunk_size = config_.chunk_size;
-  master_params.flusher_count = config_.flusher_count;
   master_params.flowctl = config_.bb_flowctl;
   master_params.flowctl.capacity_bytes =
       config_.kv_memory_per_server * config_.kv_servers;
   master_params.heartbeat_interval_ns = config_.bb_heartbeat_interval_ns;
   master_params.suspect_after = config_.bb_suspect_after;
   master_params.dead_after = config_.bb_dead_after;
-  master_params.kv_client = config_.kv_client;
   master_params.scrub = config_.bb_scrub;
   master_params.md = config_.bb_md;
   bb_master_ = std::make_unique<bb::Master>(*fast_hub_, bb_master_node_,
-                                            kv_nodes_, mds_node_,
-                                            config_.scheme, master_params);
+                                            kv_nodes_, mds_node_, bb_common,
+                                            master_params);
   bb::BbFsParams bb_params;
-  bb_params.scheme = config_.scheme;
-  bb_params.block_size = config_.block_size;
-  bb_params.chunk_size = config_.chunk_size;
   bb_params.promote_on_read = config_.bb_promote_on_read;
-  bb_params.kv_client = config_.kv_client;
   bb_fs_ = std::make_unique<bb::BurstBufferFileSystem>(
-      *fast_hub_, bb_master_node_, kv_nodes_, mds_node_, agent_map, bb_params);
+      *fast_hub_, bb_master_node_, kv_nodes_, mds_node_, agent_map, bb_common,
+      bb_params);
 
   // Fault injection: KV servers are crash targets (process dies, node drops
   // off the fabric, restarts empty); OSS devices and KV journal SSDs are

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "burstbuffer/filesystem.h"
+#include "burstbuffer/master.h"
 #include "burstbuffer/mdlog.h"
 #include "faults/injector.h"
 #include "flowctl/controller.h"
@@ -73,7 +74,6 @@ struct ClusterConfig {
       .capacity_bytes = 400 * GiB};
 
   bb::Scheme scheme = bb::Scheme::kAsync;
-  std::uint32_t flusher_count = 4;
   // Watermarks / pacing for the burst buffer's flow-control subsystem
   // (capacity_bytes is derived from kv_memory_per_server * kv_servers).
   flowctl::FlowControlParams bb_flowctl;

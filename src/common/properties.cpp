@@ -81,13 +81,6 @@ Result<std::uint64_t> Properties::get_u64(const std::string& key) const {
   return value.value().number;
 }
 
-Result<std::uint64_t> Properties::get_duration_ns(
-    const std::string& key) const {
-  auto value = get_value(key, ValueType::kDuration);
-  if (!value.is_ok()) return value.status();
-  return value.value().number;
-}
-
 Result<TypedValue> Properties::get_value(
     const std::string& key, ValueType type,
     std::span<const std::string_view> choices) const {

@@ -62,11 +62,8 @@ class Properties {
   [[nodiscard]] Result<TypedValue> get_value(
       const std::string& key, ValueType type,
       std::span<const std::string_view> choices = {}) const;
-  // get_value's number for kSize ("128m" -> 128 MiB) and kDuration
-  // ("100ms" -> 100'000'000 ns).
+  // get_value's number for kSize ("128m" -> 128 MiB).
   [[nodiscard]] Result<std::uint64_t> get_u64(const std::string& key) const;
-  [[nodiscard]] Result<std::uint64_t> get_duration_ns(
-      const std::string& key) const;
 
   [[nodiscard]] bool contains(const std::string& key) const;
   [[nodiscard]] const std::map<std::string, std::string>& entries() const {

@@ -15,6 +15,11 @@ std::string_view trim(std::string_view s) noexcept;
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
+// JSON string-body escaping for the hand-rolled report and trace writers:
+// names are internal identifiers, but a stray quote or backslash must not
+// corrupt the output.
+std::string json_escape(std::string_view s);
+
 // FNV-1a, used for key -> shard hashing and path -> pattern seeds.
 constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;

@@ -125,9 +125,6 @@ class FaultInjector {
   // master_restart), for harnesses crashing at a workload milestone.
   void crash_master_target(std::size_t index);
   void restart_master_target(std::size_t index);
-  [[nodiscard]] std::size_t master_target_count() const noexcept {
-    return master_targets_.size();
-  }
 
   // Event-driven corruption of a registered target, with the same counting
   // and tracing as the scheduled process. `object` "" lets the target pick
@@ -142,7 +139,6 @@ class FaultInjector {
   [[nodiscard]] const InjectorParams& params() const noexcept {
     return params_;
   }
-  [[nodiscard]] bool enabled() const noexcept { return params_.enabled; }
 
  private:
   struct CrashTarget {

@@ -61,7 +61,6 @@ sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes,
   }
   reserved_ += bytes;
   peak_dirty_ = std::max(peak_dirty_, reserved_ + dirty_);
-  peak_usage_ = std::max(peak_usage_, usage_bytes());
   publish_gauges();
   const sim::SimTime waited = sim_->now() - start;
   if (stalled) {
@@ -83,7 +82,6 @@ void CapacityController::reservation_to_dirty(std::uint64_t reserved_bytes,
   reserved_ -= std::min(reserved_, reserved_bytes);
   dirty_ += footprint_bytes;
   peak_dirty_ = std::max(peak_dirty_, reserved_ + dirty_);
-  peak_usage_ = std::max(peak_usage_, usage_bytes());
   publish_gauges();
   // Dirty may be smaller than the reservation (short tail block): freed
   // headroom can admit a stalled writer.
@@ -107,7 +105,6 @@ void CapacityController::dirty_to_clean(const std::string& id,
     clean_ += footprint_bytes;
     clean_lru_.push_front(CleanBlock{id, footprint_bytes});
     clean_index_[id] = clean_lru_.begin();
-    peak_usage_ = std::max(peak_usage_, usage_bytes());
   }
   // Flush progress is the drain stalled writers wait for; evict down to the
   // high watermark first so the freed space is real.
@@ -206,6 +203,14 @@ void CapacityController::note_flush_begin() {
   if (band(reserved_ + dirty_) >= Pressure::kUrgent) {
     sim_->metrics().counter("flowctl.urgent_flushes").add();
   }
+}
+
+sim::Task<void> pace_begin(CapacityController* fc, std::uint64_t bytes) {
+  if (fc != nullptr && fc->enabled()) (void)co_await fc->admit(bytes);
+}
+
+void pace_end(CapacityController* fc, std::uint64_t bytes) {
+  if (fc != nullptr && fc->enabled()) fc->release_reservation(bytes);
 }
 
 }  // namespace hpcbb::flowctl

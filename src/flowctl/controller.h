@@ -97,9 +97,6 @@ class CapacityController {
   [[nodiscard]] bool enabled() const noexcept {
     return params_.capacity_bytes != 0;
   }
-  [[nodiscard]] const FlowControlParams& params() const noexcept {
-    return params_;
-  }
 
   // ---- writer admission (credit-based backpressure) ----
   // Acquire an admission credit for a block of `bytes`. Evicts clean blocks
@@ -129,12 +126,13 @@ class CapacityController {
   // Keep a hot clean block resident (LRU touch); no-op if absent.
   void touch_clean(const std::string& id);
   // Master crash: all credits, dirty bytes, and clean-LRU entries are
-  // volatile master state and die with it. Zeroes the accounting (peak
-  // high-watermarks survive — they are run-level telemetry), drains the
-  // eviction queue, and wakes stalled writers so their admission waits can
-  // fail over to the retry path instead of wedging. Recovery rebuilds the
-  // dirty/clean totals from replayed metadata via reservation_to_dirty /
-  // reservation_to_clean with a zero reserved component.
+  // volatile master state and die with it. Zeroes the accounting (the peak
+  // high-water mark survives — it is run-level telemetry), lifts
+  // force_urgent(), drains the eviction queue, and wakes stalled writers
+  // so their admission waits can fail over to the retry path instead of
+  // wedging. Recovery rebuilds the dirty/clean totals from replayed
+  // metadata via reservation_to_dirty / reservation_to_clean with a zero
+  // reserved component.
   void reset_accounting();
 
   // ---- eviction ----
@@ -156,7 +154,6 @@ class CapacityController {
   // detector; independent of the watermark machinery (works even when flow
   // control is disabled).
   void force_urgent(bool urgent) noexcept { forced_urgent_ = urgent; }
-  [[nodiscard]] bool forced_urgent() const noexcept { return forced_urgent_; }
 
   // ---- introspection ----
   [[nodiscard]] std::uint64_t reserved_bytes() const noexcept {
@@ -167,12 +164,9 @@ class CapacityController {
   [[nodiscard]] std::uint64_t usage_bytes() const noexcept {
     return reserved_ + dirty_ + clean_;
   }
-  // High-water marks of dirty+reserved and of total usage over the run.
+  // High-water mark of dirty+reserved bytes over the run.
   [[nodiscard]] std::uint64_t peak_dirty_bytes() const noexcept {
     return peak_dirty_;
-  }
-  [[nodiscard]] std::uint64_t peak_usage_bytes() const noexcept {
-    return peak_usage_;
   }
   [[nodiscard]] std::uint64_t high_bytes() const noexcept {
     return watermark_bytes(params_.high_watermark);
@@ -216,7 +210,6 @@ class CapacityController {
   std::uint64_t dirty_ = 0;
   std::uint64_t clean_ = 0;
   std::uint64_t peak_dirty_ = 0;
-  std::uint64_t peak_usage_ = 0;
 
   // front = most recently flushed/touched; back = eviction victim.
   std::list<CleanBlock> clean_lru_;
@@ -226,5 +219,12 @@ class CapacityController {
   sim::Channel<CleanBlock> evictions_;
   sim::Condition drained_;
 };
+
+// Pacing for background work over the buffer (scrubber passes,
+// re-replication, anti-entropy): each unit holds an admission credit for
+// its bytes while in flight, so it yields to writers under memory
+// pressure. A null or disabled controller paces nothing.
+sim::Task<void> pace_begin(CapacityController* fc, std::uint64_t bytes);
+void pace_end(CapacityController* fc, std::uint64_t bytes);
 
 }  // namespace hpcbb::flowctl

@@ -40,10 +40,6 @@ class HdfsFileSystem final : public fs::FileSystem {
   [[nodiscard]] std::string name() const override { return "HDFS"; }
 
   [[nodiscard]] net::RpcHub& hub() noexcept { return *hub_; }
-  [[nodiscard]] net::NodeId namenode() const noexcept { return namenode_; }
-  [[nodiscard]] const HdfsClientParams& params() const noexcept {
-    return params_;
-  }
 
   sim::Task<Result<NnLocationsReply>> locations(const std::string& path,
                                                 net::NodeId client);

@@ -129,8 +129,7 @@ sim::Task<net::RpcResponse> DataNode::handle_read(
   sim.metrics().counter("hdfs.dn.read_bytes").add(data.value().size());
   auto reply = std::make_shared<DnReadReply>();
   reply->data = make_bytes(std::move(data).value());
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<DnReadReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 sim::Task<net::RpcResponse> DataNode::handle_delete(

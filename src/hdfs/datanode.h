@@ -26,22 +26,13 @@ class DataNode {
   DataNode(const DataNode&) = delete;
   DataNode& operator=(const DataNode&) = delete;
 
-  [[nodiscard]] net::NodeId node() const noexcept { return node_; }
   [[nodiscard]] std::uint64_t used_bytes() const noexcept {
     return store_->used_bytes();
   }
-  [[nodiscard]] std::uint64_t block_count() const noexcept {
-    return store_->object_count();
-  }
-  [[nodiscard]] bool has_block(BlockId id) const {
-    return store_->contains(block_name(id));
-  }
-  [[nodiscard]] storage::Device& device() noexcept { return *device_; }
 
   // Process crash: node unreachable until restart; on-disk data survives.
   void crash() { crashed_ = true; }
   void restart() { crashed_ = false; }
-  [[nodiscard]] bool is_crashed() const noexcept { return crashed_; }
 
   // Register this node's disk as a corruption target with the injector, so
   // corrupt_block (and scheduled corruption) ticks faults.injected{kind=

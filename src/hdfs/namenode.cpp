@@ -134,8 +134,7 @@ sim::Task<net::RpcResponse> NameNode::handle_add_block(
   }
   it->second.blocks.push_back(BlockMeta{assignment->block_id, 0, 0, false});
   block_nodes_[assignment->block_id] = assignment->pipeline;
-  const std::uint64_t wire = assignment->wire_size();
-  co_return net::rpc_ok<BlockAssignment>(std::move(assignment), wire);
+  co_return net::rpc_ok(std::move(assignment));
 }
 
 sim::Task<net::RpcResponse> NameNode::handle_complete_block(
@@ -190,8 +189,7 @@ sim::Task<net::RpcResponse> NameNode::handle_locations(
     reply->file_size += block.size;
     reply->blocks.push_back(std::move(loc));
   }
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<NnLocationsReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 sim::Task<net::RpcResponse> NameNode::handle_delete(
@@ -224,8 +222,7 @@ sim::Task<net::RpcResponse> NameNode::handle_list(
   for (const auto& [path, meta] : files_) {
     if (path.starts_with(req->prefix)) reply->paths.push_back(path);
   }
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<NnListReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 sim::Task<void> NameNode::heartbeat_monitor() {
@@ -249,11 +246,6 @@ sim::Task<void> NameNode::heartbeat_monitor() {
       }
     }
   }
-}
-
-std::vector<net::NodeId> NameNode::block_nodes(BlockId id) const {
-  const auto it = block_nodes_.find(id);
-  return it == block_nodes_.end() ? std::vector<net::NodeId>{} : it->second;
 }
 
 std::size_t NameNode::mark_datanode_dead(net::NodeId dead) {

@@ -37,11 +37,6 @@ class NameNode {
   NameNode(const NameNode&) = delete;
   NameNode& operator=(const NameNode&) = delete;
 
-  [[nodiscard]] net::NodeId node() const noexcept { return node_; }
-  [[nodiscard]] std::size_t file_count() const noexcept {
-    return files_.size();
-  }
-  [[nodiscard]] std::vector<net::NodeId> block_nodes(BlockId id) const;
 
   // Failure handling: drop the DataNode from all replica sets and spawn
   // re-replication from surviving replicas (what heartbeat loss triggers in

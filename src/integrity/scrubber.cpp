@@ -34,18 +34,6 @@ sim::Task<void> Scrubber::run() {
   }
 }
 
-sim::Task<void> Scrubber::pace_begin(std::uint64_t bytes) {
-  if (flowctl_ != nullptr && flowctl_->enabled()) {
-    (void)co_await flowctl_->admit(bytes);
-  }
-}
-
-void Scrubber::pace_end(std::uint64_t bytes) {
-  if (flowctl_ != nullptr && flowctl_->enabled()) {
-    flowctl_->release_reservation(bytes);
-  }
-}
-
 sim::Task<void> Scrubber::scrub_pass() {
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   MetricRegistry& metrics = sim.metrics();
@@ -57,7 +45,7 @@ sim::Task<void> Scrubber::scrub_pass() {
   const std::vector<ScrubChunk> snapshot = inventory_();
   for (const ScrubChunk& chunk : snapshot) {
     if (stop_) break;
-    co_await pace_begin(chunk.padded_len);
+    co_await flowctl::pace_begin(flowctl_, chunk.padded_len);
     if (params_.chunk_pace_ns > 0) co_await sim.delay(params_.chunk_pace_ns);
     const std::uint64_t op_id = sim.next_op_id();
 
@@ -67,7 +55,7 @@ sim::Task<void> Scrubber::scrub_pass() {
     // nothing resident to scrub.
     auto data = co_await kv_.get_verified(chunk.key, op_id);
     if (!data.is_ok() && data.code() != StatusCode::kDataLoss) {
-      pace_end(chunk.padded_len);
+      flowctl::pace_end(flowctl_, chunk.padded_len);
       continue;  // evicted or transient outage; re-probed next pass
     }
     metrics.counter("kv.scrub.chunks").add();
@@ -94,10 +82,8 @@ sim::Task<void> Scrubber::scrub_pass() {
       bool fixed = false;
       if (chunk.durable) fixed = co_await repair_from_lustre(chunk, op_id);
       if (fixed) {
-        ++repaired_;
         metrics.counter("kv.scrub.repaired").add();
       } else {
-        ++unrepairable_;
         metrics.counter("kv.scrub.unrepairable").add();
         // Only unflushed data can be quarantined: a durable block's reads
         // fall through to Lustre, so its bad buffer copy is a cache
@@ -107,7 +93,7 @@ sim::Task<void> Scrubber::scrub_pass() {
         }
       }
     }
-    pace_end(chunk.padded_len);
+    flowctl::pace_end(flowctl_, chunk.padded_len);
   }
   metrics.histogram("kv.scrub.pass_ns").record(sim.now() - start);
 }

@@ -49,7 +49,6 @@ struct ScrubChunk {
   std::uint64_t padded_len = 0;     // slab-class footprint (pacing credit)
   std::uint64_t lustre_offset = 0;  // absolute file offset of this chunk
   bool durable = false;             // block is kFlushed: Lustre can repair
-  bool pinned = false;              // dirty-block chunks stay pinned
 };
 
 class Scrubber {
@@ -80,10 +79,6 @@ class Scrubber {
   void stop() noexcept { stop_ = true; }
 
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
-  [[nodiscard]] std::uint64_t repaired() const noexcept { return repaired_; }
-  [[nodiscard]] std::uint64_t unrepairable() const noexcept {
-    return unrepairable_;
-  }
 
  private:
   sim::Task<void> run();
@@ -92,8 +87,6 @@ class Scrubber {
   // the buffer (unpinned: the block is durable). False if Lustre cannot
   // produce a verified copy.
   sim::Task<bool> repair_from_lustre(ScrubChunk chunk, std::uint64_t op_id);
-  sim::Task<void> pace_begin(std::uint64_t bytes);
-  void pace_end(std::uint64_t bytes);
 
   net::RpcHub* hub_;
   net::NodeId node_;
@@ -107,8 +100,6 @@ class Scrubber {
   flowctl::CapacityController* flowctl_ = nullptr;
   bool stop_ = false;
   std::uint64_t passes_ = 0;
-  std::uint64_t repaired_ = 0;
-  std::uint64_t unrepairable_ = 0;
 };
 
 }  // namespace hpcbb::integrity

@@ -78,16 +78,12 @@ class Client {
   [[nodiscard]] net::NodeId server_for(const std::string& key) const {
     return servers_[ring_.server_for(key)];
   }
-  [[nodiscard]] std::uint32_t server_index_for(const std::string& key) const {
-    return ring_.server_for(key);
-  }
   // Server indices of the key's R replicas, primary first.
   [[nodiscard]] std::vector<std::uint32_t> replica_indices(
       const std::string& key) const {
     return ring_.successors(key, params_.replication_factor);
   }
   [[nodiscard]] const HashRing& ring() const noexcept { return ring_; }
-  [[nodiscard]] const ClientParams& params() const noexcept { return params_; }
   [[nodiscard]] const std::vector<net::NodeId>& servers() const noexcept {
     return servers_;
   }

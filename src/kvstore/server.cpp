@@ -173,11 +173,10 @@ sim::Task<net::RpcResponse> Server::handle_get(
   reply->pinned = value.value().pinned;
   reply->value = make_bytes(std::move(value.value().value));
   reply->inline_payload = !use_rdma;
-  const std::uint64_t wire = reply->wire_size();
   hits_->add();
   get_bytes_->add(reply->value->size());
   get_ns_->record(sim.now() - start);
-  co_return net::rpc_ok<GetReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 sim::Task<net::RpcResponse> Server::handle_multi_get(
@@ -203,8 +202,7 @@ sim::Task<net::RpcResponse> Server::handle_multi_get(
     }
   }
   co_await charge_op(copy_bytes);
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<MultiGetReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 sim::Task<net::RpcResponse> Server::handle_erase(
@@ -243,8 +241,7 @@ sim::Task<net::RpcResponse> Server::handle_stats(
   reply->misses = s.misses;
   reply->evictions = s.evictions;
   reply->set_failures = s.set_failures;
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<StatsReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 sim::Task<net::RpcResponse> Server::handle_ping(
@@ -253,8 +250,7 @@ sim::Task<net::RpcResponse> Server::handle_ping(
   co_await charge_op(0);
   auto reply = std::make_shared<PingReply>();
   reply->incarnation = incarnation_;
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<PingReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 }  // namespace hpcbb::kv

@@ -44,7 +44,6 @@ class Server {
 
   [[nodiscard]] net::NodeId node() const noexcept { return node_; }
   [[nodiscard]] KvStore& store() noexcept { return store_; }
-  [[nodiscard]] const ServerParams& params() const noexcept { return params_; }
   // Journal SSD, or nullptr when persist_writes is off. Exposed so fault
   // injectors can target it with limpware episodes.
   [[nodiscard]] storage::Device* journal_device() noexcept {

@@ -122,9 +122,6 @@ class KvStore {
 
   [[nodiscard]] StoreStats stats() const;
   [[nodiscard]] std::uint64_t memory_budget() const noexcept;
-  [[nodiscard]] std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
   // Largest storable value for a key of the given length.
   [[nodiscard]] std::uint64_t max_value_size(std::uint64_t key_len) const;
 

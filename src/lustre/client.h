@@ -40,8 +40,6 @@ class LustreClient {
                                 std::uint64_t offset, std::uint64_t length,
                                 std::uint64_t op_id = 0);
 
-  [[nodiscard]] net::NodeId mds_node() const noexcept { return mds_; }
-  [[nodiscard]] net::RpcHub& hub() noexcept { return *hub_; }
 
  private:
   struct Chunk {

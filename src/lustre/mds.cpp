@@ -57,8 +57,7 @@ sim::Task<net::RpcResponse> Mds::handle_create(
     ++next_ost_;
   }
   files_[req->path] = *layout;
-  const std::uint64_t wire = layout->wire_size();
-  co_return net::rpc_ok<FileLayout>(std::move(layout), wire);
+  co_return net::rpc_ok(std::move(layout));
 }
 
 sim::Task<net::RpcResponse> Mds::handle_lookup(
@@ -70,8 +69,7 @@ sim::Task<net::RpcResponse> Mds::handle_lookup(
         error(StatusCode::kNotFound, "no such file: " + req->path));
   }
   auto layout = std::make_shared<FileLayout>(it->second);
-  const std::uint64_t wire = layout->wire_size();
-  co_return net::rpc_ok<FileLayout>(std::move(layout), wire);
+  co_return net::rpc_ok(std::move(layout));
 }
 
 sim::Task<net::RpcResponse> Mds::handle_set_size(
@@ -112,8 +110,7 @@ sim::Task<net::RpcResponse> Mds::handle_list(
   for (const auto& [path, layout] : files_) {
     if (path.starts_with(req->prefix)) reply->paths.push_back(path);
   }
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<ListReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 }  // namespace hpcbb::lustre

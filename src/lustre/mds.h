@@ -28,11 +28,6 @@ class Mds {
   Mds(const Mds&) = delete;
   Mds& operator=(const Mds&) = delete;
 
-  [[nodiscard]] net::NodeId node() const noexcept { return node_; }
-  [[nodiscard]] const MdsParams& params() const noexcept { return params_; }
-  [[nodiscard]] std::size_t file_count() const noexcept {
-    return files_.size();
-  }
 
  private:
   sim::Task<net::RpcResponse> handle_create(

@@ -73,8 +73,7 @@ sim::Task<net::RpcResponse> Oss::handle_read(
   sim.metrics().counter("lustre.read_bytes").add(data.value().size());
   auto reply = std::make_shared<OssReadReply>();
   reply->data = make_bytes(std::move(data).value());
-  const std::uint64_t wire = reply->wire_size();
-  co_return net::rpc_ok<OssReadReply>(std::move(reply), wire);
+  co_return net::rpc_ok(std::move(reply));
 }
 
 sim::Task<net::RpcResponse> Oss::handle_delete(

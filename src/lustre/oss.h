@@ -30,9 +30,6 @@ class Oss {
   Oss& operator=(const Oss&) = delete;
 
   [[nodiscard]] net::NodeId node() const noexcept { return node_; }
-  [[nodiscard]] std::uint32_t ost_count() const noexcept {
-    return params_.ost_count;
-  }
   [[nodiscard]] std::uint64_t used_bytes() const noexcept {
     return device_->used_bytes();
   }

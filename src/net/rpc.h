@@ -38,8 +38,10 @@ struct RpcResponse {
   bool request_delivered = false;
 };
 
+// A reply whose wire size is its body's wire_size().
 template <typename T>
-RpcResponse rpc_ok(std::shared_ptr<const T> body, std::uint64_t wire_bytes) {
+RpcResponse rpc_ok(std::shared_ptr<T> body) {
+  const std::uint64_t wire_bytes = body->wire_size();
   return RpcResponse{Status::ok(), std::move(body), wire_bytes};
 }
 
@@ -93,9 +95,6 @@ class RpcHub {
   // policy is a no-op, so existing behaviour is unchanged until configured.
   void set_retry_policy(const RetryPolicy& policy) noexcept {
     retry_policy_ = policy;
-  }
-  [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
-    return retry_policy_;
   }
 
   // Untyped call; the typed wrapper below is what services use. Every call

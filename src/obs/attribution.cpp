@@ -4,26 +4,12 @@
 #include <string_view>
 
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "obs/json.h"
 
 namespace hpcbb::obs {
 
 namespace {
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-void append_hist(std::string& out, const HistogramSnapshot& h) {
-  out += "{\"count\":" + std::to_string(h.count) +
-         ",\"sum\":" + std::to_string(h.sum) +
-         ",\"min\":" + std::to_string(h.min) +
-         ",\"max\":" + std::to_string(h.max) +
-         ",\"mean\":" + json_double(h.mean) +
-         ",\"p50\":" + std::to_string(h.p50) +
-         ",\"p95\":" + std::to_string(h.p95) +
-         ",\"p99\":" + std::to_string(h.p99) + "}";
-}
 
 void append_layers(std::string& out, const std::vector<LayerSlice>& layers) {
   out += '[';
@@ -185,9 +171,9 @@ std::string SpanAccountant::to_json() const {
            ",\"total_ns\":" + std::to_string(agg.total_ns) +
            ",\"queue_ns\":" + std::to_string(agg.queue_ns) +
            ",\"service_ns\":" + std::to_string(agg.service_ns) + ",\"total\":";
-    append_hist(out, agg.total_hist.snapshot());
+    out += json_histogram(agg.total_hist.snapshot());
     out += ",\"queue\":";
-    append_hist(out, agg.queue_hist.snapshot());
+    out += json_histogram(agg.queue_hist.snapshot());
     out += '}';
   }
   out += '}';

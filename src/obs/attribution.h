@@ -74,7 +74,6 @@ class SpanAccountant {
   void ingest(const sim::TraceRecorder& recorder);
 
   [[nodiscard]] std::size_t op_count() const noexcept { return by_op_.size(); }
-  [[nodiscard]] std::size_t top_k() const noexcept { return top_k_; }
 
   // Breakdown of one op (op_id must have at least one ingested span).
   [[nodiscard]] OpAttribution attribute(std::uint64_t op_id) const;

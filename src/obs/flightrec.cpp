@@ -65,13 +65,6 @@ void FlightRecorder::add_event(std::string name, std::string category,
                                 now, 0, op_id});
 }
 
-std::vector<std::string> FlightRecorder::ring_names() const {
-  std::vector<std::string> names;
-  names.reserve(rings_.size());
-  for (const auto& [name, ring] : rings_) names.push_back(name);
-  return names;
-}
-
 const std::deque<FlightEntry>* FlightRecorder::ring(
     const std::string& name) const {
   const auto it = rings_.find(name);

@@ -76,7 +76,6 @@ class FlightRecorder {
     return dropped_total_;
   }
 
-  [[nodiscard]] std::vector<std::string> ring_names() const;
   // Entries oldest-first; nullptr when the ring does not exist (yet).
   [[nodiscard]] const std::deque<FlightEntry>* ring(
       const std::string& name) const;

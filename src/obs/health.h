@@ -138,7 +138,6 @@ class HealthMonitor {
   // at the same simulated time and must not double-count windows.
   void on_tick(const TimelinePoint& point, bool final);
 
-  [[nodiscard]] const HealthParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t rule_count() const noexcept {
     return rules_.size();
   }

@@ -42,15 +42,7 @@ std::string report_json(sim::Simulation& sim, const TimeSeriesSampler* sampler,
   for (const auto& [name, h] : sim.metrics().histograms()) {
     if (!first) out += ',';
     first = false;
-    out += '"' + json_escape(name) +
-           "\":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) +
-           ",\"min\":" + std::to_string(h.min) +
-           ",\"max\":" + std::to_string(h.max) +
-           ",\"mean\":" + json_double(h.mean) +
-           ",\"p50\":" + std::to_string(h.p50) +
-           ",\"p95\":" + std::to_string(h.p95) +
-           ",\"p99\":" + std::to_string(h.p99) + "}";
+    out += '"' + json_escape(name) + "\":" + json_histogram(h);
   }
   out += "}";
 

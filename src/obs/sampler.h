@@ -67,9 +67,6 @@ class TimeSeriesSampler {
   // one replaces it, keeping timestamps strictly increasing.
   void sample_now();
 
-  [[nodiscard]] sim::SimTime interval_ns() const noexcept {
-    return interval_ns_;
-  }
   [[nodiscard]] const std::vector<std::string>& series_names() const noexcept {
     return names_;
   }

@@ -26,14 +26,13 @@ bool contains(const std::vector<std::uint32_t>& set, std::uint32_t server) {
 
 RecoveryManager::RecoveryManager(net::RpcHub& hub, net::NodeId node,
                                  std::vector<net::NodeId> kv_servers,
-                                 const RecoveryParams& params,
                                  const kv::ClientParams& client_params)
     : hub_(&hub),
       servers_(kv_servers),
       ring_(static_cast<std::uint32_t>(kv_servers.size())),
       kv_(hub, node, std::move(kv_servers),
           recovery_client_params(client_params)),
-      params_(params) {}
+      replication_factor_(client_params.replication_factor) {}
 
 void RecoveryManager::on_server_dead(std::uint32_t kv_index) {
   if (!chunks_ || !live_) return;
@@ -43,18 +42,6 @@ void RecoveryManager::on_server_dead(std::uint32_t kv_index) {
 void RecoveryManager::on_server_rejoined(std::uint32_t kv_index) {
   if (!chunks_ || !live_) return;
   hub_->transport().fabric().simulation().spawn(anti_entropy(kv_index));
-}
-
-sim::Task<void> RecoveryManager::pace_begin(std::uint64_t bytes) {
-  if (flowctl_ != nullptr && flowctl_->enabled()) {
-    (void)co_await flowctl_->admit(bytes);
-  }
-}
-
-void RecoveryManager::pace_end(std::uint64_t bytes) {
-  if (flowctl_ != nullptr && flowctl_->enabled()) {
-    flowctl_->release_reservation(bytes);
-  }
 }
 
 sim::Task<Result<BytesPtr>> RecoveryManager::read_surviving_copy(
@@ -91,12 +78,12 @@ sim::Task<void> RecoveryManager::repair_after_death(std::uint32_t dead) {
   under.add(remaining.size());
 
   for (const ChunkRef& chunk : affected) {
-    co_await pace_begin(chunk.bytes);
+    co_await flowctl::pace_begin(flowctl_, chunk.bytes);
     // New home: the first live server past the replica set in the same
     // successor order failover reads walk.
     const auto order = ring_.successors(chunk.key, ring_.server_count());
     std::uint32_t dest = ring_.server_count();
-    for (std::size_t i = params_.replication_factor; i < order.size(); ++i) {
+    for (std::size_t i = replication_factor_; i < order.size(); ++i) {
       if (live_(order[i])) {
         dest = order[i];
         break;
@@ -126,7 +113,7 @@ sim::Task<void> RecoveryManager::repair_after_death(std::uint32_t dead) {
         metrics.counter("kv.repl.repair_failed").add();
       }
     }
-    pace_end(chunk.bytes);
+    flowctl::pace_end(flowctl_, chunk.bytes);
     const auto it = remaining.find(chunk.block);
     if (it != remaining.end() && --it->second == 0) {
       remaining.erase(it);
@@ -163,7 +150,7 @@ sim::Task<void> RecoveryManager::anti_entropy(std::uint32_t joined) {
       aborted = true;
       break;
     }
-    co_await pace_begin(chunk.bytes);
+    co_await flowctl::pace_begin(flowctl_, chunk.bytes);
     std::uint32_t source = 0;
     auto data = co_await read_surviving_copy(chunk.key, joined, &source);
     if (data.is_ok()) {
@@ -181,7 +168,7 @@ sim::Task<void> RecoveryManager::anti_entropy(std::uint32_t joined) {
         metrics.counter("kv.repl.anti_entropy_failed").add();
         if (st.code() == StatusCode::kUnavailable) {
           aborted = true;  // target went down mid-copy
-          pace_end(chunk.bytes);
+          flowctl::pace_end(flowctl_, chunk.bytes);
           break;
         }
       }
@@ -189,7 +176,7 @@ sim::Task<void> RecoveryManager::anti_entropy(std::uint32_t joined) {
       // Every copy of this chunk is gone; anti-entropy cannot resurrect it.
       metrics.counter("kv.repl.anti_entropy_missing").add();
     }
-    pace_end(chunk.bytes);
+    flowctl::pace_end(flowctl_, chunk.bytes);
     const auto it = remaining.find(chunk.block);
     if (it != remaining.end() && --it->second == 0) {
       remaining.erase(it);

@@ -45,10 +45,6 @@ struct ChunkRef {
   bool pinned = false;   // restore the pin on the repaired copy
 };
 
-struct RecoveryParams {
-  std::uint32_t replication_factor = 2;
-};
-
 class RecoveryManager {
  public:
   // Chunk inventory snapshot, taken at the start of every recovery run.
@@ -62,7 +58,6 @@ class RecoveryManager {
 
   RecoveryManager(net::RpcHub& hub, net::NodeId node,
                   std::vector<net::NodeId> kv_servers,
-                  const RecoveryParams& params,
                   const kv::ClientParams& client_params);
 
   RecoveryManager(const RecoveryManager&) = delete;
@@ -85,12 +80,11 @@ class RecoveryManager {
   [[nodiscard]] std::uint32_t active_runs() const noexcept {
     return active_runs_;
   }
-  [[nodiscard]] const kv::HashRing& ring() const noexcept { return ring_; }
 
   // The key's replica set (primary first) under this manager's factor.
   [[nodiscard]] std::vector<std::uint32_t> replicas(
       const std::string& key) const {
-    return ring_.successors(key, params_.replication_factor);
+    return ring_.successors(key, replication_factor_);
   }
 
  private:
@@ -101,14 +95,12 @@ class RecoveryManager {
   sim::Task<Result<BytesPtr>> read_surviving_copy(std::string key,
                                                   std::uint32_t skip,
                                                   std::uint32_t* source);
-  sim::Task<void> pace_begin(std::uint64_t bytes);
-  void pace_end(std::uint64_t bytes);
 
   net::RpcHub* hub_;
   std::vector<net::NodeId> servers_;
   kv::HashRing ring_;
   kv::Client kv_;  // explicit set_on/get_from only; no implicit routing
-  RecoveryParams params_;
+  std::uint32_t replication_factor_;
 
   ChunkSource chunks_;
   Liveness live_;

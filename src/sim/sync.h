@@ -58,7 +58,6 @@ class Condition {
   [[nodiscard]] std::size_t waiter_count() const noexcept {
     return waiters_.size();
   }
-  [[nodiscard]] Simulation& simulation() const noexcept { return *sim_; }
 
  private:
   Simulation* sim_;
@@ -187,10 +186,6 @@ class BandwidthQueue {
     return transfer_time(bytes, bytes_per_sec_);
   }
 
-  [[nodiscard]] std::uint64_t bytes_per_sec() const noexcept {
-    return bytes_per_sec_;
-  }
-  void set_bytes_per_sec(std::uint64_t bps) noexcept { bytes_per_sec_ = bps; }
   [[nodiscard]] SimTime busy_ns() const noexcept { return busy_ns_; }
   [[nodiscard]] std::uint64_t bytes_moved() const noexcept {
     return bytes_moved_;

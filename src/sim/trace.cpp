@@ -2,26 +2,9 @@
 
 #include <map>
 
-namespace hpcbb::sim {
+#include "common/strings.h"
 
-namespace {
-// Minimal JSON string escaping (names are internal identifiers, but a path
-// with a quote must not corrupt the file).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-}  // namespace
+namespace hpcbb::sim {
 
 std::string TraceRecorder::to_chrome_json() const {
   std::string out = "{\"traceEvents\":[";

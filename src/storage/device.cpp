@@ -53,7 +53,6 @@ sim::Task<void> Device::io(std::uint64_t offset, std::uint64_t bytes,
 
   const sim::SimTime start = std::max(sim_->now(), next_free_);
   next_free_ = start + service;
-  busy_ns_ += service;
   co_await sim_->delay_until(next_free_);
 }
 

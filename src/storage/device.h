@@ -84,11 +84,6 @@ class Device {
   }
 
   [[nodiscard]] std::uint64_t used_bytes() const noexcept { return used_; }
-  [[nodiscard]] std::uint64_t capacity_bytes() const noexcept {
-    return params_.capacity_bytes;
-  }
-  [[nodiscard]] const DeviceParams& params() const noexcept { return params_; }
-  [[nodiscard]] sim::SimTime busy_ns() const noexcept { return busy_ns_; }
   [[nodiscard]] std::uint64_t io_count() const noexcept { return io_count_; }
   [[nodiscard]] std::uint64_t seek_count() const noexcept {
     return seek_count_;
@@ -103,7 +98,6 @@ class Device {
   CorruptHook corrupt_hook_;
   double slowdown_ = 1.0;
   sim::SimTime next_free_ = 0;
-  sim::SimTime busy_ns_ = 0;
   std::uint64_t expected_next_offset_ = ~0ull;
   std::uint64_t used_ = 0;
   std::uint64_t io_count_ = 0;

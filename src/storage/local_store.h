@@ -58,7 +58,6 @@ class LocalStore {
   [[nodiscard]] std::uint64_t used_bytes() const noexcept {
     return device_->used_bytes();
   }
-  [[nodiscard]] Device& device() noexcept { return *device_; }
 
   // Drops all contents without device I/O — volatile media losing power
   // (RAM disk on node crash).

@@ -8,6 +8,7 @@
 #include "common/crc32c.h"
 #include "common/units.h"
 #include "burstbuffer/filesystem.h"
+#include "burstbuffer/master.h"
 #include "kvstore/server.h"
 #include "lustre/mds.h"
 #include "lustre/oss.h"
@@ -67,18 +68,17 @@ struct Rig {
         agent_map[n] = agents.back().get();
       }
     }
+    CommonParams common;
+    common.scheme = scheme;
+    common.block_size = block_size;
+    common.chunk_size = 1 * MiB;
     MasterParams mp;
-    mp.block_size = block_size;
-    mp.chunk_size = 1 * MiB;
     mp.flowctl.capacity_bytes = kv_mem_per_server * 2;
     master = std::make_unique<Master>(hub, kMasterNode, kv_nodes, kMdsNode,
-                                      scheme, mp);
+                                      common, mp);
     BbFsParams fp;
-    fp.scheme = scheme;
-    fp.block_size = block_size;
-    fp.chunk_size = 1 * MiB;
-    fs = std::make_unique<BurstBufferFileSystem>(hub, kMasterNode, kv_nodes,
-                                                 kMdsNode, agent_map, fp);
+    fs = std::make_unique<BurstBufferFileSystem>(
+        hub, kMasterNode, kv_nodes, kMdsNode, agent_map, common, fp);
   }
 
   Rig(const Rig&) = delete;

@@ -8,6 +8,7 @@
 #include "testing/co_assert.h"
 #include "common/units.h"
 #include "burstbuffer/filesystem.h"
+#include "burstbuffer/master.h"
 #include "kvstore/server.h"
 #include "lustre/mds.h"
 #include "lustre/oss.h"
@@ -42,20 +43,17 @@ struct Rig {
     kv::ServerParams sp;
     sp.store.memory_budget = 256 * MiB;
     server = std::make_unique<kv::Server>(hub, 6, sp);
+    CommonParams common;
+    common.block_size = block_size;
+    common.chunk_size = 1 * MiB;
     MasterParams mp;
-    mp.block_size = block_size;
-    mp.chunk_size = 1 * MiB;
     mp.flowctl.capacity_bytes = capacity;
-    master = std::make_unique<Master>(hub, 3,
-                                      std::vector<NodeId>{6}, 4,
-                                      Scheme::kAsync, mp);
+    master = std::make_unique<Master>(hub, 3, std::vector<NodeId>{6}, 4,
+                                      common, mp);
     BbFsParams fp;
-    fp.scheme = Scheme::kAsync;
-    fp.block_size = block_size;
-    fp.chunk_size = 1 * MiB;
     fs = std::make_unique<BurstBufferFileSystem>(
         hub, 3, std::vector<NodeId>{6}, 4,
-        std::map<NodeId, NodeAgent*>{}, fp);
+        std::map<NodeId, NodeAgent*>{}, common, fp);
   }
 };
 

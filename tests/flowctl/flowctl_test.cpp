@@ -9,6 +9,7 @@
 
 #include "testing/co_assert.h"
 #include "burstbuffer/filesystem.h"
+#include "burstbuffer/master.h"
 #include "common/units.h"
 #include "flowctl/controller.h"
 #include "kvstore/server.h"
@@ -219,19 +220,18 @@ struct Rig {
     kv::ServerParams sp;
     sp.store.memory_budget = 256 * MiB;
     server = std::make_unique<kv::Server>(hub, 6, sp);
+    bb::CommonParams common;
+    common.scheme = scheme;
+    common.block_size = block_size;
+    common.chunk_size = 1 * MiB;
     bb::MasterParams mp;
-    mp.block_size = block_size;
-    mp.chunk_size = 1 * MiB;
     mp.flowctl.capacity_bytes = capacity;
     master = std::make_unique<bb::Master>(hub, 3, std::vector<NodeId>{6}, 4,
-                                          scheme, mp);
+                                          common, mp);
     bb::BbFsParams fp;
-    fp.scheme = scheme;
-    fp.block_size = block_size;
-    fp.chunk_size = 1 * MiB;
     fs = std::make_unique<bb::BurstBufferFileSystem>(
         hub, 3, std::vector<NodeId>{6}, 4,
-        std::map<NodeId, bb::NodeAgent*>{}, fp);
+        std::map<NodeId, bb::NodeAgent*>{}, common, fp);
   }
 };
 
@@ -259,7 +259,7 @@ TEST(FlowControlEndToEndTest, OverloadKeepsDirtyBytesUnderHighWatermark) {
   rig.sim.run();
   const auto& fc = rig.master->flow_control();
   EXPECT_LE(fc.peak_dirty_bytes(),
-            fc.high_bytes() + rig.master->params().block_size);
+            fc.high_bytes() + rig.master->common().block_size);
   EXPECT_EQ(rig.master->lost_blocks(), 0u);
   EXPECT_EQ(rig.master->dirty_blocks(), 0u);
   EXPECT_EQ(rig.master->flushed_bytes(), 64 * MiB);

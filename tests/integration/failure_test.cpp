@@ -101,6 +101,84 @@ TEST(FailureTest, FlushRetriesThroughLustreOutage) {
   EXPECT_LE(outage_gets, 2u * 8u * 16u) << retries << " flush retries";
 }
 
+// The two flush requeue schedules, pinned exactly: the number of Lustre
+// retries and the simulated time the last block turns durable. Any change
+// to a requeue delay, or to which outage counts as a Lustre retry, moves
+// one of these figures.
+struct FlushSchedule {
+  std::uint64_t retries = 0;
+  sim::SimTime flushed_at = 0;
+};
+
+TEST(FailureTest, LustreOutageFlushScheduleIsPinned) {
+  // Every OSS is down for a fixed 1 s from the first write. With the
+  // heartbeat off, each Lustre retry backs off from 1 ms, doubling up to
+  // the 500 ms cap.
+  Cluster cluster(small_config(bb::Scheme::kAsync));
+  FlushSchedule got;
+  cluster.sim().spawn([](Cluster& c, FlushSchedule& out) -> Task<void> {
+    fs::FileSystem& fs = c.filesystem(FsKind::kBurstBuffer);
+    auto writer = co_await fs.create("/f", 0);
+    CO_ASSERT(writer.is_ok());
+    const sim::SimTime start = c.sim().now();
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      c.fabric().set_node_up(c.oss(i).node(), false);
+    }
+    CO_ASSERT_OK(co_await writer.value()->append(
+        make_bytes(pattern_bytes(2, 0, 16 * MiB))));
+    CO_ASSERT_OK(co_await writer.value()->close());
+    co_await c.sim().delay_until(start + 1 * sec);
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      c.fabric().set_node_up(c.oss(i).node(), true);
+    }
+    co_await c.bb_master().wait_all_flushed();
+    out.retries = c.sim().metrics().counter_value("bb.flush.retries");
+    out.flushed_at = c.sim().now();
+  }(cluster, got));
+  cluster.sim().run();
+  EXPECT_EQ(cluster.bb_master().flushed_blocks(), 2u);
+  EXPECT_EQ(cluster.bb_master().lost_blocks(), 0u);
+  EXPECT_EQ(got.retries, 20u);
+  EXPECT_EQ(got.flushed_at, 1'064'518'582u);
+}
+
+TEST(FailureTest, BufferReadOutageFlushScheduleIsPinned) {
+  // R=2 with the heartbeat on: both KV nodes drop off the fabric for a
+  // fixed 200 ms right after the ack. Flush reads fail, the detector puts
+  // the master in degraded mode, and each failed read is requeued one
+  // heartbeat later until the nodes return. A buffer-read requeue is not a
+  // Lustre retry, so bb.flush.retries stays at zero.
+  ClusterConfig config = small_config(bb::Scheme::kAsync);
+  config.kv_client.replication_factor = 2;
+  config.bb_heartbeat_interval_ns = 5 * ms;
+  Cluster cluster(config);
+  FlushSchedule got;
+  cluster.sim().spawn([](Cluster& c, FlushSchedule& out) -> Task<void> {
+    fs::FileSystem& fs = c.filesystem(FsKind::kBurstBuffer);
+    auto writer = co_await fs.create("/f", 0);
+    CO_ASSERT(writer.is_ok());
+    CO_ASSERT_OK(co_await writer.value()->append(
+        make_bytes(pattern_bytes(3, 0, 16 * MiB))));
+    CO_ASSERT_OK(co_await writer.value()->close());
+    for (std::uint32_t i = 0; i < c.kv_server_count(); ++i) {
+      c.fabric().set_node_up(c.kv_server(i).node(), false);
+    }
+    co_await c.sim().delay(200 * ms);
+    for (std::uint32_t i = 0; i < c.kv_server_count(); ++i) {
+      c.fabric().set_node_up(c.kv_server(i).node(), true);
+    }
+    co_await c.bb_master().wait_all_flushed();
+    out.retries = c.sim().metrics().counter_value("bb.flush.retries");
+    out.flushed_at = c.sim().now();
+    c.bb_master().stop_heartbeat();
+  }(cluster, got));
+  cluster.sim().run();
+  EXPECT_EQ(cluster.bb_master().flushed_blocks(), 2u);
+  EXPECT_EQ(cluster.bb_master().lost_blocks(), 0u);
+  EXPECT_EQ(got.retries, 0u);
+  EXPECT_EQ(got.flushed_at, 239'730'748u);
+}
+
 TEST(FailureTest, BbLocalReadDegradesToBufferWhenAgentDies) {
   // The RAM-disk replica's node crashes: reads must fall back to the KV
   // buffer transparently.

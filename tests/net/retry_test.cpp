@@ -39,8 +39,7 @@ RpcHub::Handler echo_handler() {
       [](std::shared_ptr<const EchoRequest> req) -> Task<RpcResponse> {
         auto reply = std::make_shared<EchoReply>();
         reply->text = req->text;
-        const std::uint64_t wire = reply->wire_size();
-        co_return rpc_ok<EchoReply>(std::move(reply), wire);
+        co_return rpc_ok(std::move(reply));
       });
 }
 
@@ -253,8 +252,7 @@ TEST(RetryPolicyTest, NonIdempotentNotRetriedAfterDelivery) {
           }
           auto reply = std::make_shared<EchoReply>();
           reply->text = req->text;
-          const std::uint64_t wire = reply->wire_size();
-          co_return rpc_ok<EchoReply>(std::move(reply), wire);
+          co_return rpc_ok(std::move(reply));
         }));
 
     Status status;

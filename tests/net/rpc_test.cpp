@@ -36,8 +36,7 @@ TEST(RpcTest, RoundTripTypedCall) {
       [](std::shared_ptr<const EchoRequest> req) -> Task<RpcResponse> {
         auto reply = std::make_shared<EchoReply>();
         reply->text = req->text + "!";
-        const std::uint64_t wire = reply->wire_size();
-        co_return rpc_ok<EchoReply>(std::move(reply), wire);
+        co_return rpc_ok(std::move(reply));
       }));
 
   std::string got;

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "burstbuffer/filesystem.h"
+#include "burstbuffer/master.h"
 #include "common/units.h"
 #include "kvstore/server.h"
 #include "lustre/mds.h"
@@ -60,19 +61,17 @@ struct TraceRig {
       kv_servers.push_back(std::make_unique<kv::Server>(hub, n, sp));
       kv_nodes.push_back(n);
     }
+    CommonParams common;
+    common.block_size = 8 * MiB;
+    common.chunk_size = 1 * MiB;
     MasterParams mp;
-    mp.block_size = 8 * MiB;
-    mp.chunk_size = 1 * MiB;
     mp.flowctl.capacity_bytes = 128 * MiB;
     master = std::make_unique<Master>(hub, kMasterNode, kv_nodes, kMdsNode,
-                                      Scheme::kAsync, mp);
+                                      common, mp);
     BbFsParams fp;
-    fp.scheme = Scheme::kAsync;
-    fp.block_size = 8 * MiB;
-    fp.chunk_size = 1 * MiB;
     const std::map<NodeId, NodeAgent*> no_agents;
-    fs = std::make_unique<BurstBufferFileSystem>(hub, kMasterNode, kv_nodes,
-                                                 kMdsNode, no_agents, fp);
+    fs = std::make_unique<BurstBufferFileSystem>(
+        hub, kMasterNode, kv_nodes, kMdsNode, no_agents, common, fp);
   }
 };
 

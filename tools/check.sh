@@ -9,8 +9,10 @@
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f3_dfsio_write +
 #                             # bench_f4_dfsio_read + bench_f5_sort +
-#                             # bench_f8_fault + the seeded bench_a4_chaos
-#                             # smoke vs bench/baselines/, plus an
+#                             # bench_f7_schemes + bench_f8_fault +
+#                             # bench_f11_capacity + bench_a3_overload +
+#                             # the seeded bench_a4_chaos smoke vs
+#                             # bench/baselines/, plus an
 #                             # injected-regression self-test
 #
 # Build trees: build/ and build-sanitize/ at the repo root.
@@ -32,11 +34,13 @@ if [[ "${gate}" == 1 ]]; then
   cmake -B build -S .
   echo "== gate: build gated benches =="
   cmake --build build -j "${jobs}" --target bench_f1_kv_latency \
-    bench_f3_dfsio_write bench_f4_dfsio_read bench_f5_sort bench_f8_fault \
-    bench_a4_chaos bench_m1_kv_micro
+    bench_f3_dfsio_write bench_f4_dfsio_read bench_f5_sort bench_f7_schemes \
+    bench_f8_fault bench_f11_capacity bench_a3_overload bench_a4_chaos \
+    bench_m1_kv_micro
   out="$(mktemp -d)"
   for bench in bench_f1_kv_latency bench_f3_dfsio_write bench_f4_dfsio_read \
-      bench_f5_sort bench_f8_fault; do
+      bench_f5_sort bench_f7_schemes bench_f8_fault bench_f11_capacity \
+      bench_a3_overload; do
     echo "== gate: ${bench} (simulated time, deterministic) =="
     HPCBB_BENCH_OUT="${out}" "./build/bench/${bench}" --gate
   done
