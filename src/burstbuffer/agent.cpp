@@ -20,11 +20,10 @@ sim::Task<net::RpcResponse> NodeAgent::handle_read(
   if (crashed_) {
     co_return net::rpc_error(error(StatusCode::kUnavailable, "agent down"));
   }
-  Result<Bytes> data =
-      co_await store_->read(req->object, req->offset, req->length);
+  auto data = co_await store_->read(req->object, req->offset, req->length);
   if (!data.is_ok()) co_return net::rpc_error(data.status());
   auto reply = std::make_shared<AgentReadReply>();
-  reply->data = make_bytes(std::move(data).value());
+  reply->data = std::move(data).value();
   co_return net::rpc_ok(std::move(reply));
 }
 

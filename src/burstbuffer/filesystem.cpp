@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/crc32c.h"
 #include "sim/sync.h"
@@ -39,17 +40,29 @@ class BbWriter final : public fs::Writer {
       const std::uint64_t block_room = p.block_size - block_bytes_;
       const std::uint64_t take =
           std::min({data->size() - offset, chunk_room, block_room});
-
-      chunk_buf_.insert(
-          chunk_buf_.end(),
-          data->begin() + static_cast<std::ptrdiff_t>(offset),
-          data->begin() + static_cast<std::ptrdiff_t>(offset + take));
+      // Does this take end the chunk (it fills it, or ends the block)?
+      const bool chunk_done = take == std::min(chunk_room, block_room);
       block_bytes_ += take;
-      offset += take;
 
-      if (chunk_buf_.size() == p.chunk_size || block_bytes_ == p.block_size) {
-        if (Status st = co_await emit_chunk(); !st.is_ok()) co_return st;
+      if (chunk_buf_.empty() && chunk_done) {
+        // The whole chunk lies inside this append: ship it uncopied. (Built
+        // in its own statement: GCC 12 frees a braced temporary in a
+        // co_await argument list twice.)
+        ByteSlice chunk{data, offset, take};
+        if (Status st = co_await emit_chunk(std::move(chunk)); !st.is_ok()) {
+          co_return st;
+        }
+      } else {
+        // A chunk spanning two appends is gathered first.
+        chunk_buf_.insert(
+            chunk_buf_.end(),
+            data->begin() + static_cast<std::ptrdiff_t>(offset),
+            data->begin() + static_cast<std::ptrdiff_t>(offset + take));
+        if (chunk_done) {
+          if (Status st = co_await emit_buffered(); !st.is_ok()) co_return st;
+        }
       }
+      offset += take;
       if (block_bytes_ == p.block_size) {
         if (Status st = co_await finish_block(); !st.is_ok()) co_return st;
       }
@@ -59,7 +72,7 @@ class BbWriter final : public fs::Writer {
 
   sim::Task<Status> close() override {
     if (!chunk_buf_.empty()) {
-      if (Status st = co_await emit_chunk(); !st.is_ok()) co_return st;
+      if (Status st = co_await emit_buffered(); !st.is_ok()) co_return st;
     }
     if (block_open_) {
       if (Status st = co_await finish_block(); !st.is_ok()) co_return st;
@@ -112,18 +125,16 @@ class BbWriter final : public fs::Writer {
     co_return Status::ok();
   }
 
-  // Ships the buffered chunk through the scheme's write path, windowed.
-  sim::Task<Status> emit_chunk() {
-    assert(!chunk_buf_.empty());
+  // Ships the next chunk of the block through the scheme's write path,
+  // windowed.
+  sim::Task<Status> emit_chunk(ByteSlice payload) {
     const std::uint32_t chunk_index = next_chunk_++;
     const std::uint64_t chunk_offset =
         static_cast<std::uint64_t>(chunk_index) * bbfs_->common_.chunk_size;
     // Per-chunk CRC over the logical (unpadded) bytes: chunks are emitted
     // in order, so the vector index is the chunk index.
-    const std::uint32_t crc = crc32c(chunk_buf_);
+    const std::uint32_t crc = crc32c(payload.span());
     chunk_crcs_.push_back(crc);
-    BytesPtr payload = make_bytes(std::move(chunk_buf_));
-    chunk_buf_.clear();
 
     co_await window_.acquire();
     bbfs_->hub_->transport().fabric().simulation().spawn(
@@ -139,8 +150,13 @@ class BbWriter final : public fs::Writer {
     co_return first_error_;
   }
 
+  sim::Task<Status> emit_buffered() {
+    assert(!chunk_buf_.empty());
+    return emit_chunk(whole(make_bytes(std::exchange(chunk_buf_, {}))));
+  }
+
   sim::Task<void> store_chunk(std::uint32_t chunk_index,
-                              std::uint64_t chunk_offset, BytesPtr payload,
+                              std::uint64_t chunk_offset, ByteSlice payload,
                               std::uint32_t crc) {
     const BbFsParams& p = bbfs_->params_;
     const std::string key = chunk_key(path_, block_index_, chunk_index);
@@ -158,12 +174,12 @@ class BbWriter final : public fs::Writer {
     // slab-calcification problem). Readers and the flusher trim by the
     // block's logical size. A full chunk is stored as is, so the KV item
     // takes the writer's CRC instead of hashing the bytes again.
-    BytesPtr stored = payload;
+    ByteSlice stored = payload;
     std::optional<std::uint32_t> stored_crc = crc;
-    if (payload->size() < bbfs_->common_.chunk_size) {
-      Bytes padded(*payload);
+    if (payload.length < bbfs_->common_.chunk_size) {
+      Bytes padded(payload.span().begin(), payload.span().end());
       padded.resize(bbfs_->common_.chunk_size, 0);
-      stored = make_bytes(std::move(padded));
+      stored = whole(make_bytes(std::move(padded)));
       stored_crc = std::nullopt;
     }
     Status st;
@@ -196,7 +212,7 @@ class BbWriter final : public fs::Writer {
       // BB-Local: second copy on the writer's RAM disk (position-addressed,
       // chunk stores may complete out of order).
       st = co_await agent_->store().write_at(
-          local_object(path_, block_index_), chunk_offset, *payload);
+          local_object(path_, block_index_), chunk_offset, payload);
       if (st.code() == StatusCode::kResourceExhausted) {
         // RAM disk full: degrade to buffer-only for this block (lose the
         // locality benefit, keep correctness).
@@ -212,7 +228,7 @@ class BbWriter final : public fs::Writer {
   }
 
   sim::Task<Status> write_through(std::uint64_t chunk_offset,
-                                  BytesPtr payload) {
+                                  ByteSlice payload) {
     if (!lustre_layout_.has_value()) {
       auto layout = co_await lustre_.lookup(
           client_, bbfs_->common_.lustre_prefix + path_);
@@ -222,7 +238,7 @@ class BbWriter final : public fs::Writer {
     const std::uint64_t file_offset =
         static_cast<std::uint64_t>(block_index_) * bbfs_->common_.block_size +
         chunk_offset;
-    std::vector<ByteSlice> pieces{whole(std::move(payload))};
+    std::vector<ByteSlice> pieces{std::move(payload)};
     co_return co_await lustre_.write(client_, *lustre_layout_, file_offset,
                                      std::move(pieces), op_id_);
   }
@@ -283,7 +299,7 @@ class BbWriter final : public fs::Writer {
   std::uint64_t block_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::vector<std::uint32_t> chunk_crcs_;
-  Bytes chunk_buf_;
+  Bytes chunk_buf_;  // a chunk spanning two appends, or close()'s tail
   std::optional<lustre::FileLayout> lustre_layout_;
   Status first_error_;
 };
@@ -359,11 +375,11 @@ class BbReader final : public fs::Reader {
       auto result = co_await bbfs_->hub_->call<AgentReadReply>(
           client_, *block.local_node, kAgentRead, req);
       if (result.is_ok()) {
-        const Bytes& data = *result.value()->data;
-        if (verify_chunks(block, chunk, aligned_off, data).is_ok()) {
-          co_return Bytes(
-              data.begin() + static_cast<std::ptrdiff_t>(skip),
-              data.begin() + static_cast<std::ptrdiff_t>(skip + length));
+        // Each chunk is checked where it lies in the replica's pages; only
+        // the requested range is copied, once.
+        const std::vector<ByteSlice>& pieces = result.value()->data;
+        if (verify_chunks(block, chunk, aligned_off, pieces).is_ok()) {
+          co_return gather(pieces, skip, length);
         }
         // Corrupt RAM-disk copy: the buffer and Lustre hold independent
         // copies — fall through instead of failing the read.
@@ -400,7 +416,8 @@ class BbReader final : public fs::Reader {
       if (!data.is_ok()) co_return data.status();
       // The buffer copy was evicted (or never promoted): served from Lustre.
       sim.metrics().counter("bb.read.lustre_fallbacks").add();
-      if (Status st = verify_chunks(block, chunk, aligned_off, data.value());
+      const ByteSlice fetched = whole(make_bytes(std::move(data).value()));
+      if (Status st = verify_chunks(block, chunk, aligned_off, {&fetched, 1});
           !st.is_ok()) {
         // Last tier: corrupt here (with every earlier tier exhausted) is a
         // hard read failure, never silently served.
@@ -408,13 +425,9 @@ class BbReader final : public fs::Reader {
         co_return st;
       }
       if (bbfs_->params_.promote_on_read) {
-        promote(block, aligned_off, data.value());
+        promote(block, aligned_off, *fetched.bytes);
       }
-      Bytes bytes = std::move(data).value();
-      bytes.erase(bytes.begin(),
-                  bytes.begin() + static_cast<std::ptrdiff_t>(skip));
-      bytes.resize(length);
-      co_return bytes;
+      co_return gather({&fetched, 1}, skip, length);
     }
     if (buffered.code() == StatusCode::kDataLoss) co_return buffered.status();
     co_return error(StatusCode::kDataLoss,
@@ -453,8 +466,10 @@ class BbReader final : public fs::Reader {
       // internally consistent but not what the writer sealed.
       const std::uint64_t c_start = std::uint64_t{c} * chunk_size;
       const Bytes& data = *piece.value()->value;
-      if (Status st = verify_buffered_chunk(block, chunk_size, c, data,
-                                            piece.value()->value_crc);
+      if (Status st =
+              verify_buffered_chunk(block, chunk_size, c,
+                                    whole(piece.value()->value),
+                                    piece.value()->value_crc);
           !st.is_ok()) {
         bbfs_->hub_->transport().fabric().simulation().metrics()
             .counter("bb.read.buffer_crc_failures").add();

@@ -329,9 +329,9 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
                                                       kAgentRead, req);
     if (generation != generation_) co_return;
     if (result.is_ok()) {
-      pieces = {whole(result.value()->data)};
+      pieces = result.value()->data;
       item_crcs.clear();
-      fetched = pieces.front().length;
+      fetched = total_length(pieces);
       buffer_ok = true;
       ++md_->recovered_blocks;
     }
@@ -342,24 +342,21 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
 
   // Whatever source produced the block — buffer chunks or the node-local
   // replica — it must match the writer-registered CRCs before it may touch
-  // Lustre. Never persist corrupt bytes. Each piece is checked where it
+  // Lustre. Never persist corrupt bytes. Each chunk is checked where it
   // lies; none is copied. A buffered chunk is checked by its item CRC, the
-  // node-local replica (one piece) by hashing.
+  // node-local replica (its page slices) by hashing.
   if (buffer_ok && fetched == block_size) {
-    std::uint64_t at = 0;
-    for (std::uint32_t i = 0; i < pieces.size(); ++i) {
-      const ByteSlice& piece = pieces[i];
-      const Status st =
-          item_crcs.empty()
-              ? verify_chunks(*block, chunk_size, at, piece.span())
-              : verify_buffered_chunk(*block, chunk_size, i, *piece.bytes,
-                                      item_crcs[i]);
-      if (!st.is_ok()) {
-        buffer_ok = false;
-        corrupt = true;
-        break;
-      }
-      at += piece.length;
+    Status st;
+    if (item_crcs.empty()) {
+      st = verify_chunks(*block, chunk_size, 0, pieces);
+    }
+    for (std::uint32_t i = 0; i < item_crcs.size() && st.is_ok(); ++i) {
+      st = verify_buffered_chunk(*block, chunk_size, i, whole(pieces[i].bytes),
+                                 item_crcs[i]);
+    }
+    if (!st.is_ok()) {
+      buffer_ok = false;
+      corrupt = true;
     }
   }
   if (!buffer_ok || fetched != block_size) {

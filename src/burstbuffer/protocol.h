@@ -139,28 +139,42 @@ inline bool one_crc_per_chunk(std::uint64_t size, std::uint64_t chunk_size,
 }
 
 // The one block-integrity check, shared by every tier (node-local replica,
-// KV buffer, Lustre) and the flusher. `data` holds bytes of `block` from
-// the chunk-aligned offset `aligned_off` on; each chunk's logical bytes
-// must match its writer-registered CRC. Bytes past the block's end (the
-// slab padding of a buffered tail chunk) are not checked. A chunk that
-// mismatches or is cut short is kDataLoss. Relies on the seal invariant
-// that chunk_crcs holds one CRC per chunk.
+// KV buffer, Lustre) and the flusher. `pieces`, laid back to back, hold
+// bytes of `block` from the chunk-aligned offset `aligned_off` on; each
+// chunk's logical bytes must match its writer-registered CRC. A chunk is
+// hashed where it lies, across the pieces it spans, and never copied. Bytes
+// past the block's end (the slab padding of a buffered tail chunk) are not
+// checked. A chunk that mismatches or is cut short is kDataLoss. Relies on
+// the seal invariant that chunk_crcs holds one CRC per chunk.
 inline Status verify_chunks(const BbBlockInfo& block, std::uint64_t chunk_size,
                             std::uint64_t aligned_off,
-                            std::span<const std::uint8_t> data) {
+                            std::span<const ByteSlice> pieces) {
+  const std::uint64_t total = total_length(pieces);
+  std::size_t p = 0;          // the piece holding byte `pos`...
+  std::uint64_t p_start = 0;  // ...and where it starts
   std::uint64_t pos = 0;
-  while (pos < data.size() && aligned_off + pos < block.size) {
+  while (pos < total && aligned_off + pos < block.size) {
     const std::uint64_t c = (aligned_off + pos) / chunk_size;
     const std::uint64_t logical =
         std::min(chunk_size, block.size - c * chunk_size);
-    if (pos + logical > data.size() ||
-        crc32c(data.subspan(pos, logical)) != block.chunk_crcs[c]) {
+    bool ok = pos + logical <= total;
+    if (ok) {
+      std::uint32_t crc = 0;
+      for (const std::uint64_t end = pos + logical; pos < end;) {
+        while (p_start + pieces[p].length <= pos) p_start += pieces[p++].length;
+        const std::uint64_t within = pos - p_start;
+        const std::uint64_t n = std::min(pieces[p].length - within, end - pos);
+        crc = crc32c(crc, pieces[p].span().data() + within, n);
+        pos += n;
+      }
+      ok = crc == block.chunk_crcs[c];
+    }
+    if (!ok) {
       return error(StatusCode::kDataLoss,
                    "chunk " + std::to_string(c) +
                        " checksum mismatch on block " +
                        std::to_string(block.index));
     }
-    pos += logical;
   }
   return Status::ok();
 }
@@ -174,11 +188,11 @@ inline Status verify_chunks(const BbBlockInfo& block, std::uint64_t chunk_size,
 // logical bytes are hashed by verify_chunks.
 inline Status verify_buffered_chunk(const BbBlockInfo& block,
                                     std::uint64_t chunk_size, std::uint32_t c,
-                                    std::span<const std::uint8_t> data,
+                                    const ByteSlice& data,
                                     std::uint32_t item_crc) {
   const std::uint64_t c_start = std::uint64_t{c} * chunk_size;
-  if (c_start + chunk_size > block.size || data.size() != chunk_size) {
-    return verify_chunks(block, chunk_size, c_start, data);
+  if (c_start + chunk_size > block.size || data.length != chunk_size) {
+    return verify_chunks(block, chunk_size, c_start, {&data, 1});
   }
   if (item_crc != block.chunk_crcs[c]) {
     return error(StatusCode::kDataLoss,
@@ -240,9 +254,9 @@ struct AgentReadRequest {
 };
 
 struct AgentReadReply {
-  BytesPtr data;
+  std::vector<ByteSlice> data;  // the range, as the replica's page slices
   [[nodiscard]] std::uint64_t wire_size() const {
-    return kHeaderBytes + data->size();
+    return kHeaderBytes + total_length(data);
   }
 };
 

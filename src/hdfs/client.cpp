@@ -216,15 +216,19 @@ class HdfsReader final : public fs::Reader {
       if (result.is_ok()) {
         // End-to-end checksum: full-block reads are validated against the
         // CRC the writer registered with the NameNode (HDFS client-side
-        // checksum verification).
-        if (offset == 0 && length == block.size &&
-            crc32c(*result.value()->data) != block.crc32c) {
-          last = error(StatusCode::kDataLoss,
-                       "checksum mismatch on block " +
-                           std::to_string(block.block_id));
-        } else {
-          co_return Bytes(*result.value()->data);
+        // checksum verification), hashing the pieces where they lie.
+        const std::vector<ByteSlice>& pieces = result.value()->data;
+        bool intact = true;
+        if (offset == 0 && length == block.size) {
+          std::uint32_t crc = 0;
+          for (const ByteSlice& piece : pieces) {
+            crc = crc32c(crc, piece.span().data(), piece.length);
+          }
+          intact = crc == block.crc32c;
         }
+        if (intact) co_return gather(pieces);
+        last = error(StatusCode::kDataLoss, "checksum mismatch on block " +
+                                                std::to_string(block.block_id));
       } else {
         last = result.status();
       }

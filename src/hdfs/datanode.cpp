@@ -8,7 +8,12 @@ namespace hpcbb::hdfs {
 
 DataNode::DataNode(net::RpcHub& hub, net::NodeId node,
                    const DataNodeParams& params)
-    : hub_(&hub), node_(node) {
+    : hub_(&hub),
+      node_(node),
+      write_ns_(hub.metrics(), "hdfs.dn.write"),
+      read_ns_(hub.metrics(), "hdfs.dn.read"),
+      write_bytes_(hub.metrics(), "hdfs.dn.write_bytes"),
+      read_bytes_(hub.metrics(), "hdfs.dn.read_bytes") {
   device_ = std::make_unique<storage::Device>(
       hub_->transport().fabric().simulation(), params.disk);
   store_ = std::make_unique<storage::LocalStore>(*device_);
@@ -68,11 +73,11 @@ sim::Task<net::RpcResponse> DataNode::handle_write_packet(
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "write.", name, "hdfs", node_,
                        req->op_id);
-  sim.metrics().counter("hdfs.dn.write_bytes").add(req->data->size());
+  write_bytes_->add(req->data->size());
 
   if (req->downstream.empty()) {
-    Status st = co_await store_->write_at(name, req->offset, *req->data);
-    sim.metrics().histogram("hdfs.dn.write").record(sim.now() - start);
+    Status st = co_await store_->write_at(name, req->offset, whole(req->data));
+    write_ns_->record(sim.now() - start);
     if (!st.is_ok()) co_return net::rpc_error(std::move(st));
     co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
   }
@@ -91,14 +96,11 @@ sim::Task<net::RpcResponse> DataNode::handle_write_packet(
                     -> sim::Task<Status> {
     co_return (co_await hub.call<void>(src, dst, kDnWritePacket, r)).status();
   }(*hub_, node_, next, std::move(fwd)));
-  ops.push_back([](storage::LocalStore& store, std::string blk,
-                   std::uint64_t off, BytesPtr data) -> sim::Task<Status> {
-    co_return co_await store.write_at(std::move(blk), off, *data);
-  }(*store_, name, req->offset, req->data));
+  ops.push_back(store_->write_at(name, req->offset, whole(req->data)));
 
   const std::vector<Status> results =
       co_await sim::parallel_collect(sim, std::move(ops));
-  sim.metrics().histogram("hdfs.dn.write").record(sim.now() - start);
+  write_ns_->record(sim.now() - start);
   for (const Status& st : results) {
     if (!st.is_ok()) co_return net::rpc_error(st);
   }
@@ -123,12 +125,12 @@ sim::Task<net::RpcResponse> DataNode::handle_read(
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "read.", name, "hdfs", node_,
                        req->op_id);
-  Result<Bytes> data = co_await store_->read(name, req->offset, req->length);
-  sim.metrics().histogram("hdfs.dn.read").record(sim.now() - start);
+  auto data = co_await store_->read(name, req->offset, req->length);
+  read_ns_->record(sim.now() - start);
   if (!data.is_ok()) co_return net::rpc_error(data.status());
-  sim.metrics().counter("hdfs.dn.read_bytes").add(data.value().size());
+  read_bytes_->add(req->length);
   auto reply = std::make_shared<DnReadReply>();
-  reply->data = make_bytes(std::move(data).value());
+  reply->data = std::move(data).value();
   co_return net::rpc_ok(std::move(reply));
 }
 
@@ -156,12 +158,12 @@ sim::Task<net::RpcResponse> DataNode::handle_replicate(
   for (std::uint64_t off = 0; off < size || (size == 0 && off == 0);
        off += kPacket) {
     const std::uint64_t len = std::min(kPacket, size - off);
-    Result<Bytes> piece = co_await store_->read(name, off, len);
+    auto piece = co_await store_->read(name, off, len);
     if (!piece.is_ok()) co_return net::rpc_error(piece.status());
     auto pkt = std::make_shared<DnWritePacketRequest>();
     pkt->block_id = req->block_id;
     pkt->offset = off;
-    pkt->data = make_bytes(std::move(piece).value());
+    pkt->data = make_bytes(gather(piece.value()));
     auto result =
         co_await hub_->call<void>(node_, req->target, kDnWritePacket,
                                   std::shared_ptr<const DnWritePacketRequest>(

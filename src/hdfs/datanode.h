@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "common/corrupt.h"
+#include "common/metrics.h"
 #include "faults/injector.h"
 #include "hdfs/protocol.h"
 #include "net/rpc.h"
@@ -65,6 +66,10 @@ class DataNode {
   faults::FaultInjector* injector_ = nullptr;
   std::size_t injector_target_ = 0;  // index of this node's corrupt target
   bool crashed_ = false;
+  MetricHandle<Histogram> write_ns_;
+  MetricHandle<Histogram> read_ns_;
+  MetricHandle<Counter> write_bytes_;
+  MetricHandle<Counter> read_bytes_;
 };
 
 }  // namespace hpcbb::hdfs

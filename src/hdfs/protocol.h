@@ -144,9 +144,9 @@ struct DnReadRequest {
 };
 
 struct DnReadReply {
-  BytesPtr data;
+  std::vector<ByteSlice> data;  // the range, as the replica's page slices
   [[nodiscard]] std::uint64_t wire_size() const {
-    return kHeaderBytes + data->size();
+    return kHeaderBytes + total_length(data);
   }
 };
 

@@ -14,7 +14,7 @@ namespace {
 // may be destroyed before the trailing copies land.
 sim::Task<void> detached_replica_set(net::RpcHub* hub, net::NodeId self,
                                      net::NodeId server, std::string key,
-                                     BytesPtr value, bool pinned,
+                                     ByteSlice value, bool pinned,
                                      std::uint64_t expiry_ns,
                                      std::uint64_t op_id,
                                      std::optional<std::uint32_t> value_crc,
@@ -22,7 +22,7 @@ sim::Task<void> detached_replica_set(net::RpcHub* hub, net::NodeId self,
   auto& metrics = hub->transport().fabric().simulation().metrics();
   if (by_rdma) {
     Status st =
-        co_await hub->transport().rdma_write(self, server, value->size());
+        co_await hub->transport().rdma_write(self, server, value.length);
     if (!st.is_ok()) {
       metrics.counter("kv.repl.replica_write_failures").add();
       co_return;
@@ -71,7 +71,7 @@ std::uint32_t Client::walk_limit() const noexcept {
   return params_.failover ? ring_.server_count() : effective_factor();
 }
 
-sim::Task<Status> Client::set(std::string key, BytesPtr value,
+sim::Task<Status> Client::set(std::string key, ByteSlice value,
                               bool pinned, std::uint64_t expiry_ns,
                               std::uint64_t op_id,
                               std::optional<std::uint32_t> value_crc) {
@@ -137,7 +137,7 @@ sim::Task<Status> Client::set(std::string key, BytesPtr value,
     for (std::size_t i = acked + 1; i < r; ++i) {
       sim.spawn(detached_replica_set(hub_, self_, servers_[order[i]], key,
                                      value, pinned, expiry_ns, op_id,
-                                     value_crc, use_rdma(value->size())));
+                                     value_crc, use_rdma(value.length)));
     }
     if (r > 1) {
       metrics.histogram("kv.repl.ack_primary_ns").record(sim.now() - start);
@@ -147,7 +147,7 @@ sim::Task<Status> Client::set(std::string key, BytesPtr value,
 }
 
 sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
-                                 BytesPtr value, bool pinned,
+                                 ByteSlice value, bool pinned,
                                  std::uint64_t expiry_ns,
                                  std::uint64_t op_id,
                                  std::optional<std::uint32_t> value_crc) {
@@ -156,7 +156,7 @@ sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
   req->value = std::move(value);
   req->pinned = pinned;
   req->expiry_ns = expiry_ns;
-  req->payload_by_rdma = use_rdma(req->value->size());
+  req->payload_by_rdma = use_rdma(req->value.length);
   req->op_id = op_id;
   req->value_crc = value_crc;
 
@@ -164,7 +164,7 @@ sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
     // Push the payload into the server's registered region first; the
     // control message then carries only key + metadata.
     Status st = co_await hub_->transport().rdma_write(self_, server,
-                                                      req->value->size());
+                                                      req->value.length);
     if (!st.is_ok()) co_return st;
   }
   auto result = co_await hub_->call<void>(self_, server, kOpSet,

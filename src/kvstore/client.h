@@ -48,11 +48,19 @@ class Client {
   // server-side trace spans with the caller's causal operation id.
   // `value_crc`, when given, must be the CRC32C of `value`: the server
   // stores it instead of hashing the value, and a wrong one turns the next
-  // get() of the key into kDataLoss.
-  sim::Task<Status> set(std::string key, BytesPtr value,
+  // get() of the key into kDataLoss. `value` may be a slice of a larger
+  // buffer; it ships as is, uncopied.
+  sim::Task<Status> set(std::string key, ByteSlice value,
                         bool pinned = false, std::uint64_t expiry_ns = 0,
                         std::uint64_t op_id = 0,
                         std::optional<std::uint32_t> value_crc = std::nullopt);
+  sim::Task<Status> set(std::string key, BytesPtr value,
+                        bool pinned = false, std::uint64_t expiry_ns = 0,
+                        std::uint64_t op_id = 0,
+                        std::optional<std::uint32_t> value_crc = std::nullopt) {
+    return set(std::move(key), whole(std::move(value)), pinned, expiry_ns,
+               op_id, value_crc);
+  }
 
   sim::Task<Result<BytesPtr>> get(std::string key, std::uint64_t op_id = 0);
 
@@ -91,11 +99,20 @@ class Client {
 
   // Store a value on an explicit server (replica placement by upper layers).
   sim::Task<Status> set_on(net::NodeId server, std::string key,
-                           BytesPtr value, bool pinned,
+                           ByteSlice value, bool pinned,
                            std::uint64_t expiry_ns = 0,
                            std::uint64_t op_id = 0,
                            std::optional<std::uint32_t> value_crc =
                                std::nullopt);
+  sim::Task<Status> set_on(net::NodeId server, std::string key,
+                           BytesPtr value, bool pinned,
+                           std::uint64_t expiry_ns = 0,
+                           std::uint64_t op_id = 0,
+                           std::optional<std::uint32_t> value_crc =
+                               std::nullopt) {
+    return set_on(server, std::move(key), whole(std::move(value)), pinned,
+                  expiry_ns, op_id, value_crc);
+  }
   sim::Task<Result<BytesPtr>> get_from(net::NodeId server,
                                        std::string key,
                                        std::uint64_t op_id = 0);

@@ -21,7 +21,7 @@ inline constexpr std::uint64_t kMsgHeaderBytes = 48;
 
 struct SetRequest {
   std::string key;
-  BytesPtr value;
+  ByteSlice value;  // a slice of the writer's buffer
   bool pinned = false;
   std::uint64_t expiry_ns = 0;
   bool payload_by_rdma = false;  // payload already RDMA-WRITTEN by client
@@ -32,7 +32,7 @@ struct SetRequest {
 
   [[nodiscard]] std::uint64_t wire_size() const {
     return kMsgHeaderBytes + key.size() +
-           (payload_by_rdma ? 0 : value->size());
+           (payload_by_rdma ? 0 : value.length);
   }
 };
 

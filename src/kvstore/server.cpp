@@ -4,26 +4,21 @@
 #include "sim/trace.h"
 
 namespace hpcbb::kv {
-namespace {
-MetricRegistry& metrics_of(net::RpcHub& hub) {
-  return hub.transport().fabric().simulation().metrics();
-}
-}  // namespace
 
 Server::Server(net::RpcHub& hub, net::NodeId node, const ServerParams& params)
     : hub_(&hub),
       node_(node),
       params_(params),
       store_(params.store),
-      hits_(metrics_of(hub), "kv.hits"),
-      misses_(metrics_of(hub), "kv.misses"),
-      get_bytes_(metrics_of(hub), "kv.get_bytes"),
-      put_bytes_(metrics_of(hub), "kv.put_bytes"),
-      evictions_(metrics_of(hub), "kv.evictions"),
-      get_ns_(metrics_of(hub), "kv.get"),
-      put_ns_(metrics_of(hub), "kv.put"),
-      bytes_(metrics_of(hub), "kv.bytes"),
-      node_bytes_(metrics_of(hub), labeled("kv.bytes", "node", node)) {
+      hits_(hub.metrics(), "kv.hits"),
+      misses_(hub.metrics(), "kv.misses"),
+      get_bytes_(hub.metrics(), "kv.get_bytes"),
+      put_bytes_(hub.metrics(), "kv.put_bytes"),
+      evictions_(hub.metrics(), "kv.evictions"),
+      get_ns_(hub.metrics(), "kv.get"),
+      put_ns_(hub.metrics(), "kv.put"),
+      bytes_(hub.metrics(), "kv.bytes"),
+      node_bytes_(hub.metrics(), labeled("kv.bytes", "node", node)) {
   if (params_.persist_writes) {
     journal_ = std::make_unique<storage::Device>(
         hub_->transport().fabric().simulation(), params_.journal);
@@ -126,8 +121,8 @@ sim::Task<net::RpcResponse> Server::handle_set(
   sim::ScopedSpan span(sim.trace(), "set.", req->key, "kv", node_,
                        req->op_id);
   // RDMA-placed payloads skip the receive-path copy.
-  co_await charge_op(req->payload_by_rdma ? 0 : req->value->size());
-  Status st = store_.set(req->key, *req->value,
+  co_await charge_op(req->payload_by_rdma ? 0 : req->value.length);
+  Status st = store_.set(req->key, req->value.span(),
                          SetOptions{.pinned = req->pinned,
                                     .expiry_ns = req->expiry_ns,
                                     .value_crc = req->value_crc});
@@ -135,11 +130,11 @@ sim::Task<net::RpcResponse> Server::handle_set(
   if (!st.is_ok()) co_return net::rpc_error(std::move(st));
   if (journal_ != nullptr) {
     // Append-only journal on the server's local SSD.
-    co_await journal_->write(journal_cursor_, req->value->size());
-    journal_cursor_ += req->value->size();
+    co_await journal_->write(journal_cursor_, req->value.length);
+    journal_cursor_ += req->value.length;
   }
   put_ns_->record(sim.now() - start);
-  put_bytes_->add(req->value->size());
+  put_bytes_->add(req->value.length);
   co_return net::RpcResponse{Status::ok(), nullptr, kMsgHeaderBytes};
 }
 

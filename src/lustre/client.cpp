@@ -84,20 +84,8 @@ ByteSlice stripe_of(const std::vector<ByteSlice>& pieces, std::size_t& first,
   if (at + length <= first_at + piece.length) {
     return ByteSlice{piece.bytes, piece.offset + (at - first_at), length};
   }
-  Bytes gathered;
-  gathered.reserve(length);
-  std::uint64_t piece_at = first_at;
-  for (std::size_t p = first; gathered.size() < length; ++p) {
-    const auto part = pieces[p].span();
-    const std::uint64_t from = at + gathered.size() - piece_at;
-    const std::uint64_t take =
-        std::min<std::uint64_t>(part.size() - from, length - gathered.size());
-    gathered.insert(gathered.end(),
-                    part.begin() + static_cast<std::ptrdiff_t>(from),
-                    part.begin() + static_cast<std::ptrdiff_t>(from + take));
-    piece_at += part.size();
-  }
-  return whole(make_bytes(std::move(gathered)));
+  return whole(make_bytes(gather(std::span(pieces).subspan(first),
+                                 at - first_at, length)));
 }
 
 }  // namespace
@@ -156,7 +144,8 @@ sim::Task<Result<Bytes>> LustreClient::read(net::NodeId client,
   const std::vector<Chunk> chunks = chunks_for(layout, offset, length);
   sim::Simulation& sim = hub_->transport().fabric().simulation();
 
-  std::vector<sim::Task<Result<BytesPtr>>> ops;
+  using Pieces = std::vector<ByteSlice>;
+  std::vector<sim::Task<Result<Pieces>>> ops;
   ops.reserve(chunks.size());
   for (const Chunk& chunk : chunks) {
     auto req = std::make_shared<const OssReadRequest>(OssReadRequest{
@@ -164,22 +153,23 @@ sim::Task<Result<Bytes>> LustreClient::read(net::NodeId client,
         chunk.length, op_id});
     ops.push_back([](net::RpcHub& hub, net::NodeId src, net::NodeId dst,
                      std::shared_ptr<const OssReadRequest> r)
-                      -> sim::Task<Result<BytesPtr>> {
+                      -> sim::Task<Result<Pieces>> {
       auto result = co_await hub.call<OssReadReply>(src, dst, kOssRead, r);
       if (!result.is_ok()) co_return result.status();
       co_return result.value()->data;
     }(*hub_, client, chunk.target.oss_node, std::move(req)));
   }
-  std::vector<Result<BytesPtr>> results = co_await sim::parallel_collect(
+  std::vector<Result<Pieces>> results = co_await sim::parallel_collect(
       sim, std::move(ops));
 
-  // Each reply buffer is copied once, straight into the result.
+  // Each stripe's page slices are copied once, straight into the result.
   Bytes out;
   out.reserve(length);
-  for (const auto& piece : results) {
-    if (!piece.is_ok()) co_return piece.status();
-    const Bytes& bytes = *piece.value();
-    out.insert(out.end(), bytes.begin(), bytes.end());
+  for (const auto& stripe : results) {
+    if (!stripe.is_ok()) co_return stripe.status();
+    for (const ByteSlice& piece : stripe.value()) {
+      out.insert(out.end(), piece.span().begin(), piece.span().end());
+    }
   }
   co_return out;
 }

@@ -6,7 +6,14 @@
 namespace hpcbb::lustre {
 
 Oss::Oss(net::RpcHub& hub, net::NodeId node, const OssParams& params)
-    : hub_(&hub), node_(node), params_(params) {
+    : hub_(&hub),
+      node_(node),
+      params_(params),
+      queue_depth_(hub.metrics(), "lustre.queue_depth"),
+      write_ns_(hub.metrics(), "lustre.write"),
+      read_ns_(hub.metrics(), "lustre.read"),
+      write_bytes_(hub.metrics(), "lustre.write_bytes"),
+      read_bytes_(hub.metrics(), "lustre.read_bytes") {
   storage::DeviceParams dev;
   dev.kind = storage::MediaKind::kHdd;
   dev.read_bytes_per_sec = params_.read_bytes_per_sec;
@@ -46,14 +53,13 @@ sim::Task<net::RpcResponse> Oss::handle_write(
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "write.", req->object, "lustre", node_,
                        req->op_id);
-  Gauge& queue = sim.metrics().gauge("lustre.queue_depth");
-  queue.add();
+  queue_depth_->add();
   Status st = co_await store_->write_at(object_key(req->ost_index, req->object),
-                                        req->offset, req->data.span());
-  queue.sub();
-  sim.metrics().histogram("lustre.write").record(sim.now() - start);
+                                        req->offset, req->data);
+  queue_depth_->sub();
+  write_ns_->record(sim.now() - start);
   if (!st.is_ok()) co_return net::rpc_error(std::move(st));
-  sim.metrics().counter("lustre.write_bytes").add(req->data.length);
+  write_bytes_->add(req->data.length);
   co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
 }
 
@@ -63,16 +69,15 @@ sim::Task<net::RpcResponse> Oss::handle_read(
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "read.", req->object, "lustre", node_,
                        req->op_id);
-  Gauge& queue = sim.metrics().gauge("lustre.queue_depth");
-  queue.add();
-  Result<Bytes> data = co_await store_->read(
-      object_key(req->ost_index, req->object), req->offset, req->length);
-  queue.sub();
-  sim.metrics().histogram("lustre.read").record(sim.now() - start);
+  queue_depth_->add();
+  auto data = co_await store_->read(object_key(req->ost_index, req->object),
+                                    req->offset, req->length);
+  queue_depth_->sub();
+  read_ns_->record(sim.now() - start);
   if (!data.is_ok()) co_return net::rpc_error(data.status());
-  sim.metrics().counter("lustre.read_bytes").add(data.value().size());
+  read_bytes_->add(req->length);
   auto reply = std::make_shared<OssReadReply>();
-  reply->data = make_bytes(std::move(data).value());
+  reply->data = std::move(data).value();
   co_return net::rpc_ok(std::move(reply));
 }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/metrics.h"
 #include "lustre/protocol.h"
 #include "net/rpc.h"
 #include "storage/local_store.h"
@@ -51,6 +52,11 @@ class Oss {
   OssParams params_;
   std::unique_ptr<storage::Device> device_;
   std::unique_ptr<storage::LocalStore> store_;
+  MetricHandle<Gauge> queue_depth_;
+  MetricHandle<Histogram> write_ns_;
+  MetricHandle<Histogram> read_ns_;
+  MetricHandle<Counter> write_bytes_;
+  MetricHandle<Counter> read_bytes_;
 };
 
 }  // namespace hpcbb::lustre

@@ -110,9 +110,9 @@ struct OssReadRequest {
 };
 
 struct OssReadReply {
-  BytesPtr data;
+  std::vector<ByteSlice> data;  // the range, as the OST object's page slices
   [[nodiscard]] std::uint64_t wire_size() const {
-    return kHeaderBytes + data->size();
+    return kHeaderBytes + total_length(data);
   }
 };
 

@@ -90,6 +90,9 @@ class RpcHub {
   }
 
   [[nodiscard]] Transport& transport() noexcept { return *transport_; }
+  [[nodiscard]] MetricRegistry& metrics() noexcept {
+    return transport_->fabric().simulation().metrics();
+  }
 
   // Hub-wide retry policy applied by call()/call_with_policy(). The default
   // policy is a no-op, so existing behaviour is unchanged until configured.

@@ -6,82 +6,83 @@
 
 namespace hpcbb::storage {
 
-namespace {
+Bytes& LocalStore::writable(Page& page, std::uint64_t held,
+                            std::uint64_t need) {
+  if (!page.owned || page.bytes.use_count() != 1) {
+    // Copy-on-write: a received slice, or an owned buffer a reader still
+    // holds, is never written.
+    auto own = std::make_shared<Bytes>();
+    own->reserve(need);
+    if (held > 0) {
+      const std::uint8_t* from = page.bytes->data() + page.offset;
+      own->insert(own->end(), from, from + held);
+    }
+    page = Page{std::move(own), 0, true};
+  }
+  // The store made this buffer (make_shared<Bytes> above) and holds its
+  // only reference: writing through it is defined and seen by no one else.
+  Bytes& bytes = const_cast<Bytes&>(*page.bytes);
+  if (need > bytes.capacity()) {
+    // Widen to what the page must hold, at least doubling, up to a page.
+    bytes.reserve(std::min(
+        kPageSize, std::max<std::uint64_t>(need, 2 * bytes.capacity())));
+  }
+  return bytes;
+}
 
-// Calls fn(bytes, n) for each run of [offset, offset + length) that lies in
-// one page, in order.
-template <typename Pages, typename Fn>
-void for_each_run(Pages& pages, std::uint64_t offset, std::uint64_t length,
-                  Fn&& fn) {
+void LocalStore::put(Object& obj, std::uint64_t offset, const ByteSlice& data) {
+  const std::uint64_t end = offset + data.length;
+  const std::uint64_t old_size = obj.size;
+  const std::uint64_t new_size = std::max(old_size, end);
+  obj.pages.resize((new_size + kPageSize - 1) / kPageSize);
+  // Page by page from the old end or the write, whichever comes first.
+  for (std::uint64_t at = std::min(old_size, offset); at < end;) {
+    const std::size_t p = at / kPageSize;
+    const std::uint64_t start = p * kPageSize;
+    const std::uint64_t len = std::min(kPageSize, new_size - start);
+    const std::uint64_t held =
+        old_size > start ? std::min(kPageSize, old_size - start) : 0;
+    // The write's run in this page, [from, to) from its start; empty (at
+    // the page's end) for a page that lies wholly in a gap.
+    const std::uint64_t from = std::clamp(offset, start, start + len) - start;
+    const std::uint64_t to = std::min(end, start + len) - start;
+    if (from == 0 && to == len) {
+      // The write fills the page: keep it as a slice of the sender's buffer.
+      obj.pages[p] = Page{data.bytes, data.offset + (start - offset), false};
+    } else {
+      Bytes& bytes = writable(obj.pages[p], held, len);
+      if (held < from) bytes.insert(bytes.end(), from - held, 0);  // the gap
+      if (to > from) {
+        const std::uint8_t* src = data.span().data() + (start + from - offset);
+        const std::uint64_t overwrite =
+            std::min<std::uint64_t>(to, bytes.size()) - from;
+        std::memcpy(bytes.data() + from, src, overwrite);
+        bytes.insert(bytes.end(), src + overwrite, src + (to - from));
+      }
+    }
+    at = start + len;
+  }
+  obj.size = new_size;
+}
+
+std::vector<ByteSlice> LocalStore::slices(const Object& obj,
+                                          std::uint64_t offset,
+                                          std::uint64_t length) {
+  std::vector<ByteSlice> out;
+  out.reserve((length + kPageSize - 1) / kPageSize + 1);
   while (length > 0) {
-    const std::uint64_t within = offset % LocalStore::kPageSize;
-    const std::uint64_t n = std::min(length, LocalStore::kPageSize - within);
-    fn(pages[offset / LocalStore::kPageSize].get() + within, n);
+    const std::uint64_t within = offset % kPageSize;
+    const std::uint64_t n = std::min(length, kPageSize - within);
+    const Page& page = obj.pages[offset / kPageSize];
+    out.push_back(ByteSlice{page.bytes, page.offset + within, n});
     offset += n;
     length -= n;
   }
-}
-
-}  // namespace
-
-void LocalStore::grow(Object& obj, std::uint64_t end, std::uint64_t data_at) {
-  const auto allocate = [](std::uint64_t n) {
-    return std::make_unique_for_overwrite<std::uint8_t[]>(
-        static_cast<std::size_t>(n));
-  };
-  if (!obj.pages.empty()) {
-    // Widen the last page to hold its share of `end`: to a full page when
-    // the object grows past it, else at least doubled.
-    const std::uint64_t start = (obj.pages.size() - 1) * kPageSize;
-    const std::uint64_t need = std::min(end - start, kPageSize);
-    if (need > obj.tail_capacity) {
-      const std::uint64_t capacity =
-          std::min(kPageSize, std::max(need, 2 * obj.tail_capacity));
-      auto page = allocate(capacity);
-      std::memcpy(page.get(), obj.pages.back().get(), obj.size - start);
-      obj.pages.back() = std::move(page);
-      obj.tail_capacity = capacity;
-    }
-  }
-  const std::uint64_t pages = (end + kPageSize - 1) / kPageSize;
-  while (obj.pages.size() < pages) {
-    const std::uint64_t start = obj.pages.size() * kPageSize;
-    obj.tail_capacity = std::min(end - start, kPageSize);
-    obj.pages.push_back(allocate(obj.tail_capacity));
-  }
-  if (data_at > obj.size) {
-    for_each_run(obj.pages, obj.size, data_at - obj.size,
-                 [](std::uint8_t* bytes, std::uint64_t n) {
-                   std::memset(bytes, 0, n);
-                 });
-  }
-  obj.size = end;
-}
-
-void LocalStore::copy_in(Object& obj, std::uint64_t offset,
-                         std::span<const std::uint8_t> data) {
-  const std::uint8_t* src = data.data();
-  for_each_run(obj.pages, offset, data.size(),
-               [&src](std::uint8_t* bytes, std::uint64_t n) {
-                 std::memcpy(bytes, src, n);
-                 src += n;
-               });
-}
-
-Bytes LocalStore::copy_out(const Object& obj, std::uint64_t offset,
-                          std::uint64_t length) {
-  Bytes out;
-  out.reserve(length);
-  for_each_run(obj.pages, offset, length,
-               [&out](const std::uint8_t* bytes, std::uint64_t n) {
-                 out.insert(out.end(), bytes, bytes + n);
-               });
   return out;
 }
 
-sim::Task<Status> LocalStore::append(std::string name,
-                                     std::span<const std::uint8_t> data) {
-  if (Status st = device_->reserve(data.size()); !st.is_ok()) co_return st;
+sim::Task<Status> LocalStore::append(std::string name, ByteSlice data) {
+  if (Status st = device_->reserve(data.length); !st.is_ok()) co_return st;
 
   auto [it, inserted] = objects_.try_emplace(std::move(name));
   Object& obj = it->second;
@@ -91,21 +92,19 @@ sim::Task<Status> LocalStore::append(std::string name,
     obj.write_cursor = next_extent_;
     next_extent_ += 256 * MiB;
   }
-  const std::uint64_t at = obj.size;
-  grow(obj, at + data.size(), at);
-  copy_in(obj, at, data);
+  put(obj, obj.size, data);
 
   // All map mutation happens before the device await: the object may be
   // removed by another simulated process while this I/O is in flight, and
   // references into objects_ must not be touched afterwards.
   const std::uint64_t io_offset = obj.write_cursor;
-  obj.write_cursor += data.size();
-  co_await device_->write(io_offset, data.size());
+  obj.write_cursor += data.length;
+  co_await device_->write(io_offset, data.length);
   co_return Status::ok();
 }
 
 sim::Task<Status> LocalStore::write_at(std::string name, std::uint64_t offset,
-                                       std::span<const std::uint8_t> data) {
+                                       ByteSlice data) {
   auto [it, inserted] = objects_.try_emplace(std::move(name));
   Object& obj = it->second;
   if (inserted) {
@@ -115,23 +114,22 @@ sim::Task<Status> LocalStore::write_at(std::string name, std::uint64_t offset,
     // keep it consistent with the grown size below.
   }
   const std::uint64_t extent_base = obj.write_cursor - obj.size;
-  const std::uint64_t end = offset + data.size();
+  const std::uint64_t end = offset + data.length;
   if (end > obj.size) {
-    const std::uint64_t grow_by = end - obj.size;
-    if (Status st = device_->reserve(grow_by); !st.is_ok()) co_return st;
-    grow(obj, end, offset);
+    if (Status st = device_->reserve(end - obj.size); !st.is_ok()) {
+      co_return st;
+    }
     obj.write_cursor = extent_base + end;
   }
-  copy_in(obj, offset, data);
+  put(obj, offset, data);
   // Mutations done; no references into objects_ survive the await (the
   // object may be concurrently removed while the I/O is in flight).
-  co_await device_->write(extent_base + offset, data.size());
+  co_await device_->write(extent_base + offset, data.length);
   co_return Status::ok();
 }
 
-sim::Task<Result<Bytes>> LocalStore::read(const std::string& name,
-                                          std::uint64_t offset,
-                                          std::uint64_t length) {
+sim::Task<Result<std::vector<ByteSlice>>> LocalStore::read(
+    std::string name, std::uint64_t offset, std::uint64_t length) {
   const auto it = objects_.find(name);
   if (it == objects_.end()) {
     co_return error(StatusCode::kNotFound, "no such object: " + name);
@@ -140,9 +138,10 @@ sim::Task<Result<Bytes>> LocalStore::read(const std::string& name,
   if (offset + length > obj.size) {
     co_return error(StatusCode::kOutOfRange, "read past end of " + name);
   }
-  // Snapshot the bytes before awaiting the device: the object may be
-  // removed by another simulated process while this I/O is in flight.
-  Bytes out = copy_out(obj, offset, length);
+  // Take the slices before awaiting the device: the object may be removed
+  // or rewritten by another simulated process while this I/O is in flight,
+  // and copy-on-write keeps what they see as it is now.
+  std::vector<ByteSlice> out = slices(obj, offset, length);
   const std::uint64_t io_offset = obj.write_cursor - obj.size + offset;
   co_await device_->read(io_offset, length);
   co_return out;
@@ -165,9 +164,11 @@ std::uint64_t LocalStore::object_size(const std::string& name) const {
 
 void LocalStore::flip_byte(const std::string& name, std::uint64_t index) {
   const auto it = objects_.find(name);
-  if (it != objects_.end() && index < it->second.size) {
-    byte_at(it->second, index) ^= 0xFF;
-  }
+  if (it == objects_.end() || index >= it->second.size) return;
+  Object& obj = it->second;
+  const std::size_t p = index / kPageSize;
+  const std::uint64_t len = std::min(kPageSize, obj.size - p * kPageSize);
+  writable(obj.pages[p], len, len)[index % kPageSize] ^= 0xFF;
 }
 
 std::string LocalStore::corrupt_one(const std::string& object,
@@ -185,10 +186,12 @@ std::string LocalStore::corrupt_one(const std::string& object,
   const auto it = objects_.find(target);
   if (it == objects_.end()) return {};
   Object& obj = it->second;
-  // Fault injection is cold: corrupt a flat copy and write it back.
-  Bytes flat = copy_out(obj, 0, obj.size);
+  // Fault injection is cold: corrupt a flat copy and put it back as the
+  // object's pages. The copy is this store's alone, so no other holder of
+  // the old pages sees the damage.
+  Bytes flat = gather(slices(obj, 0, obj.size));
   if (!apply_corruption(flat, kind, selector)) return {};
-  copy_in(obj, 0, flat);
+  put(obj, 0, whole(make_bytes(std::move(flat))));
   return target;
 }
 

@@ -1,13 +1,15 @@
 // LocalStore: a named-object store on one Device — the DataNode's block
 // directory, a Lustre OST, or the RAM-disk replica area of the BB-Local
-// scheme. Objects hold real bytes in fixed-size pages, so growing an object
-// re-copies at most its last, partly filled page; every append/read charges
-// device time and appends are capacity-checked.
+// scheme. Objects hold real bytes in fixed-size pages. A write that covers
+// a whole page keeps that page as a slice of the sender's immutable buffer;
+// any other write copies into a page the store owns, so growing an object
+// re-copies at most its last, partly filled page. Reads hand out slices of
+// the pages. Every append/read charges device time and appends are
+// capacity-checked.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,18 +34,20 @@ class LocalStore {
   LocalStore& operator=(const LocalStore&) = delete;
 
   // Appends to (creating if absent) the named object.
-  sim::Task<Status> append(std::string name, std::span<const std::uint8_t> data);
+  sim::Task<Status> append(std::string name, ByteSlice data);
 
   // Writes at an absolute object offset (creating/growing as needed; gaps
   // are zero-filled). Lustre OST objects receive stripes at arbitrary
   // offsets when upper layers flush out of order.
   sim::Task<Status> write_at(std::string name, std::uint64_t offset,
-                             std::span<const std::uint8_t> data);
+                             ByteSlice data);
 
-  // Reads [offset, offset+length) of the named object: one copy out of its
-  // pages.
-  sim::Task<Result<Bytes>> read(const std::string& name, std::uint64_t offset,
-                                std::uint64_t length);
+  // Reads [offset, offset+length) of the named object as slices of its
+  // pages, in order. The slices are a snapshot: a later write, corruption
+  // or removal of the object never changes them.
+  sim::Task<Result<std::vector<ByteSlice>>> read(std::string name,
+                                                 std::uint64_t offset,
+                                                 std::uint64_t length);
 
   // Removes the object and releases its space (metadata op: no device time).
   Status remove(const std::string& name);
@@ -63,11 +67,11 @@ class LocalStore {
   // (RAM disk on node crash).
   void wipe();
 
-  // Test hook: flip one byte of a stored object in place (bit-rot
-  // injection for checksum-validation tests). No-op if absent/too short.
+  // Test hook: flip one byte of a stored object (bit-rot injection for
+  // checksum-validation tests). No-op if absent/too short.
   void flip_byte(const std::string& name, std::uint64_t index);
 
-  // Corrupt one resident object in place — `object` if named, else a
+  // Corrupt one resident object — `object` if named, else a
   // selector-derived pick over the sorted object names. Returns the
   // corrupted name, or "" when the store is empty / the name is absent.
   std::string corrupt_one(const std::string& object, std::uint64_t selector,
@@ -76,29 +80,38 @@ class LocalStore {
   static constexpr std::uint64_t kPageSize = 1 * MiB;
 
  private:
-  // Bytes [0, size) live in pages[i / kPageSize][i % kPageSize]. Every page
-  // but the last holds kPageSize bytes; the last holds `tail_capacity`, sized
-  // to what it holds and widened as the object grows, so a small object
-  // costs about its size. Bytes of the last page past `size` are unspecified
-  // until the object grows over them: pages are never zero-filled, only gaps
-  // are.
+  // Bytes [0, size) of an object live in pages[i / kPageSize] at
+  // i % kPageSize. Every page but the last holds kPageSize bytes; the last
+  // holds the rest. A page is bytes [offset, offset + its length) of
+  // `bytes`, which is either
+  //   - a slice of a buffer the store received (owned = false): a whole
+  //     page of a write, kept instead of copied, or
+  //   - a buffer the store allocated (owned = true, offset 0), exactly as
+  //     long as the page. Its capacity grows with the page, so a small
+  //     object costs about its size.
+  // Copy-on-write: the store writes into a page in place only while it
+  // owns the page's buffer alone; a received slice, or an owned buffer a
+  // read has handed out, is copied first. Owned pages are never
+  // zero-filled, only gaps are.
+  struct Page {
+    BytesPtr bytes;
+    std::uint64_t offset = 0;
+    bool owned = false;
+  };
   struct Object {
-    std::vector<std::unique_ptr<std::uint8_t[]>> pages;
-    std::uint64_t tail_capacity = 0;
+    std::vector<Page> pages;
     std::uint64_t size = 0;
     std::uint64_t write_cursor = 0;  // device offset bookkeeping
   };
 
-  // Extends `obj` to `end` bytes. The bytes from the old size up to
-  // `data_at`, where the caller's data will start, are zeroed.
-  static void grow(Object& obj, std::uint64_t end, std::uint64_t data_at);
-  static void copy_in(Object& obj, std::uint64_t offset,
-                      std::span<const std::uint8_t> data);
-  static Bytes copy_out(const Object& obj, std::uint64_t offset,
-                        std::uint64_t length);
-  static std::uint8_t& byte_at(Object& obj, std::uint64_t index) noexcept {
-    return obj.pages[index / kPageSize][index % kPageSize];
-  }
+  // Writes `data` at `offset`, growing the object over it and zeroing any
+  // gap between the old size and `offset`.
+  static void put(Object& obj, std::uint64_t offset, const ByteSlice& data);
+  // The buffer of `page`, owned alone by the store and copied first if it
+  // is not, holding the page's current `held` bytes with room for `need`.
+  static Bytes& writable(Page& page, std::uint64_t held, std::uint64_t need);
+  static std::vector<ByteSlice> slices(const Object& obj, std::uint64_t offset,
+                                       std::uint64_t length);
 
   Device* device_;
   std::unordered_map<std::string, Object> objects_;

@@ -9,6 +9,7 @@
 #include "common/units.h"
 #include "burstbuffer/filesystem.h"
 #include "burstbuffer/master.h"
+#include "hdfs/protocol.h"
 #include "kvstore/server.h"
 #include "lustre/mds.h"
 #include "lustre/oss.h"
@@ -120,6 +121,26 @@ struct Rig {
   }
 };
 
+TEST(WireSizeTest, SlicedPayloadsCostExactlyTheirBytes) {
+  // Replies that carry page slices, and a SET that carries a slice of the
+  // writer's buffer, are charged their payload bytes and nothing else, as
+  // the whole buffers they replace were.
+  const BytesPtr buffer = make_bytes(Bytes(3 * MiB, 7));
+  const std::vector<ByteSlice> pieces{{buffer, 5, MiB},
+                                      {buffer, 2 * MiB, 1000}};
+  EXPECT_EQ(AgentReadReply{pieces}.wire_size(), kHeaderBytes + MiB + 1000);
+  EXPECT_EQ(lustre::OssReadReply{pieces}.wire_size(),
+            lustre::kHeaderBytes + MiB + 1000);
+  EXPECT_EQ(hdfs::DnReadReply{pieces}.wire_size(),
+            hdfs::kHeaderBytes + MiB + 1000);
+  kv::SetRequest set;
+  set.key = "key";
+  set.value = ByteSlice{buffer, 5, 4096};
+  EXPECT_EQ(set.wire_size(), kv::kMsgHeaderBytes + 3 + 4096);
+  set.payload_by_rdma = true;
+  EXPECT_EQ(set.wire_size(), kv::kMsgHeaderBytes + 3);
+}
+
 TEST(SchemeTest, Names) {
   EXPECT_EQ(to_string(Scheme::kAsync), "BB-Async");
   EXPECT_EQ(to_string(Scheme::kSync), "BB-Sync");
@@ -206,6 +227,27 @@ TEST(BbAsyncTest, RoundTripChecksumsEachUserByteThreeTimes) {
   ASSERT_EQ(got.size(), kSize);
   EXPECT_TRUE(verify_pattern(14, 0, got));
   EXPECT_EQ(rig.master->lost_blocks(), 0u);
+  EXPECT_EQ(checksummed, 3 * kSize);
+}
+
+TEST(BbLocalTest, RoundTripChecksumsEachUserByteThreeTimes) {
+  // The BB-Local counterpart: write -> flush -> read of the writer's
+  // RAM-disk replica at R=1. Per byte: the writer's chunk CRC, the server
+  // verify of the flusher's GET and the reader's check of the replica,
+  // which has no item CRC to compare and so hashes each chunk where it
+  // lies. Reading the replica as page pieces adds no hashing.
+  Rig rig(Scheme::kLocal);
+  constexpr std::uint64_t kSize = 16 * MiB;
+  const std::uint64_t before = crc32c_bytes();
+  rig.write_file("/f", 15, kSize);
+  rig.drain_flushes();
+  const Bytes got = rig.read_file("/f", kSize);
+  const std::uint64_t checksummed = crc32c_bytes() - before;
+  ASSERT_EQ(got.size(), kSize);
+  EXPECT_TRUE(verify_pattern(15, 0, got));
+  EXPECT_EQ(rig.master->lost_blocks(), 0u);
+  EXPECT_EQ(rig.master->recovered_blocks(), 0u);
+  EXPECT_EQ(rig.sim.metrics().counter("bb.read.local_crc_failures").get(), 0u);
   EXPECT_EQ(checksummed, 3 * kSize);
 }
 

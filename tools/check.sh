@@ -7,10 +7,13 @@
 #   tools/check.sh --chaos    # chaos-labeled tests + seeded bench_a4_chaos
 #                             # smoke, both under ASan+UBSan
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
-#                             # bench_f1_kv_latency + bench_f3_dfsio_write +
-#                             # bench_f4_dfsio_read + bench_f5_sort +
+#                             # bench_f1_kv_latency + bench_f2_kv_throughput +
+#                             # bench_f3_dfsio_write + bench_f4_dfsio_read +
+#                             # bench_f5_sort + bench_f6_io_intensive +
 #                             # bench_f7_schemes + bench_f8_fault +
-#                             # bench_f11_capacity + bench_a3_overload +
+#                             # bench_f9_local_storage + bench_f10_scaling +
+#                             # bench_f11_capacity + bench_a1_bb_transport +
+#                             # bench_a2_read_promotion + bench_a3_overload +
 #                             # the seeded bench_a4_chaos smoke vs
 #                             # bench/baselines/, plus an
 #                             # injected-regression self-test
@@ -34,13 +37,17 @@ if [[ "${gate}" == 1 ]]; then
   cmake -B build -S .
   echo "== gate: build gated benches =="
   cmake --build build -j "${jobs}" --target bench_f1_kv_latency \
-    bench_f3_dfsio_write bench_f4_dfsio_read bench_f5_sort bench_f7_schemes \
-    bench_f8_fault bench_f11_capacity bench_a3_overload bench_a4_chaos \
-    bench_m1_kv_micro
+    bench_f2_kv_throughput bench_f3_dfsio_write bench_f4_dfsio_read \
+    bench_f5_sort bench_f6_io_intensive bench_f7_schemes bench_f8_fault \
+    bench_f9_local_storage bench_f10_scaling bench_f11_capacity \
+    bench_a1_bb_transport bench_a2_read_promotion bench_a3_overload \
+    bench_a4_chaos bench_m1_kv_micro
   out="$(mktemp -d)"
-  for bench in bench_f1_kv_latency bench_f3_dfsio_write bench_f4_dfsio_read \
-      bench_f5_sort bench_f7_schemes bench_f8_fault bench_f11_capacity \
-      bench_a3_overload; do
+  for bench in bench_f1_kv_latency bench_f2_kv_throughput \
+      bench_f3_dfsio_write bench_f4_dfsio_read bench_f5_sort \
+      bench_f6_io_intensive bench_f7_schemes bench_f8_fault \
+      bench_f9_local_storage bench_f10_scaling bench_f11_capacity \
+      bench_a1_bb_transport bench_a2_read_promotion bench_a3_overload; do
     echo "== gate: ${bench} (simulated time, deterministic) =="
     HPCBB_BENCH_OUT="${out}" "./build/bench/${bench}" --gate
   done
