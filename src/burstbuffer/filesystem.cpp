@@ -20,8 +20,7 @@ class BbWriter final : public fs::Writer {
         client_(client),
         kv_(*bbfs.hub_, client, bbfs.kv_servers_, bbfs.common_.kv_client),
         lustre_(*bbfs.hub_, bbfs.lustre_mds_),
-        window_(bbfs.hub_->transport().fabric().simulation(),
-                bbfs.params_.write_window) {
+        window_(bbfs.sim(), bbfs.params_.write_window) {
     const auto it = bbfs.agents_.find(client);
     if (bbfs.common_.scheme == Scheme::kLocal && it != bbfs.agents_.end()) {
       agent_ = it->second;
@@ -91,17 +90,18 @@ class BbWriter final : public fs::Writer {
     // Allocated (and the client-side span opened) BEFORE the AddBlock RPC so
     // the master-side admission stall is attributed to this write — the
     // flowctl credit wait is often the dominant queueing term.
-    sim::Simulation& sim = bbfs_->hub_->transport().fabric().simulation();
-    op_id_ = sim.next_op_id();
+    sim::Simulation& sim = bbfs_->sim();
+    sim::OpScope op(sim);
+    block_op_ = sim.current_op();
     if (sim.trace() != nullptr) {
       // Single-writer files: blocks_added_ is the index the master will
       // return (a mismatch would be a retransmission of this same index).
       block_span_ = sim.trace()->begin(
           "write." + path_ + "#" + std::to_string(blocks_added_), "bb",
-          client_, op_id_);
+          client_, block_op_);
     }
     auto req = std::make_shared<const BbAddBlockRequest>(
-        BbAddBlockRequest{path_, client_, blocks_added_, op_id_});
+        BbAddBlockRequest{path_, client_, blocks_added_});
     auto result = co_await bbfs_->hub_->call<BbAddBlockReply>(
         client_, bbfs_->master_node_, kBbAddBlock, req);
     if (!result.is_ok()) {
@@ -137,7 +137,7 @@ class BbWriter final : public fs::Writer {
     chunk_crcs_.push_back(crc);
 
     co_await window_.acquire();
-    bbfs_->hub_->transport().fabric().simulation().spawn(
+    bbfs_->sim().spawn(
         store_chunk(chunk_index, chunk_offset, std::move(payload), crc));
     if (!first_error_.is_ok()) {
       // A previous chunk store failed and this error will abort the write.
@@ -183,12 +183,14 @@ class BbWriter final : public fs::Writer {
       stored_crc = std::nullopt;
     }
     Status st;
-    sim::Simulation& simref = bbfs_->hub_->transport().fabric().simulation();
+    sim::Simulation& simref = bbfs_->sim();
+    // The window drain in finish_block() keeps block_op_ (like
+    // block_index_) this chunk's until the store ends.
+    sim::OpScope op(simref, block_op_);
     const sim::SimTime store_start = simref.now();
     bool backed_off = false;
     for (std::uint32_t attempt = 0; attempt < p.store_retry_limit; ++attempt) {
-      st = co_await kv_.set(key, stored, pin, /*expiry_ns=*/0, op_id_,
-                            stored_crc);
+      st = co_await kv_.set(key, stored, pin, /*expiry_ns=*/0, stored_crc);
       if (st.code() != StatusCode::kResourceExhausted) break;
       backed_off = true;
       simref.metrics().counter("bb.store.backpressure_retries").add();
@@ -240,7 +242,7 @@ class BbWriter final : public fs::Writer {
         chunk_offset;
     std::vector<ByteSlice> pieces{std::move(payload)};
     co_return co_await lustre_.write(client_, *lustre_layout_, file_offset,
-                                     std::move(pieces), op_id_);
+                                     std::move(pieces));
   }
 
   sim::Task<Status> finish_block() {
@@ -255,7 +257,6 @@ class BbWriter final : public fs::Writer {
     req->size = block_bytes_;
     req->chunk_crcs = chunk_crcs_;
     req->already_durable = write_through_;
-    req->op_id = op_id_;
     if (agent_ != nullptr && local_replica_ok_) {
       req->local_node = client_;
     }
@@ -264,12 +265,13 @@ class BbWriter final : public fs::Writer {
     local_replica_ok_ = true;
     // The client span closes after the CompleteBlock reply: the seal RPC is
     // part of what the writer experiences as this block's write latency.
+    sim::Simulation& sim = bbfs_->sim();
+    sim::OpScope op(sim, block_op_);
     const Status status =
         (co_await bbfs_->hub_->call<void>(
              client_, bbfs_->master_node_, kBbCompleteBlock,
              std::shared_ptr<const BbCompleteBlockRequest>(std::move(req))))
             .status();
-    sim::Simulation& sim = bbfs_->hub_->transport().fabric().simulation();
     if (sim.trace() != nullptr) sim.trace()->end(block_span_);
     co_return status;
   }
@@ -293,7 +295,7 @@ class BbWriter final : public fs::Writer {
   // Lustre write-through establishes durability.
   bool buffer_optional_ = false;
   std::uint32_t block_index_ = 0;
-  std::uint64_t op_id_ = 0;
+  std::uint64_t block_op_ = 0;  // the open block's causal op
   std::size_t block_span_ = 0;
   std::uint32_t next_chunk_ = 0;
   std::uint64_t block_bytes_ = 0;
@@ -326,16 +328,17 @@ class BbReader final : public fs::Reader {
     Bytes out;
     std::uint64_t cursor = offset;
     const std::uint64_t end = offset + length;
-    sim::Simulation& sim = bbfs_->hub_->transport().fabric().simulation();
-    const std::uint64_t op_id = sim.next_op_id();
-    sim::ScopedSpan span(sim.trace(), "read.", path_, "bb", client_, op_id);
+    sim::Simulation& sim = bbfs_->sim();
+    sim::OpScope op(sim);
+    sim::ScopedSpan span(sim.trace(), "read.", path_, "bb", client_,
+                         sim.current_op());
     while (cursor < end) {
       const std::uint64_t block_index = cursor / meta_.block_size;
       const std::uint64_t in_off = cursor % meta_.block_size;
       const BbBlockInfo& block =
           meta_.blocks[static_cast<std::size_t>(block_index)];
       const std::uint64_t take = std::min(end - cursor, block.size - in_off);
-      Result<Bytes> piece = co_await read_block(block, in_off, take, op_id);
+      Result<Bytes> piece = co_await read_block(block, in_off, take);
       if (!piece.is_ok()) co_return piece.status();
       // A range inside one block is that block's result, as is.
       if (take == length) co_return std::move(piece).value();
@@ -355,9 +358,8 @@ class BbReader final : public fs::Reader {
   // instead of being served, and only the last tier turns it into an error.
   sim::Task<Result<Bytes>> read_block(const BbBlockInfo& block,
                                       std::uint64_t offset,
-                                      std::uint64_t length,
-                                      std::uint64_t op_id) {
-    sim::Simulation& sim = bbfs_->hub_->transport().fabric().simulation();
+                                      std::uint64_t length) {
+    sim::Simulation& sim = bbfs_->sim();
     // Chunk-aligned covering range: block-object tiers (local replica,
     // Lustre) read whole chunks so partial reads are verifiable against the
     // per-chunk CRCs, then slice to the caller's range.
@@ -390,8 +392,7 @@ class BbReader final : public fs::Reader {
     // 2. Burst buffer: fetch the covering chunks in parallel. A corrupt
     // buffer copy (kDataLoss) also falls through: once the block is
     // flushed, Lustre is the authoritative repair source.
-    Result<Bytes> buffered =
-        co_await read_from_buffer(block, offset, length, op_id);
+    Result<Bytes> buffered = co_await read_from_buffer(block, offset, length);
     if (buffered.is_ok()) co_return std::move(buffered).value();
 
     // 3. Lustre, once the block is durable there. The location snapshot
@@ -412,7 +413,7 @@ class BbReader final : public fs::Reader {
           static_cast<std::uint64_t>(block.index) * meta_.block_size +
           aligned_off;
       Result<Bytes> data = co_await lustre_.read(
-          client_, layout.value(), file_offset, aligned_len, op_id);
+          client_, layout.value(), file_offset, aligned_len);
       if (!data.is_ok()) co_return data.status();
       // The buffer copy was evicted (or never promoted): served from Lustre.
       sim.metrics().counter("bb.read.lustre_fallbacks").add();
@@ -437,8 +438,7 @@ class BbReader final : public fs::Reader {
 
   sim::Task<Result<Bytes>> read_from_buffer(const BbBlockInfo& block,
                                             std::uint64_t offset,
-                                            std::uint64_t length,
-                                            std::uint64_t op_id) {
+                                            std::uint64_t length) {
     const std::uint64_t chunk_size = bbfs_->common_.chunk_size;
     const std::uint32_t first =
         static_cast<std::uint32_t>(offset / chunk_size);
@@ -448,10 +448,10 @@ class BbReader final : public fs::Reader {
     using Fetched = Result<std::shared_ptr<const kv::GetReply>>;
     std::vector<sim::Task<Fetched>> gets;
     for (std::uint32_t c = first; c <= last; ++c) {
-      gets.push_back(kv_.get_verified(chunk_key(path_, block.index, c), op_id));
+      gets.push_back(kv_.get_verified(chunk_key(path_, block.index, c)));
     }
-    std::vector<Fetched> pieces = co_await sim::parallel_collect(
-        bbfs_->hub_->transport().fabric().simulation(), std::move(gets));
+    std::vector<Fetched> pieces =
+        co_await sim::parallel_collect(bbfs_->sim(), std::move(gets));
 
     // Each chunk is verified where it lies, then only its share of the
     // requested range is copied, once, into the result.
@@ -471,8 +471,7 @@ class BbReader final : public fs::Reader {
                                     whole(piece.value()->value),
                                     piece.value()->value_crc);
           !st.is_ok()) {
-        bbfs_->hub_->transport().fabric().simulation().metrics()
-            .counter("bb.read.buffer_crc_failures").add();
+        bbfs_->sim().metrics().counter("bb.read.buffer_crc_failures").add();
         co_return st;
       }
       const std::uint64_t from = std::max(offset, c_start) - c_start;
@@ -489,8 +488,11 @@ class BbReader final : public fs::Reader {
   // Read promotion: push the complete chunks covered by this Lustre read
   // back into the buffer, detached and unpinned (pure cache data — safe to
   // evict, already durable). The next reader hits RDMA speed again.
+  // Background work: the stores run under no op, not the read's.
   void promote(const BbBlockInfo& block, std::uint64_t offset,
                const Bytes& data) {
+    sim::Simulation& sim = bbfs_->sim();
+    sim::OpScope none(sim, 0);
     const std::uint64_t chunk = bbfs_->common_.chunk_size;
     const std::uint64_t end = offset + data.size();
     std::uint32_t c = static_cast<std::uint32_t>(
@@ -503,9 +505,9 @@ class BbReader final : public fs::Reader {
       Bytes payload(data.begin() + static_cast<std::ptrdiff_t>(c_start - offset),
                     data.begin() + static_cast<std::ptrdiff_t>(c_end - offset));
       payload.resize(chunk, 0);  // uniform slab class (see store_chunk)
-      bbfs_->hub_->transport().fabric().simulation().spawn(promote_chunk(
-          bbfs_, client_, chunk_key(path_, block.index, c),
-          make_bytes(std::move(payload))));
+      sim.spawn(promote_chunk(bbfs_, client_,
+                              chunk_key(path_, block.index, c),
+                              make_bytes(std::move(payload))));
       if (c_end == block.size) break;
     }
   }
@@ -557,7 +559,7 @@ sim::Task<Result<std::unique_ptr<fs::Writer>>> BurstBufferFileSystem::create(
   // Unique creation token: a retried Create after a lost reply matches the
   // stored token and succeeds instead of reporting kAlreadyExists.
   auto req = std::make_shared<const BbCreateRequest>(
-      BbCreateRequest{path, hub_->transport().fabric().simulation().next_op_id()});
+      BbCreateRequest{path, sim().next_op_id()});
   auto result = co_await hub_->call<void>(client, master_node_, kBbCreate,
                                           req);
   if (!result.is_ok()) co_return result.status();

@@ -69,6 +69,10 @@ class BurstBufferFileSystem final : public fs::FileSystem {
   friend class BbWriter;
   friend class BbReader;
 
+  [[nodiscard]] sim::Simulation& sim() const noexcept {
+    return hub_->transport().fabric().simulation();
+  }
+
   net::RpcHub* hub_;
   net::NodeId master_node_;
   std::vector<net::NodeId> kv_servers_;

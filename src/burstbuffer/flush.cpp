@@ -271,6 +271,8 @@ sim::Task<void> FlushPipeline::requeue(std::uint64_t generation,
 sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
                                            std::uint32_t worker_index,
                                            const FlushItem& item) {
+  // The flush is part of the writing op: adopt the block's stored op.
+  sim::OpScope op(sim(), item.op_id);
   // After a crash the rebuilt map may hold the same path again, but this
   // flush belongs to the dead master: hence current() on every re-lookup.
   BbBlockInfo* block = current(generation, item);
@@ -302,8 +304,8 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
   bool buffer_ok = true;
   bool corrupt = false;
   for (std::uint32_t c = 0; c < chunks && buffer_ok; ++c) {
-    auto piece = co_await kv.get_verified(
-        chunk_key(item.path, block_index, c), item.op_id);
+    auto piece =
+        co_await kv.get_verified(chunk_key(item.path, block_index, c));
     if (!piece.is_ok()) {
       buffer_ok = false;
       // The verified-read client only reports kDataLoss once EVERY replica
@@ -390,7 +392,7 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
   const auto layout = md_->files.find(item.path)->second.lustre_layout;
   const Status st = co_await lustre_->write(
       self, layout, std::uint64_t{block_index} * common_.block_size,
-      std::move(pieces), item.op_id);
+      std::move(pieces));
   block = current(generation, item);
   if (block == nullptr) co_return;
   if (!st.is_ok()) {

@@ -126,7 +126,7 @@ void Master::spawn_workers() {
 
 void Master::make_scrubber() {
   if (params_.scrub.interval_ns == 0 || heartbeat_stop_) return;
-  scrubber_ = std::make_unique<integrity::Scrubber>(
+  scrubber_ = std::make_shared<integrity::Scrubber>(
       *hub_, node_, kv_servers_, lustre_mds_, common_.kv_client,
       params_.scrub, common_.lustre_prefix);
   scrubber_->set_inventory([this] { return scrub_inventory(); });
@@ -241,8 +241,8 @@ sim::Task<net::RpcResponse> Master::handle_add_block(
     co_return net::rpc_ok(std::move(reply));
   }
   // Credit-based admission: may evict clean blocks, may stall (but never
-  // reject) under memory pressure.
-  (void)co_await flowctl_.admit(common_.block_size, req->op_id);
+  // reject) under memory pressure. The stall is charged to the writer's op.
+  (void)co_await flowctl_.admit(common_.block_size);
   // Re-find: the admission wait suspends, and the file may change meanwhile.
   const auto it2 = md_.files.find(req->path);
   if (it2 == md_.files.end()) {
@@ -259,7 +259,7 @@ sim::Task<net::RpcResponse> Master::handle_add_block(
   MdRecord record{.type = MdRecordType::kBlockAdd,
                   .path = req->path,
                   .block_index = reply->block_index,
-                  .op_id = req->op_id};
+                  .op_id = sim().current_op()};
   (void)md_.apply(record);
   it2->second.blocks.back().reservation_held = flowctl_.enabled();
   if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
@@ -294,7 +294,7 @@ sim::Task<net::RpcResponse> Master::handle_complete_block(
                   .has_local_node = req->local_node.has_value(),
                   .local_node = static_cast<std::uint32_t>(
                       req->local_node.value_or(0)),
-                  .op_id = req->op_id};
+                  .op_id = sim().current_op()};
   if (recovery_ != nullptr && req->size > 0) {
     // Record where the block's chunks live: the union of the chunks' ring
     // replica sets (deterministic, so clients and recovery agree).
@@ -475,6 +475,8 @@ void Master::maybe_trigger_checkpoint() {
   if (journal_->bytes_since_checkpoint() < params_.md.journal_max_bytes) {
     return;
   }
+  // Background work: not part of the op whose record filled the journal.
+  sim::OpScope none(sim(), 0);
   sim().spawn(run_checkpoint(generation_));
 }
 

@@ -248,7 +248,7 @@ class Master {
   PeerMonitor monitor_;
   std::unique_ptr<kv::Client> probe_client_;  // heartbeat pings, from node_
   std::unique_ptr<repl::RecoveryManager> recovery_;
-  std::unique_ptr<integrity::Scrubber> scrubber_;
+  std::shared_ptr<integrity::Scrubber> scrubber_;
   std::unique_ptr<MetadataJournal> journal_;
   bool heartbeat_stop_ = false;
 

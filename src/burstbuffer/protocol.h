@@ -65,9 +65,6 @@ struct BbAddBlockRequest {
   // already allocated is a retransmission — the master returns the existing
   // block instead of allocating an orphan.
   std::uint32_t expected_index = kAnyBlockIndex;
-  // Causal op id of the block being opened, so master-side work on the
-  // admission path (the flowctl credit wait) is attributed to this write.
-  std::uint64_t op_id = 0;
   [[nodiscard]] std::uint64_t wire_size() const {
     return kHeaderBytes + path.size();
   }
@@ -94,7 +91,6 @@ struct BbCompleteBlockRequest {
   std::vector<std::uint32_t> chunk_crcs;
   bool already_durable = false;           // BB-Sync wrote through to Lustre
   std::optional<net::NodeId> local_node;  // BB-Local replica location
-  std::uint64_t op_id = 0;  // causal trace id: writer -> master -> flusher
   [[nodiscard]] std::uint64_t wire_size() const {
     return kHeaderBytes + path.size();
   }

@@ -33,8 +33,7 @@ Pressure CapacityController::pressure() const noexcept {
   return band(usage_bytes());
 }
 
-sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes,
-                                                  std::uint64_t op_id) {
+sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes) {
   if (!enabled()) co_return 0;
   const sim::SimTime start = sim_->now();
   bool stalled = false;
@@ -54,7 +53,8 @@ sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes,
       stalled = true;
       sim_->metrics().counter("flowctl.stalls").add();
       if (trace_ != nullptr) {
-        span = trace_->begin("flowctl.stall", "flowctl", trace_track_, op_id);
+        span = trace_->begin("flowctl.stall", "flowctl", trace_track_,
+                             sim_->current_op());
       }
     }
     co_await drained_.wait();

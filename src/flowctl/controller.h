@@ -103,9 +103,9 @@ class CapacityController {
   // before ever stalling; stalls (never rejects) while dirty+reserved
   // credits would cross the high watermark or total usage would cross the
   // critical watermark. Returns the stalled time in ns (0 = admitted
-  // immediately). `op_id` tags the credit-wait stall span so latency
-  // attribution can charge the wait to the operation that incurred it.
-  sim::Task<sim::SimTime> admit(std::uint64_t bytes, std::uint64_t op_id = 0);
+  // immediately). The credit-wait stall span carries the caller's op, so
+  // latency attribution charges the wait to the operation that incurred it.
+  sim::Task<sim::SimTime> admit(std::uint64_t bytes);
   // Return an unused credit (block abandoned before it was sealed).
   void release_reservation(std::uint64_t bytes);
 

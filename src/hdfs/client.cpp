@@ -70,10 +70,10 @@ class HdfsWriter final : public fs::Writer {
     // One causal op per block: every packet of this block (and the datanode
     // spans it produces) shares this id.
     sim::Simulation& sim = hub_->transport().fabric().simulation();
-    op_id_ = sim.next_op_id();
+    block_op_ = sim.next_op_id();
     if (sim.trace() != nullptr) {
       block_span_ = sim.trace()->begin(
-          "block." + std::to_string(block_id_), "hdfs", client_, op_id_);
+          "block." + std::to_string(block_id_), "hdfs", client_, block_op_);
     }
     co_return Status::ok();
   }
@@ -97,9 +97,10 @@ class HdfsWriter final : public fs::Writer {
     req->offset = offset;
     req->data = std::move(packet);
     req->downstream.assign(pipeline_.begin() + 1, pipeline_.end());
-    req->op_id = op_id_;
 
-    hub_->transport().fabric().simulation().spawn(
+    sim::Simulation& sim = hub_->transport().fabric().simulation();
+    sim::OpScope op(sim, block_op_);  // the packet's send runs under its block
+    sim.spawn(
         [](HdfsWriter& w, net::NodeId head,
            std::shared_ptr<const DnWritePacketRequest> r) -> sim::Task<void> {
           auto result =
@@ -140,7 +141,7 @@ class HdfsWriter final : public fs::Writer {
 
   bool block_open_ = false;
   BlockId block_id_ = 0;
-  std::uint64_t op_id_ = 0;
+  std::uint64_t block_op_ = 0;
   std::size_t block_span_ = 0;
   std::vector<net::NodeId> pipeline_;
   std::uint64_t block_bytes_ = 0;
@@ -165,8 +166,7 @@ class HdfsReader final : public fs::Reader {
     out.reserve(length);
     std::uint64_t cursor = offset;
     const std::uint64_t end = offset + length;
-    const std::uint64_t op_id =
-        hub_->transport().fabric().simulation().next_op_id();
+    sim::OpScope op(hub_->transport().fabric().simulation());
     // Blocks can have unequal sizes (last block short); walk them.
     std::uint64_t block_start = 0;
     for (const BlockLocation& block : meta_.blocks) {
@@ -175,7 +175,7 @@ class HdfsReader final : public fs::Reader {
         const std::uint64_t in_off = std::max(cursor, block_start) - block_start;
         const std::uint64_t in_len =
             std::min(end, block_end) - std::max(cursor, block_start);
-        Result<Bytes> piece = co_await read_block(block, in_off, in_len, op_id);
+        Result<Bytes> piece = co_await read_block(block, in_off, in_len);
         if (!piece.is_ok()) co_return piece.status();
         out.insert(out.end(), piece.value().begin(), piece.value().end());
         cursor += in_len;
@@ -191,8 +191,7 @@ class HdfsReader final : public fs::Reader {
  private:
   sim::Task<Result<Bytes>> read_block(const BlockLocation& block,
                                       std::uint64_t offset,
-                                      std::uint64_t length,
-                                      std::uint64_t op_id) {
+                                      std::uint64_t length) {
     if (block.nodes.empty()) {
       co_return error(StatusCode::kDataLoss,
                       "all replicas lost for block " +
@@ -210,7 +209,7 @@ class HdfsReader final : public fs::Reader {
     Status last = error(StatusCode::kUnavailable, "no replica answered");
     for (std::size_t attempt = 0; attempt < block.nodes.size(); ++attempt) {
       auto req = std::make_shared<const DnReadRequest>(
-          DnReadRequest{block.block_id, offset, length, op_id});
+          DnReadRequest{block.block_id, offset, length});
       auto result = co_await hub_->call<DnReadReply>(client_, source, kDnRead,
                                                      req);
       if (result.is_ok()) {

@@ -72,7 +72,7 @@ sim::Task<net::RpcResponse> DataNode::handle_write_packet(
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "write.", name, "hdfs", node_,
-                       req->op_id);
+                       sim.current_op());
   write_bytes_->add(req->data->size());
 
   if (req->downstream.empty()) {
@@ -88,7 +88,6 @@ sim::Task<net::RpcResponse> DataNode::handle_write_packet(
   fwd->offset = req->offset;
   fwd->data = req->data;
   fwd->downstream.assign(req->downstream.begin() + 1, req->downstream.end());
-  fwd->op_id = req->op_id;
   const net::NodeId next = req->downstream.front();
   std::vector<sim::Task<Status>> ops;
   ops.push_back([](net::RpcHub& hub, net::NodeId src, net::NodeId dst,
@@ -124,7 +123,7 @@ sim::Task<net::RpcResponse> DataNode::handle_read(
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "read.", name, "hdfs", node_,
-                       req->op_id);
+                       sim.current_op());
   auto data = co_await store_->read(name, req->offset, req->length);
   read_ns_->record(sim.now() - start);
   if (!data.is_ok()) co_return net::rpc_error(data.status());

@@ -129,7 +129,6 @@ struct DnWritePacketRequest {
   std::uint64_t offset = 0;
   BytesPtr data;
   std::vector<net::NodeId> downstream;
-  std::uint64_t op_id = 0;  // causal trace id; rides the header
   [[nodiscard]] std::uint64_t wire_size() const {
     return kHeaderBytes + data->size();
   }
@@ -139,7 +138,6 @@ struct DnReadRequest {
   BlockId block_id = 0;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-  std::uint64_t op_id = 0;  // causal trace id; rides the header
   [[nodiscard]] std::uint64_t wire_size() const { return kHeaderBytes; }
 };
 

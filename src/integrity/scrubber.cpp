@@ -21,16 +21,16 @@ Scrubber::Scrubber(net::RpcHub& hub, net::NodeId node,
 
 void Scrubber::start() {
   if (params_.interval_ns == 0 || !inventory_) return;
-  hub_->transport().fabric().simulation().spawn(run());
+  hub_->transport().fabric().simulation().spawn(run(shared_from_this()));
 }
 
-sim::Task<void> Scrubber::run() {
-  sim::Simulation& sim = hub_->transport().fabric().simulation();
+sim::Task<void> Scrubber::run(std::shared_ptr<Scrubber> self) {
+  sim::Simulation& sim = self->hub_->transport().fabric().simulation();
   for (;;) {
-    co_await sim.delay(params_.interval_ns);
-    if (stop_) co_return;
-    co_await scrub_pass();
-    if (stop_) co_return;
+    co_await sim.delay(self->params_.interval_ns);
+    if (self->stop_) co_return;
+    co_await self->scrub_pass();
+    if (self->stop_) co_return;
   }
 }
 
@@ -47,13 +47,13 @@ sim::Task<void> Scrubber::scrub_pass() {
     if (stop_) break;
     co_await flowctl::pace_begin(flowctl_, chunk.padded_len);
     if (params_.chunk_pace_ns > 0) co_await sim.delay(params_.chunk_pace_ns);
-    const std::uint64_t op_id = sim.next_op_id();
+    sim::OpScope op(sim);  // one op per probed chunk
 
     // The verified-read client walks replicas, repairs corrupt copies
     // inline at R>1, and only reports kDataLoss when EVERY buffer copy is
     // corrupt. kNotFound means the (clean, durable) chunk was evicted —
     // nothing resident to scrub.
-    auto data = co_await kv_.get_verified(chunk.key, op_id);
+    auto data = co_await kv_.get_verified(chunk.key);
     if (!data.is_ok() && data.code() != StatusCode::kDataLoss) {
       flowctl::pace_end(flowctl_, chunk.padded_len);
       continue;  // evicted or transient outage; re-probed next pass
@@ -80,7 +80,7 @@ sim::Task<void> Scrubber::scrub_pass() {
     }
     if (bad) {
       bool fixed = false;
-      if (chunk.durable) fixed = co_await repair_from_lustre(chunk, op_id);
+      if (chunk.durable) fixed = co_await repair_from_lustre(chunk);
       if (fixed) {
         metrics.counter("kv.scrub.repaired").add();
       } else {
@@ -98,18 +98,17 @@ sim::Task<void> Scrubber::scrub_pass() {
   metrics.histogram("kv.scrub.pass_ns").record(sim.now() - start);
 }
 
-sim::Task<bool> Scrubber::repair_from_lustre(ScrubChunk chunk,
-                                             std::uint64_t op_id) {
+sim::Task<bool> Scrubber::repair_from_lustre(ScrubChunk chunk) {
   auto layout = co_await lustre_.lookup(node_, lustre_prefix_ + chunk.path);
   if (!layout.is_ok()) co_return false;
   Result<Bytes> data = co_await lustre_.read(
-      node_, layout.value(), chunk.lustre_offset, chunk.logical_len, op_id);
+      node_, layout.value(), chunk.lustre_offset, chunk.logical_len);
   if (!data.is_ok()) co_return false;
   if (crc32c(data.value()) != chunk.crc) co_return false;  // Lustre bad too
   Bytes padded = std::move(data).value();
   padded.resize(chunk.padded_len, 0);  // uniform slab class
   Status st = co_await kv_.set(chunk.key, make_bytes(std::move(padded)),
-                               /*pinned=*/false, /*expiry_ns=*/0, op_id);
+                               /*pinned=*/false);
   co_return st.is_ok();
 }
 

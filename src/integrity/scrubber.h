@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,10 @@ struct ScrubChunk {
   bool durable = false;             // block is kFlushed: Lustre can repair
 };
 
-class Scrubber {
+// Always owned by a shared_ptr: the pass loop holds one, so an owner that
+// drops the scrubber while the loop sleeps (a crashing master) frees it only
+// once the loop has woken, seen stop(), and ended.
+class Scrubber : public std::enable_shared_from_this<Scrubber> {
  public:
   // Chunk inventory snapshot, taken at the start of every pass.
   using Inventory = std::function<std::vector<ScrubChunk>()>;
@@ -81,12 +85,12 @@ class Scrubber {
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
 
  private:
-  sim::Task<void> run();
+  static sim::Task<void> run(std::shared_ptr<Scrubber> self);
   sim::Task<void> scrub_pass();
   // Re-read the chunk's logical bytes from Lustre, verify, write back to
   // the buffer (unpinned: the block is durable). False if Lustre cannot
   // produce a verified copy.
-  sim::Task<bool> repair_from_lustre(ScrubChunk chunk, std::uint64_t op_id);
+  sim::Task<bool> repair_from_lustre(ScrubChunk chunk);
 
   net::RpcHub* hub_;
   net::NodeId node_;

@@ -16,7 +16,6 @@ sim::Task<void> detached_replica_set(net::RpcHub* hub, net::NodeId self,
                                      net::NodeId server, std::string key,
                                      ByteSlice value, bool pinned,
                                      std::uint64_t expiry_ns,
-                                     std::uint64_t op_id,
                                      std::optional<std::uint32_t> value_crc,
                                      bool by_rdma) {
   auto& metrics = hub->transport().fabric().simulation().metrics();
@@ -34,7 +33,6 @@ sim::Task<void> detached_replica_set(net::RpcHub* hub, net::NodeId self,
   req->pinned = pinned;
   req->expiry_ns = expiry_ns;
   req->payload_by_rdma = by_rdma;
-  req->op_id = op_id;
   req->value_crc = value_crc;
   auto result = co_await hub->call<void>(
       self, server, kOpSet, std::shared_ptr<const SetRequest>(std::move(req)));
@@ -73,13 +71,12 @@ std::uint32_t Client::walk_limit() const noexcept {
 
 sim::Task<Status> Client::set(std::string key, ByteSlice value,
                               bool pinned, std::uint64_t expiry_ns,
-                              std::uint64_t op_id,
                               std::optional<std::uint32_t> value_crc) {
   const std::uint32_t r = effective_factor();
   if (r == 1 && !params_.failover) {
     const net::NodeId server = server_for(key);
     co_return co_await set_on(server, std::move(key), std::move(value),
-                              pinned, expiry_ns, op_id, value_crc);
+                              pinned, expiry_ns, value_crc);
   }
 
   auto& sim = hub_->transport().fabric().simulation();
@@ -94,7 +91,7 @@ sim::Task<Status> Client::set(std::string key, ByteSlice value,
   Status last = Status::ok();
   for (std::size_t i = 0; i < order.size(); ++i) {
     Status st = co_await set_on(servers_[order[i]], key, value, pinned,
-                                expiry_ns, op_id, value_crc);
+                                expiry_ns, value_crc);
     if (st.is_ok()) {
       acked = i;
       break;
@@ -119,7 +116,7 @@ sim::Task<Status> Client::set(std::string key, ByteSlice value,
     std::vector<sim::Task<Status>> writes;
     for (std::size_t i = acked + 1; i < r; ++i) {
       writes.push_back(set_on(servers_[order[i]], key, value, pinned,
-                              expiry_ns, op_id, value_crc));
+                              expiry_ns, value_crc));
     }
     if (!writes.empty()) {
       const auto statuses =
@@ -136,8 +133,8 @@ sim::Task<Status> Client::set(std::string key, ByteSlice value,
   } else {
     for (std::size_t i = acked + 1; i < r; ++i) {
       sim.spawn(detached_replica_set(hub_, self_, servers_[order[i]], key,
-                                     value, pinned, expiry_ns, op_id,
-                                     value_crc, use_rdma(value.length)));
+                                     value, pinned, expiry_ns, value_crc,
+                                     use_rdma(value.length)));
     }
     if (r > 1) {
       metrics.histogram("kv.repl.ack_primary_ns").record(sim.now() - start);
@@ -149,7 +146,6 @@ sim::Task<Status> Client::set(std::string key, ByteSlice value,
 sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
                                  ByteSlice value, bool pinned,
                                  std::uint64_t expiry_ns,
-                                 std::uint64_t op_id,
                                  std::optional<std::uint32_t> value_crc) {
   auto req = std::make_shared<SetRequest>();
   req->key = std::move(key);
@@ -157,7 +153,6 @@ sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
   req->pinned = pinned;
   req->expiry_ns = expiry_ns;
   req->payload_by_rdma = use_rdma(req->value.length);
-  req->op_id = op_id;
   req->value_crc = value_crc;
 
   if (req->payload_by_rdma) {
@@ -173,20 +168,19 @@ sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
   co_return result.status();
 }
 
-sim::Task<Result<BytesPtr>> Client::get(std::string key,
-                                        std::uint64_t op_id) {
-  auto reply = co_await get_verified(std::move(key), op_id);
+sim::Task<Result<BytesPtr>> Client::get(std::string key) {
+  auto reply = co_await get_verified(std::move(key));
   if (!reply.is_ok()) co_return reply.status();
   co_return reply.value()->value;
 }
 
 sim::Task<Result<std::shared_ptr<const GetReply>>> Client::get_verified(
-    std::string key, std::uint64_t op_id) {
+    std::string key) {
   const std::uint32_t r = effective_factor();
   auto& metrics = hub_->transport().fabric().simulation().metrics();
   if (r == 1 && !params_.failover) {
     const net::NodeId server = server_for(key);
-    auto fetched = co_await fetch_from(server, std::move(key), op_id);
+    auto fetched = co_await fetch_from(server, std::move(key));
     // No replica to repair from: the corruption is detected but final.
     if (fetched.code() == StatusCode::kDataLoss) {
       metrics.counter("kv.integrity.unrepairable").add();
@@ -203,7 +197,7 @@ sim::Task<Result<std::shared_ptr<const GetReply>>> Client::get_verified(
   std::vector<std::size_t> corrupt;
   Status last = error(StatusCode::kInternal, "empty walk");
   for (std::size_t i = 0; i < order.size(); ++i) {
-    auto fetched = co_await fetch_from(servers_[order[i]], key, op_id);
+    auto fetched = co_await fetch_from(servers_[order[i]], key);
     if (fetched.is_ok()) {
       if (i > 0 && i < r) metrics.counter("kv.repl.replica_reads").add();
       const auto& reply = *fetched.value();
@@ -211,7 +205,7 @@ sim::Task<Result<std::shared_ptr<const GetReply>>> Client::get_verified(
         // Read-repair preserves the pin bit: a repaired dirty chunk must
         // stay eviction-proof until the flusher unpins it.
         Status st = co_await set_on(servers_[order[bad]], key, reply.value,
-                                    reply.pinned, 0, op_id);
+                                    reply.pinned);
         if (st.is_ok()) {
           metrics.counter("kv.integrity.repaired").add();
         } else {
@@ -243,17 +237,15 @@ sim::Task<Result<std::shared_ptr<const GetReply>>> Client::get_verified(
 }
 
 sim::Task<Result<BytesPtr>> Client::get_from(net::NodeId server,
-                                             std::string key,
-                                             std::uint64_t op_id) {
-  auto fetched = co_await fetch_from(server, std::move(key), op_id);
+                                             std::string key) {
+  auto fetched = co_await fetch_from(server, std::move(key));
   if (!fetched.is_ok()) co_return fetched.status();
   co_return fetched.value()->value;
 }
 
 sim::Task<Result<std::shared_ptr<const GetReply>>> Client::fetch_from(
-    net::NodeId server, std::string key, std::uint64_t op_id) {
-  auto req =
-      std::make_shared<const GetRequest>(GetRequest{std::move(key), op_id});
+    net::NodeId server, std::string key) {
+  auto req = std::make_shared<const GetRequest>(GetRequest{std::move(key)});
   auto result = co_await hub_->call<GetReply>(self_, server, kOpGet, req);
   if (!result.is_ok()) co_return result.status();
   const auto& reply = result.value();

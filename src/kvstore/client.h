@@ -3,6 +3,7 @@
 // values and control, one-sided RDMA READ/WRITE for large payloads.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -44,32 +45,43 @@ class Client {
   Client(net::RpcHub& hub, net::NodeId self,
          std::vector<net::NodeId> servers, const ClientParams& params = {});
 
-  // Store a value under `key` on its ring owner. `op_id` (optional) tags the
-  // server-side trace spans with the caller's causal operation id.
-  // `value_crc`, when given, must be the CRC32C of `value`: the server
-  // stores it instead of hashing the value, and a wrong one turns the next
-  // get() of the key into kDataLoss. `value` may be a slice of a larger
-  // buffer; it ships as is, uncopied.
+  // Store a value under `key` on its ring owner. `value_crc`, when given,
+  // must be the CRC32C of `value`: the server stores it instead of hashing
+  // the value, and a wrong one turns the next get() of the key into
+  // kDataLoss. `value` may be a slice of a larger buffer; it ships as is,
+  // uncopied. Like every call here, it runs under the caller's current op.
   sim::Task<Status> set(std::string key, ByteSlice value,
                         bool pinned = false, std::uint64_t expiry_ns = 0,
-                        std::uint64_t op_id = 0,
                         std::optional<std::uint32_t> value_crc = std::nullopt);
   sim::Task<Status> set(std::string key, BytesPtr value,
                         bool pinned = false, std::uint64_t expiry_ns = 0,
-                        std::uint64_t op_id = 0,
                         std::optional<std::uint32_t> value_crc = std::nullopt) {
     return set(std::move(key), whole(std::move(value)), pinned, expiry_ns,
-               op_id, value_crc);
+               value_crc);
   }
 
-  sim::Task<Result<BytesPtr>> get(std::string key, std::uint64_t op_id = 0);
+  sim::Task<Result<BytesPtr>> get(std::string key);
+
+  // set()/get() under the stored op `op`, as inside sim::OpScope(sim, op).
+  // Only the perfbench KV loop still calls these.
+  template <std::same_as<std::uint64_t> Op>
+  sim::Task<Status> set(std::string key, BytesPtr value, bool pinned,
+                        std::uint64_t expiry_ns, Op op) {
+    sim::OpScope scope(hub_->transport().fabric().simulation(), op);
+    co_return co_await set(std::move(key), std::move(value), pinned,
+                           expiry_ns);
+  }
+  sim::Task<Result<BytesPtr>> get(std::string key, std::uint64_t op) {
+    sim::OpScope scope(hub_->transport().fabric().simulation(), op);
+    co_return co_await get(std::move(key));
+  }
 
   // get() with the whole reply: `value` beside `value_crc`, the item CRC the
   // server checked against exactly those bytes before shipping them. A
   // caller holding the writer's CRC of the value compares the two instead
   // of hashing the bytes again.
   sim::Task<Result<std::shared_ptr<const GetReply>>> get_verified(
-      std::string key, std::uint64_t op_id = 0);
+      std::string key);
 
   // Batched get from one round trip per involved server.
   sim::Task<Result<std::vector<std::optional<BytesPtr>>>> multi_get(
@@ -101,21 +113,15 @@ class Client {
   sim::Task<Status> set_on(net::NodeId server, std::string key,
                            ByteSlice value, bool pinned,
                            std::uint64_t expiry_ns = 0,
-                           std::uint64_t op_id = 0,
                            std::optional<std::uint32_t> value_crc =
                                std::nullopt);
   sim::Task<Status> set_on(net::NodeId server, std::string key,
                            BytesPtr value, bool pinned,
-                           std::uint64_t expiry_ns = 0,
-                           std::uint64_t op_id = 0,
-                           std::optional<std::uint32_t> value_crc =
-                               std::nullopt) {
+                           std::uint64_t expiry_ns = 0) {
     return set_on(server, std::move(key), whole(std::move(value)), pinned,
-                  expiry_ns, op_id, value_crc);
+                  expiry_ns);
   }
-  sim::Task<Result<BytesPtr>> get_from(net::NodeId server,
-                                       std::string key,
-                                       std::uint64_t op_id = 0);
+  sim::Task<Result<BytesPtr>> get_from(net::NodeId server, std::string key);
   sim::Task<Status> erase_on(net::NodeId server, std::string key);
   sim::Task<Status> pin_on(net::NodeId server, std::string key,
                            bool pinned);
@@ -125,7 +131,7 @@ class Client {
   // item CRC (a mismatch is kDataLoss); the reply is immutable from there
   // on, so the client does not hash it again.
   sim::Task<Result<std::shared_ptr<const GetReply>>> fetch_from(
-      net::NodeId server, std::string key, std::uint64_t op_id);
+      net::NodeId server, std::string key);
   [[nodiscard]] bool use_rdma(std::uint64_t bytes) const noexcept;
   // Replication factor and walk depth clamped to the actual server count.
   [[nodiscard]] std::uint32_t effective_factor() const noexcept;

@@ -25,7 +25,6 @@ struct SetRequest {
   bool pinned = false;
   std::uint64_t expiry_ns = 0;
   bool payload_by_rdma = false;  // payload already RDMA-WRITTEN by client
-  std::uint64_t op_id = 0;       // causal trace id; rides the header
   // CRC32C of `value` from its writer, stored without rehashing; none: the
   // server hashes the value. Rides the header budget.
   std::optional<std::uint32_t> value_crc = std::nullopt;
@@ -38,7 +37,6 @@ struct SetRequest {
 
 struct GetRequest {
   std::string key;
-  std::uint64_t op_id = 0;  // causal trace id; rides the header
 
   [[nodiscard]] std::uint64_t wire_size() const {
     return kMsgHeaderBytes + key.size();

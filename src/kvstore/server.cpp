@@ -119,7 +119,7 @@ sim::Task<net::RpcResponse> Server::handle_set(
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "set.", req->key, "kv", node_,
-                       req->op_id);
+                       sim.current_op());
   // RDMA-placed payloads skip the receive-path copy.
   co_await charge_op(req->payload_by_rdma ? 0 : req->value.length);
   Status st = store_.set(req->key, req->value.span(),
@@ -144,7 +144,7 @@ sim::Task<net::RpcResponse> Server::handle_get(
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "get.", req->key, "kv", node_,
-                       req->op_id);
+                       sim.current_op());
   const std::uint64_t now = sim.now();
   Result<VerifiedValue> value = store_.get_verified(req->key, now);
   if (!value.is_ok()) {

@@ -93,8 +93,7 @@ ByteSlice stripe_of(const std::vector<ByteSlice>& pieces, std::size_t& first,
 sim::Task<Status> LustreClient::write(net::NodeId client,
                                       const FileLayout& layout,
                                       std::uint64_t offset,
-                                      std::vector<ByteSlice> pieces,
-                                      std::uint64_t op_id) {
+                                      std::vector<ByteSlice> pieces) {
   if (layout.targets.empty()) {
     co_return error(StatusCode::kFailedPrecondition, "layout has no targets");
   }
@@ -112,7 +111,6 @@ sim::Task<Status> LustreClient::write(net::NodeId client,
     req->ost_index = chunk.target.ost_index;
     req->object = layout.path;
     req->offset = chunk.object_offset;
-    req->op_id = op_id;
     req->data =
         stripe_of(pieces, first, first_at, chunk.file_offset, chunk.length);
     ops.push_back([](net::RpcHub& hub, net::NodeId src, net::NodeId dst,
@@ -132,8 +130,7 @@ sim::Task<Status> LustreClient::write(net::NodeId client,
 sim::Task<Result<Bytes>> LustreClient::read(net::NodeId client,
                                             const FileLayout& layout,
                                             std::uint64_t offset,
-                                            std::uint64_t length,
-                                            std::uint64_t op_id) {
+                                            std::uint64_t length) {
   if (layout.targets.empty()) {
     co_return error(StatusCode::kFailedPrecondition, "layout has no targets");
   }
@@ -150,7 +147,7 @@ sim::Task<Result<Bytes>> LustreClient::read(net::NodeId client,
   for (const Chunk& chunk : chunks) {
     auto req = std::make_shared<const OssReadRequest>(OssReadRequest{
         chunk.target.ost_index, layout.path, chunk.object_offset,
-        chunk.length, op_id});
+        chunk.length});
     ops.push_back([](net::RpcHub& hub, net::NodeId src, net::NodeId dst,
                      std::shared_ptr<const OssReadRequest> r)
                       -> sim::Task<Result<Pieces>> {

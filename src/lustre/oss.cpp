@@ -52,7 +52,7 @@ sim::Task<net::RpcResponse> Oss::handle_write(
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "write.", req->object, "lustre", node_,
-                       req->op_id);
+                       sim.current_op());
   queue_depth_->add();
   Status st = co_await store_->write_at(object_key(req->ost_index, req->object),
                                         req->offset, req->data);
@@ -68,7 +68,7 @@ sim::Task<net::RpcResponse> Oss::handle_read(
   sim::Simulation& sim = hub_->transport().fabric().simulation();
   const sim::SimTime start = sim.now();
   sim::ScopedSpan span(sim.trace(), "read.", req->object, "lustre", node_,
-                       req->op_id);
+                       sim.current_op());
   queue_depth_->add();
   auto data = co_await store_->read(object_key(req->ost_index, req->object),
                                     req->offset, req->length);

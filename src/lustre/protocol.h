@@ -92,7 +92,6 @@ struct OssWriteRequest {
   std::string object;  // object name (derived from the file path)
   std::uint64_t offset = 0;
   ByteSlice data;  // the stripe: a slice of the caller's buffer
-  std::uint64_t op_id = 0;  // causal trace id; rides the header
   [[nodiscard]] std::uint64_t wire_size() const {
     return kHeaderBytes + object.size() + data.length;
   }
@@ -103,7 +102,6 @@ struct OssReadRequest {
   std::string object;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-  std::uint64_t op_id = 0;  // causal trace id; rides the header
   [[nodiscard]] std::uint64_t wire_size() const {
     return kHeaderBytes + object.size();
   }

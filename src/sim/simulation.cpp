@@ -17,16 +17,17 @@ Simulation::~Simulation() {
   }
 }
 
-void Simulation::schedule_at(SimTime time, std::coroutine_handle<> handle) {
+void Simulation::schedule_at(SimTime time, std::coroutine_handle<> handle,
+                             std::uint64_t op) {
   assert(time >= now_ && "cannot schedule into the simulated past");
-  queue_.push(Event{time, next_seq_++, handle});
+  queue_.push(Event{time, next_seq_++, handle, op});
 }
 
 std::uint64_t Simulation::schedule_cancellable(SimTime time,
                                               std::coroutine_handle<> handle) {
   assert(time >= now_ && "cannot schedule into the simulated past");
   const std::uint64_t token = next_seq_++;
-  queue_.push(Event{time, token, handle});
+  queue_.push(Event{time, token, handle, current_op_});
   cancellable_pending_.insert(token);
   return token;
 }
@@ -71,7 +72,7 @@ void Simulation::spawn(Task<void> task) {
   const std::uint64_t id = next_root_id_++;
   root.handle.promise().id = id;
   roots_.emplace(id, root.handle);
-  schedule_at(now_, root.handle);
+  schedule_at(now_, root.handle, current_op_);
 }
 
 void Simulation::finish_root(std::uint64_t id) noexcept {
@@ -82,23 +83,22 @@ void Simulation::finish_root(std::uint64_t id) noexcept {
   handle.destroy();
 }
 
+void Simulation::process(const Event& event) {
+  assert(event.time >= now_);
+  now_ = event.time;
+  ++events_processed_;
+  current_op_ = event.op;
+  detail::resume(event.handle);
+}
+
 void Simulation::run() {
   Event event{};
-  while (pop_next(~SimTime{0}, event)) {
-    assert(event.time >= now_);
-    now_ = event.time;
-    ++events_processed_;
-    event.handle.resume();
-  }
+  while (pop_next(~SimTime{0}, event)) process(event);
 }
 
 void Simulation::run_until(SimTime deadline) {
   Event event{};
-  while (pop_next(deadline, event)) {
-    now_ = event.time;
-    ++events_processed_;
-    event.handle.resume();
-  }
+  while (pop_next(deadline, event)) process(event);
   now_ = deadline;
 }
 

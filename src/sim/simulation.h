@@ -5,6 +5,11 @@
 // All wakeups (timers, condition notifications) go through the event queue —
 // nothing resumes a foreign coroutine inline — so no simulated actor can
 // observe a half-completed action of another.
+//
+// The simulation also keeps the causal op id of the task it is running
+// (`current_op()`, 0 = none). Every wakeup restores the op its task had when
+// it suspended, a child started by co_await or spawn() inherits its
+// parent's, and an OpScope begins or adopts one.
 #pragma once
 
 #include <coroutine>
@@ -12,6 +17,7 @@
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -33,15 +39,18 @@ class Simulation {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  // Schedule a raw coroutine resumption. Used by awaitables; application
-  // code uses delay()/spawn() and the sync primitives.
-  void schedule_at(SimTime time, std::coroutine_handle<> handle);
+  // Schedule a raw coroutine resumption that runs under causal op `op`.
+  // Used by awaitables; application code uses delay()/spawn() and the sync
+  // primitives.
+  void schedule_at(SimTime time, std::coroutine_handle<> handle,
+                   std::uint64_t op);
 
-  // Like schedule_at, but the returned token can cancel the wakeup before it
-  // fires. A cancelled event is discarded unprocessed when its turn comes:
-  // it does not advance simulated time, count as a processed event, or
-  // resume the (possibly long-gone) coroutine. Periodic actors use this so
-  // stopping them does not drag the clock past quiescence.
+  // Like schedule_at under the current op, but the returned token can
+  // cancel the wakeup before it fires. A cancelled event is discarded
+  // unprocessed when its turn comes: it does not advance simulated time,
+  // count as a processed event, or resume the (possibly long-gone)
+  // coroutine. Periodic actors use this so stopping them does not drag the
+  // clock past quiescence.
   [[nodiscard]] std::uint64_t schedule_cancellable(
       SimTime time, std::coroutine_handle<> handle);
 
@@ -56,7 +65,7 @@ class Simulation {
       SimTime wake_time;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> handle) {
-        sim.schedule_at(wake_time, handle);
+        sim.schedule_at(wake_time, handle, sim.current_op_);
       }
       void await_resume() const noexcept {}
     };
@@ -100,8 +109,14 @@ class Simulation {
   // Fresh causal operation id (nonzero, unique per simulation). Tags the
   // trace spans of one logical operation across layers.
   [[nodiscard]] std::uint64_t next_op_id() noexcept { return ++next_op_id_; }
+  // The causal op of the running task; 0 = unattributed.
+  [[nodiscard]] std::uint64_t current_op() const noexcept {
+    return current_op_;
+  }
 
  private:
+  friend class OpScope;
+
   struct RootTask {
     struct promise_type {
       Simulation* sim = nullptr;
@@ -136,6 +151,7 @@ class Simulation {
     SimTime time;
     std::uint64_t seq;
     std::coroutine_handle<> handle;
+    std::uint64_t op;
 
     bool operator>(const Event& other) const noexcept {
       return time != other.time ? time > other.time : seq > other.seq;
@@ -145,12 +161,14 @@ class Simulation {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_op_id_ = 0;
+  std::uint64_t current_op_ = 0;
   TraceRecorder* trace_ = nullptr;
   std::uint64_t next_root_id_ = 0;
   std::uint64_t events_processed_ = 0;
   // Pops the next runnable event, skipping cancelled ones. Returns false
   // when the queue is exhausted or the next event is past `deadline`.
   bool pop_next(SimTime deadline, Event& out);
+  void process(const Event& event);
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   // Seq numbers of cancelled-but-still-queued events (erased when popped).
@@ -159,6 +177,23 @@ class Simulation {
   std::unordered_set<std::uint64_t> cancellable_pending_;
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
   MetricRegistry metrics_;
+};
+
+// RAII causal op: makes a fresh op (or a stored one, e.g. a queued block's)
+// the current op, and restores the previous one when it ends. Held across a
+// suspension, it stays in force for its task alone.
+class [[nodiscard]] OpScope {
+ public:
+  explicit OpScope(Simulation& sim) : OpScope(sim, sim.next_op_id()) {}
+  OpScope(Simulation& sim, std::uint64_t op) noexcept
+      : sim_(&sim), saved_(std::exchange(sim.current_op_, op)) {}
+  ~OpScope() { sim_->current_op_ = saved_; }
+  OpScope(const OpScope&) = delete;
+  OpScope& operator=(const OpScope&) = delete;
+
+ private:
+  Simulation* sim_;
+  std::uint64_t saved_;
 };
 
 }  // namespace hpcbb::sim

@@ -30,12 +30,13 @@ class Condition {
   Condition(const Condition&) = delete;
   Condition& operator=(const Condition&) = delete;
 
+  // The waiter wakes under its own op, not the notifier's.
   auto wait() noexcept {
     struct Awaiter {
       Condition& cond;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> handle) {
-        cond.waiters_.push_back(handle);
+        cond.waiters_.push_back({handle, cond.sim_->current_op()});
       }
       void await_resume() const noexcept {}
     };
@@ -44,15 +45,13 @@ class Condition {
 
   void notify_one() {
     if (waiters_.empty()) return;
-    sim_->schedule_at(sim_->now(), waiters_.front());
+    const Waiter waiter = waiters_.front();
     waiters_.pop_front();
+    sim_->schedule_at(sim_->now(), waiter.handle, waiter.op);
   }
 
   void notify_all() {
-    for (const auto handle : waiters_) {
-      sim_->schedule_at(sim_->now(), handle);
-    }
-    waiters_.clear();
+    while (!waiters_.empty()) notify_one();
   }
 
   [[nodiscard]] std::size_t waiter_count() const noexcept {
@@ -60,8 +59,13 @@ class Condition {
   }
 
  private:
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    std::uint64_t op;
+  };
+
   Simulation* sim_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Waiter> waiters_;
 };
 
 // Latched event: once set, all current and future waiters proceed.

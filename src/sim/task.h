@@ -2,8 +2,11 @@
 //
 // Semantics:
 //  * A Task does not run until awaited (or handed to Simulation::spawn).
-//  * `co_await task` starts the child inline (same simulated instant) via
-//    symmetric transfer; when the child finishes, the parent resumes inline.
+//  * `co_await task` starts the child inline (same simulated instant); when
+//    the child finishes, the parent resumes inline. Both hand-offs return to
+//    the trampoline in detail::resume() instead of calling the next frame,
+//    so a deep await chain never deepens the stack, whether or not the
+//    compiler turns symmetric transfer into a tail call.
 //  * The Task object owns the coroutine frame; destroying an un-awaited or
 //    suspended Task destroys the frame (recursively destroying nested tasks).
 //  * A Task may be awaited at most once.
@@ -24,6 +27,17 @@ class Task;
 
 namespace detail {
 
+// The frame to run once the current one suspends: the trampoline's slot.
+inline thread_local std::coroutine_handle<> next_frame;
+
+// Resumes `handle`, then every frame it hands control to, one at a time.
+inline void resume(std::coroutine_handle<> handle) {
+  while (handle) {
+    handle.resume();
+    handle = std::exchange(next_frame, nullptr);
+  }
+}
+
 template <typename T>
 class TaskPromiseBase {
  public:
@@ -32,11 +46,8 @@ class TaskPromiseBase {
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
     template <typename Promise>
-    std::coroutine_handle<> await_suspend(
-        std::coroutine_handle<Promise> h) noexcept {
-      auto& promise = h.promise();
-      return promise.continuation_ ? promise.continuation_
-                                   : std::noop_coroutine();
+    void await_suspend(std::coroutine_handle<Promise> h) noexcept {
+      next_frame = h.promise().continuation_;
     }
     void await_resume() const noexcept {}
   };
@@ -117,25 +128,19 @@ class [[nodiscard]] Task {
   [[nodiscard]] bool valid() const noexcept { return handle_ != nullptr; }
   [[nodiscard]] bool done() const noexcept { return handle_ && handle_.done(); }
 
-  // Awaiter: starts the child (symmetric transfer) and resumes the parent
-  // when it completes.
+  // Awaiter: starts the child and resumes the parent when it completes.
   auto operator co_await() && noexcept {
     struct Awaiter {
       handle_type handle;
       bool await_ready() const noexcept { return !handle || handle.done(); }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> continuation) noexcept {
+      void await_suspend(std::coroutine_handle<> continuation) noexcept {
         handle.promise().set_continuation(continuation);
-        return handle;
+        detail::next_frame = handle;
       }
       T await_resume() { return handle.promise().take_value(); }
     };
     return Awaiter{handle_};
   }
-
-  // For Simulation::spawn and combinators that need the raw handle.
-  handle_type release() noexcept { return std::exchange(handle_, {}); }
-  handle_type handle() const noexcept { return handle_; }
 
  private:
   void destroy() noexcept {

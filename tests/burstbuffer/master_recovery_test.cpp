@@ -93,6 +93,35 @@ TEST(MasterRecoveryTest, CrashBeforeFlushReplaysJournalAndLosesNothing) {
             0u);
 }
 
+TEST(MasterRecoveryTest, CrashWithScrubberOnLetsItsLoopEndSafely) {
+  // The crash drops the master's scrubber while its pass loop sleeps (or
+  // waits on a probe). The loop must wake into a live scrubber, see stop(),
+  // and end; the restarted master's fresh scrubber keeps passing.
+  ClusterConfig config = md_config(bb::Scheme::kAsync);
+  config.bb_scrub.interval_ns = 2 * ms;
+  Cluster cluster(config);
+  bool verified = false;
+  cluster.sim().spawn([](Cluster& c, bool& ok) -> Task<void> {
+    co_await write_file(c, "/a", 41, 8 * MiB);
+    co_await c.sim().delay(3 * ms);
+    CO_ASSERT(c.sim().metrics().counter_value("kv.scrub.passes") >= 1u);
+    c.injector().crash_master_target(0);
+    co_await c.sim().delay(10 * ms);  // the old loop wakes meanwhile
+    c.injector().restart_master_target(0);
+    co_await c.bb_master().wait_recovered();
+    co_await c.bb_master().wait_all_flushed();
+    co_await c.sim().delay(5 * ms);
+    ok = true;
+    co_await check_file(c, "/a", 41, 8 * MiB, ok);
+    c.bb_master().stop_heartbeat();
+  }(cluster, verified));
+  cluster.sim().run();
+  EXPECT_TRUE(verified);
+  EXPECT_EQ(cluster.bb_master().lost_blocks(), 0u);
+  ASSERT_NE(cluster.bb_master().scrubber(), nullptr);
+  EXPECT_GE(cluster.bb_master().scrubber()->passes(), 1u);
+}
+
 TEST(MasterRecoveryTest, CrashBetweenCheckpointAndTailReplaysOnlyTheTail) {
   // A checkpoint snapshots file /a; file /b lands in the journal tail
   // afterwards. Recovery installs the checkpoint and replays only the tail

@@ -182,7 +182,7 @@ TEST(BbMasterTest, SealWithoutOneCrcPerChunkIsRejected) {
         BbCreateRequest{"/f", 1});
     CO_ASSERT_OK(co_await r.hub.call<void>(0, 3, kBbCreate, create));
     auto add = std::make_shared<const BbAddBlockRequest>(
-        BbAddBlockRequest{"/f", 0, 0, 0});
+        BbAddBlockRequest{"/f", 0, 0});
     CO_ASSERT_OK(co_await r.hub.call<BbAddBlockReply>(0, 3, kBbAddBlock, add));
     auto seal_req = std::make_shared<BbCompleteBlockRequest>();
     seal_req->path = "/f";

@@ -254,7 +254,7 @@ TEST(KvClusterTest, SetWithItsCrcHashesNothing) {
     const Bytes value = pattern_bytes(3, 0, 256 * KiB);
     const std::uint32_t crc = crc32c(value);
     const std::uint64_t before = crc32c_bytes();
-    CO_ASSERT_OK(co_await c.set("k", make_bytes(value), false, 0, 0, crc));
+    CO_ASSERT_OK(co_await c.set("k", make_bytes(value), false, 0, crc));
     CO_ASSERT(crc32c_bytes() == before);
     // Without a CRC the server hashes the value once.
     CO_ASSERT_OK(co_await c.set("h", make_bytes(value)));
@@ -274,7 +274,7 @@ TEST(KvClusterTest, WrongSuppliedCrcFailsEveryReadLoudly) {
   Client client = cluster.make_client(0);
   cluster.sim.spawn([](Cluster& cl, Client& c) -> Task<void> {
     const Bytes value = pattern_bytes(4, 0, 64 * KiB);
-    CO_ASSERT_OK(co_await c.set("bad", make_bytes(value), false, 0, 0,
+    CO_ASSERT_OK(co_await c.set("bad", make_bytes(value), false, 0,
                                 crc32c(value) ^ 1u));
     auto got = co_await c.get("bad");
     CO_ASSERT(got.code() == StatusCode::kDataLoss);

@@ -147,15 +147,17 @@ TEST_P(StoreSweep, EraseAllLeavesEmptyStore) {
 TEST_P(StoreSweep, LruEvictsOldestUnpinnedFirst) {
   // Fill one size class beyond capacity with strictly ordered keys and no
   // touches: surviving keys must be a suffix of the insertion order.
-  KvStore store(make_params());
+  const StoreParams params = make_params();
+  KvStore store(params);
   const std::uint64_t value_size = 32 * KiB;  // single class, big enough
-  const int n = 400;
+  // Twice the point's budget in values: every point must evict.
+  const int n = static_cast<int>(2 * params.memory_budget / value_size);
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(store.set("k" + std::to_string(i), Bytes(value_size, 0x5),
                           SetOptions{})
                     .is_ok());
   }
-  if (store.stats().evictions == 0) GTEST_SKIP() << "budget fits everything";
+  ASSERT_GT(store.stats().evictions, 0u);
   // Per shard the survivors are a suffix; globally: once we see a present
   // key, every later key in the same shard must be present. Approximate the
   // global property: the oldest present key must be newer than the newest

@@ -5,7 +5,8 @@
 #   tools/check.sh            # both configurations
 #   tools/check.sh --fast     # default configuration only
 #   tools/check.sh --chaos    # chaos-labeled tests + seeded bench_a4_chaos
-#                             # smoke, both under ASan+UBSan
+#                             # smoke + a master crash with the scrubber
+#                             # on, all under ASan+UBSan
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f2_kv_throughput +
 #                             # bench_f3_dfsio_write + bench_f4_dfsio_read +
@@ -72,11 +73,15 @@ if [[ "${chaos}" == 1 ]]; then
   echo "== chaos: configure (Sanitize) =="
   cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Sanitize
   echo "== chaos: build =="
-  cmake --build build-sanitize -j "${jobs}" --target resilience_test repl_test integrity_test master_recovery_test master_replay_test health_test bench_a4_chaos
+  cmake --build build-sanitize -j "${jobs}" --target resilience_test repl_test integrity_test master_recovery_test master_replay_test health_test bench_a4_chaos experiment_runner
   echo "== chaos: ctest -L chaos =="
   ctest --test-dir build-sanitize --output-on-failure -j "${jobs}" -L chaos
   echo "== chaos: bench_a4_chaos smoke (seeded) =="
   ./build-sanitize/bench/bench_a4_chaos smoke=1 faults.seed=1
+  echo "== chaos: master crash and restart with the scrubber on =="
+  ./build-sanitize/examples/experiment_runner fs=bb files=4 file.size=32m \
+    bb.md.journal=true kv.scrub.interval=2ms faults.enabled=true \
+    faults.master.first=5ms faults.master.downtime=10ms faults.master.count=1
   echo "chaos checks passed"
   exit 0
 fi
