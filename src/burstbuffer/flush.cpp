@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/metrics.h"
+#include "sim/trace.h"
 
 namespace hpcbb::bb {
 
@@ -52,17 +53,14 @@ FlushPipeline::FlushPipeline(net::RpcHub& hub,
 
 void FlushPipeline::start() {
   for (std::uint32_t w = 0; w < kFlusherCount; ++w) {
-    sim().spawn(flush_worker(generation_, w));
+    sim().spawn(flush_worker(w));
   }
-  sim().spawn(evict_worker(generation_));
+  sim().spawn(evict_worker());
 }
 
 void FlushPipeline::reset() {
-  ++generation_;
   FlushItem dropped;
-  while (queue_.try_recv(dropped)) {
-    sim().metrics().gauge("bb.flush_queue_depth").sub();
-  }
+  while (queue_.try_recv(dropped)) queue_depth_->sub();
   dirty_ = 0;
   flush_done_.notify_all();
 }
@@ -76,15 +74,9 @@ kv::Client& FlushPipeline::reachable_client() noexcept {
   return client();
 }
 
-BbBlockInfo* FlushPipeline::current(std::uint64_t generation,
-                                    const FlushItem& item) {
-  if (generation != generation_) return nullptr;
-  return md_->block(item.path, item.block_index);
-}
-
 void FlushPipeline::enqueue(FlushItem item) {
   item.enqueued_ns = sim().now();
-  sim().metrics().gauge("bb.flush_queue_depth").add();
+  queue_depth_->add();
   queue_.push(std::move(item));
 }
 
@@ -158,7 +150,7 @@ void FlushPipeline::finish_block(const std::string& path, BbBlockInfo& block,
     // bytes leave the buffer accounting, and the flusher never writes them.
     flowctl_->drop_dirty(footprint(block.size));
     if (state == BlockState::kQuarantined) {
-      sim().metrics().counter("bb.quarantined_blocks").add();
+      quarantined_->add();
     }
   }
   // Flush outcomes have no client waiting for an ack, so they journal
@@ -172,17 +164,10 @@ sim::Task<void> FlushPipeline::wait_all_flushed() {
   while (dirty_ > 0) co_await flush_done_.wait();
 }
 
-sim::Task<void> FlushPipeline::flush_worker(std::uint64_t generation,
-                                            std::uint32_t worker_index) {
+sim::Task<void> FlushPipeline::flush_worker(std::uint32_t worker_index) {
   sim::Simulation& sim = this->sim();
   for (;;) {
     FlushItem item = co_await queue_.recv();
-    if (generation != generation_) {
-      // Superseded by a restart: hand the item back to the live
-      // generation's workers and retire.
-      queue_.push(std::move(item));
-      co_return;
-    }
     // A flusher whose home node is down can reach nothing — every RPC
     // fails at the source, and because a pushed-back item is popped
     // synchronously by the pusher's own next recv, this worker would
@@ -200,51 +185,38 @@ sim::Task<void> FlushPipeline::flush_worker(std::uint64_t generation,
                     })) {
       queue_.push(std::move(item));
       co_await sim.delay(duration::ms);
-      if (generation != generation_) co_return;
       continue;
     }
-    sim.metrics().gauge("bb.flush_queue_depth").sub();
+    queue_depth_->sub();
     // Watermark-driven escalation: drain gently in the background while
     // pressure is low, flat out once dirty bytes cross the high watermark.
+    // A crash during the pacing delay drops the item: recovery re-enqueues
+    // the block from its journaled seal record.
     if (const sim::SimTime pace = flowctl_->flush_pace(); pace > 0) {
       co_await sim.delay(pace);
-      // Crash during the pacing delay: the item died with the old master;
-      // recovery re-enqueues the block from its journaled seal record.
-      if (generation != generation_) co_return;
     }
-    std::size_t span = 0;
     if (trace_ != nullptr) {
       // Queue dwell plus pacing delay: time the sealed block waited before a
       // flusher started serving it. Attribution counts it as queueing.
       trace_->record("wait.flush_queue", "bb", worker_index, item.enqueued_ns,
                      sim.now(), item.op_id);
-      span = trace_->begin(
-          "flush.block_" + std::to_string(item.block_index), "bb",
-          worker_index, item.op_id);
     }
+    sim::ScopedSpan span(trace_, "flush.block_",
+                         std::to_string(item.block_index), "bb", worker_index,
+                         item.op_id);
     const sim::SimTime start = sim.now();
-    co_await flush_block(generation, worker_index, item);
-    sim.metrics().histogram("bb.flush_ns").record(sim.now() - start);
-    if (trace_ != nullptr) trace_->end(span);
-    if (generation != generation_) co_return;
+    co_await flush_block(worker_index, item);
+    flush_ns_->record(sim.now() - start);
   }
 }
 
 // Erases the chunks of blocks the flow controller evicted (clean blocks:
 // flushed to Lustre, so this only reclaims buffer memory, never loses data).
-sim::Task<void> FlushPipeline::evict_worker(std::uint64_t generation) {
+sim::Task<void> FlushPipeline::evict_worker() {
   for (;;) {
     flowctl::CleanBlock victim = co_await flowctl_->evictions().recv();
-    if (generation != generation_) {
-      // A victim meant for the live generation: hand it back and retire.
-      flowctl_->evictions().push(std::move(victim));
-      co_return;
-    }
-    std::size_t span = 0;
-    if (trace_ != nullptr) {
-      span = trace_->begin("flowctl.evict." + victim.id, "flowctl",
-                           trace_track_);
-    }
+    sim::ScopedSpan span(trace_, "flowctl.evict.", victim.id, "flowctl",
+                         trace_track_);
     // id is "<path>#<block_index>"; the footprint is chunk-padded, so the
     // chunk count falls out of the byte count.
     const std::size_t sep = victim.id.rfind('#');
@@ -255,27 +227,25 @@ sim::Task<void> FlushPipeline::evict_worker(std::uint64_t generation) {
               std::strtoul(victim.id.c_str() + sep + 1, nullptr, 10)),
           static_cast<std::uint32_t>(victim.bytes / common_.chunk_size));
     }
-    if (trace_ != nullptr) trace_->end(span);
   }
 }
 
-sim::Task<void> FlushPipeline::requeue(std::uint64_t generation,
-                                       BbBlockInfo& block, FlushItem next,
+sim::Task<void> FlushPipeline::requeue(BbBlockInfo& block, FlushItem next,
                                        sim::SimTime delay) {
   block.state = BlockState::kDirty;
   co_await sim().delay(delay);
-  if (current(generation, next) == nullptr) co_return;
+  if (md_->block(next.path, next.block_index) == nullptr) co_return;
   enqueue(std::move(next));
 }
 
-sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
-                                           std::uint32_t worker_index,
+sim::Task<void> FlushPipeline::flush_block(std::uint32_t worker_index,
                                            const FlushItem& item) {
   // The flush is part of the writing op: adopt the block's stored op.
   sim::OpScope op(sim(), item.op_id);
-  // After a crash the rebuilt map may hold the same path again, but this
-  // flush belongs to the dead master: hence current() on every re-lookup.
-  BbBlockInfo* block = current(generation, item);
+  // Block pointers do not survive a co_await (writers add blocks, and files
+  // can be deleted while a flush is in flight): look the block up again
+  // after each one.
+  BbBlockInfo* block = md_->block(item.path, item.block_index);
   if (block == nullptr || block->state != BlockState::kDirty) co_return;
   flowctl_->note_flush_begin();
   MdRecord record{.type = MdRecordType::kFlushStart,
@@ -321,7 +291,6 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
     item_crcs.push_back(piece.value()->value_crc);
     fetched += take;
   }
-  if (generation != generation_) co_return;
 
   // ...or recover from the node-local replica (BB-Local's second copy).
   if ((!buffer_ok || fetched != block_size) && local_node.has_value()) {
@@ -329,7 +298,6 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
         local_object(item.path, block_index), 0, block_size});
     auto result = co_await hub_->call<AgentReadReply>(self, *local_node,
                                                       kAgentRead, req);
-    if (generation != generation_) co_return;
     if (result.is_ok()) {
       pieces = result.value()->data;
       item_crcs.clear();
@@ -339,7 +307,7 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
     }
   }
 
-  block = current(generation, item);
+  block = md_->block(item.path, item.block_index);
   if (block == nullptr) co_return;  // deleted meanwhile
 
   // Whatever source produced the block — buffer chunks or the node-local
@@ -380,7 +348,7 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
       // co_await argument list twice.
       FlushItem retry{item.path, item.block_index, item.op_id,
                       item.attempts + 1};
-      co_await requeue(generation, *block, std::move(retry), retry_base_ns_);
+      co_await requeue(*block, std::move(retry), retry_base_ns_);
       co_return;
     }
     // Acknowledged-but-unflushed data is gone: this is exactly the
@@ -393,18 +361,18 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
   const Status st = co_await lustre_->write(
       self, layout, std::uint64_t{block_index} * common_.block_size,
       std::move(pieces));
-  block = current(generation, item);
+  block = md_->block(item.path, item.block_index);
   if (block == nullptr) co_return;
   if (!st.is_ok()) {
     // Lustre hiccup: requeue and retry later rather than dropping data.
     // Each retry re-reads the whole block from the KV tier, so back off
     // exponentially (from the retry base, capped) instead of hammering the
     // buffer for as long as Lustre stays down.
-    sim().metrics().counter("bb.flush.retries").add();
+    retries_->add();
     FlushItem retry = item;
     ++retry.lustre_retries;
     co_await requeue(
-        generation, *block, std::move(retry),
+        *block, std::move(retry),
         std::min(retry_base_ns_ << std::min<std::uint32_t>(
                      item.lustre_retries, 16),
                  kMaxFlushRetryBackoff));
@@ -413,13 +381,12 @@ sim::Task<void> FlushPipeline::flush_block(std::uint64_t generation,
   (void)co_await lustre_->set_size(
       self, common_.lustre_prefix + item.path,
       std::uint64_t{block_index} * common_.block_size + block_size);
-  if (generation != generation_) co_return;
 
   // Durable: unpin chunks so the cache may evict them under pressure.
   for (std::uint32_t c = 0; c < chunks; ++c) {
     (void)co_await kv.pin(chunk_key(item.path, block_index, c), false);
   }
-  block = current(generation, item);
+  block = md_->block(item.path, item.block_index);
   if (block == nullptr) co_return;
   finish_block(item.path, *block, BlockState::kFlushed);
 }

@@ -37,9 +37,10 @@ class FlushPipeline {
   FlushPipeline(const FlushPipeline&) = delete;
   FlushPipeline& operator=(const FlushPipeline&) = delete;
 
-  void start();  // spawn the flush workers, then the evict worker
-  // Master crash: move the generation (workers retire at their next
-  // scheduling point) and drop the queued flushes and the dirty count.
+  // Spawn the flush workers, then the evict worker, into the ambient task
+  // scope (the master's incarnation: a crash unwinds them).
+  void start();
+  // Master crash: drop the queued flushes and the dirty count.
   void reset();
 
   // A sealed block's admission credit becomes dirty or clean bytes; a dirty
@@ -79,11 +80,6 @@ class FlushPipeline {
   [[nodiscard]] sim::Simulation& sim() const noexcept {
     return hub_->transport().fabric().simulation();
   }
-  // The item's block, or null once it is gone or a crash moved the
-  // generation. Block pointers do not survive a co_await: writers add
-  // blocks and files can be deleted while a flush is in flight.
-  [[nodiscard]] BbBlockInfo* current(std::uint64_t generation,
-                                     const FlushItem& item);
   [[nodiscard]] std::uint64_t footprint(std::uint64_t size) const {
     return std::uint64_t{chunk_count(size, common_.chunk_size)} *
            common_.chunk_size;
@@ -91,16 +87,14 @@ class FlushPipeline {
   void enqueue(FlushItem item);
   void release_reservation(BbBlockInfo& block);
   void block_left();  // one dirty block fewer
-  sim::Task<void> flush_worker(std::uint64_t generation,
-                               std::uint32_t worker_index);
-  sim::Task<void> flush_block(std::uint64_t generation,
-                              std::uint32_t worker_index,
+  sim::Task<void> flush_worker(std::uint32_t worker_index);
+  sim::Task<void> flush_block(std::uint32_t worker_index,
                               const FlushItem& item);
   // Put the block back as dirty and queue `next` after `delay`, unless a
-  // crash or a delete gets there first.
-  sim::Task<void> requeue(std::uint64_t generation, BbBlockInfo& block,
-                          FlushItem next, sim::SimTime delay);
-  sim::Task<void> evict_worker(std::uint64_t generation);
+  // delete gets there first.
+  sim::Task<void> requeue(BbBlockInfo& block, FlushItem next,
+                          sim::SimTime delay);
+  sim::Task<void> evict_worker();
 
   net::RpcHub* hub_;
   std::vector<net::NodeId> kv_servers_;
@@ -117,7 +111,10 @@ class FlushPipeline {
   sim::Channel<FlushItem> queue_;
   sim::Condition flush_done_;
   std::uint64_t dirty_ = 0;  // blocks dirty or mid-flush
-  std::uint64_t generation_ = 0;
+  MetricHandle<Gauge> queue_depth_{hub_->metrics(), "bb.flush_queue_depth"};
+  MetricHandle<Counter> quarantined_{hub_->metrics(), "bb.quarantined_blocks"};
+  MetricHandle<Counter> retries_{hub_->metrics(), "bb.flush.retries"};
+  MetricHandle<Histogram> flush_ns_{hub_->metrics(), "bb.flush_ns"};
 };
 
 }  // namespace hpcbb::bb

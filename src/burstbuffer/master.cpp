@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/metrics.h"
+#include "sim/trace.h"
 
 namespace hpcbb::bb {
 
@@ -78,6 +79,7 @@ Master::Master(net::RpcHub& hub, net::NodeId node,
     });
     recovery_->set_flow_control(&flowctl_);
   }
+  sim::InScope in(sim(), incarnation_);
   if (params_.md.journal) {
     journal_ = std::make_unique<MetadataJournal>(
         *hub_, node_, kv_servers_, common_.kv_client, params_.md);
@@ -88,7 +90,7 @@ Master::Master(net::RpcHub& hub, net::NodeId node,
   make_scrubber();
   // Liveness gauge for the SLO engine (slo.master_up_min): 1 while the
   // master serves, 0 between crash() and a completed restart.
-  sim().metrics().gauge("bb.master_up").set(1);
+  master_up_->set(1);
 }
 
 Master::~Master() { unbind_ports(); }
@@ -116,17 +118,17 @@ void Master::unbind_ports() {
 void Master::spawn_workers() {
   flush_.start();
   if (probe_client_ != nullptr && !heartbeat_stop_) {
-    sim().spawn(heartbeat_worker(generation_));
+    sim().spawn(heartbeat_worker());
   }
   if (journal_ != nullptr && params_.md.checkpoint_interval_ns > 0 &&
       !heartbeat_stop_) {
-    sim().spawn(checkpoint_worker(generation_));
+    sim().spawn(checkpoint_worker());
   }
 }
 
 void Master::make_scrubber() {
   if (params_.scrub.interval_ns == 0 || heartbeat_stop_) return;
-  scrubber_ = std::make_shared<integrity::Scrubber>(
+  scrubber_ = std::make_unique<integrity::Scrubber>(
       *hub_, node_, kv_servers_, lustre_mds_, common_.kv_client,
       params_.scrub, common_.lustre_prefix);
   scrubber_->set_inventory([this] { return scrub_inventory(); });
@@ -142,21 +144,21 @@ sim::Task<void> Master::charge_md_op() {
   return hub_->transport().fabric().charge_cpu(node_, params_.md_op_ns);
 }
 
-sim::Task<void> Master::heartbeat_worker(std::uint64_t generation) {
+sim::Task<void> Master::heartbeat_worker() {
   for (;;) {
     co_await sim().delay(params_.heartbeat_interval_ns);
-    if (heartbeat_stop_ || generation != generation_) co_return;
+    if (heartbeat_stop_) co_return;
     for (std::uint32_t i = 0;
          i < static_cast<std::uint32_t>(kv_servers_.size()); ++i) {
       auto pong = co_await probe_client_->ping(kv_servers_[i]);
-      // A crash mid-probe retires this detector; the restarted master runs
-      // its own with fresh peer state.
-      if (heartbeat_stop_ || generation != generation_) co_return;
+      if (heartbeat_stop_) co_return;
       const auto moved = monitor_.apply_probe(
           i, pong.is_ok(), pong.is_ok() ? pong.value().incarnation : 0);
       // Death: restore the replication factor for everything it held.
       // Rejoin with recovery on: anti-entropy re-fills its key ranges.
+      // Those runs repair the KV tier, so they outlive this incarnation.
       if (recovery_ == nullptr || !moved.has_value()) continue;
+      sim::InScope unscoped(sim(), nullptr);
       if (*moved == PeerState::kDead) recovery_->on_server_dead(i);
       if (*moved == PeerState::kRecovering) recovery_->on_server_rejoined(i);
     }
@@ -214,9 +216,7 @@ sim::Task<net::RpcResponse> Master::handle_create(
                   .token = req->token};
   (void)md_.apply(record);
   md_.files.at(req->path).lustre_layout = std::move(layout).value();
-  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-    co_return net::rpc_error(std::move(st));
-  }
+  co_await journal_append(std::move(record));
   co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
 }
 
@@ -262,9 +262,7 @@ sim::Task<net::RpcResponse> Master::handle_add_block(
                   .op_id = sim().current_op()};
   (void)md_.apply(record);
   it2->second.blocks.back().reservation_held = flowctl_.enabled();
-  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-    co_return net::rpc_error(std::move(st));
-  }
+  co_await journal_append(std::move(record));
   co_return net::rpc_ok(std::move(reply));
 }
 
@@ -314,9 +312,7 @@ sim::Task<net::RpcResponse> Master::handle_complete_block(
     co_return net::rpc_error(std::move(st));
   }
   flush_.add_sealed(req->path, block, req->already_durable);
-  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-    co_return net::rpc_error(std::move(st));
-  }
+  co_await journal_append(std::move(record));
   co_return net::RpcResponse{Status::ok(), nullptr, kHeaderBytes};
 }
 
@@ -328,9 +324,7 @@ sim::Task<net::RpcResponse> Master::handle_close(
                   .path = req->path,
                   .size = req->size};
   (void)md_.apply(record);
-  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-    co_return net::rpc_error(std::move(st));
-  }
+  co_await journal_append(std::move(record));
   // Record the logical size on Lustre now; block data lands as flushes
   // complete (MDS set-size keeps the max).
   Status st = co_await lustre_.set_size(node_, lustre_path(req->path),
@@ -372,9 +366,7 @@ sim::Task<net::RpcResponse> Master::handle_delete(
   MdRecord record{.type = MdRecordType::kFileDelete, .path = req->path};
   (void)md_.apply(record);
   flush_.forget(req->path, blocks);
-  if (Status st = co_await journal_append(std::move(record)); !st.is_ok()) {
-    co_return net::rpc_error(std::move(st));
-  }
+  co_await journal_append(std::move(record));
   for (const BbBlockInfo& block : blocks) {
     co_await erase_chunks(flush_.client(), req->path, block.index,
                           chunk_count(block.size));
@@ -446,20 +438,17 @@ std::vector<integrity::ScrubChunk> Master::scrub_inventory() const {
 
 // ---- metadata durability ----
 
-sim::Task<Status> Master::journal_append(MdRecord record) {
-  if (journal_ == nullptr) co_return Status::ok();
+sim::Task<void> Master::journal_append(MdRecord record) {
+  if (journal_ == nullptr) co_return;
   // The append task allocates the record's sequence number synchronously at
   // co_await, in the same segment as the mutation the caller just applied —
   // that pairing is what makes checkpoint snapshots consistent.
-  std::size_t span = 0;
-  if (trace_ != nullptr) {
-    span = trace_->begin("md.append", "md", static_cast<std::uint32_t>(node_),
-                         record.op_id);
+  {
+    sim::ScopedSpan span(trace_, "md.append", "", "md",
+                         static_cast<std::uint32_t>(node_), record.op_id);
+    co_await journal_->append(std::move(record));
   }
-  Status st = co_await journal_->append(std::move(record));
-  if (trace_ != nullptr) trace_->end(span);
   maybe_trigger_checkpoint();
-  co_return st;
 }
 
 void Master::journal_append_async(MdRecord record) {
@@ -475,44 +464,40 @@ void Master::maybe_trigger_checkpoint() {
   if (journal_->bytes_since_checkpoint() < params_.md.journal_max_bytes) {
     return;
   }
-  // Background work: not part of the op whose record filled the journal.
+  // Background work of this incarnation, not part of the op whose record
+  // filled the journal.
+  sim::InScope in(sim(), incarnation_);
   sim::OpScope none(sim(), 0);
-  sim().spawn(run_checkpoint(generation_));
+  sim().spawn(run_checkpoint());
 }
 
-sim::Task<void> Master::checkpoint_worker(std::uint64_t generation) {
-  sim::Simulation& sim = this->sim();
+sim::Task<void> Master::checkpoint_worker() {
   for (;;) {
-    co_await sim.delay(params_.md.checkpoint_interval_ns);
-    if (heartbeat_stop_ || generation != generation_) co_return;
+    co_await sim().delay(params_.md.checkpoint_interval_ns);
+    if (heartbeat_stop_) co_return;
     if (journal_->bytes_since_checkpoint() == 0) continue;  // nothing new
-    co_await run_checkpoint(generation);
-    if (generation != generation_) co_return;
+    co_await run_checkpoint();
   }
 }
 
-sim::Task<void> Master::run_checkpoint(std::uint64_t generation) {
-  if (checkpoint_running_ || generation != generation_) co_return;
-  checkpoint_running_ = true;
-  sim::Simulation& sim = this->sim();
-  const sim::SimTime start = sim.now();
-  std::size_t span = 0;
-  if (trace_ != nullptr) {
-    span = trace_->begin("md.checkpoint", "md",
+sim::Task<void> Master::run_checkpoint() {
+  if (checkpoint_running_) co_return;
+  checkpoint_running_ = true;  // a crash mid-checkpoint resets it
+  const sim::SimTime start = sim().now();
+  {
+    sim::ScopedSpan span(trace_, "md.checkpoint", "", "md",
                          static_cast<std::uint32_t>(node_));
+    // Snapshot and watermark in one synchronous segment: the snapshot then
+    // reflects exactly the mutations journaled as records [0, upto).
+    const std::uint64_t upto = journal_->next_seq();
+    Bytes snapshot = encode_checkpoint(md_.checkpoint());
+    (void)co_await journal_->write_checkpoint(std::move(snapshot), upto);
   }
-  // Snapshot and watermark in one synchronous segment: the snapshot then
-  // reflects exactly the mutations journaled as records [0, upto).
-  const std::uint64_t upto = journal_->next_seq();
-  Bytes snapshot = encode_checkpoint(md_.checkpoint());
-  (void)co_await journal_->write_checkpoint(std::move(snapshot), upto);
-  if (trace_ != nullptr) trace_->end(span);
-  if (generation != generation_) co_return;  // crashed mid-checkpoint
   checkpoint_running_ = false;
-  sim.metrics().histogram("bb.md.checkpoint_ns").record(sim.now() - start);
+  ckpt_ns_->record(sim().now() - start);
 }
 
-sim::Task<void> Master::reconcile(std::uint64_t generation) {
+sim::Task<void> Master::reconcile() {
   // Probe through a client homed on a live KV node.
   kv::Client& kv = flush_.reachable_client();
   std::vector<std::string> dropped_files;
@@ -521,7 +506,6 @@ sim::Task<void> Master::reconcile(std::uint64_t generation) {
     // backing layout (journal records deliberately don't carry it).
     Result<lustre::FileLayout> layout =
         co_await lustre_.lookup(node_, lustre_path(path));
-    if (generation != generation_) co_return;
     if (!layout.is_ok()) {
       // Journaled create whose Lustre file vanished: without a backing file
       // the metadata is useless. Deterministic rule: drop the whole file.
@@ -544,7 +528,6 @@ sim::Task<void> Master::reconcile(std::uint64_t generation) {
     }
     for (const std::uint32_t index : discarded) {
       co_await erase_chunks(kv, path, index, chunk_count(common_.block_size));
-      if (generation != generation_) co_return;
     }
     for (BbBlockInfo& block : meta.blocks) {
       block.reservation_held = false;  // admission credits died in the crash
@@ -562,7 +545,6 @@ sim::Task<void> Master::reconcile(std::uint64_t generation) {
         // evicted, reads fall back to Lustre.
         Status resident =
             co_await kv.pin(chunk_key(path, block.index, 0), false);
-        if (generation != generation_) co_return;
         if (resident.is_ok()) {
           flush_.add_sealed(path, block, /*already_durable=*/true);
         }
@@ -573,10 +555,10 @@ sim::Task<void> Master::reconcile(std::uint64_t generation) {
 }
 
 void Master::crash() {
-  // Bumping the generations retires every worker coroutine (flushers,
-  // evictor, detector, checkpointer, an in-flight restart) at its next
-  // scheduling point; nothing from the dead process can touch state again.
-  ++generation_;
+  // Every task of the dead process (workers, an in-flight restart, the RPC
+  // handlers) unwinds at its next wakeup; nothing of it runs another step.
+  incarnation_->cancel();
+  incarnation_ = &sim().open_scope();
   crashed_ = true;
   unbind_ports();
   // Every volatile component dies with the process.
@@ -584,14 +566,11 @@ void Master::crash() {
   flush_.reset();
   flowctl_.reset_accounting();
   monitor_.leave_degraded();
-  sim().metrics().gauge("bb.master_up").set(0);
+  master_up_->set(0);
   checkpoint_running_ = false;
   if (journal_ != nullptr) journal_->crash();
-  if (scrubber_ != nullptr) {
-    scrubber_->stop();
-    scrubber_.reset();
-  }
-  sim().metrics().counter("bb.md.crashes").add();
+  scrubber_.reset();
+  crashes_->add();
   if (trace_ != nullptr) {
     trace_->record("md.crash", "md", static_cast<std::uint32_t>(node_),
                    sim().now(), sim().now());
@@ -600,51 +579,48 @@ void Master::crash() {
 
 void Master::restart() {
   if (!crashed_) return;
+  sim::InScope in(sim(), incarnation_);
   sim().spawn(restart_task());
 }
 
 sim::Task<void> Master::restart_task() {
-  const std::uint64_t generation = generation_;
   sim::Simulation& sim = this->sim();
   const sim::SimTime start = sim.now();
   std::uint64_t replayed = 0;
   if (journal_ != nullptr) {
     MetadataJournal::Recovered recovered = co_await journal_->load();
-    if (generation != generation_) co_return;  // crashed again mid-recovery
     if (!recovered.checkpoint.empty()) {
       Result<MdCheckpoint> checkpoint = decode_checkpoint(recovered.checkpoint);
       if (checkpoint.is_ok()) {
         md_.install(std::move(checkpoint).value());
       } else {
-        sim.metrics().counter("bb.md.recovery_errors").add();
+        md_errors_->add();
       }
     }
     for (const MdRecord& record : recovered.tail) {
       if (!md_.apply(record).is_ok()) {
         // The seal handler never journals such a record: this one is
         // damaged, and its block stays open.
-        sim.metrics().counter("bb.md.recovery_errors").add();
+        md_errors_->add();
       }
     }
     replayed = recovered.tail.size();
-    co_await reconcile(generation);
-    if (generation != generation_) co_return;
+    co_await reconcile();
     journal_->start();
   }
   ++restarts_;
   replayed_records_ += replayed;
   recovered_files_ += md_.files.size();
-  sim.metrics().counter("bb.md.restarts").add();
-  sim.metrics().counter("bb.md.replayed_records").add(replayed);
-  sim.metrics().counter("bb.md.recovered_files")
-      .add(static_cast<std::uint64_t>(md_.files.size()));
+  restart_count_->add();
+  replayed_->add(replayed);
+  recovered_->add(static_cast<std::uint64_t>(md_.files.size()));
   monitor_.reset();
   bind_ports();
   crashed_ = false;
   spawn_workers();
   make_scrubber();
-  sim.metrics().gauge("bb.master_up").set(1);
-  sim.metrics().histogram("bb.md.recovery_ns").record(sim.now() - start);
+  master_up_->set(1);
+  recovery_ns_->record(sim.now() - start);
   if (trace_ != nullptr) {
     trace_->record("md.recovery", "md", static_cast<std::uint32_t>(node_),
                    start, sim.now());

@@ -94,9 +94,9 @@ class Master {
   sim::Task<void> wait_all_flushed() { return flush_.wait_all_flushed(); }
 
   // ---- crash-restart (metadata durability) ----
-  // Crash the master process: unbind every RPC port, drop all volatile
-  // state (file map, flush queue, flow-control accounting, counters), and
-  // retire the worker coroutines. With journaling on, restart() recovers
+  // Crash the master process: cancel this incarnation's task scope, unbind
+  // every RPC port, and drop all volatile state (file map, flush queue,
+  // flow-control accounting, counters). With journaling on, restart() recovers
   // everything from the KV-resident checkpoint + journal tail; with it off
   // this models the seed's unrecoverable single point of failure. Driven by
   // the fault injector (faults.master.* schedule) or directly by tests.
@@ -199,9 +199,8 @@ class Master {
 
   sim::Task<void> charge_md_op();
   // Periodic liveness probing of every KV server, fed to monitor_; acts on
-  // the transitions it reports. `generation` retires the worker after a
-  // crash (see crash()).
-  sim::Task<void> heartbeat_worker(std::uint64_t generation);
+  // the transitions it reports.
+  sim::Task<void> heartbeat_worker();
   // Inventory of buffer-resident replicated chunks for the recovery
   // manager (every sealed block's chunk keys, with pin state).
   [[nodiscard]] std::vector<repl::ChunkRef> replicated_chunks() const;
@@ -211,24 +210,25 @@ class Master {
   // ---- metadata durability internals ----
   void bind_ports();
   void unbind_ports();
-  // Spawn the flush/evict/heartbeat/checkpoint workers for generation_.
+  // Spawn the flush/evict/heartbeat/checkpoint workers into the ambient
+  // scope, which is the incarnation's.
   void spawn_workers();
   // (Re)create and start the integrity scrubber; a stopped Scrubber cannot
   // be restarted, so restart builds a fresh one.
   void make_scrubber();
-  // Durable journal append for the acknowledge path (returns kUnavailable
-  // on crash — the caller must not ack); the async variant is for
-  // background mutations nothing acknowledges against. Both return at once
-  // when journaling is off.
-  sim::Task<Status> journal_append(MdRecord record);
+  // Durable journal append for the acknowledge path (a crash unwinds the
+  // waiting handler, so the mutation is never acked); the async variant is
+  // for background mutations nothing acknowledges against. Both return at
+  // once when journaling is off.
+  sim::Task<void> journal_append(MdRecord record);
   void journal_append_async(MdRecord record);
   void maybe_trigger_checkpoint();
-  sim::Task<void> checkpoint_worker(std::uint64_t generation);
-  sim::Task<void> run_checkpoint(std::uint64_t generation);
+  sim::Task<void> checkpoint_worker();
+  sim::Task<void> run_checkpoint();
   // Recovery pipeline (restart()): journal load -> checkpoint install ->
   // record replay -> inventory reconciliation -> worker respawn.
   sim::Task<void> restart_task();
-  sim::Task<void> reconcile(std::uint64_t generation);
+  sim::Task<void> reconcile();
   [[nodiscard]] std::uint32_t chunk_count(std::uint64_t size) const {
     return bb::chunk_count(size, common_.chunk_size);
   }
@@ -248,16 +248,17 @@ class Master {
   PeerMonitor monitor_;
   std::unique_ptr<kv::Client> probe_client_;  // heartbeat pings, from node_
   std::unique_ptr<repl::RecoveryManager> recovery_;
-  std::shared_ptr<integrity::Scrubber> scrubber_;
+  std::unique_ptr<integrity::Scrubber> scrubber_;
   std::unique_ptr<MetadataJournal> journal_;
   bool heartbeat_stop_ = false;
 
-  // Crash-restart machinery: every worker coroutine captures generation_
-  // at spawn and retires when it no longer matches (crash() bumps it, and
-  // the flush pipeline's own), so stale coroutines resumed across a
-  // restart can never mutate recovered state. `bound_` makes port teardown
+  // Crash-restart machinery. The incarnation's scope holds every task of
+  // this master process: the flush and evict workers, the heartbeat and
+  // checkpoint workers, restart_task, the journal writer, the scrubber loop
+  // and the RPC handlers. crash() cancels it and opens the next, so no task
+  // of a dead incarnation runs another step. `bound_` makes port teardown
   // idempotent between crash() and the destructor.
-  std::uint64_t generation_ = 0;
+  sim::Scope* incarnation_ = &sim().open_scope();
   bool crashed_ = false;
   bool bound_ = false;
   bool checkpoint_running_ = false;
@@ -265,6 +266,14 @@ class Master {
   std::uint64_t restarts_ = 0;
   std::uint64_t replayed_records_ = 0;
   std::uint64_t recovered_files_ = 0;
+  MetricHandle<Gauge> master_up_{sim().metrics(), "bb.master_up"};
+  MetricHandle<Counter> crashes_{sim().metrics(), "bb.md.crashes"};
+  MetricHandle<Counter> restart_count_{sim().metrics(), "bb.md.restarts"};
+  MetricHandle<Counter> replayed_{sim().metrics(), "bb.md.replayed_records"};
+  MetricHandle<Counter> recovered_{sim().metrics(), "bb.md.recovered_files"};
+  MetricHandle<Counter> md_errors_{sim().metrics(), "bb.md.recovery_errors"};
+  MetricHandle<Histogram> recovery_ns_{sim().metrics(), "bb.md.recovery_ns"};
+  MetricHandle<Histogram> ckpt_ns_{sim().metrics(), "bb.md.checkpoint_ns"};
 
   sim::TraceRecorder* trace_ = nullptr;
 };

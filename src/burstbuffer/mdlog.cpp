@@ -344,33 +344,29 @@ std::string MetadataJournal::ctl_key() {
   return std::string(kv::kReservedMetaPrefix) + "bb:ctl";
 }
 
-void MetadataJournal::start() { sim_->spawn(writer_loop(generation_)); }
+void MetadataJournal::start() { sim_->spawn(writer_loop()); }
 
-sim::Task<void> MetadataJournal::writer_loop(std::uint64_t generation) {
+sim::Task<void> MetadataJournal::writer_loop() {
   for (;;) {
     Pending pending = co_await queue_.recv();
-    if (generation != generation_) co_return;  // superseded by a restart
     const sim::SimTime start = sim_->now();
     const std::uint64_t record_bytes = pending.bytes.size();
     const BytesPtr payload = make_bytes(std::move(pending.bytes));
     for (;;) {
       Status st = co_await kv_->set(journal_key(pending.seq), payload,
                                     /*pinned=*/true);
-      if (generation != generation_) co_return;
       if (st.is_ok()) break;
       // An allocated record is never dropped while the master lives: a KV
       // hiccup retries, and the blocked appenders hold their acks — no ack
       // without durability.
-      sim_->metrics().counter("bb.md.journal_retries").add();
+      retries_->add();
       co_await sim_->delay(duration::ms);
-      if (generation != generation_) co_return;
     }
     durable_next_ = pending.seq + 1;
     bytes_since_checkpoint_ += record_bytes;
-    sim_->metrics().counter("bb.md.journal_records").add();
-    sim_->metrics().counter("bb.md.journal_bytes").add(record_bytes);
-    sim_->metrics().histogram("bb.md.journal_append_ns")
-        .record(sim_->now() - start);
+    records_->add();
+    bytes_->add(record_bytes);
+    append_ns_->record(sim_->now() - start);
     // No trace span here: the master's journal_append wrapper records the
     // op-attributed "md.append" span covering queue wait + durability, and
     // two overlapping spans would double-charge the md layer.
@@ -378,18 +374,10 @@ sim::Task<void> MetadataJournal::writer_loop(std::uint64_t generation) {
   }
 }
 
-sim::Task<Status> MetadataJournal::append(MdRecord record) {
-  const std::uint64_t generation = generation_;
+sim::Task<void> MetadataJournal::append(MdRecord record) {
   const std::uint64_t seq = next_seq_++;
   queue_.push(Pending{seq, encode_record(record)});
-  while (generation == generation_ && durable_next_ <= seq) {
-    co_await durable_.wait();
-  }
-  if (generation != generation_) {
-    co_return error(StatusCode::kUnavailable,
-                    "master crashed before journal append became durable");
-  }
-  co_return Status::ok();
+  while (durable_next_ <= seq) co_await durable_.wait();
 }
 
 void MetadataJournal::append_async(MdRecord record) {
@@ -398,12 +386,10 @@ void MetadataJournal::append_async(MdRecord record) {
 }
 
 void MetadataJournal::crash() {
-  ++generation_;
   Pending dropped;
-  while (queue_.try_recv(dropped)) {
-  }
-  // Wake blocked appenders; they observe the generation change and report
-  // kUnavailable so their handlers never acknowledge the lost mutations.
+  while (queue_.try_recv(dropped)) {}
+  // Blocked appenders unwind at the crash instant, so their handlers answer
+  // kUnavailable and never acknowledge the lost mutations.
   durable_.notify_all();
 }
 
@@ -438,7 +424,7 @@ sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
         // A checkpoint part vanished (should be impossible under the
         // pinned reserved range): fall back to whatever journal tail
         // remains rather than wedging recovery.
-        sim_->metrics().counter("bb.md.recovery_errors").add();
+        errors_->add();
         out.replay_from = replay_from;
       }
       break;
@@ -453,12 +439,12 @@ sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
     Result<BytesPtr> raw = co_await kv_->get(journal_key(seq));
     if (!raw.is_ok()) {
       if (raw.code() == StatusCode::kNotFound) break;
-      sim_->metrics().counter("bb.md.recovery_errors").add();
+      errors_->add();
       break;
     }
     Result<MdRecord> record = decode_record(*raw.value());
     if (!record.is_ok()) {
-      sim_->metrics().counter("bb.md.recovery_errors").add();
+      errors_->add();
       break;
     }
     out.tail.push_back(std::move(record).value());
@@ -473,16 +459,10 @@ sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
 
 sim::Task<Status> MetadataJournal::write_checkpoint(Bytes snapshot,
                                                     std::uint64_t upto_seq) {
-  const std::uint64_t generation = generation_;
   const std::uint64_t snapshot_bytes = snapshot.size();
   // Truncation must never race ahead of a pending record's write: wait for
   // the journal to be durable through the snapshot horizon first.
-  while (generation == generation_ && durable_next_ < upto_seq) {
-    co_await durable_.wait();
-  }
-  if (generation != generation_) {
-    co_return error(StatusCode::kUnavailable, "master crashed mid-checkpoint");
-  }
+  while (durable_next_ < upto_seq) co_await durable_.wait();
   // Alternate slots: the previous checkpoint and control record stay intact
   // until the new slot is fully written, so a crash at any point here
   // recovers from a consistent snapshot.
@@ -498,10 +478,6 @@ sim::Task<Status> MetadataJournal::write_checkpoint(Bytes snapshot,
     Status st = co_await kv_->set(ckpt_key(slot, part),
                                   make_bytes(std::move(piece)),
                                   /*pinned=*/true);
-    if (generation != generation_) {
-      co_return error(StatusCode::kUnavailable,
-                      "master crashed mid-checkpoint");
-    }
     if (!st.is_ok()) co_return st;  // old checkpoint + journal still intact
   }
   Bytes ctl;
@@ -510,29 +486,22 @@ sim::Task<Status> MetadataJournal::write_checkpoint(Bytes snapshot,
   put_u64(ctl, upto_seq);
   Status st =
       co_await kv_->set(ctl_key(), make_bytes(std::move(ctl)), /*pinned=*/true);
-  if (generation != generation_) {
-    co_return error(StatusCode::kUnavailable, "master crashed mid-checkpoint");
-  }
   if (!st.is_ok()) co_return st;
   checkpoint_slot_ = slot;
-  sim_->metrics().counter("bb.md.checkpoints").add();
-  sim_->metrics().counter("bb.md.checkpoint_bytes").add(snapshot_bytes);
+  checkpoints_->add();
+  checkpoint_bytes_->add(snapshot_bytes);
 
   // The control record is durable: every record below upto_seq is subsumed.
   const std::uint64_t truncate_from = oldest_seq_;
   oldest_seq_ = upto_seq;
   bytes_since_checkpoint_ = 0;
   for (std::uint64_t seq = truncate_from; seq < upto_seq; ++seq) {
+    // A crash here leaves it partially truncated, which is fine:
+    // re-erasing on the next checkpoint is idempotent, and recovery never
+    // reads below replay_from.
     (void)co_await kv_->erase(journal_key(seq));
-    if (generation != generation_) {
-      // Partially truncated is fine: re-erasing on the next checkpoint is
-      // idempotent, and recovery never reads below replay_from.
-      co_return error(StatusCode::kUnavailable,
-                      "master crashed mid-truncation");
-    }
   }
-  sim_->metrics().counter("bb.md.journal_truncated").add(upto_seq -
-                                                         truncate_from);
+  truncated_->add(upto_seq - truncate_from);
   co_return Status::ok();
 }
 

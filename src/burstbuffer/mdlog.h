@@ -173,15 +173,16 @@ class MetadataJournal {
   MetadataJournal(const MetadataJournal&) = delete;
   MetadataJournal& operator=(const MetadataJournal&) = delete;
 
-  // Spawn the writer loop for the current generation. Called once after
-  // construction and again after every crash()+load() cycle.
+  // Spawn the writer loop into the ambient task scope (the master's
+  // incarnation). Called once after construction and again after every
+  // crash()+load() cycle.
   void start();
 
   // Durable append: resolves once this record and every earlier one are
-  // stored in the KV tier. Returns kUnavailable if the master crashed
-  // before durability was reached — the caller must NOT acknowledge the
-  // mutation (the client will retry through the idempotent protocol).
-  sim::Task<Status> append(MdRecord record);
+  // stored in the KV tier. The caller is a member of the master's scope: a
+  // crash before durability unwinds it, so the mutation is never
+  // acknowledged (the client retries through the idempotent protocol).
+  sim::Task<void> append(MdRecord record);
 
   // Fire-and-forget append for background mutations (flush complete, loss
   // accounting, quarantine): nothing is acknowledged against these, so the
@@ -203,8 +204,8 @@ class MetadataJournal {
   // ahead of its record's write.
   sim::Task<Status> write_checkpoint(Bytes snapshot, std::uint64_t upto_seq);
 
-  // Master crash: drop pending (never-acknowledged) appends and fail their
-  // waiters; the writer loop of the old generation retires on next wake.
+  // Master crash: drop pending (never-acknowledged) appends and wake their
+  // waiters, which unwind with the crashed scope.
   void crash();
 
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
@@ -220,7 +221,7 @@ class MetadataJournal {
     Bytes bytes;
   };
 
-  sim::Task<void> writer_loop(std::uint64_t generation);
+  sim::Task<void> writer_loop();
 
   static std::string journal_key(std::uint64_t seq);
   static std::string ckpt_key(std::uint32_t slot, std::uint32_t part);
@@ -234,12 +235,21 @@ class MetadataJournal {
 
   sim::Channel<Pending> queue_;
   sim::Condition durable_;
-  std::uint64_t generation_ = 0;
   std::uint64_t next_seq_ = 0;     // next sequence number to allocate
   std::uint64_t durable_next_ = 0;  // all seqs < this are durable
   std::uint64_t oldest_seq_ = 0;   // journal head (first non-truncated seq)
   std::uint32_t checkpoint_slot_ = 0;
   std::uint64_t bytes_since_checkpoint_ = 0;
+  MetricHandle<Counter> retries_{sim_->metrics(), "bb.md.journal_retries"};
+  MetricHandle<Counter> records_{sim_->metrics(), "bb.md.journal_records"};
+  MetricHandle<Counter> bytes_{sim_->metrics(), "bb.md.journal_bytes"};
+  MetricHandle<Histogram> append_ns_{sim_->metrics(),
+                                     "bb.md.journal_append_ns"};
+  MetricHandle<Counter> errors_{sim_->metrics(), "bb.md.recovery_errors"};
+  MetricHandle<Counter> checkpoints_{sim_->metrics(), "bb.md.checkpoints"};
+  MetricHandle<Counter> checkpoint_bytes_{sim_->metrics(),
+                                          "bb.md.checkpoint_bytes"};
+  MetricHandle<Counter> truncated_{sim_->metrics(), "bb.md.journal_truncated"};
 };
 
 }  // namespace hpcbb::bb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace hpcbb::flowctl {
 
@@ -36,8 +37,7 @@ Pressure CapacityController::pressure() const noexcept {
 sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes) {
   if (!enabled()) co_return 0;
   const sim::SimTime start = sim_->now();
-  bool stalled = false;
-  std::size_t span = 0;
+  std::optional<sim::ScopedSpan> stall;  // open while the caller waits
   for (;;) {
     // A lone block always gets in (even one larger than the watermark), so
     // a writer can never wedge with zero credits outstanding.
@@ -49,13 +49,10 @@ sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes) {
         usage_bytes() + bytes <= critical_bytes()) {
       break;
     }
-    if (!stalled) {
-      stalled = true;
+    if (!stall) {
       sim_->metrics().counter("flowctl.stalls").add();
-      if (trace_ != nullptr) {
-        span = trace_->begin("flowctl.stall", "flowctl", trace_track_,
-                             sim_->current_op());
-      }
+      stall.emplace(trace_, "flowctl.stall", "", "flowctl", trace_track_,
+                    sim_->current_op());
     }
     co_await drained_.wait();
   }
@@ -63,10 +60,7 @@ sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes) {
   peak_dirty_ = std::max(peak_dirty_, reserved_ + dirty_);
   publish_gauges();
   const sim::SimTime waited = sim_->now() - start;
-  if (stalled) {
-    if (trace_ != nullptr) trace_->end(span);
-    sim_->metrics().histogram("flowctl.stall_ns").record(waited);
-  }
+  if (stall) sim_->metrics().histogram("flowctl.stall_ns").record(waited);
   co_return waited;
 }
 

@@ -21,16 +21,16 @@ Scrubber::Scrubber(net::RpcHub& hub, net::NodeId node,
 
 void Scrubber::start() {
   if (params_.interval_ns == 0 || !inventory_) return;
-  hub_->transport().fabric().simulation().spawn(run(shared_from_this()));
+  hub_->transport().fabric().simulation().spawn(run());
 }
 
-sim::Task<void> Scrubber::run(std::shared_ptr<Scrubber> self) {
-  sim::Simulation& sim = self->hub_->transport().fabric().simulation();
+sim::Task<void> Scrubber::run() {
+  sim::Simulation& sim = hub_->transport().fabric().simulation();
   for (;;) {
-    co_await sim.delay(self->params_.interval_ns);
-    if (self->stop_) co_return;
-    co_await self->scrub_pass();
-    if (self->stop_) co_return;
+    co_await sim.delay(params_.interval_ns);
+    if (stop_) co_return;
+    co_await scrub_pass();
+    if (stop_) co_return;
   }
 }
 

@@ -52,10 +52,11 @@ struct ScrubChunk {
   bool durable = false;             // block is kFlushed: Lustre can repair
 };
 
-// Always owned by a shared_ptr: the pass loop holds one, so an owner that
-// drops the scrubber while the loop sleeps (a crashing master) frees it only
-// once the loop has woken, seen stop(), and ended.
-class Scrubber : public std::enable_shared_from_this<Scrubber> {
+// The pass loop joins the ambient task scope of start(). An owner that
+// drops the scrubber while the loop is suspended (a crashing master) must
+// cancel that scope first: the loop then unwinds at its next wakeup without
+// touching the scrubber again.
+class Scrubber {
  public:
   // Chunk inventory snapshot, taken at the start of every pass.
   using Inventory = std::function<std::vector<ScrubChunk>()>;
@@ -85,7 +86,7 @@ class Scrubber : public std::enable_shared_from_this<Scrubber> {
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
 
  private:
-  static sim::Task<void> run(std::shared_ptr<Scrubber> self);
+  sim::Task<void> run();
   sim::Task<void> scrub_pass();
   // Re-read the chunk's logical bytes from Lustre, verify, write back to
   // the buffer (unpinned: the block is durable). False if Lustre cannot

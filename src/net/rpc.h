@@ -2,6 +2,10 @@
 //
 // Handlers run as coroutines in the caller's chain: server processing time,
 // device waits, and nested RPCs all accrue to the simulated clock naturally.
+// A handler runs under the task scope that was ambient when it was bound,
+// not the caller's: a cancelled caller never cuts a live server's handler
+// short, and a handler whose own scope is cancelled (a crashed server)
+// answers kUnavailable.
 // Because everything lives in one host process, request/response bodies move
 // by shared_ptr while the *wire* cost is modeled from each message's
 // declared wire size.
@@ -71,12 +75,15 @@ class RpcHub {
   RpcHub(const RpcHub&) = delete;
   RpcHub& operator=(const RpcHub&) = delete;
 
-  // Register a service endpoint. Rebinding after unbind() is supported (a
-  // restarted server reclaims its old port); binding a *currently occupied*
-  // endpoint is a bug — two live services cannot share one port.
+  // Register a service endpoint under the ambient task scope. Rebinding
+  // after unbind() is supported (a restarted server reclaims its old port);
+  // binding a *currently occupied* endpoint is a bug — two live services
+  // cannot share one port.
   void bind(NodeId node, Port port, Handler handler) {
-    const auto [it, inserted] =
-        handlers_.emplace(endpoint_key(node, port), std::move(handler));
+    const auto [it, inserted] = handlers_.emplace(
+        endpoint_key(node, port),
+        Binding{std::move(handler),
+                transport_->fabric().simulation().current_scope()});
     (void)it;
     assert(inserted && "endpoint already bound by a live service");
   }
@@ -234,7 +241,13 @@ class RpcHub {
       co_return rpc_error(
           error(StatusCode::kUnavailable, "connection refused"));
     }
-    RpcResponse response = co_await it->second(std::move(request));
+    RpcResponse response;
+    try {
+      sim::InScope scope(transport_->fabric().simulation(), it->second.scope);
+      response = co_await it->second.handler(std::move(request));
+    } catch (const sim::Cancelled&) {
+      response = rpc_error(error(StatusCode::kUnavailable, "server crashed"));
+    }
     // From here the handler has executed: any failure is ambiguous for the
     // caller and must not be blindly re-attempted for non-idempotent calls.
     response.request_delivered = true;
@@ -256,7 +269,11 @@ class RpcHub {
   MetricHandle<Histogram> rpc_ns_;
   MetricHandle<Counter> rpc_calls_;
   RetryPolicy retry_policy_;
-  std::unordered_map<std::uint64_t, Handler> handlers_;
+  struct Binding {
+    Handler handler;
+    sim::Scope* scope;  // the handler's task scope
+  };
+  std::unordered_map<std::uint64_t, Binding> handlers_;
 };
 
 // Adapts a typed handler (Task<RpcResponse>(shared_ptr<const Req>)) to the

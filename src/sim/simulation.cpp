@@ -18,16 +18,16 @@ Simulation::~Simulation() {
 }
 
 void Simulation::schedule_at(SimTime time, std::coroutine_handle<> handle,
-                             std::uint64_t op) {
+                             std::uint64_t op, Scope* scope) {
   assert(time >= now_ && "cannot schedule into the simulated past");
-  queue_.push(Event{time, next_seq_++, handle, op});
+  queue_.push(Event{time, next_seq_++, handle, op, scope});
 }
 
 std::uint64_t Simulation::schedule_cancellable(SimTime time,
                                               std::coroutine_handle<> handle) {
   assert(time >= now_ && "cannot schedule into the simulated past");
   const std::uint64_t token = next_seq_++;
-  queue_.push(Event{time, token, handle, current_op_});
+  queue_.push(Event{time, token, handle, current_op_, current_scope_});
   cancellable_pending_.insert(token);
   return token;
 }
@@ -62,17 +62,22 @@ bool Simulation::pop_next(SimTime deadline, Event& out) {
   std::terminate();
 }
 
-Simulation::RootTask Simulation::make_root(Task<void> task) {
-  co_await std::move(task);
+Simulation::RootTask Simulation::make_root(Simulation& sim, Task<void> task) {
+  try {
+    sim.throw_if_cancelled();  // its scope was cancelled before it first ran
+    co_await std::move(task);
+  } catch (const Cancelled&) {
+    // A cancelled scope's member has unwound; it ends here.
+  }
 }
 
 void Simulation::spawn(Task<void> task) {
-  RootTask root = make_root(std::move(task));
+  RootTask root = make_root(*this, std::move(task));
   root.handle.promise().sim = this;
   const std::uint64_t id = next_root_id_++;
   root.handle.promise().id = id;
   roots_.emplace(id, root.handle);
-  schedule_at(now_, root.handle, current_op_);
+  schedule_at(now_, root.handle, current_op_, current_scope_);
 }
 
 void Simulation::finish_root(std::uint64_t id) noexcept {
@@ -88,7 +93,9 @@ void Simulation::process(const Event& event) {
   now_ = event.time;
   ++events_processed_;
   current_op_ = event.op;
+  current_scope_ = event.scope;
   detail::resume(event.handle);
+  current_scope_ = nullptr;  // what runs between events spawns unscoped
 }
 
 void Simulation::run() {

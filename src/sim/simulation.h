@@ -6,14 +6,23 @@
 // nothing resumes a foreign coroutine inline — so no simulated actor can
 // observe a half-completed action of another.
 //
-// The simulation also keeps the causal op id of the task it is running
-// (`current_op()`, 0 = none). Every wakeup restores the op its task had when
-// it suspended, a child started by co_await or spawn() inherits its
-// parent's, and an OpScope begins or adopts one.
+// The simulation also keeps two ambient values of the task it is running:
+// its causal op id (`current_op()`, 0 = none) and its task scope
+// (`current_scope()`, null = none). Every wakeup restores both as the task
+// had them when it suspended, a child started by co_await or spawn()
+// inherits its parent's, and an OpScope or InScope sets one for a while.
+//
+// Cancelling a Scope unwinds its members instead of destroying their
+// frames: at a member's next wakeup (a delay ending, a Condition wakeup, or
+// its first run after spawn()) the awaiter raises sim::Cancelled, which
+// unwinds the member's frame chain, RAII and all, to its root. The
+// cancellation adds no event: the member wakes at the event it was already
+// waiting for.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -29,6 +38,23 @@ using SimTime = std::uint64_t;  // nanoseconds since simulation start
 
 class TraceRecorder;
 
+// Raised in a cancelled scope's member at its next wakeup; the member's root
+// catches it, so the member ends like a task that returned.
+struct Cancelled {};
+
+// A group of simulated tasks that cancel as one: every task spawned while
+// the scope is ambient, and everything those tasks await or spawn. A scope
+// lives as long as its simulation (Simulation::open_scope()), so a member
+// that wakes long after the cancel still finds it.
+class Scope {
+ public:
+  void cancel() noexcept { cancelled_ = true; }
+  [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
+
+ private:
+  bool cancelled_ = false;
+};
+
 class Simulation {
  public:
   Simulation() = default;
@@ -39,13 +65,13 @@ class Simulation {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  // Schedule a raw coroutine resumption that runs under causal op `op`.
-  // Used by awaitables; application code uses delay()/spawn() and the sync
-  // primitives.
+  // Schedule a raw coroutine resumption that runs under causal op `op` and
+  // task scope `scope`. Used by awaitables; application code uses
+  // delay()/spawn() and the sync primitives.
   void schedule_at(SimTime time, std::coroutine_handle<> handle,
-                   std::uint64_t op);
+                   std::uint64_t op, Scope* scope);
 
-  // Like schedule_at under the current op, but the returned token can
+  // Like schedule_at under the current op and scope, but the returned token can
   // cancel the wakeup before it fires. A cancelled event is discarded
   // unprocessed when its turn comes: it does not advance simulated time,
   // count as a processed event, or resume the (possibly long-gone)
@@ -65,9 +91,10 @@ class Simulation {
       SimTime wake_time;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> handle) {
-        sim.schedule_at(wake_time, handle, sim.current_op_);
+        sim.schedule_at(wake_time, handle, sim.current_op_,
+                        sim.current_scope_);
       }
-      void await_resume() const noexcept {}
+      void await_resume() const { sim.throw_if_cancelled(); }
     };
     return Awaiter{*this, now_ + delay_ns};
   }
@@ -114,8 +141,23 @@ class Simulation {
     return current_op_;
   }
 
+  // A fresh, uncancelled task scope, kept until the simulation ends.
+  Scope& open_scope() { return scopes_.emplace_back(); }
+  // The running task's scope; null = none (never cancelled).
+  [[nodiscard]] Scope* current_scope() const noexcept {
+    return current_scope_;
+  }
+  // Cancellation point: raises Cancelled if the running task's scope was
+  // cancelled. Awaiters call it as they resume.
+  void throw_if_cancelled() const {
+    if (current_scope_ != nullptr && current_scope_->cancelled()) {
+      throw Cancelled{};
+    }
+  }
+
  private:
   friend class OpScope;
+  friend class InScope;
 
   struct RootTask {
     struct promise_type {
@@ -144,7 +186,7 @@ class Simulation {
     std::coroutine_handle<promise_type> handle;
   };
 
-  static RootTask make_root(Task<void> task);
+  static RootTask make_root(Simulation& sim, Task<void> task);
   void finish_root(std::uint64_t id) noexcept;
 
   struct Event {
@@ -152,6 +194,7 @@ class Simulation {
     std::uint64_t seq;
     std::coroutine_handle<> handle;
     std::uint64_t op;
+    Scope* scope;
 
     bool operator>(const Event& other) const noexcept {
       return time != other.time ? time > other.time : seq > other.seq;
@@ -162,6 +205,7 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_op_id_ = 0;
   std::uint64_t current_op_ = 0;
+  Scope* current_scope_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   std::uint64_t next_root_id_ = 0;
   std::uint64_t events_processed_ = 0;
@@ -176,6 +220,7 @@ class Simulation {
   // Cancellable tokens that have neither fired nor been cancelled yet.
   std::unordered_set<std::uint64_t> cancellable_pending_;
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
+  std::deque<Scope> scopes_;
   MetricRegistry metrics_;
 };
 
@@ -194,6 +239,22 @@ class [[nodiscard]] OpScope {
  private:
   Simulation* sim_;
   std::uint64_t saved_;
+};
+
+// RAII task scope: makes `scope` (null = none) the running task's scope, so
+// what it spawns from here joins that scope, and restores the previous one
+// when it ends. Held across a suspension, it stays in force for its task.
+class [[nodiscard]] InScope {
+ public:
+  InScope(Simulation& sim, Scope* scope) noexcept
+      : sim_(&sim), saved_(std::exchange(sim.current_scope_, scope)) {}
+  ~InScope() { sim_->current_scope_ = saved_; }
+  InScope(const InScope&) = delete;
+  InScope& operator=(const InScope&) = delete;
+
+ private:
+  Simulation* sim_;
+  Scope* saved_;
 };
 
 }  // namespace hpcbb::sim

@@ -30,28 +30,24 @@ class Condition {
   Condition(const Condition&) = delete;
   Condition& operator=(const Condition&) = delete;
 
-  // The waiter wakes under its own op, not the notifier's.
-  auto wait() noexcept {
-    struct Awaiter {
-      Condition& cond;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> handle) {
-        cond.waiters_.push_back({handle, cond.sim_->current_op()});
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
+  // The waiter wakes under its own op and scope, not the notifier's. One
+  // whose scope was cancelled unwinds at that wakeup, and hands a
+  // notify_one() it was given on to the next waiter.
+  auto wait() noexcept { return Waiter(*this); }
 
   void notify_one() {
     if (waiters_.empty()) return;
-    const Waiter waiter = waiters_.front();
+    Waiter* waiter = waiters_.front();
     waiters_.pop_front();
-    sim_->schedule_at(sim_->now(), waiter.handle, waiter.op);
+    waiter->handed = true;
+    waiter->wake();
   }
 
   void notify_all() {
-    while (!waiters_.empty()) notify_one();
+    while (!waiters_.empty()) {
+      waiters_.front()->wake();
+      waiters_.pop_front();
+    }
   }
 
   [[nodiscard]] std::size_t waiter_count() const noexcept {
@@ -60,12 +56,32 @@ class Condition {
 
  private:
   struct Waiter {
+    explicit Waiter(Condition& c) noexcept : cond(c) {}
+    Condition& cond;
     std::coroutine_handle<> handle;
-    std::uint64_t op;
+    std::uint64_t op = 0;
+    Scope* scope = nullptr;
+    bool handed = false;  // woken by notify_one(), not notify_all()
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      op = cond.sim_->current_op();
+      scope = cond.sim_->current_scope();
+      cond.waiters_.push_back(this);
+    }
+    void await_resume() {
+      if (scope == nullptr || !scope->cancelled()) return;
+      if (handed) cond.notify_one();
+      throw Cancelled{};
+    }
+    void wake() {
+      cond.sim_->schedule_at(cond.sim_->now(), handle, op, scope);
+    }
   };
 
   Simulation* sim_;
-  std::deque<Waiter> waiters_;
+  std::deque<Waiter*> waiters_;
 };
 
 // Latched event: once set, all current and future waiters proceed.

@@ -292,5 +292,106 @@ TEST(MasterRecoveryTest, ZeroMetadataLossWithReplicatedJournalR2) {
   EXPECT_EQ(cluster.bb_master().recovered_files(), 2u);
 }
 
+TEST(MasterRecoveryTest, FirstRecordAfterARestartIsJournaled) {
+  // The crashed incarnation's journal writer is still parked on the record
+  // queue when the restarted master appends its first record. That record
+  // must reach the journal: a second crash then recovers the file it
+  // created instead of stopping replay at a hole.
+  Cluster cluster(md_config(bb::Scheme::kAsync));
+  bool verified = false;
+  cluster.sim().spawn([](Cluster& c, bool& ok) -> Task<void> {
+    co_await write_file(c, "/a", 91, 8 * MiB);
+    c.injector().crash_master_target(0);
+    co_await c.sim().delay(2 * ms);
+    c.injector().restart_master_target(0);
+    co_await c.bb_master().wait_recovered();
+    co_await write_file(c, "/b", 92, 8 * MiB);  // its create is record one
+    c.injector().crash_master_target(0);
+    co_await c.sim().delay(2 * ms);
+    c.injector().restart_master_target(0);
+    co_await c.bb_master().wait_recovered();
+    CO_ASSERT(c.bb_master().recovered_files() == 1u + 2u);
+    co_await c.bb_master().wait_all_flushed();
+    ok = true;
+    co_await check_file(c, "/a", 91, 8 * MiB, ok);
+    co_await check_file(c, "/b", 92, 8 * MiB, ok);
+  }(cluster, verified));
+  cluster.sim().run();
+  EXPECT_TRUE(verified);
+  EXPECT_EQ(cluster.bb_master().lost_blocks(), 0u);
+}
+
+// R=2 with the journal, checkpoints, the failure detector and the scrubber
+// all on, so a crash finds master tasks suspended at every kind of wakeup.
+ClusterConfig sweep_config() {
+  ClusterConfig config = md_config(bb::Scheme::kAsync);
+  config.kv_servers = 3;
+  config.block_size = 2 * MiB;
+  config.kv_memory_per_server = 32 * MiB;
+  config.kv_client.replication_factor = 2;
+  config.kv_client.failover = true;
+  config.kv_client.ack = kv::AckMode::kAll;
+  config.bb_heartbeat_interval_ns = 1 * ms;
+  config.bb_scrub.interval_ns = 2 * ms;
+  config.bb_md.checkpoint_interval_ns = 1 * ms;
+  return config;
+}
+
+// Writes two files, waits for the crash (if any) to be over and for every
+// block to reach Lustre, then reads both files back.
+Task<void> sweep_cycle(Cluster& c, sim::Event* restarted, bool& ok) {
+  co_await write_file(c, "/a", 81, 4 * MiB);
+  co_await write_file(c, "/b", 82, 3 * MiB + 12345);
+  if (restarted != nullptr) co_await restarted->wait();
+  co_await c.bb_master().wait_recovered();
+  co_await c.bb_master().wait_all_flushed();
+  while (c.sim().metrics().counter_value("bb.md.checkpoints") == 0u) {
+    co_await c.sim().delay(1 * ms);
+  }
+  c.bb_master().stop_heartbeat();
+  ok = true;
+  co_await check_file(c, "/a", 81, 4 * MiB, ok);
+  co_await check_file(c, "/b", 82, 3 * MiB + 12345, ok);
+}
+
+TEST(MasterRecoveryTest, CrashSweepAcrossMemberSuspensions) {
+  // One crash at each of 40 instants spread over a whole
+  // write/flush/checkpoint cycle: the crash lands on flush workers mid-read
+  // and mid-Lustre-write, the journal writer mid-append, a checkpoint
+  // mid-write, the detector mid-probe, the scrubber mid-pass, and handlers
+  // mid-admission. Every instant keeps every acknowledged block, leaves
+  // both files readable, and lets run() end.
+  sim::SimTime cycle = 0;
+  {
+    Cluster cluster(sweep_config());
+    bool ok = false;
+    cluster.sim().spawn(sweep_cycle(cluster, nullptr, ok));
+    cluster.sim().run();
+    ASSERT_TRUE(ok);
+    cycle = cluster.sim().now();
+  }
+  constexpr sim::SimTime kInstants = 40;
+  for (sim::SimTime i = 1; i <= kInstants; ++i) {
+    const sim::SimTime at = cycle * i / (kInstants + 1);
+    SCOPED_TRACE("crash at " + std::to_string(at) + " ns");
+    Cluster cluster(sweep_config());
+    sim::Event restarted(cluster.sim());
+    bool ok = false;
+    cluster.sim().spawn([](Cluster& c, sim::SimTime when,
+                           sim::Event& done) -> Task<void> {
+      co_await c.sim().delay(when);
+      c.injector().crash_master_target(0);
+      co_await c.sim().delay(1 * ms);
+      c.injector().restart_master_target(0);
+      done.set();
+    }(cluster, at, restarted));
+    cluster.sim().spawn(sweep_cycle(cluster, &restarted, ok));
+    cluster.sim().run();
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(cluster.bb_master().lost_blocks(), 0u);
+    EXPECT_EQ(cluster.bb_master().restarts(), 1u);
+  }
+}
+
 }  // namespace
 }  // namespace hpcbb

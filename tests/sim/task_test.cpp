@@ -113,6 +113,68 @@ TEST(TaskTest, DeepSequentialChain) {
   EXPECT_EQ(result, 10000u);
 }
 
+// A 10 000-deep await chain whose bottom frame sleeps for 100 ns. Every
+// frame holds a counted local, so a test sees each one destroyed.
+struct SleepingChain {
+  struct Live {
+    explicit Live(int& count) : count_(&count) { ++*count_; }
+    ~Live() { --*count_; }
+    Live(const Live&) = delete;
+    Live& operator=(const Live&) = delete;
+    int* count_;
+  };
+  static Task<std::uint64_t> run(Simulation& sim, int depth, int& live,
+                                 bool& bottom_woke) {
+    Live guard(live);
+    if (depth == 0) {
+      co_await sim.delay(100);
+      bottom_woke = true;
+      co_return 0;
+    }
+    co_return 1 + co_await run(sim, depth - 1, live, bottom_woke);
+  }
+};
+
+TEST(TaskTest, TeardownOfADeepSuspendedChain) {
+  int live = 0;
+  bool bottom_woke = false;
+  {
+    Simulation sim;
+    sim.spawn([](Simulation& s, int& l, bool& woke) -> Task<void> {
+      (void)co_await SleepingChain::run(s, 10000, l, woke);
+    }(sim, live, bottom_woke));
+    sim.run_until(50);  // the whole chain is suspended at the bottom delay
+    EXPECT_EQ(live, 10001);
+  }  // the simulation frees the suspended chain
+  EXPECT_EQ(live, 0);
+  EXPECT_FALSE(bottom_woke);
+}
+
+TEST(TaskTest, CancelUnwindsADeepSuspendedChain) {
+  Simulation sim;
+  Scope& scope = sim.open_scope();
+  int live = 0;
+  bool bottom_woke = false;
+  bool top_resumed = false;
+  {
+    InScope in(sim, &scope);
+    sim.spawn([](Simulation& s, int& l, bool& woke,
+                 bool& resumed) -> Task<void> {
+      (void)co_await SleepingChain::run(s, 10000, l, woke);
+      resumed = true;
+    }(sim, live, bottom_woke, top_resumed));
+  }
+  sim.run_until(50);
+  EXPECT_EQ(live, 10001);
+  scope.cancel();
+  sim.run();
+  EXPECT_EQ(live, 0);  // every frame unwound at the bottom's wakeup
+  EXPECT_FALSE(bottom_woke);
+  EXPECT_FALSE(top_resumed);
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
 TEST(TaskTest, ManyConcurrentTasksComplete) {
   Simulation sim;
   int done = 0;

@@ -5,8 +5,10 @@
 #   tools/check.sh            # both configurations
 #   tools/check.sh --fast     # default configuration only
 #   tools/check.sh --chaos    # chaos-labeled tests + seeded bench_a4_chaos
-#                             # smoke + a master crash with the scrubber
-#                             # on, all under ASan+UBSan
+#                             # smoke + master crashes (scrubber on,
+#                             # checkpoints, R=2 with a KV crash,
+#                             # size-triggered checkpoints), all under
+#                             # ASan+UBSan
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f2_kv_throughput +
 #                             # bench_f3_dfsio_write + bench_f4_dfsio_read +
@@ -78,10 +80,24 @@ if [[ "${chaos}" == 1 ]]; then
   ctest --test-dir build-sanitize --output-on-failure -j "${jobs}" -L chaos
   echo "== chaos: bench_a4_chaos smoke (seeded) =="
   ./build-sanitize/bench/bench_a4_chaos smoke=1 faults.seed=1
+  # Each run crashes the master once, so its tasks unwind mid-operation.
+  master_crash="faults.enabled=true faults.master.first=5ms"
+  master_crash+=" faults.master.downtime=10ms faults.master.count=1"
   echo "== chaos: master crash and restart with the scrubber on =="
   ./build-sanitize/examples/experiment_runner fs=bb files=4 file.size=32m \
-    bb.md.journal=true kv.scrub.interval=2ms faults.enabled=true \
-    faults.master.first=5ms faults.master.downtime=10ms faults.master.count=1
+    bb.md.journal=true kv.scrub.interval=2ms ${master_crash}
+  echo "== chaos: master crash with periodic checkpoints =="
+  ./build-sanitize/examples/experiment_runner fs=bb files=4 file.size=16m \
+    bb.md.journal=true bb.md.checkpoint_interval=3ms ${master_crash}
+  echo "== chaos: master and KV server crash, R=2 journal =="
+  ./build-sanitize/examples/experiment_runner fs=bb files=4 file.size=16m \
+    kv.repl.factor=2 kv.failover=true bb.md.journal=true bb.heartbeat=2ms \
+    ${master_crash} faults.crash.first=8ms faults.crash.downtime=20ms \
+    faults.crash.count=1
+  echo "== chaos: master crash with size-triggered checkpoints =="
+  ./build-sanitize/examples/experiment_runner fs=bb block.size=8m \
+    files=4 file.size=16m bb.md.journal=true bb.md.journal_max_bytes=256 \
+    ${master_crash}
   echo "chaos checks passed"
   exit 0
 fi
