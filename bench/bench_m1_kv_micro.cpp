@@ -27,9 +27,9 @@ void BM_SlabAllocateFree(benchmark::State& state) {
   kv::SlabAllocator slab(params);
   const int cls = slab.class_for(static_cast<std::uint64_t>(state.range(0)));
   for (auto _ : state) {
-    void* chunk = slab.allocate(cls);
-    benchmark::DoNotOptimize(chunk);
-    slab.deallocate(cls, chunk);
+    const bool taken = slab.allocate(cls);
+    benchmark::DoNotOptimize(taken);
+    slab.deallocate(cls);
   }
 }
 BENCHMARK(BM_SlabAllocateFree)->Arg(128)->Arg(4096)->Arg(65536);

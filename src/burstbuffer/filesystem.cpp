@@ -465,20 +465,19 @@ class BbReader final : public fs::Reader {
       // server already caught in-store bit rot; this catches a value that is
       // internally consistent but not what the writer sealed.
       const std::uint64_t c_start = std::uint64_t{c} * chunk_size;
-      const Bytes& data = *piece.value()->value;
-      if (Status st =
-              verify_buffered_chunk(block, chunk_size, c,
-                                    whole(piece.value()->value),
-                                    piece.value()->value_crc);
+      const ByteSlice& stored = piece.value()->value;
+      if (Status st = verify_buffered_chunk(block, chunk_size, c, stored,
+                                            piece.value()->value_crc);
           !st.is_ok()) {
         bbfs_->sim().metrics().counter("bb.read.buffer_crc_failures").add();
         co_return st;
       }
       const std::uint64_t from = std::max(offset, c_start) - c_start;
       const std::uint64_t to = std::min(end, c_start + chunk_size) - c_start;
-      if (to > data.size()) {
+      if (to > stored.length) {
         co_return error(StatusCode::kInternal, "short buffer read");
       }
+      const auto data = stored.span();
       out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(from),
                  data.begin() + static_cast<std::ptrdiff_t>(to));
     }

@@ -265,11 +265,12 @@ sim::Task<void> FlushPipeline::flush_block(std::uint32_t worker_index,
 
   // Pull the block out of the burst buffer as its chunks, each trimmed to
   // its logical bytes (stored chunks are padded to uniform size), keeping
-  // the item CRC each was verified against on the KV server...
+  // each reply: the stored slice, untrimmed, and the item CRC the KV server
+  // verified it against...
   std::vector<ByteSlice> pieces;
-  std::vector<std::uint32_t> item_crcs;
+  std::vector<std::shared_ptr<const kv::GetReply>> replies;
   pieces.reserve(chunks);
-  item_crcs.reserve(chunks);
+  replies.reserve(chunks);
   std::uint64_t fetched = 0;
   bool buffer_ok = true;
   bool corrupt = false;
@@ -285,10 +286,10 @@ sim::Task<void> FlushPipeline::flush_block(std::uint32_t worker_index,
     }
     const std::uint64_t logical = std::min<std::uint64_t>(
         chunk_size, block_size - std::uint64_t{c} * chunk_size);
-    const BytesPtr& value = piece.value()->value;
-    const std::uint64_t take = std::min<std::uint64_t>(value->size(), logical);
-    pieces.push_back(ByteSlice{value, 0, take});
-    item_crcs.push_back(piece.value()->value_crc);
+    const ByteSlice& value = piece.value()->value;
+    const std::uint64_t take = std::min<std::uint64_t>(value.length, logical);
+    pieces.push_back(ByteSlice{value.bytes, value.offset, take});
+    replies.push_back(std::move(piece).value());
     fetched += take;
   }
 
@@ -300,7 +301,7 @@ sim::Task<void> FlushPipeline::flush_block(std::uint32_t worker_index,
                                                       kAgentRead, req);
     if (result.is_ok()) {
       pieces = result.value()->data;
-      item_crcs.clear();
+      replies.clear();
       fetched = total_length(pieces);
       buffer_ok = true;
       ++md_->recovered_blocks;
@@ -313,16 +314,17 @@ sim::Task<void> FlushPipeline::flush_block(std::uint32_t worker_index,
   // Whatever source produced the block — buffer chunks or the node-local
   // replica — it must match the writer-registered CRCs before it may touch
   // Lustre. Never persist corrupt bytes. Each chunk is checked where it
-  // lies; none is copied. A buffered chunk is checked by its item CRC, the
-  // node-local replica (its page slices) by hashing.
+  // lies; none is copied. A buffered chunk is checked by its item CRC (its
+  // own stored slice, never the rest of the writer's buffer it lies in),
+  // the node-local replica (its page slices) by hashing.
   if (buffer_ok && fetched == block_size) {
     Status st;
-    if (item_crcs.empty()) {
+    if (replies.empty()) {
       st = verify_chunks(*block, chunk_size, 0, pieces);
     }
-    for (std::uint32_t i = 0; i < item_crcs.size() && st.is_ok(); ++i) {
-      st = verify_buffered_chunk(*block, chunk_size, i, whole(pieces[i].bytes),
-                                 item_crcs[i]);
+    for (std::uint32_t i = 0; i < replies.size() && st.is_ok(); ++i) {
+      st = verify_buffered_chunk(*block, chunk_size, i, replies[i]->value,
+                                 replies[i]->value_crc);
     }
     if (!st.is_ok()) {
       buffer_ok = false;

@@ -42,6 +42,16 @@ inline ByteSlice whole(BytesPtr bytes) {
   return ByteSlice{std::move(bytes), 0, size};
 }
 
+// The bytes of `slice` as a buffer of their own: the slice's buffer itself
+// when the slice covers it whole, else a copy of the slice.
+inline BytesPtr share_or_copy(const ByteSlice& slice) {
+  if (slice.offset == 0 && slice.length == slice.bytes->size()) {
+    return slice.bytes;
+  }
+  const auto bytes = slice.span();
+  return make_bytes(Bytes(bytes.begin(), bytes.end()));
+}
+
 // The length of `pieces` laid back to back.
 inline std::uint64_t total_length(std::span<const ByteSlice> pieces) noexcept {
   std::uint64_t total = 0;

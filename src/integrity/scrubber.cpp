@@ -68,14 +68,13 @@ sim::Task<void> Scrubber::scrub_pass() {
       // chunk is stored unpadded, so the item CRC the server just verified
       // the bytes against is comparable with the writer's as it is; a
       // padded tail chunk hashes its logical bytes.
-      const Bytes& bytes = *data.value()->value;
+      const auto bytes = data.value()->value.span();
       if (chunk.logical_len == chunk.padded_len &&
           bytes.size() == chunk.logical_len) {
         bad = data.value()->value_crc != chunk.crc;
       } else {
         bad = bytes.size() < chunk.logical_len ||
-              crc32c(std::span<const std::uint8_t>(
-                  bytes.data(), chunk.logical_len)) != chunk.crc;
+              crc32c(bytes.first(chunk.logical_len)) != chunk.crc;
       }
     }
     if (bad) {

@@ -171,7 +171,7 @@ sim::Task<Status> Client::set_on(net::NodeId server, std::string key,
 sim::Task<Result<BytesPtr>> Client::get(std::string key) {
   auto reply = co_await get_verified(std::move(key));
   if (!reply.is_ok()) co_return reply.status();
-  co_return reply.value()->value;
+  co_return share_or_copy(reply.value()->value);
 }
 
 sim::Task<Result<std::shared_ptr<const GetReply>>> Client::get_verified(
@@ -240,7 +240,7 @@ sim::Task<Result<BytesPtr>> Client::get_from(net::NodeId server,
                                              std::string key) {
   auto fetched = co_await fetch_from(server, std::move(key));
   if (!fetched.is_ok()) co_return fetched.status();
-  co_return fetched.value()->value;
+  co_return share_or_copy(fetched.value()->value);
 }
 
 sim::Task<Result<std::shared_ptr<const GetReply>>> Client::fetch_from(
@@ -252,7 +252,7 @@ sim::Task<Result<std::shared_ptr<const GetReply>>> Client::fetch_from(
   if (!reply->inline_payload) {
     // Metadata-only reply: pull the payload with a one-sided READ.
     Status st = co_await hub_->transport().rdma_read(self_, server,
-                                                     reply->value->size());
+                                                     reply->value.length);
     if (!st.is_ok()) co_return st;
   }
   co_return reply;
@@ -297,7 +297,7 @@ sim::Task<Result<std::vector<std::optional<BytesPtr>>>> Client::multi_get(
       co_return error(StatusCode::kInternal, "multi-get shape mismatch");
     }
     for (std::size_t j = 0; j < indices.size(); ++j) {
-      out[indices[j]] = reply->values[j];
+      if (reply->values[j]) out[indices[j]] = share_or_copy(*reply->values[j]);
       // A replicated miss may still hit further along the chain (e.g. the
       // primary restarted empty), and a corrupt entry, which the server
       // reports as a miss, gets the get() walk that repairs it.

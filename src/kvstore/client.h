@@ -60,6 +60,9 @@ class Client {
                value_crc);
   }
 
+  // The value as a buffer of its own: the SET's buffer itself when the
+  // stored slice covers it whole, else a copy of the slice. get_from() and
+  // multi_get() return values the same way.
   sim::Task<Result<BytesPtr>> get(std::string key);
 
   // set()/get() under the stored op `op`, as inside sim::OpScope(sim, op).
@@ -76,10 +79,10 @@ class Client {
     co_return co_await get(std::move(key));
   }
 
-  // get() with the whole reply: `value` beside `value_crc`, the item CRC the
-  // server checked against exactly those bytes before shipping them. A
-  // caller holding the writer's CRC of the value compares the two instead
-  // of hashing the bytes again.
+  // get() with the whole reply: `value`, the stored slice, uncopied, beside
+  // `value_crc`, the item CRC the server checked against exactly those
+  // bytes before shipping them. A caller holding the writer's CRC of the
+  // value compares the two instead of hashing the bytes again.
   sim::Task<Result<std::shared_ptr<const GetReply>>> get_verified(
       std::string key);
 
@@ -127,8 +130,8 @@ class Client {
                            bool pinned);
 
  private:
-  // One server round trip. The server checks the copy it ships against the
-  // item CRC (a mismatch is kDataLoss); the reply is immutable from there
+  // One server round trip. The server checks the slice it ships against the
+  // item CRC (a mismatch is kDataLoss); the slice is immutable from there
   // on, so the client does not hash it again.
   sim::Task<Result<std::shared_ptr<const GetReply>>> fetch_from(
       net::NodeId server, std::string key);

@@ -44,7 +44,7 @@ struct GetRequest {
 };
 
 struct GetReply {
-  BytesPtr value;
+  ByteSlice value;  // the stored slice, shared with the item
   bool inline_payload = true;  // false: client fetches via RDMA READ
   // Fill-time CRC32C, which the server has checked against exactly the
   // bytes in `value`, and the pin state, which read-repair forwards so a
@@ -54,7 +54,7 @@ struct GetReply {
   bool pinned = false;
 
   [[nodiscard]] std::uint64_t wire_size() const {
-    return kMsgHeaderBytes + (inline_payload ? value->size() : 0);
+    return kMsgHeaderBytes + (inline_payload ? value.length : 0);
   }
 };
 
@@ -70,11 +70,11 @@ struct MultiGetRequest {
 
 struct MultiGetReply {
   // Each present value verified by the server; nullopt = miss or corrupt.
-  std::vector<std::optional<BytesPtr>> values;
+  std::vector<std::optional<ByteSlice>> values;
 
   [[nodiscard]] std::uint64_t wire_size() const {
     std::uint64_t total = kMsgHeaderBytes;
-    for (const auto& v : values) total += 4 + (v ? (*v)->size() : 0);
+    for (const auto& v : values) total += 4 + (v ? v->length : 0);
     return total;
   }
 };

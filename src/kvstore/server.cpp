@@ -122,7 +122,7 @@ sim::Task<net::RpcResponse> Server::handle_set(
                        sim.current_op());
   // RDMA-placed payloads skip the receive-path copy.
   co_await charge_op(req->payload_by_rdma ? 0 : req->value.length);
-  Status st = store_.set(req->key, req->value.span(),
+  Status st = store_.set(req->key, req->value,
                          SetOptions{.pinned = req->pinned,
                                     .expiry_ns = req->expiry_ns,
                                     .value_crc = req->value_crc});
@@ -157,19 +157,20 @@ sim::Task<net::RpcResponse> Server::handle_get(
     get_ns_->record(sim.now() - start);
     co_return net::rpc_error(value.status());
   }
-  const bool use_rdma =
-      hub_->transport().params().one_sided_capable &&
-      value.value().value.size() >= params_.rdma_threshold_bytes;
+  const std::uint64_t size = value.value().value.length;
+  const bool use_rdma = hub_->transport().params().one_sided_capable &&
+                        size >= params_.rdma_threshold_bytes;
   // Inline replies copy the value onto the send path; RDMA replies only
   // pass metadata — the client pulls the payload with a one-sided READ.
-  co_await charge_op(use_rdma ? 0 : value.value().value.size());
+  // (The modeled copy is charged; the host ships the stored slice.)
+  co_await charge_op(use_rdma ? 0 : size);
   auto reply = std::make_shared<GetReply>();
   reply->value_crc = value.value().crc;
   reply->pinned = value.value().pinned;
-  reply->value = make_bytes(std::move(value.value().value));
+  reply->value = std::move(value.value().value);
   reply->inline_payload = !use_rdma;
   hits_->add();
-  get_bytes_->add(reply->value->size());
+  get_bytes_->add(size);
   get_ns_->record(sim.now() - start);
   co_return net::rpc_ok(std::move(reply));
 }
@@ -185,8 +186,8 @@ sim::Task<net::RpcResponse> Server::handle_multi_get(
   for (const auto& key : req->keys) {
     Result<VerifiedValue> value = store_.get_verified(key, now);
     if (value.is_ok()) {
-      copy_bytes += value.value().value.size();
-      reply->values.emplace_back(make_bytes(std::move(value.value().value)));
+      copy_bytes += value.value().value.length;
+      reply->values.emplace_back(std::move(value.value().value));
     } else {
       // Corrupt entries surface as absent — the client's per-key fallback
       // then runs the verified get() walk, which detects and repairs.

@@ -41,37 +41,26 @@ bool SlabAllocator::grow_class(int cls) {
   if (allocated_pages_bytes() + params_.page_size > params_.memory_budget) {
     return false;
   }
-  // Not zero-filled: an item's fill() writes every byte that is read back.
-  pages_.push_back(
-      std::make_unique_for_overwrite<std::byte[]>(params_.page_size));
-  std::byte* page = pages_.back().get();
-  const std::uint32_t chunk = chunk_size(cls);
+  ++pages_;
   auto& state = per_class_[static_cast<std::size_t>(cls)];
-  for (std::uint32_t off = 0; off + chunk <= params_.page_size; off += chunk) {
-    state.free_chunks.push_back(page + off);
-  }
+  ++state.pages;
+  state.chunks += params_.page_size / chunk_size(cls);
   return true;
 }
 
-void* SlabAllocator::allocate(int cls) {
+bool SlabAllocator::allocate(int cls) {
   assert(cls >= 0 && cls < class_count());
   auto& state = per_class_[static_cast<std::size_t>(cls)];
-  if (state.free_chunks.empty() && !grow_class(cls)) {
-    return nullptr;
-  }
-  assert(!state.free_chunks.empty());
-  void* chunk = state.free_chunks.back();
-  state.free_chunks.pop_back();
+  if (state.chunks_in_use == state.chunks && !grow_class(cls)) return false;
   ++state.chunks_in_use;
-  return chunk;
+  return true;
 }
 
-void SlabAllocator::deallocate(int cls, void* chunk) noexcept {
+void SlabAllocator::deallocate(int cls) noexcept {
   assert(cls >= 0 && cls < class_count());
   auto& state = per_class_[static_cast<std::size_t>(cls)];
   assert(state.chunks_in_use > 0);
   --state.chunks_in_use;
-  state.free_chunks.push_back(chunk);
 }
 
 std::uint64_t SlabAllocator::total_chunks_in_use() const noexcept {

@@ -1,16 +1,19 @@
-// Slab allocator, memcached-style.
+// Slab accounting, memcached-style.
 //
-// Memory is carved into fixed-size pages; each page is assigned to a size
-// class whose chunk size grows geometrically. Items are stored in-place in
-// chunks (header + key + value), so the store's memory ceiling is a real,
-// enforced budget — the property the burst buffer's eviction/backpressure
-// behaviour (experiment F11) depends on.
+// The memory budget is carved into fixed-size pages; each page is assigned
+// to a size class whose chunk size grows geometrically, and an item takes
+// one chunk of the smallest class its footprint fits. Only the accounting
+// is kept — pages per class, free chunks and chunks in use — and no page
+// memory is allocated: item values stay in their senders' buffers
+// (kv::Item). The accounting alone makes the store's memory ceiling a
+// real, enforced budget, with memcached's per-class calcification — the
+// property the burst buffer's eviction/backpressure behaviour (experiment
+// F11) depends on.
 //
 // Not internally synchronized: the owning KvShard serializes access.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace hpcbb::kv {
@@ -42,16 +45,23 @@ class SlabAllocator {
     return static_cast<int>(class_sizes_.size());
   }
 
-  // A chunk from the class's free list, growing the class by one page if
-  // budget allows. nullptr means: evict something from this class or fail.
-  [[nodiscard]] void* allocate(int cls);
-  void deallocate(int cls, void* chunk) noexcept;
+  // Takes a free chunk of the class, growing the class by one page if
+  // budget allows. false means: evict something from this class or fail.
+  [[nodiscard]] bool allocate(int cls);
+  void deallocate(int cls) noexcept;
 
   [[nodiscard]] std::uint64_t allocated_pages_bytes() const noexcept {
-    return static_cast<std::uint64_t>(pages_.size()) * params_.page_size;
+    return pages_ * params_.page_size;
   }
   [[nodiscard]] std::uint64_t memory_budget() const noexcept {
     return params_.memory_budget;
+  }
+  [[nodiscard]] std::uint64_t pages(int cls) const noexcept {
+    return per_class_[static_cast<std::size_t>(cls)].pages;
+  }
+  [[nodiscard]] std::uint64_t free_chunks(int cls) const noexcept {
+    const auto& state = per_class_[static_cast<std::size_t>(cls)];
+    return state.chunks - state.chunks_in_use;
   }
   [[nodiscard]] std::uint64_t chunks_in_use(int cls) const noexcept {
     return per_class_[static_cast<std::size_t>(cls)].chunks_in_use;
@@ -62,14 +72,15 @@ class SlabAllocator {
   bool grow_class(int cls);
 
   struct ClassState {
-    std::vector<void*> free_chunks;
+    std::uint64_t pages = 0;
+    std::uint64_t chunks = 0;  // what the class's pages hold
     std::uint64_t chunks_in_use = 0;
   };
 
   SlabParams params_;
   std::vector<std::uint32_t> class_sizes_;
   std::vector<ClassState> per_class_;
-  std::vector<std::unique_ptr<std::byte[]>> pages_;
+  std::uint64_t pages_ = 0;  // across classes; pages are never returned
 };
 
 }  // namespace hpcbb::kv

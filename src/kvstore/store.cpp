@@ -22,22 +22,30 @@ class KvStore::Shard {
     assert((bucket_count & bucket_mask_) == 0 && "bucket count power of two");
   }
 
-  ~Shard() = default;  // chunk memory is owned by the slab's pages
+  // The items are the shard's own; the slab only counts them.
+  ~Shard() { free_all(); }
 
-  Status set(std::uint64_t hash, std::string_view key,
-             std::span<const std::uint8_t> value, const SetOptions& options) {
-    const std::uint64_t need = Item::footprint(key.size(), value.size());
+  Status set(std::uint64_t hash, std::string_view key, ByteSlice value,
+             const SetOptions& options) {
+    const std::uint64_t need = Item::footprint(key.size(), value.length);
     const int cls = slab_.class_for(need);
     if (cls < 0) {
       return error(StatusCode::kInvalidArgument,
                    "value too large for slab chunks");
     }
     const std::uint32_t crc =
-        options.value_crc ? *options.value_crc : crc32c(value);
+        options.value_crc ? *options.value_crc : crc32c(value.span());
+    auto item = std::make_unique<Item>();
+    item->key_hash = hash;
+    item->expiry_ns = options.expiry_ns;
+    item->value_crc = crc;
+    item->slab_class = static_cast<std::uint16_t>(cls);
+    item->pinned = options.pinned;
+    item->key = key;
+    item->value = std::move(value);
 
     std::lock_guard<std::mutex> lock(mu_);
-    void* chunk = allocate_with_eviction(cls);
-    if (chunk == nullptr) {
+    if (!allocate_with_eviction(cls)) {
       ++stats_.set_failures;
       return error(StatusCode::kResourceExhausted,
                    "store memory exhausted (pinned data?)");
@@ -49,18 +57,12 @@ class KvStore::Shard {
       unlink_and_free(old);
     }
 
-    auto* item = new (chunk) Item();
-    item->key_hash = hash;
-    item->slab_class = static_cast<std::uint16_t>(cls);
-    item->pinned = options.pinned;
-    item->expiry_ns = options.expiry_ns;
-    item->fill(key, value, crc);
-
-    link_hash(item);
-    link_lru_front(item);
+    Item* linked = item.release();
+    link_hash(linked);
+    link_lru_front(linked);
     ++stats_.items;
-    stats_.bytes += key.size() + value.size();
-    if (item->pinned) stats_.pinned_bytes += key.size() + value.size();
+    stats_.bytes += linked->payload();
+    if (linked->pinned) stats_.pinned_bytes += linked->payload();
     return Status::ok();
   }
 
@@ -72,11 +74,9 @@ class KvStore::Shard {
       ++stats_.misses;
       return error(StatusCode::kNotFound, "key not found");
     }
-    // Copy first, then check the copy: one pass over the slab, and the
-    // bytes verified are exactly the bytes returned.
-    const auto value = item->value();
-    Bytes copy(value.begin(), value.end());
-    if (crc32c(copy) != item->value_crc) {
+    // The stored slice is checked where it lies, in one pass; it is
+    // immutable from here on, so the bytes verified are the bytes returned.
+    if (crc32c(item->value.span()) != item->value_crc) {
       // Keep the corrupt item: replicas must see "corrupt", not "missing",
       // or an R=1 store could silently re-admit the key as a fresh miss.
       ++stats_.integrity_failures;
@@ -84,20 +84,7 @@ class KvStore::Shard {
     }
     ++stats_.hits;
     touch(item);
-    return VerifiedValue{std::move(copy), item->value_crc, item->pinned};
-  }
-
-  Result<std::uint64_t> value_size(std::uint64_t hash, std::string_view key,
-                                   std::uint64_t now_ns) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Item* item = find_live(hash, key, now_ns);
-    if (item == nullptr) {
-      ++stats_.misses;
-      return error(StatusCode::kNotFound, "key not found");
-    }
-    ++stats_.hits;
-    touch(item);
-    return std::uint64_t{item->value_len};
+    return VerifiedValue{item->value, item->value_crc, item->pinned};
   }
 
   bool erase(std::uint64_t hash, std::string_view key) {
@@ -113,8 +100,7 @@ class KvStore::Shard {
     Item* item = find(hash, key);
     if (item == nullptr) return error(StatusCode::kNotFound, "key not found");
     if (item->pinned != pinned) {
-      const std::uint64_t payload =
-          std::uint64_t{item->key_len} + item->value_len;
+      const std::uint64_t payload = item->payload();
       if (pinned) {
         stats_.pinned_bytes += payload;
       } else {
@@ -129,7 +115,7 @@ class KvStore::Shard {
                 std::uint64_t now_ns) const {
     std::lock_guard<std::mutex> lock(mu_);
     for (Item* it = buckets_[bucket_of(hash)]; it; it = it->hash_next) {
-      if (it->key_hash == hash && it->key() == key) {
+      if (it->key_hash == hash && it->key == key) {
         return !expired(it, now_ns);
       }
     }
@@ -138,19 +124,7 @@ class KvStore::Shard {
 
   void wipe() {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& head : buckets_) {
-      while (head != nullptr) {
-        Item* item = head;
-        head = item->hash_next;
-        // Hash chains own the items; LRU is cleared wholesale below.
-        slab_.deallocate(item->slab_class, item);
-      }
-    }
-    std::fill(lru_heads_.begin(), lru_heads_.end(), nullptr);
-    std::fill(lru_tails_.begin(), lru_tails_.end(), nullptr);
-    stats_.items = 0;
-    stats_.bytes = 0;
-    stats_.pinned_bytes = 0;
+    free_all();
   }
 
   [[nodiscard]] StoreStats stats() const {
@@ -162,7 +136,7 @@ class KvStore::Shard {
     std::lock_guard<std::mutex> lock(mu_);
     for (Item* head : buckets_) {
       for (Item* it = head; it; it = it->hash_next) {
-        out.emplace_back(it->key());
+        out.push_back(it->key);
       }
     }
   }
@@ -172,7 +146,13 @@ class KvStore::Shard {
     std::lock_guard<std::mutex> lock(mu_);
     Item* item = find(hash, key);
     if (item == nullptr) return false;
-    return apply_corruption(item->mutable_value(), kind, selector);
+    // The SET's buffer may be shared (other replicas, the writer, lower
+    // tiers): damage a private copy and keep that instead.
+    const auto stored = item->value.span();
+    Bytes copy(stored.begin(), stored.end());
+    if (!apply_corruption(copy, kind, selector)) return false;
+    item->value = whole(make_bytes(std::move(copy)));
+    return true;
   }
 
   [[nodiscard]] const SlabAllocator& slab() const noexcept { return slab_; }
@@ -185,7 +165,7 @@ class KvStore::Shard {
 
   Item* find(std::uint64_t hash, std::string_view key) const noexcept {
     for (Item* it = buckets_[bucket_of(hash)]; it; it = it->hash_next) {
-      if (it->key_hash == hash && it->key() == key) return it;
+      if (it->key_hash == hash && it->key == key) return it;
     }
     return nullptr;
   }
@@ -208,11 +188,11 @@ class KvStore::Shard {
 
   // Allocation with LRU eviction from the same class; pinned items are
   // skipped (they are the burst buffer's not-yet-durable blocks).
-  void* allocate_with_eviction(int cls) {
-    if (void* chunk = slab_.allocate(cls)) return chunk;
+  bool allocate_with_eviction(int cls) {
+    if (slab_.allocate(cls)) return true;
     Item* victim = lru_tails_[static_cast<std::size_t>(cls)];
     while (victim != nullptr && victim->pinned) victim = victim->lru_prev;
-    if (victim == nullptr) return nullptr;
+    if (victim == nullptr) return false;
     unlink_and_free(victim);
     ++stats_.evictions;
     return slab_.allocate(cls);
@@ -260,13 +240,31 @@ class KvStore::Shard {
     unlink_lru(item);
     assert(stats_.items > 0);
     --stats_.items;
-    stats_.bytes -= item->key_len + item->value_len;
+    stats_.bytes -= item->payload();
     if (item->pinned) {
-      const std::uint64_t payload =
-          std::uint64_t{item->key_len} + item->value_len;
-      stats_.pinned_bytes -= std::min(stats_.pinned_bytes, payload);
+      stats_.pinned_bytes -= std::min(stats_.pinned_bytes, item->payload());
     }
-    slab_.deallocate(item->slab_class, item);
+    slab_.deallocate(item->slab_class);
+    delete item;
+  }
+
+  // Frees every item (a wipe, or the shard's end). Caller holds mu_, or
+  // is the destructor.
+  void free_all() noexcept {
+    for (auto& head : buckets_) {
+      while (head != nullptr) {
+        Item* item = head;
+        head = item->hash_next;
+        // Hash chains own the items; LRU is cleared wholesale below.
+        slab_.deallocate(item->slab_class);
+        delete item;
+      }
+    }
+    std::fill(lru_heads_.begin(), lru_heads_.end(), nullptr);
+    std::fill(lru_tails_.begin(), lru_tails_.end(), nullptr);
+    stats_.items = 0;
+    stats_.bytes = 0;
+    stats_.pinned_bytes = 0;
   }
 
   mutable std::mutex mu_;
@@ -306,6 +304,12 @@ KvStore::Shard& KvStore::shard_for(std::uint64_t hash) const noexcept {
 
 Status KvStore::set(std::string_view key, std::span<const std::uint8_t> value,
                     const SetOptions& options) {
+  return set(key, whole(make_bytes(Bytes(value.begin(), value.end()))),
+             options);
+}
+
+Status KvStore::set(std::string_view key, ByteSlice value,
+                    const SetOptions& options) {
   const std::uint64_t hash = fnv1a(key);
   if (key.starts_with(kReservedMetaPrefix)) {
     // Reserved control-plane range: journal/checkpoint keys are pinned
@@ -313,27 +317,22 @@ Status KvStore::set(std::string_view key, std::span<const std::uint8_t> value,
     // acknowledged metadata mutation.
     SetOptions forced = options;
     forced.pinned = true;
-    return shard_for(hash).set(hash, key, value, forced);
+    return shard_for(hash).set(hash, key, std::move(value), forced);
   }
-  return shard_for(hash).set(hash, key, value, options);
+  return shard_for(hash).set(hash, key, std::move(value), options);
 }
 
 Result<Bytes> KvStore::get(std::string_view key, std::uint64_t now_ns) {
   auto verified = get_verified(key, now_ns);
   if (!verified.is_ok()) return verified.status();
-  return std::move(verified.value().value);
+  const auto bytes = verified.value().value.span();
+  return Bytes(bytes.begin(), bytes.end());
 }
 
 Result<VerifiedValue> KvStore::get_verified(std::string_view key,
                                             std::uint64_t now_ns) {
   const std::uint64_t hash = fnv1a(key);
   return shard_for(hash).get(hash, key, now_ns);
-}
-
-Result<std::uint64_t> KvStore::value_size(std::string_view key,
-                                          std::uint64_t now_ns) {
-  const std::uint64_t hash = fnv1a(key);
-  return shard_for(hash).value_size(hash, key, now_ns);
 }
 
 bool KvStore::erase(std::string_view key) {
@@ -383,6 +382,7 @@ StoreStats KvStore::stats() const {
     total.evictions += s.evictions;
     total.expired += s.expired;
     total.set_failures += s.set_failures;
+    total.integrity_failures += s.integrity_failures;
   }
   return total;
 }
@@ -396,7 +396,7 @@ std::uint64_t KvStore::memory_budget() const noexcept {
 std::uint64_t KvStore::max_value_size(std::uint64_t key_len) const {
   const SlabAllocator& slab = shards_.front()->slab();
   const std::uint64_t chunk = slab.chunk_size(slab.class_count() - 1);
-  const std::uint64_t overhead = sizeof(Item) + key_len;
+  const std::uint64_t overhead = Item::footprint(key_len, 0);
   return chunk > overhead ? chunk - overhead : 0;
 }
 

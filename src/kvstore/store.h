@@ -3,11 +3,20 @@
 // pin bit (the burst buffer pins dirty blocks until they are flushed to
 // Lustre, so acknowledged data is never silently evicted).
 //
+// Values are kept by reference: an item holds a slice of the SET's
+// immutable buffer, and a verified read hands out that slice, checked
+// where it lies. The slab is pure accounting (kvstore/slab.h); it charges
+// each item its modeled footprint, so capacity and eviction behave as if
+// the bytes sat in slab chunks. Corruption injection gives an item a
+// private copy before mutating it, because its buffer may be shared with
+// other replicas, the writer and lower tiers.
+//
 // Concurrency design: the store is an array of independent shards, each
-// fully guarded by its own mutex (hash buckets, LRU lists, and slab arena
-// are all per-shard). Keys map to shards by hash. This gives real-thread
-// scalability without cross-lock ordering hazards; unit tests and the M1
-// microbenchmarks exercise it from real threads, the simulator from one.
+// fully guarded by its own mutex (hash buckets, LRU lists, and slab
+// accounting are all per-shard). Keys map to shards by hash. This gives
+// real-thread scalability without cross-lock ordering hazards; unit tests
+// and the M1 microbenchmarks exercise it from real threads, the simulator
+// from one.
 #pragma once
 
 #include <cstdint>
@@ -61,11 +70,12 @@ struct StoreStats {
   std::uint64_t integrity_failures = 0;  // gets that hit a checksum mismatch
 };
 
-// A verified read: the value plus its fill-time checksum and pin state, so
+// A verified read: the value plus its SET-time checksum and pin state, so
 // callers (the server, read-repair) can forward both without recomputing.
-// `value` is exactly the bytes that were checked against `crc`.
+// `value` is the stored slice itself, exactly the bytes that were checked
+// against `crc`; it stays valid (and unchanged) after the item is gone.
 struct VerifiedValue {
-  Bytes value;
+  ByteSlice value;
   std::uint32_t crc = 0;
   bool pinned = false;
 };
@@ -78,27 +88,28 @@ class KvStore {
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
 
-  // Insert or replace. Fails kResourceExhausted when the budget is full of
-  // pinned/unevictable data, kInvalidArgument when the value exceeds the
-  // largest slab chunk. On failure an existing value under `key` survives.
+  // Insert or replace, keeping `value` by reference: the store holds the
+  // slice (and so its whole buffer) until the item is freed. Fails
+  // kResourceExhausted when the budget is full of pinned/unevictable data,
+  // kInvalidArgument when the value exceeds the largest slab chunk. On
+  // failure an existing value under `key` survives.
+  Status set(std::string_view key, ByteSlice value,
+             const SetOptions& options = {});
+  // set() of a copy of `value`, made once into a buffer of the store's own.
   Status set(std::string_view key, std::span<const std::uint8_t> value,
              const SetOptions& options = {});
 
   // Copy of the value, LRU-touched. `now_ns` drives TTL expiry. Every get
-  // checksums the copy it returns against the fill-time CRC; a mismatch
-  // returns kDataLoss (the corrupt item is kept, so repeated reads keep
-  // reporting "corrupt" rather than "missing" — replicas and repair rely on
-  // that).
+  // checksums the stored bytes against the SET-time CRC before copying
+  // them; a mismatch returns kDataLoss (the corrupt item is kept, so
+  // repeated reads keep reporting "corrupt" rather than "missing" —
+  // replicas and repair rely on that).
   Result<Bytes> get(std::string_view key, std::uint64_t now_ns = 0);
 
-  // get() plus the stored CRC and pin state (the server forwards both).
+  // get() without the copy: the stored slice, plus its CRC and pin state
+  // (the server forwards all three).
   Result<VerifiedValue> get_verified(std::string_view key,
                                      std::uint64_t now_ns = 0);
-
-  // Value size without copying (used by the RDMA GET protocol to size the
-  // one-sided read); also LRU-touched.
-  Result<std::uint64_t> value_size(std::string_view key,
-                                   std::uint64_t now_ns = 0);
 
   // true if the key existed.
   bool erase(std::string_view key);
@@ -114,9 +125,11 @@ class KvStore {
 
   // Corruption injection (chaos/tests): deterministically pick one resident
   // item by `selector` (keys are sorted across shards, index selector % n)
-  // and mutate its value bytes in place — the stored CRC is untouched, so
-  // the next verified read detects it. Returns the corrupted key, or "" if
-  // the store is empty. `key` targets a specific item instead.
+  // and mutate its value bytes — in a private copy the item takes first,
+  // so no other holder of the SET's buffer sees the damage. The stored CRC
+  // is untouched, so the next verified read detects it. Returns the
+  // corrupted key, or "" if the store is empty. `key` targets a specific
+  // item instead.
   std::string corrupt_one(std::uint64_t selector, CorruptKind kind,
                           std::string_view key = {});
 

@@ -210,6 +210,53 @@ TEST_P(BbSchemeTest, ReadFallsBackToLustreAfterBufferLoss) {
   EXPECT_TRUE(verify_pattern(3, 0, got));
 }
 
+TEST_P(BbSchemeTest, HealthyRunIn4MiBAppendsFlushesEveryBlock) {
+  // A 4 MiB append ships its four chunks as slices of one sender buffer,
+  // and each KV item keeps its slice. The flusher must check each chunk's
+  // own slice: one that checked the whole sender buffer would quarantine
+  // every block of this healthy run, and its readers would still pass.
+  Rig rig(GetParam());
+  constexpr std::uint64_t kAppend = 4 * MiB;
+  constexpr std::uint64_t kSize = 6 * kAppend;  // three 8 MiB blocks
+  rig.sim.spawn([](Rig& r, std::uint64_t append,
+                   std::uint64_t size) -> Task<void> {
+    auto w = co_await r.fs->create("/f", 0);
+    CO_ASSERT_OK(w);
+    for (std::uint64_t off = 0; off < size; off += append) {
+      CO_ASSERT_OK(co_await w.value()->append(
+          make_bytes(pattern_bytes(5, off, append))));
+    }
+    CO_ASSERT_OK(co_await w.value()->close());
+  }(rig, kAppend, kSize));
+  rig.sim.run();
+  rig.drain_flushes();
+
+  EXPECT_EQ(rig.master->quarantined_blocks(), 0u);
+  EXPECT_EQ(rig.master->lost_blocks(), 0u);
+  EXPECT_EQ(rig.master->flushed_blocks(), 3u);
+  std::vector<BlockState> states;
+  Bytes durable;
+  lustre::LustreFileSystem lfs(rig.hub, Rig::kMdsNode);
+  rig.sim.spawn([](Rig& r, lustre::LustreFileSystem& fs, std::uint64_t size,
+                   std::vector<BlockState>& out_states,
+                   Bytes& out) -> Task<void> {
+    auto where = co_await r.fs->locations("/f", 0);
+    CO_ASSERT_OK(where);
+    for (const BbBlockInfo& block : where.value().blocks) {
+      out_states.push_back(block.state);
+    }
+    auto rd = co_await fs.open("/bb/f", 0);
+    CO_ASSERT_OK(rd);
+    auto data = co_await rd.value()->read(0, size);
+    CO_ASSERT_OK(data);
+    out = std::move(data).value();
+  }(rig, lfs, kSize, states, durable));
+  rig.sim.run();
+  EXPECT_EQ(states, std::vector<BlockState>(3, BlockState::kFlushed));
+  ASSERT_EQ(durable.size(), kSize);
+  EXPECT_TRUE(verify_pattern(5, 0, durable));
+}
+
 TEST(BbAsyncTest, RoundTripChecksumsEachUserByteThreeTimes) {
   // Pins the checksum work of write -> flush -> buffer read at R=1. Per
   // byte: the writer's chunk CRC (which the KV item takes as is), the

@@ -91,6 +91,61 @@ TEST(IntegrityTest, VerifiedGetDetectsRepairsAndServesGoodDataAtR2) {
   EXPECT_EQ(cluster.bb_master().quarantined_blocks(), 0u);
 }
 
+TEST(IntegrityTest, CorruptingOneReplicaLeavesEverySharedCopyIntact) {
+  // The KV items keep slices of the writer's buffer, so after the flush one
+  // buffer backs the writer, both replicas and Lustre's pages. Corrupting
+  // one replica damages that replica alone: its next GET reports kDataLoss,
+  // and read-repair heals it from the other.
+  ClusterConfig config = small_config(bb::Scheme::kAsync);
+  config.kv_client.replication_factor = 2;
+  Cluster cluster(config);
+  bool checked = false;
+  cluster.sim().spawn([](Cluster& c, bool& ok) -> Task<void> {
+    const BytesPtr sent = make_bytes(pattern_bytes(31, 0, 8 * MiB));
+    fs::FileSystem& bb = c.filesystem(FsKind::kBurstBuffer);
+    auto writer = co_await bb.create("/s", 0);
+    CO_ASSERT(writer.is_ok());
+    CO_ASSERT_OK(co_await writer.value()->append(sent));
+    CO_ASSERT_OK(co_await writer.value()->close());
+    co_await c.bb_master().wait_all_flushed();
+
+    const std::string key = bb::chunk_key("/s", 0, 0);
+    const auto replicas =
+        kv::HashRing(c.kv_server_count()).successors(key, 2);
+    CO_ASSERT(replicas.size() == 2u);
+    kv::KvStore& damaged = c.kv_server(replicas[0]).store();
+    kv::KvStore& intact = c.kv_server(replicas[1]).store();
+    CO_ASSERT(!damaged.corrupt_one(7, CorruptKind::kBitFlip, key).empty());
+
+    CO_ASSERT(verify_pattern(31, 0, *sent));
+    auto other = intact.get(key);
+    CO_ASSERT(other.is_ok());
+    CO_ASSERT(verify_pattern(31, 0, other.value()));
+    auto lustre = co_await c.filesystem(FsKind::kLustre)
+                      .open(c.bb_master().lustre_path("/s"), 1);
+    CO_ASSERT(lustre.is_ok());
+    auto durable = co_await lustre.value()->read(0, 8 * MiB);
+    CO_ASSERT(durable.is_ok());
+    CO_ASSERT(verify_pattern(31, 0, durable.value()));
+    CO_ASSERT(damaged.get(key).code() == StatusCode::kDataLoss);
+
+    auto reader = co_await bb.open("/s", 1);
+    CO_ASSERT(reader.is_ok());
+    auto data = co_await reader.value()->read(0, 8 * MiB);
+    CO_ASSERT(data.is_ok());
+    CO_ASSERT(verify_pattern(31, 0, data.value()));
+    CO_ASSERT(c.sim().metrics().counter_value("kv.integrity.detected") >= 1u);
+    CO_ASSERT(c.sim().metrics().counter_value("kv.integrity.repaired") >= 1u);
+    auto healed = damaged.get(key);
+    CO_ASSERT(healed.is_ok());
+    CO_ASSERT(verify_pattern(31, 0, healed.value()));
+    ok = true;
+  }(cluster, checked));
+  cluster.sim().run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(cluster.bb_master().quarantined_blocks(), 0u);
+}
+
 TEST(IntegrityTest, PartialReadDetectsMidBlockCorruption) {
   // Regression for the old full-block-only validate() guard: corrupt a
   // mid-block chunk at R=1, then read a sub-range that covers it. The old

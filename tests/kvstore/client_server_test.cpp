@@ -262,7 +262,7 @@ TEST(KvClusterTest, SetWithItsCrcHashesNothing) {
     auto got = co_await c.get_verified("k");
     CO_ASSERT(got.is_ok());
     CO_ASSERT(got.value()->value_crc == crc);
-    CO_ASSERT(*got.value()->value == value);
+    CO_ASSERT(gather({&got.value()->value, 1}) == value);
   }(client));
   cluster.sim.run();
 }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/units.h"
 
 namespace hpcbb::kv {
@@ -51,31 +49,29 @@ TEST(SlabTest, OversizeRejected) {
 TEST(SlabTest, AllocateDeallocateReuse) {
   SlabAllocator slab(tiny());
   const int cls = slab.class_for(1000);
-  void* a = slab.allocate(cls);
-  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(slab.allocate(cls));
   EXPECT_EQ(slab.chunks_in_use(cls), 1u);
-  slab.deallocate(cls, a);
+  EXPECT_EQ(slab.pages(cls), 1u);
+  const std::uint64_t free_after_first = slab.free_chunks(cls);
+  slab.deallocate(cls);
   EXPECT_EQ(slab.chunks_in_use(cls), 0u);
-  void* b = slab.allocate(cls);
-  EXPECT_EQ(a, b);  // LIFO free list reuses the chunk
+  EXPECT_EQ(slab.free_chunks(cls), free_after_first + 1);
+  ASSERT_TRUE(slab.allocate(cls));
+  EXPECT_EQ(slab.pages(cls), 1u);  // the freed chunk is reused, no new page
 }
 
 TEST(SlabTest, DistinctChunksDoNotOverlap) {
+  // Every allocation takes a chunk of its own: n allocations grow exactly
+  // the pages n chunks need, and no chunk is counted twice.
   SlabAllocator slab(tiny());
   const int cls = slab.class_for(500);
-  const std::uint32_t size = slab.chunk_size(cls);
-  std::set<std::uintptr_t> starts;
-  for (int i = 0; i < 200; ++i) {
-    void* p = slab.allocate(cls);
-    ASSERT_NE(p, nullptr);
-    starts.insert(reinterpret_cast<std::uintptr_t>(p));
-  }
-  ASSERT_EQ(starts.size(), 200u);
-  std::uintptr_t prev_end = 0;
-  for (const auto s : starts) {
-    EXPECT_GE(s, prev_end);
-    prev_end = s + size;
-  }
+  const std::uint64_t per_page = (64 * KiB) / slab.chunk_size(cls);
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(slab.allocate(cls));
+  EXPECT_EQ(slab.chunks_in_use(cls), 200u);
+  EXPECT_EQ(slab.pages(cls), (200 + per_page - 1) / per_page);
+  EXPECT_EQ(slab.chunks_in_use(cls) + slab.free_chunks(cls),
+            slab.pages(cls) * per_page);
+  EXPECT_EQ(slab.allocated_pages_bytes(), slab.pages(cls) * 64 * KiB);
 }
 
 TEST(SlabTest, BudgetEnforced) {
@@ -84,7 +80,7 @@ TEST(SlabTest, BudgetEnforced) {
   const std::uint32_t chunk = slab.chunk_size(cls);
   const std::uint64_t per_page = (64 * KiB) / chunk;
   std::uint64_t got = 0;
-  while (slab.allocate(cls) != nullptr) ++got;
+  while (slab.allocate(cls)) ++got;
   EXPECT_EQ(got, 16 * per_page);
   EXPECT_LE(slab.allocated_pages_bytes(), 1 * MiB);
 }
@@ -93,30 +89,28 @@ TEST(SlabTest, BudgetSharedAcrossClasses) {
   SlabAllocator slab(tiny());
   // Exhaust the budget with large chunks...
   const int big = slab.class_for(16 * KiB - 32);
-  while (slab.allocate(big) != nullptr) {
+  while (slab.allocate(big)) {
   }
   // ...then a fresh class cannot grow either.
   const int small = slab.class_for(100);
-  EXPECT_EQ(slab.allocate(small), nullptr);
+  EXPECT_FALSE(slab.allocate(small));
 }
 
 TEST(SlabTest, ChunksAligned) {
+  // Chunk sizes are 16-byte multiples, as memcached aligns its chunks.
   SlabAllocator slab(tiny());
-  for (const std::uint64_t want : {100ull, 1000ull, 10000ull}) {
-    const int cls = slab.class_for(want);
-    void* p = slab.allocate(cls);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
+  for (int c = 0; c < slab.class_count(); ++c) {
+    EXPECT_EQ(slab.chunk_size(c) % 16, 0u) << "class " << c;
   }
 }
 
 TEST(SlabTest, TotalChunksInUse) {
   SlabAllocator slab(tiny());
-  void* a = slab.allocate(slab.class_for(100));
-  void* b = slab.allocate(slab.class_for(5000));
+  ASSERT_TRUE(slab.allocate(slab.class_for(100)));
+  ASSERT_TRUE(slab.allocate(slab.class_for(5000)));
   EXPECT_EQ(slab.total_chunks_in_use(), 2u);
-  slab.deallocate(slab.class_for(100), a);
-  slab.deallocate(slab.class_for(5000), b);
+  slab.deallocate(slab.class_for(100));
+  slab.deallocate(slab.class_for(5000));
   EXPECT_EQ(slab.total_chunks_in_use(), 0u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -66,7 +67,7 @@ TEST(KvStoreTest, ContainsAndValueSize) {
   ASSERT_TRUE(store.set("k", Bytes(1234, 0xAB)).is_ok());
   EXPECT_TRUE(store.contains("k"));
   EXPECT_FALSE(store.contains("other"));
-  EXPECT_EQ(store.value_size("k").value(), 1234u);
+  EXPECT_EQ(store.get("k").value().size(), 1234u);
 }
 
 TEST(KvStoreTest, BinaryValuesPreserved) {
@@ -207,6 +208,98 @@ TEST(KvStoreTest, StatsTrackHitsMisses) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.items, 1u);
   EXPECT_EQ(s.bytes, 2u);  // "k" + "v"
+}
+
+// ---- values kept by reference ------------------------------------------
+
+// SETs a fresh buffer whole and returns a watch on it: from here on the
+// store holds the buffer's only reference.
+std::weak_ptr<const Bytes> set_watched(KvStore& store, const std::string& key,
+                                       std::uint64_t size) {
+  BytesPtr buffer = make_bytes(Bytes(size, 0x7E));
+  std::weak_ptr<const Bytes> watch = buffer;
+  EXPECT_TRUE(store.set(key, whole(std::move(buffer))).is_ok());
+  return watch;
+}
+
+TEST(KvStoreTest, SetKeepsTheSendersSliceUncopied) {
+  KvStore store(small_store());
+  const BytesPtr sent = make_bytes(pattern_bytes(9, 0, 3000));
+  ASSERT_TRUE(store.set("k", ByteSlice{sent, 1000, 1500}).is_ok());
+  auto got = store.get_verified("k");
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got.value().value.bytes, sent);
+  EXPECT_EQ(got.value().value.offset, 1000u);
+  EXPECT_EQ(got.value().value.length, 1500u);
+  EXPECT_TRUE(verify_pattern(9, 1000, store.get("k").value()));
+  EXPECT_EQ(store.stats().bytes, 1u + 1500u);  // "k" + the slice
+}
+
+TEST(KvStoreTest, EvictionReleasesTheSendersBuffer) {
+  KvStore store(small_store(2 * MiB, 1));
+  const auto watch = set_watched(store, "first", 40 * KiB);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(
+        store.set("filler-" + std::to_string(i), Bytes(40 * KiB, 1)).is_ok());
+  }
+  EXPECT_FALSE(store.contains("first"));
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(KvStoreTest, OverwriteReleasesTheSendersBuffer) {
+  KvStore store(small_store());
+  const auto watch = set_watched(store, "k", 1000);
+  EXPECT_FALSE(watch.expired());
+  ASSERT_TRUE(store.set("k", value_of("next")).is_ok());
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(KvStoreTest, EraseReleasesTheSendersBuffer) {
+  KvStore store(small_store());
+  const auto watch = set_watched(store, "k", 1000);
+  ASSERT_TRUE(store.erase("k"));
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(KvStoreTest, WipeReleasesTheSendersBuffers) {
+  KvStore store(small_store());
+  const auto a = set_watched(store, "a", 1000);
+  const auto b = set_watched(store, "b", 1000);
+  store.wipe();
+  EXPECT_TRUE(a.expired());
+  EXPECT_TRUE(b.expired());
+}
+
+TEST(KvStoreTest, DestructionReleasesTheSendersBuffers) {
+  std::weak_ptr<const Bytes> watch;
+  {
+    KvStore store(small_store());
+    watch = set_watched(store, "k", 1000);
+    ASSERT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(KvStoreTest, CorruptionDamagesAPrivateCopyOnly) {
+  // Two stores hold one SET's buffer, as two replicas do. Corrupting one
+  // must leave the sender's buffer, and so the other replica, intact.
+  for (const CorruptKind kind : {CorruptKind::kBitFlip,
+                                 CorruptKind::kTornWrite,
+                                 CorruptKind::kStaleRead}) {
+    KvStore damaged(small_store());
+    KvStore replica(small_store());
+    const BytesPtr sent = make_bytes(pattern_bytes(4, 0, 32 * KiB));
+    ASSERT_TRUE(damaged.set("k", whole(sent)).is_ok());
+    ASSERT_TRUE(replica.set("k", whole(sent)).is_ok());
+    ASSERT_EQ(damaged.corrupt_one(5, kind, "k"), "k") << to_string(kind);
+    EXPECT_TRUE(verify_pattern(4, 0, *sent)) << to_string(kind);
+    auto other = replica.get("k");
+    ASSERT_TRUE(other.is_ok()) << to_string(kind);
+    EXPECT_TRUE(verify_pattern(4, 0, other.value())) << to_string(kind);
+    EXPECT_EQ(damaged.get("k").code(), StatusCode::kDataLoss)
+        << to_string(kind);
+    EXPECT_EQ(damaged.stats().integrity_failures, 1u) << to_string(kind);
+  }
 }
 
 // Property test: random operation stream vs std::unordered_map reference.

@@ -11,6 +11,7 @@ simulated-time benches' JsonResult files) and google-benchmark JSON
 Usage:
     tools/bench_gate.py check BASELINE RESULT [--tol T] [--scale-candidate F]
     tools/bench_gate.py update RESULT [--out DIR] [--tol T] [--bench ID]
+    tools/bench_gate.py trajectory RESULT_DIR --out FILE [--label L]
 
 `check` prints a pass/fail table, one row per baseline point. Tolerance
 precedence: a point's own "tolerance" in the baseline, else --tol, else the
@@ -24,6 +25,12 @@ intentional perf change and commit the new bench/baselines/<id>.json.
 Host-time series (names starting "host.", such as host.wall_s and
 host.peak_rss_mb) are never written to a baseline; `check` lists them as
 informational.
+
+`trajectory` collects the host-time series of every hpcbb.bench.v1 result
+in RESULT_DIR into FILE (schema hpcbb.hosttraj.v1) under LABEL, keeping the
+other labels already there: `tools/check.sh --gate FILE LABEL` runs it once
+per checkout, so one file holds a change's host time and peak RSS beside its
+parent's.
 
 Baseline schema (hpcbb.gatebase.v1):
     {"schema": "hpcbb.gatebase.v1", "bench": "f1", "default_tolerance": 0.05,
@@ -43,6 +50,7 @@ import sys
 
 GATEBASE_SCHEMA = "hpcbb.gatebase.v1"
 BENCH_SCHEMA = "hpcbb.bench.v1"
+TRAJECTORY_SCHEMA = "hpcbb.hosttraj.v1"
 
 # Series measured on the host clock: reported, never pinned.
 HOST_PREFIX = "host."
@@ -169,6 +177,52 @@ def update(args):
     return 0
 
 
+def host_cpu():
+    """The host's CPU model and core count, recorded beside its timings."""
+    model = "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return f"{model}, {os.cpu_count()} cores"
+
+
+def trajectory(args):
+    benches = {}
+    for name in sorted(os.listdir(args.result_dir)):
+        if not name.endswith(".json"):
+            continue
+        doc = load_json(os.path.join(args.result_dir, name))
+        if doc.get("schema") != BENCH_SCHEMA:
+            continue  # google-benchmark output carries no host points
+        bench, points = result_points(doc, name)
+        host = {series[len(HOST_PREFIX):]: value
+                for (series, _), value in points.items()
+                if series.startswith(HOST_PREFIX)}
+        if host:
+            benches[bench] = host
+    if not benches:
+        sys.exit(f"bench_gate: no {BENCH_SCHEMA} host points in "
+                 f"{args.result_dir}")
+    doc = {"schema": TRAJECTORY_SCHEMA, "runs": {}}
+    if os.path.exists(args.out):
+        doc = load_json(args.out)
+        if doc.get("schema") != TRAJECTORY_SCHEMA:
+            sys.exit(f"bench_gate: {args.out}: unsupported schema "
+                     f"{doc.get('schema')!r} (want {TRAJECTORY_SCHEMA!r})")
+    doc["runs"][args.label] = {"host": host_cpu(), "benches": benches}
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"host trajectory: {len(benches)} benches written to {args.out} "
+          f"as {args.label!r}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -192,9 +246,19 @@ def main():
                           help="bench id override (required semantics for "
                                "google-benchmark input defaults to m1)")
 
+    p_traj = sub.add_parser("trajectory",
+                            help="collect host points into a trajectory")
+    p_traj.add_argument("result_dir")
+    p_traj.add_argument("--out", required=True,
+                        help="trajectory file to write or extend")
+    p_traj.add_argument("--label", default="change",
+                        help="name of this run in the file (default change)")
+
     args = parser.parse_args()
     if args.command == "check":
         sys.exit(check(args))
+    if args.command == "trajectory":
+        sys.exit(trajectory(args))
     sys.exit(update(args))
 
 

@@ -20,6 +20,11 @@
 #                             # the seeded bench_a4_chaos smoke vs
 #                             # bench/baselines/, plus an
 #                             # injected-regression self-test
+#   tools/check.sh --gate FILE [LABEL]
+#                             # the gate, then every F/A bench's host.wall_s
+#                             # and host.peak_rss_mb written into the host
+#                             # trajectory FILE as run LABEL (default
+#                             # "change"; other runs in FILE are kept)
 #
 # Build trees: build/ and build-sanitize/ at the repo root.
 set -euo pipefail
@@ -34,6 +39,8 @@ gate=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 [[ "${1:-}" == "--chaos" ]] && chaos=1
 [[ "${1:-}" == "--gate" ]] && gate=1
+trajectory="${2:-}"
+trajectory_label="${3:-change}"
 
 if [[ "${gate}" == 1 ]]; then
   echo "== gate: configure (RelWithDebInfo) =="
@@ -68,6 +75,10 @@ if [[ "${gate}" == 1 ]]; then
     exit 1
   fi
   echo "perf gate passed (and the self-test regression was caught)"
+  if [[ -n "${trajectory}" ]]; then
+    python3 tools/bench_gate.py trajectory "${out}" --out "${trajectory}" \
+      --label "${trajectory_label}"
+  fi
   exit 0
 fi
 
