@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "common/pattern_internal.h"
 #include "common/rng.h"
+#include "common/units.h"
 
 namespace hpcbb {
 namespace {
@@ -21,6 +29,70 @@ Bytes pattern_reference(std::uint64_t seed, std::uint64_t offset,
   return out;
 }
 
+// One implementation path of the pattern kernel.
+struct PatternPath {
+  const char* name;
+  void (*fill)(std::uint64_t, std::uint64_t, std::uint8_t*,
+               std::size_t) noexcept;
+  bool (*verify)(std::uint64_t, std::uint64_t, const std::uint8_t*,
+                 std::size_t) noexcept;
+};
+
+// Every path this CPU can run: the scalar one always, AVX-512 where the CPU
+// has it. The names go to the test log and its XML report, so a CI log
+// shows whether the vector path was tested.
+std::vector<PatternPath> supported_paths() {
+  std::vector<PatternPath> paths = {{"scalar", &pattern_detail::fill_scalar,
+                                     &pattern_detail::verify_scalar}};
+  std::string names = "scalar";
+  if (pattern_detail::avx512_supported()) {
+    paths.push_back({"avx512", &pattern_detail::fill_avx512,
+                     &pattern_detail::verify_avx512});
+    names += " avx512";
+  }
+  std::cout << "pattern paths tested: " << names << std::endl;
+  ::testing::Test::RecordProperty("pattern_paths", names);
+  return paths;
+}
+
+constexpr std::size_t kBlock = pattern_detail::kBlockBytes;
+// Sizes from a ragged fraction of a block to many blocks plus a tail.
+constexpr std::size_t kLongSizes[] = {kBlock - 1,       kBlock,
+                                      kBlock + 1,       2 * kBlock + 7,
+                                      40 * kBlock + 13, 4 * KiB + 7,
+                                      64 * KiB + 3,     1 * MiB + 13};
+// Offsets of the buffer's start from a 64-byte boundary.
+constexpr std::size_t kShifts[] = {0, 1, 7, 33};
+
+// A buffer whose data() starts `shift` bytes past a 64-byte boundary, with
+// canary bytes on both sides of [data(), data() + size).
+class ShiftedBuffer {
+ public:
+  static constexpr std::uint8_t kCanary = 0xA5;
+
+  ShiftedBuffer(std::size_t size, std::size_t shift)
+      : storage_(size + 2 * kBlock + shift, kCanary), size_(size) {
+    const auto at = reinterpret_cast<std::uintptr_t>(storage_.data());
+    start_ = (kBlock - at % kBlock) % kBlock + shift;
+  }
+
+  std::uint8_t* data() { return storage_.data() + start_; }
+
+  // True when no byte outside [data(), data() + size) was written.
+  bool canaries_intact() const {
+    const auto intact = [](std::uint8_t b) { return b == kCanary; };
+    const std::uint8_t* begin = storage_.data();
+    return std::all_of(begin, begin + start_, intact) &&
+           std::all_of(begin + start_ + size_, begin + storage_.size(),
+                       intact);
+  }
+
+ private:
+  Bytes storage_;
+  std::size_t start_ = 0;
+  std::size_t size_;
+};
+
 TEST(BytesTest, PatternMatchesByteReference) {
   for (std::uint64_t off = 0; off <= 16; ++off) {
     for (std::size_t size = 0; size <= 64; ++size) {
@@ -38,6 +110,53 @@ TEST(BytesTest, PatternMatchesByteReference) {
         << "seed " << seed << " offset " << off << " size " << size;
     EXPECT_TRUE(verify_pattern(seed, off, data));
   }
+  // Each path on its own: every size to three blocks, then sizes spanning
+  // many blocks, at offsets 0-15 into buffers that start off a 64-byte
+  // boundary. The expected bytes at offset `off` are stream[off, ...).
+  constexpr std::uint64_t kSeed = 0xC0FFEE;
+  const Bytes stream = pattern_reference(kSeed, 0, 1 * MiB + 13 + 16);
+  for (const PatternPath& path : supported_paths()) {
+    const auto expect_fills = [&](std::uint64_t off, std::size_t size,
+                                  std::size_t shift) {
+      SCOPED_TRACE(::testing::Message() << path.name << " offset " << off
+                                        << " size " << size << " shift "
+                                        << shift);
+      ShiftedBuffer buf(size, shift);
+      path.fill(kSeed, off, buf.data(), size);
+      const auto want = std::span(stream).subspan(off, size);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), buf.data()));
+      ASSERT_TRUE(buf.canaries_intact());
+      ASSERT_TRUE(path.verify(kSeed, off, buf.data(), size));
+    };
+    for (std::uint64_t off = 0; off < 16; ++off) {
+      for (std::size_t size = 0; size <= 3 * kBlock; ++size) {
+        expect_fills(off, size, off % 8);
+      }
+      for (const std::size_t size : kLongSizes) {
+        for (const std::size_t shift : kShifts) expect_fills(off, size, shift);
+      }
+    }
+  }
+}
+
+// Positions to flip in a buffer of `size` bytes at stream offset `off`:
+// every byte of the first and last two blocks and, with `boundaries`, both
+// bytes at each boundary of the blocks the vector path compares (they start
+// at the first whole word).
+std::vector<std::size_t> flip_positions(std::uint64_t off, std::size_t size,
+                                        bool boundaries) {
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i < std::min(size, 2 * kBlock); ++i) {
+    at.push_back(i);
+    at.push_back(size - 1 - i);
+  }
+  const std::size_t head = (8 - off % 8) % 8;
+  for (std::size_t edge = head + kBlock; boundaries && edge < size;
+       edge += kBlock) {
+    at.push_back(edge - 1);
+    at.push_back(edge);
+  }
+  return at;
 }
 
 TEST(BytesTest, VerifyPatternRejectsOneFlippedByteAnywhere) {
@@ -52,6 +171,31 @@ TEST(BytesTest, VerifyPatternRejectsOneFlippedByteAnywhere) {
         data[pos] ^= 0x10;
         EXPECT_FALSE(verify_pattern(77, off, data))
             << "offset " << off << " size " << size << " flip " << pos;
+      }
+    }
+  }
+  // Each path on its own, across block boundaries. Past 4 KiB a flip near
+  // the end verifies the whole buffer, so those sizes flip only in their
+  // first and last two blocks, and 1 MiB takes four offsets.
+  for (const PatternPath& path : supported_paths()) {
+    for (std::uint64_t off = 0; off < 16; ++off) {
+      const std::size_t shift = kShifts[(off + off / 4) % 4];
+      for (const std::size_t size : kLongSizes) {
+        if (size >= 1 * MiB && off % 4 != 1) continue;
+        SCOPED_TRACE(::testing::Message() << path.name << " offset " << off
+                                          << " size " << size << " shift "
+                                          << shift);
+        ShiftedBuffer buf(size, shift);
+        path.fill(77, off, buf.data(), size);
+        ASSERT_TRUE(path.verify(77, off, buf.data(), size));
+        for (const std::size_t pos :
+             flip_positions(off, size, size <= 4 * KiB + 7)) {
+          const auto mask = static_cast<std::uint8_t>(1u << (pos % 8));
+          buf.data()[pos] ^= mask;
+          EXPECT_FALSE(path.verify(77, off, buf.data(), size))
+              << "flip " << pos;
+          buf.data()[pos] ^= mask;
+        }
       }
     }
   }

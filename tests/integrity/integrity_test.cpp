@@ -230,7 +230,10 @@ TEST(IntegrityTest, ScrubberRepairsAtRestCorruption) {
               detected_before);
     c.bb_master().stop_heartbeat();
   }(cluster, verified));
-  cluster.sim().run();
+  // The task ends near 145 ms. A failed CO_ASSERT returns before
+  // stop_heartbeat(), and the heartbeat would then keep run() going
+  // forever, so the run stops at a deadline instead.
+  cluster.sim().run_until(1 * sec);
   EXPECT_TRUE(verified);
   ASSERT_NE(cluster.bb_master().scrubber(), nullptr);
   EXPECT_GE(cluster.bb_master().scrubber()->passes(), 1u);

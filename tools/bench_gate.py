@@ -6,7 +6,8 @@ and fails (exit 1) when any pinned data point drifts outside its relative
 tolerance — the automatic perf verdict every PR gets from the CI perf-gate
 job. Accepts both result formats the repo produces: hpcbb.bench.v1 (the
 simulated-time benches' JsonResult files) and google-benchmark JSON
-(bench_m1_kv_micro's real-time microbenchmark output).
+(bench_m1_kv_micro's real-time microbenchmark output; with repetitions,
+each benchmark's median is gated).
 
 Usage:
     tools/bench_gate.py check BASELINE RESULT [--tol T] [--scale-candidate F]
@@ -77,12 +78,19 @@ def result_points(doc, path):
             points[(p["series"], str(p["x"]))] = float(p["value"])
         return doc.get("bench", "unknown"), points
     if "benchmarks" in doc:  # google-benchmark JSON
+        # A run with --benchmark_repetitions carries a median aggregate per
+        # benchmark: gate on it, under the benchmark's own name (run_name).
+        # A single run carries only its iteration rows.
+        rows = doc["benchmarks"]
+        picked = [(b["run_name"], b) for b in rows
+                  if b.get("aggregate_name") == "median"]
+        if not picked:
+            picked = [(b["name"], b) for b in rows
+                      if b.get("run_type") != "aggregate"]
         points = {}
-        for b in doc["benchmarks"]:
-            if b.get("run_type") == "aggregate":
-                continue
+        for series, b in picked:
             unit = TIME_UNITS.get(b.get("time_unit", "ns"), 1.0)
-            points[(b["name"], "cpu_time_ns")] = float(b["cpu_time"]) * unit
+            points[(series, "cpu_time_ns")] = float(b["cpu_time"]) * unit
         return "m1", points
     sys.exit(f"bench_gate: {path}: neither {BENCH_SCHEMA} nor "
              "google-benchmark JSON")
