@@ -159,22 +159,12 @@ struct Outcome {
   HistogramSnapshot md_recovery_hist{};
 };
 
-Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
+// Reads every DFSIO file back, each from the node after its writer, and
+// verifies the pattern. A file counts as readable only if all of it reads
+// and verifies; its first failure ends its read.
+Task<void> verified_readback(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   const auto kind = cluster::FsKind::kBurstBuffer;
   sim::Simulation& sim = c.sim();
-
-  // Phase 1: DFSIO write burst (the crash schedule fires mid-burst).
-  auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
-  out.write_ok = write_result.is_ok();
-  if (write_result.is_ok()) {
-    out.write_mbps = write_result.value().aggregate_mbps;
-  }
-  co_await c.bb_master().wait_all_flushed();
-  out.blocks_lost = c.bb_master().lost_blocks();
-  out.blocks_recovered = c.bb_master().recovered_blocks();
-
-  // Phase 2: verified read-back of every file, from rotated nodes.
   out.files_total = k.dfsio.files;
   const SimTime read_start = sim.now();
   std::uint64_t read_bytes = 0;
@@ -199,6 +189,25 @@ Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
                       ? 0
                       : static_cast<double>(read_bytes) / MiB /
                             (static_cast<double>(read_ns) / duration::sec);
+}
+
+Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
+  const auto kind = cluster::FsKind::kBurstBuffer;
+  sim::Simulation& sim = c.sim();
+
+  // Phase 1: DFSIO write burst (the crash schedule fires mid-burst).
+  auto write_result = co_await mapred::dfsio_write(
+      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
+  out.write_ok = write_result.is_ok();
+  if (write_result.is_ok()) {
+    out.write_mbps = write_result.value().aggregate_mbps;
+  }
+  co_await c.bb_master().wait_all_flushed();
+  out.blocks_lost = c.bb_master().lost_blocks();
+  out.blocks_recovered = c.bb_master().recovered_blocks();
+
+  // Phase 2: verified read-back of every file, from rotated nodes.
+  co_await verified_readback(c, k, out);
 
   // Phase 3: Sort with the fault schedule still armed (RPC faults apply to
   // the whole run; later crashes land here in the full schedule).
@@ -324,8 +333,6 @@ Task<void> integrity_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
 // and reconciles, then the read-back verifies every byte survived.
 Task<void> master_crash_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   const auto kind = cluster::FsKind::kBurstBuffer;
-  sim::Simulation& sim = c.sim();
-
   auto write_result = co_await mapred::dfsio_write(
       c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
   out.write_ok = write_result.is_ok();
@@ -337,30 +344,7 @@ Task<void> master_crash_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
   out.blocks_lost = c.bb_master().lost_blocks();
   out.blocks_recovered = c.bb_master().recovered_blocks();
 
-  out.files_total = k.dfsio.files;
-  std::uint64_t read_bytes = 0;
-  const SimTime read_start = sim.now();
-  for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
-    const std::string path = k.dfsio.dir + "/io_file_" + std::to_string(i);
-    auto reader = co_await c.filesystem(kind).open(
-        path, c.compute_nodes()[(i + 1) % c.compute_nodes().size()]);
-    if (!reader.is_ok()) continue;
-    bool all_ok = true;
-    const std::uint64_t size = reader.value()->size();
-    for (std::uint64_t off = 0; off < size && all_ok; off += 4 * MiB) {
-      const std::uint64_t len = std::min<std::uint64_t>(4 * MiB, size - off);
-      auto data = co_await reader.value()->read(off, len);
-      all_ok = data.is_ok() &&
-               verify_pattern(fnv1a(path), off, data.value());
-      if (all_ok) read_bytes += len;
-    }
-    if (all_ok) ++out.files_readable;
-  }
-  const SimTime read_ns = sim.now() - read_start;
-  out.read_mbps = read_ns == 0
-                      ? 0
-                      : static_cast<double>(read_bytes) / MiB /
-                            (static_cast<double>(read_ns) / duration::sec);
+  co_await verified_readback(c, k, out);
   c.bb_master().stop_heartbeat();
 }
 

@@ -45,7 +45,9 @@ Master::Master(net::RpcHub& hub, net::NodeId node,
                                               : duration::ms,
              lustre_, flowctl_, md_,
              [this](MdRecord record) {
-               journal_append_async(std::move(record));
+               if (journal_ != nullptr) {
+                 journal_->append_async(std::move(record));
+               }
              },
              [this] {
                return monitor_.degraded() ||
@@ -82,7 +84,7 @@ Master::Master(net::RpcHub& hub, net::NodeId node,
   sim::InScope in(sim(), incarnation_);
   if (params_.md.journal) {
     journal_ = std::make_unique<MetadataJournal>(
-        *hub_, node_, kv_servers_, common_.kv_client, params_.md);
+        *hub_, node_, kv_servers_, common_.kv_client, params_.md, md_);
     journal_->start();
   }
   bind_ports();
@@ -120,10 +122,7 @@ void Master::spawn_workers() {
   if (probe_client_ != nullptr && !heartbeat_stop_) {
     sim().spawn(heartbeat_worker());
   }
-  if (journal_ != nullptr && params_.md.checkpoint_interval_ns > 0 &&
-      !heartbeat_stop_) {
-    sim().spawn(checkpoint_worker());
-  }
+  if (journal_ != nullptr) journal_->start_checkpoints();
 }
 
 void Master::make_scrubber() {
@@ -439,62 +438,7 @@ std::vector<integrity::ScrubChunk> Master::scrub_inventory() const {
 // ---- metadata durability ----
 
 sim::Task<void> Master::journal_append(MdRecord record) {
-  if (journal_ == nullptr) co_return;
-  // The append task allocates the record's sequence number synchronously at
-  // co_await, in the same segment as the mutation the caller just applied —
-  // that pairing is what makes checkpoint snapshots consistent.
-  {
-    sim::ScopedSpan span(trace_, "md.append", "", "md",
-                         static_cast<std::uint32_t>(node_), record.op_id);
-    co_await journal_->append(std::move(record));
-  }
-  maybe_trigger_checkpoint();
-}
-
-void Master::journal_append_async(MdRecord record) {
-  if (journal_ == nullptr) return;
-  journal_->append_async(std::move(record));
-  maybe_trigger_checkpoint();
-}
-
-void Master::maybe_trigger_checkpoint() {
-  if (journal_ == nullptr || checkpoint_running_ || crashed_) return;
-  if (heartbeat_stop_) return;
-  if (params_.md.journal_max_bytes == 0) return;
-  if (journal_->bytes_since_checkpoint() < params_.md.journal_max_bytes) {
-    return;
-  }
-  // Background work of this incarnation, not part of the op whose record
-  // filled the journal.
-  sim::InScope in(sim(), incarnation_);
-  sim::OpScope none(sim(), 0);
-  sim().spawn(run_checkpoint());
-}
-
-sim::Task<void> Master::checkpoint_worker() {
-  for (;;) {
-    co_await sim().delay(params_.md.checkpoint_interval_ns);
-    if (heartbeat_stop_) co_return;
-    if (journal_->bytes_since_checkpoint() == 0) continue;  // nothing new
-    co_await run_checkpoint();
-  }
-}
-
-sim::Task<void> Master::run_checkpoint() {
-  if (checkpoint_running_) co_return;
-  checkpoint_running_ = true;  // a crash mid-checkpoint resets it
-  const sim::SimTime start = sim().now();
-  {
-    sim::ScopedSpan span(trace_, "md.checkpoint", "", "md",
-                         static_cast<std::uint32_t>(node_));
-    // Snapshot and watermark in one synchronous segment: the snapshot then
-    // reflects exactly the mutations journaled as records [0, upto).
-    const std::uint64_t upto = journal_->next_seq();
-    Bytes snapshot = encode_checkpoint(md_.checkpoint());
-    (void)co_await journal_->write_checkpoint(std::move(snapshot), upto);
-  }
-  checkpoint_running_ = false;
-  ckpt_ns_->record(sim().now() - start);
+  if (journal_ != nullptr) co_await journal_->append(std::move(record));
 }
 
 sim::Task<void> Master::reconcile() {
@@ -567,7 +511,6 @@ void Master::crash() {
   flowctl_.reset_accounting();
   monitor_.leave_degraded();
   master_up_->set(0);
-  checkpoint_running_ = false;
   if (journal_ != nullptr) journal_->crash();
   scrubber_.reset();
   crashes_->add();
@@ -588,23 +531,7 @@ sim::Task<void> Master::restart_task() {
   const sim::SimTime start = sim.now();
   std::uint64_t replayed = 0;
   if (journal_ != nullptr) {
-    MetadataJournal::Recovered recovered = co_await journal_->load();
-    if (!recovered.checkpoint.empty()) {
-      Result<MdCheckpoint> checkpoint = decode_checkpoint(recovered.checkpoint);
-      if (checkpoint.is_ok()) {
-        md_.install(std::move(checkpoint).value());
-      } else {
-        md_errors_->add();
-      }
-    }
-    for (const MdRecord& record : recovered.tail) {
-      if (!md_.apply(record).is_ok()) {
-        // The seal handler never journals such a record: this one is
-        // damaged, and its block stays open.
-        md_errors_->add();
-      }
-    }
-    replayed = recovered.tail.size();
+    replayed = co_await journal_->recover(md_);
     co_await reconcile();
     journal_->start();
   }

@@ -1,8 +1,11 @@
-// Burst-buffer master: metadata for buffered files, its write-ahead journal
-// and checkpoints, and crash/restart. This is the control plane of the
-// paper's design; the data plane is the RDMA KV store itself. Draining
-// dirty blocks to Lustre is the FlushPipeline's job (burstbuffer/flush.h),
-// and KV-server liveness the PeerMonitor's (burstbuffer/peer_monitor.h).
+// Burst-buffer master: metadata for buffered files and crash/restart. This
+// is the control plane of the paper's design; the data plane is the RDMA KV
+// store itself. Each handler applies a mutation to the metadata and then
+// appends its record; the MetadataJournal (burstbuffer/mdlog.h) owns the
+// rest of metadata durability: checkpoints, their policy, and replay.
+// Draining dirty blocks to Lustre is the FlushPipeline's job
+// (burstbuffer/flush.h), and KV-server liveness the PeerMonitor's
+// (burstbuffer/peer_monitor.h).
 #pragma once
 
 #include <cstdint>
@@ -101,9 +104,10 @@ class Master {
   // this models the seed's unrecoverable single point of failure. Driven by
   // the fault injector (faults.master.* schedule) or directly by tests.
   void crash();
-  // Spawn the recovery task: load checkpoint, replay the journal tail,
-  // reconcile against the live chunk inventory, re-arm flow control, rebind
-  // ports, and respawn flushers/detector/scrubber. No-op unless crashed.
+  // Spawn the recovery task: the journal loads the checkpoint and replays
+  // its tail; then reconcile against the live chunk inventory, re-arm flow
+  // control, rebind ports, and respawn flushers/detector/scrubber. No-op
+  // unless crashed.
   void restart();
   [[nodiscard]] bool crashed() const noexcept { return crashed_; }
   // Resolves once the master is serving again (immediately if not crashed).
@@ -116,7 +120,6 @@ class Master {
     return recovered_files_;
   }
   [[nodiscard]] std::uint64_t restarts() const noexcept { return restarts_; }
-  [[nodiscard]] MetadataJournal* journal() noexcept { return journal_.get(); }
 
   // Failure-detector introspection. With the detector off every peer reads
   // kLive and the master never enters degraded mode.
@@ -131,12 +134,14 @@ class Master {
     return monitor_.count(PeerState::kSuspect);
   }
   // Stop the periodic prober, the integrity scrubber, and the checkpoint
-  // timer (each wakes at most once more). Harnesses call this when the
-  // measured phase ends so the simulation can run to quiescence — otherwise
-  // the periodic timers keep the event queue alive.
+  // timer (each wakes at most once more); no size-triggered checkpoint
+  // starts either. Harnesses call this when the measured phase ends so the
+  // simulation can run to quiescence — otherwise the periodic timers keep
+  // the event queue alive.
   void stop_heartbeat() noexcept {
     heartbeat_stop_ = true;
     if (scrubber_ != nullptr) scrubber_->stop();
+    if (journal_ != nullptr) journal_->stop();
   }
 
   // Quarantine a dirty block whose data is corrupt on every copy: the
@@ -217,16 +222,11 @@ class Master {
   // be restarted, so restart builds a fresh one.
   void make_scrubber();
   // Durable journal append for the acknowledge path (a crash unwinds the
-  // waiting handler, so the mutation is never acked); the async variant is
-  // for background mutations nothing acknowledges against. Both return at
-  // once when journaling is off.
+  // waiting handler, so the mutation is never acked); returns at once when
+  // journaling is off.
   sim::Task<void> journal_append(MdRecord record);
-  void journal_append_async(MdRecord record);
-  void maybe_trigger_checkpoint();
-  sim::Task<void> checkpoint_worker();
-  sim::Task<void> run_checkpoint();
-  // Recovery pipeline (restart()): journal load -> checkpoint install ->
-  // record replay -> inventory reconciliation -> worker respawn.
+  // Recovery pipeline (restart()): journal recovery (checkpoint + tail
+  // replay) -> inventory reconciliation -> worker respawn.
   sim::Task<void> restart_task();
   sim::Task<void> reconcile();
   [[nodiscard]] std::uint32_t chunk_count(std::uint64_t size) const {
@@ -253,15 +253,14 @@ class Master {
   bool heartbeat_stop_ = false;
 
   // Crash-restart machinery. The incarnation's scope holds every task of
-  // this master process: the flush and evict workers, the heartbeat and
-  // checkpoint workers, restart_task, the journal writer, the scrubber loop
+  // this master process: the flush and evict workers, the heartbeat worker,
+  // restart_task, the journal writer and its checkpoints, the scrubber loop
   // and the RPC handlers. crash() cancels it and opens the next, so no task
   // of a dead incarnation runs another step. `bound_` makes port teardown
   // idempotent between crash() and the destructor.
   sim::Scope* incarnation_ = &sim().open_scope();
   bool crashed_ = false;
   bool bound_ = false;
-  bool checkpoint_running_ = false;
   sim::Condition recovered_cond_;
   std::uint64_t restarts_ = 0;
   std::uint64_t replayed_records_ = 0;
@@ -271,9 +270,7 @@ class Master {
   MetricHandle<Counter> restart_count_{sim().metrics(), "bb.md.restarts"};
   MetricHandle<Counter> replayed_{sim().metrics(), "bb.md.replayed_records"};
   MetricHandle<Counter> recovered_{sim().metrics(), "bb.md.recovered_files"};
-  MetricHandle<Counter> md_errors_{sim().metrics(), "bb.md.recovery_errors"};
   MetricHandle<Histogram> recovery_ns_{sim().metrics(), "bb.md.recovery_ns"};
-  MetricHandle<Histogram> ckpt_ns_{sim().metrics(), "bb.md.checkpoint_ns"};
 
   sim::TraceRecorder* trace_ = nullptr;
 };

@@ -116,17 +116,17 @@ Result<MdRecord> decode_record(const Bytes& bytes) {
   return record;
 }
 
-Bytes encode_checkpoint(const MdCheckpoint& checkpoint) {
+Bytes encode_checkpoint(const MdState& state) {
   Bytes out;
   put_u32(out, kCheckpointMagic);
-  put_u64(out, checkpoint.flushed_blocks);
-  put_u64(out, checkpoint.flushed_bytes);
-  put_u64(out, checkpoint.lost_blocks);
-  put_u64(out, checkpoint.recovered_blocks);
-  put_u64(out, checkpoint.quarantined_blocks);
-  put_u64(out, checkpoint.files.size());
-  for (const MdFileSnapshot& file : checkpoint.files) {
-    put_string(out, file.path);
+  put_u64(out, state.flushed_blocks);
+  put_u64(out, state.flushed_bytes);
+  put_u64(out, state.lost_blocks);
+  put_u64(out, state.recovered_blocks);
+  put_u64(out, state.quarantined_blocks);
+  put_u64(out, state.files.size());
+  for (const auto& [path, file] : state.files) {
+    put_string(out, path);
     put_u64(out, file.create_token);
     put_u64(out, file.size);
     put_u8(out, file.closed ? 1 : 0);
@@ -145,27 +145,26 @@ Bytes encode_checkpoint(const MdCheckpoint& checkpoint) {
   return out;
 }
 
-Result<MdCheckpoint> decode_checkpoint(const Bytes& bytes) {
+Status decode_checkpoint(const Bytes& bytes, MdState& state) {
   Cursor cur{&bytes};
   if (cur.get_u32() != kCheckpointMagic) {
     return error(StatusCode::kDataLoss, "bad metadata checkpoint magic");
   }
-  MdCheckpoint checkpoint;
-  checkpoint.flushed_blocks = cur.get_u64();
-  checkpoint.flushed_bytes = cur.get_u64();
-  checkpoint.lost_blocks = cur.get_u64();
-  checkpoint.recovered_blocks = cur.get_u64();
-  checkpoint.quarantined_blocks = cur.get_u64();
+  MdState decoded{.chunk_size = state.chunk_size};
+  decoded.flushed_blocks = cur.get_u64();
+  decoded.flushed_bytes = cur.get_u64();
+  decoded.lost_blocks = cur.get_u64();
+  decoded.recovered_blocks = cur.get_u64();
+  decoded.quarantined_blocks = cur.get_u64();
   const std::uint64_t file_count = cur.get_u64();
   for (std::uint64_t f = 0; cur.ok && f < file_count; ++f) {
-    MdFileSnapshot file;
-    file.path = cur.get_string();
+    MdFile& file = decoded.files[cur.get_string()];
     file.create_token = cur.get_u64();
     file.size = cur.get_u64();
     file.closed = cur.get_u8() != 0;
     const std::uint64_t block_count = cur.get_u64();
     for (std::uint64_t b = 0; cur.ok && b < block_count; ++b) {
-      BbBlockInfo block;
+      BbBlockInfo& block = file.blocks.emplace_back();
       block.index = cur.get_u32();
       block.size = cur.get_u64();
       block.state = static_cast<BlockState>(cur.get_u8());
@@ -175,14 +174,13 @@ Result<MdCheckpoint> decode_checkpoint(const Bytes& bytes) {
       block.op_id = cur.get_u64();
       block.chunk_crcs = cur.get_u32vec();
       block.replicas = cur.get_u32vec();
-      file.blocks.push_back(std::move(block));
     }
-    checkpoint.files.push_back(std::move(file));
   }
   if (!cur.ok || cur.pos != bytes.size()) {
     return error(StatusCode::kDataLoss, "malformed metadata checkpoint");
   }
-  return checkpoint;
+  state = std::move(decoded);
+  return Status::ok();
 }
 
 // ---- MdState ---------------------------------------------------------------
@@ -276,35 +274,6 @@ BbBlockInfo* MdState::block(const std::string& path, std::uint32_t index) {
   return &it->second.blocks[index];
 }
 
-MdCheckpoint MdState::checkpoint() const {
-  MdCheckpoint out;
-  out.flushed_blocks = flushed_blocks;
-  out.flushed_bytes = flushed_bytes;
-  out.lost_blocks = lost_blocks;
-  out.recovered_blocks = recovered_blocks;
-  out.quarantined_blocks = quarantined_blocks;
-  for (const auto& [path, file] : files) {
-    out.files.push_back(MdFileSnapshot{path, file.create_token, file.size,
-                                       file.closed, file.blocks});
-  }
-  return out;
-}
-
-void MdState::install(MdCheckpoint&& checkpoint) {
-  flushed_blocks = checkpoint.flushed_blocks;
-  flushed_bytes = checkpoint.flushed_bytes;
-  lost_blocks = checkpoint.lost_blocks;
-  recovered_blocks = checkpoint.recovered_blocks;
-  quarantined_blocks = checkpoint.quarantined_blocks;
-  files.clear();
-  for (MdFileSnapshot& file : checkpoint.files) {
-    files[file.path] = MdFile{.blocks = std::move(file.blocks),
-                              .size = file.size,
-                              .create_token = file.create_token,
-                              .closed = file.closed};
-  }
-}
-
 // ---- MetadataJournal -------------------------------------------------------
 
 namespace {
@@ -322,9 +291,10 @@ kv::ClientParams journal_client_params(kv::ClientParams params) {
 MetadataJournal::MetadataJournal(net::RpcHub& hub, net::NodeId node,
                                  std::vector<net::NodeId> kv_servers,
                                  kv::ClientParams kv_params,
-                                 const MdParams& params)
+                                 const MdParams& params, const MdState& state)
     : node_(node),
       params_(params),
+      state_(&state),
       kv_(std::make_unique<kv::Client>(hub, node, std::move(kv_servers),
                                        journal_client_params(kv_params))),
       sim_(&hub.transport().fabric().simulation()),
@@ -344,7 +314,16 @@ std::string MetadataJournal::ctl_key() {
   return std::string(kv::kReservedMetaPrefix) + "bb:ctl";
 }
 
-void MetadataJournal::start() { sim_->spawn(writer_loop()); }
+void MetadataJournal::start() {
+  scope_ = sim_->current_scope();
+  sim_->spawn(writer_loop());
+}
+
+void MetadataJournal::start_checkpoints() {
+  if (params_.checkpoint_interval_ns > 0 && !stopped_) {
+    sim_->spawn(checkpoint_worker());
+  }
+}
 
 sim::Task<void> MetadataJournal::writer_loop() {
   for (;;) {
@@ -367,22 +346,28 @@ sim::Task<void> MetadataJournal::writer_loop() {
     records_->add();
     bytes_->add(record_bytes);
     append_ns_->record(sim_->now() - start);
-    // No trace span here: the master's journal_append wrapper records the
-    // op-attributed "md.append" span covering queue wait + durability, and
-    // two overlapping spans would double-charge the md layer.
+    // No trace span here: append() records the op-attributed "md.append"
+    // span covering queue wait + durability, and two overlapping spans
+    // would double-charge the md layer.
     durable_.notify_all();
   }
 }
 
 sim::Task<void> MetadataJournal::append(MdRecord record) {
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(Pending{seq, encode_record(record)});
-  while (durable_next_ <= seq) co_await durable_.wait();
+  {
+    sim::ScopedSpan span(trace_, "md.append", "", "md",
+                         static_cast<std::uint32_t>(node_), record.op_id);
+    const std::uint64_t seq = next_seq_++;
+    queue_.push(Pending{seq, encode_record(record)});
+    while (durable_next_ <= seq) co_await durable_.wait();
+  }
+  maybe_checkpoint();
 }
 
 void MetadataJournal::append_async(MdRecord record) {
   const std::uint64_t seq = next_seq_++;
   queue_.push(Pending{seq, encode_record(record)});
+  maybe_checkpoint();
 }
 
 void MetadataJournal::crash() {
@@ -391,10 +376,52 @@ void MetadataJournal::crash() {
   // Blocked appenders unwind at the crash instant, so their handlers answer
   // kUnavailable and never acknowledge the lost mutations.
   durable_.notify_all();
+  checkpoint_running_ = false;
+  // Only a running writer adds bytes, so none trigger a checkpoint before
+  // the restarted master's start().
+  bytes_since_checkpoint_ = 0;
 }
 
-sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
-  Recovered out;
+void MetadataJournal::maybe_checkpoint() {
+  if (checkpoint_running_ || stopped_ || params_.journal_max_bytes == 0 ||
+      bytes_since_checkpoint_ < params_.journal_max_bytes) {
+    return;
+  }
+  // Background work of the incarnation, not part of the op whose record
+  // filled the journal.
+  sim::InScope in(*sim_, scope_);
+  sim::OpScope none(*sim_, 0);
+  sim_->spawn(run_checkpoint());
+}
+
+sim::Task<void> MetadataJournal::checkpoint_worker() {
+  for (;;) {
+    co_await sim_->delay(params_.checkpoint_interval_ns);
+    if (stopped_) co_return;
+    if (bytes_since_checkpoint_ == 0) continue;  // nothing new
+    co_await run_checkpoint();
+  }
+}
+
+sim::Task<void> MetadataJournal::run_checkpoint() {
+  if (checkpoint_running_) co_return;
+  checkpoint_running_ = true;  // a crash mid-checkpoint resets it
+  const sim::SimTime start = sim_->now();
+  {
+    sim::ScopedSpan span(trace_, "md.checkpoint", "", "md",
+                         static_cast<std::uint32_t>(node_));
+    // Snapshot and watermark in one synchronous segment: the snapshot then
+    // reflects exactly the mutations journaled as records [0, upto).
+    const std::uint64_t upto = next_seq_;
+    co_await write_checkpoint(encode_checkpoint(*state_), upto);
+  }
+  checkpoint_running_ = false;
+  checkpoint_ns_->record(sim_->now() - start);
+}
+
+sim::Task<std::uint64_t> MetadataJournal::recover(MdState& state) {
+  Bytes checkpoint;  // stays empty when no checkpoint was ever written
+  std::uint64_t replay_from = 0;
   // Control record: absent (kNotFound) simply means no checkpoint was ever
   // written — replay the whole journal. Transient failures retry briefly.
   for (int attempt = 0;; ++attempt) {
@@ -403,9 +430,10 @@ sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
       Cursor cur{ctl.value().get()};
       const std::uint32_t slot = cur.get_u32();
       const std::uint32_t parts = cur.get_u32();
-      const std::uint64_t replay_from = cur.get_u64();
+      const std::uint64_t from = cur.get_u64();
       if (!cur.ok) break;  // malformed control record: full replay
-      Bytes checkpoint;
+      replay_from = from;
+      Bytes pieces;
       bool complete = true;
       for (std::uint32_t part = 0; part < parts && complete; ++part) {
         Result<BytesPtr> piece = co_await kv_->get(ckpt_key(slot, part));
@@ -413,19 +441,17 @@ sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
           complete = false;
           break;
         }
-        checkpoint.insert(checkpoint.end(), piece.value()->begin(),
-                          piece.value()->end());
+        pieces.insert(pieces.end(), piece.value()->begin(),
+                      piece.value()->end());
       }
       if (complete) {
-        out.checkpoint = std::move(checkpoint);
-        out.replay_from = replay_from;
+        checkpoint = std::move(pieces);
         checkpoint_slot_ = slot;
       } else {
         // A checkpoint part vanished (should be impossible under the
         // pinned reserved range): fall back to whatever journal tail
         // remains rather than wedging recovery.
         errors_->add();
-        out.replay_from = replay_from;
       }
       break;
     }
@@ -435,11 +461,11 @@ sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
 
   // Journal tail: the writer serializes appends in seq order, so the first
   // missing key is the end of the durable, hole-free prefix.
-  for (std::uint64_t seq = out.replay_from;; ++seq) {
+  std::vector<MdRecord> tail;
+  for (std::uint64_t seq = replay_from;; ++seq) {
     Result<BytesPtr> raw = co_await kv_->get(journal_key(seq));
     if (!raw.is_ok()) {
-      if (raw.code() == StatusCode::kNotFound) break;
-      errors_->add();
+      if (raw.code() != StatusCode::kNotFound) errors_->add();
       break;
     }
     Result<MdRecord> record = decode_record(*raw.value());
@@ -447,18 +473,25 @@ sim::Task<MetadataJournal::Recovered> MetadataJournal::load() {
       errors_->add();
       break;
     }
-    out.tail.push_back(std::move(record).value());
+    tail.push_back(std::move(record).value());
   }
 
-  next_seq_ = out.replay_from + out.tail.size();
+  if (!checkpoint.empty() && !decode_checkpoint(checkpoint, state).is_ok()) {
+    errors_->add();
+  }
+  for (const MdRecord& record : tail) {
+    // The seal handler never journals a record apply() refuses: this one
+    // is damaged, and its block stays open.
+    if (!state.apply(record).is_ok()) errors_->add();
+  }
+  next_seq_ = replay_from + tail.size();
   durable_next_ = next_seq_;
-  oldest_seq_ = out.replay_from;
-  bytes_since_checkpoint_ = 0;
-  co_return out;
+  oldest_seq_ = replay_from;
+  co_return tail.size();
 }
 
-sim::Task<Status> MetadataJournal::write_checkpoint(Bytes snapshot,
-                                                    std::uint64_t upto_seq) {
+sim::Task<void> MetadataJournal::write_checkpoint(Bytes snapshot,
+                                                  std::uint64_t upto_seq) {
   const std::uint64_t snapshot_bytes = snapshot.size();
   // Truncation must never race ahead of a pending record's write: wait for
   // the journal to be durable through the snapshot horizon first.
@@ -478,7 +511,7 @@ sim::Task<Status> MetadataJournal::write_checkpoint(Bytes snapshot,
     Status st = co_await kv_->set(ckpt_key(slot, part),
                                   make_bytes(std::move(piece)),
                                   /*pinned=*/true);
-    if (!st.is_ok()) co_return st;  // old checkpoint + journal still intact
+    if (!st.is_ok()) co_return;  // old checkpoint + journal still intact
   }
   Bytes ctl;
   put_u32(ctl, slot);
@@ -486,7 +519,7 @@ sim::Task<Status> MetadataJournal::write_checkpoint(Bytes snapshot,
   put_u64(ctl, upto_seq);
   Status st =
       co_await kv_->set(ctl_key(), make_bytes(std::move(ctl)), /*pinned=*/true);
-  if (!st.is_ok()) co_return st;
+  if (!st.is_ok()) co_return;
   checkpoint_slot_ = slot;
   checkpoints_->add();
   checkpoint_bytes_->add(snapshot_bytes);
@@ -502,7 +535,6 @@ sim::Task<Status> MetadataJournal::write_checkpoint(Bytes snapshot,
     (void)co_await kv_->erase(journal_key(seq));
   }
   truncated_->add(upto_seq - truncate_from);
-  co_return Status::ok();
 }
 
 }  // namespace hpcbb::bb

@@ -18,11 +18,12 @@
 // by construction never acknowledged; the client retries through the
 // idempotent create-token / expected-block-index protocol.
 //
-// Checkpoints bound replay time: the master periodically snapshots the
-// full metadata map (MdCheckpoint), writes it in parts to an alternating
-// checkpoint slot, flips the control record, and truncates the journal
-// prefix the snapshot subsumes. A crash mid-checkpoint leaves the previous
-// slot and control record intact.
+// Checkpoints bound replay time: the journal encodes the master's MdState
+// (periodically, and as soon as the journal outgrows journal_max_bytes),
+// writes it in parts to an alternating checkpoint slot, flips the control
+// record, and truncates the journal prefix the snapshot subsumes. A crash
+// mid-checkpoint leaves the previous slot and control record intact.
+// Recovery (recover()) loads the latest checkpoint and replays the tail.
 //
 // Key layout (all under the force-pinned reserved range):
 //   !md:bb:ctl            control record {slot, parts, replay_from}
@@ -91,34 +92,6 @@ struct MdRecord {
 Bytes encode_record(const MdRecord& record);
 Result<MdRecord> decode_record(const Bytes& bytes);
 
-// Full-map snapshot written by a checkpoint. Counter totals ride along so a
-// restarted master reports cumulative flush/loss telemetry, not a reset.
-// Blocks keep their in-memory form; reservation_held (admission credits,
-// which die with the master) is not encoded and decodes as false.
-struct MdFileSnapshot {
-  std::string path;
-  std::uint64_t create_token = 0;
-  std::uint64_t size = 0;
-  bool closed = false;
-  std::vector<BbBlockInfo> blocks;
-
-  bool operator==(const MdFileSnapshot&) const = default;
-};
-
-struct MdCheckpoint {
-  std::uint64_t flushed_blocks = 0;
-  std::uint64_t flushed_bytes = 0;
-  std::uint64_t lost_blocks = 0;
-  std::uint64_t recovered_blocks = 0;
-  std::uint64_t quarantined_blocks = 0;
-  std::vector<MdFileSnapshot> files;
-
-  bool operator==(const MdCheckpoint&) const = default;
-};
-
-Bytes encode_checkpoint(const MdCheckpoint& checkpoint);
-Result<MdCheckpoint> decode_checkpoint(const Bytes& bytes);
-
 // One file of the master's metadata. The Lustre layout is live-only: no
 // record or checkpoint carries it, and recovery re-resolves it from the MDS.
 struct MdFile {
@@ -155,33 +128,47 @@ struct MdState {
   // The block, or null when its file or the block does not exist.
   [[nodiscard]] BbBlockInfo* block(const std::string& path,
                                    std::uint32_t index);
-
-  [[nodiscard]] MdCheckpoint checkpoint() const;
-  // Replaces the files and counters (not chunk_size) with a checkpoint's.
-  void install(MdCheckpoint&& checkpoint);
 };
+
+// The checkpoint codec. Counter totals ride along so a restarted master
+// reports cumulative flush/loss telemetry, not a reset. Blocks keep their
+// in-memory form, but reservation_held (admission credits, which die with
+// the master) is not encoded and decodes as false; nor is the Lustre
+// layout. decode_checkpoint() replaces the files and counters of `state`
+// (not its chunk_size) and leaves it untouched when the bytes are damaged.
+Bytes encode_checkpoint(const MdState& state);
+Status decode_checkpoint(const Bytes& bytes, MdState& state);
 
 class MetadataJournal {
  public:
   // The journal writes from the master's node with all-replica acks and
   // ring failover forced on: an append is never acknowledged primary-only,
   // and a KV outage reroutes instead of wedging the control plane.
+  // `state` is the master's metadata, which every checkpoint encodes; it
+  // must outlive the journal.
   MetadataJournal(net::RpcHub& hub, net::NodeId node,
                   std::vector<net::NodeId> kv_servers,
-                  kv::ClientParams kv_params, const MdParams& params);
+                  kv::ClientParams kv_params, const MdParams& params,
+                  const MdState& state);
 
   MetadataJournal(const MetadataJournal&) = delete;
   MetadataJournal& operator=(const MetadataJournal&) = delete;
 
   // Spawn the writer loop into the ambient task scope (the master's
-  // incarnation). Called once after construction and again after every
-  // crash()+load() cycle.
+  // incarnation), which size-triggered checkpoints join too. Called once
+  // after construction and again after every crash()+recover() cycle.
   void start();
+  // Spawn the periodic checkpoint worker into the ambient scope; a no-op
+  // with checkpoint_interval_ns 0 or after stop().
+  void start_checkpoints();
 
   // Durable append: resolves once this record and every earlier one are
   // stored in the KV tier. The caller is a member of the master's scope: a
   // crash before durability unwinds it, so the mutation is never
   // acknowledged (the client retries through the idempotent protocol).
+  // The sequence number is allocated at the caller's co_await, in the same
+  // synchronous segment as the mutation it just applied, which is what
+  // makes a checkpoint's snapshot cover exactly the journaled prefix.
   sim::Task<void> append(MdRecord record);
 
   // Fire-and-forget append for background mutations (flush complete, loss
@@ -189,30 +176,24 @@ class MetadataJournal {
   // caller need not block. Ordering relative to append() is preserved.
   void append_async(MdRecord record);
 
-  struct Recovered {
-    Bytes checkpoint;  // empty when no checkpoint was ever written
-    std::vector<MdRecord> tail;
-    std::uint64_t replay_from = 0;
-  };
-  // Load the latest checkpoint and the journal tail past it, and reset the
-  // sequence counters to continue appending after the tail.
-  sim::Task<Recovered> load();
-
-  // Write `snapshot` (parts + control record) covering records < upto_seq,
-  // then truncate the subsumed journal prefix. Waits for the journal to be
-  // durable up to upto_seq before truncating, so an erase can never race
-  // ahead of its record's write.
-  sim::Task<Status> write_checkpoint(Bytes snapshot, std::uint64_t upto_seq);
+  // Rebuild `state` from the latest checkpoint and the journal tail past
+  // it, and continue the sequence after the tail. Returns the number of
+  // tail records replayed. The state changes in one synchronous step at
+  // the end, so no reader sees a half-rebuilt map.
+  sim::Task<std::uint64_t> recover(MdState& state);
 
   // Master crash: drop pending (never-acknowledged) appends and wake their
-  // waiters, which unwind with the crashed scope.
+  // waiters, which unwind with the crashed scope. A checkpoint in flight
+  // died with the scope, so the single-flight flag clears, and nothing
+  // triggers a checkpoint until recover() and start() have run.
   void crash();
 
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
-  [[nodiscard]] std::uint64_t bytes_since_checkpoint() const noexcept {
-    return bytes_since_checkpoint_;
-  }
+  // No checkpoint starts after this; the periodic worker wakes at most
+  // once more. Appends go on.
+  void stop() noexcept { stopped_ = true; }
 
+  // "md" spans: md.append (queue wait + durability, attributed to the
+  // record's op) and md.checkpoint.
   void set_trace(sim::TraceRecorder* recorder) noexcept { trace_ = recorder; }
 
  private:
@@ -222,6 +203,16 @@ class MetadataJournal {
   };
 
   sim::Task<void> writer_loop();
+  // Start a checkpoint once the journal outgrows journal_max_bytes.
+  void maybe_checkpoint();
+  sim::Task<void> checkpoint_worker();
+  // Single-flight: snapshot the state, then write_checkpoint().
+  sim::Task<void> run_checkpoint();
+  // Write `snapshot` (parts + control record) covering records < upto_seq,
+  // then truncate the subsumed journal prefix. Waits for the journal to be
+  // durable up to upto_seq before truncating, so an erase can never race
+  // ahead of its record's write.
+  sim::Task<void> write_checkpoint(Bytes snapshot, std::uint64_t upto_seq);
 
   static std::string journal_key(std::uint64_t seq);
   static std::string ckpt_key(std::uint32_t slot, std::uint32_t part);
@@ -229,9 +220,11 @@ class MetadataJournal {
 
   net::NodeId node_;
   MdParams params_;
+  const MdState* state_;
   std::unique_ptr<kv::Client> kv_;
   sim::Simulation* sim_;
   sim::TraceRecorder* trace_ = nullptr;
+  sim::Scope* scope_ = nullptr;  // the incarnation start() ran in
 
   sim::Channel<Pending> queue_;
   sim::Condition durable_;
@@ -240,6 +233,8 @@ class MetadataJournal {
   std::uint64_t oldest_seq_ = 0;   // journal head (first non-truncated seq)
   std::uint32_t checkpoint_slot_ = 0;
   std::uint64_t bytes_since_checkpoint_ = 0;
+  bool checkpoint_running_ = false;
+  bool stopped_ = false;
   MetricHandle<Counter> retries_{sim_->metrics(), "bb.md.journal_retries"};
   MetricHandle<Counter> records_{sim_->metrics(), "bb.md.journal_records"};
   MetricHandle<Counter> bytes_{sim_->metrics(), "bb.md.journal_bytes"};
@@ -249,6 +244,8 @@ class MetadataJournal {
   MetricHandle<Counter> checkpoints_{sim_->metrics(), "bb.md.checkpoints"};
   MetricHandle<Counter> checkpoint_bytes_{sim_->metrics(),
                                           "bb.md.checkpoint_bytes"};
+  MetricHandle<Histogram> checkpoint_ns_{sim_->metrics(),
+                                         "bb.md.checkpoint_ns"};
   MetricHandle<Counter> truncated_{sim_->metrics(), "bb.md.journal_truncated"};
 };
 

@@ -50,7 +50,7 @@ sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes) {
       break;
     }
     if (!stall) {
-      sim_->metrics().counter("flowctl.stalls").add();
+      stalls_->add();
       stall.emplace(trace_, "flowctl.stall", "", "flowctl", trace_track_,
                     sim_->current_op());
     }
@@ -60,7 +60,7 @@ sim::Task<sim::SimTime> CapacityController::admit(std::uint64_t bytes) {
   peak_dirty_ = std::max(peak_dirty_, reserved_ + dirty_);
   publish_gauges();
   const sim::SimTime waited = sim_->now() - start;
-  if (stall) sim_->metrics().histogram("flowctl.stall_ns").record(waited);
+  if (stall) stall_ns_->record(waited);
   co_return waited;
 }
 
@@ -157,8 +157,8 @@ void CapacityController::evict_lru_block() {
   clean_lru_.pop_back();
   clean_index_.erase(victim.id);
   clean_ -= std::min(clean_, victim.bytes);
-  sim_->metrics().counter("flowctl.evicted_bytes").add(victim.bytes);
-  sim_->metrics().counter("flowctl.evicted_blocks").add();
+  evicted_bytes_->add(victim.bytes);
+  evicted_blocks_->add();
   evictions_.push(std::move(victim));
   note_usage_changed();
 }
@@ -170,10 +170,9 @@ void CapacityController::note_usage_changed() {
 
 void CapacityController::publish_gauges() {
   if (!enabled()) return;
-  auto& metrics = sim_->metrics();
-  metrics.gauge("bb.dirty_bytes").set(dirty_);
-  metrics.gauge("bb.clean_bytes").set(clean_);
-  metrics.gauge("bb.reserved_bytes").set(reserved_);
+  dirty_gauge_->set(dirty_);
+  clean_gauge_->set(clean_);
+  reserved_gauge_->set(reserved_);
 }
 
 sim::SimTime CapacityController::flush_pace() const noexcept {
@@ -190,12 +189,12 @@ sim::SimTime CapacityController::flush_pace() const noexcept {
 
 void CapacityController::note_flush_begin() {
   if (forced_urgent_) {
-    sim_->metrics().counter("flowctl.urgent_flushes").add();
+    urgent_flushes_->add();
     return;
   }
   if (!enabled()) return;
   if (band(reserved_ + dirty_) >= Pressure::kUrgent) {
-    sim_->metrics().counter("flowctl.urgent_flushes").add();
+    urgent_flushes_->add();
   }
 }
 

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "common/metrics.h"
 #include "common/units.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -218,6 +219,18 @@ class CapacityController {
 
   sim::Channel<CleanBlock> evictions_;
   sim::Condition drained_;
+
+  MetricHandle<Counter> stalls_{sim_->metrics(), "flowctl.stalls"};
+  MetricHandle<Histogram> stall_ns_{sim_->metrics(), "flowctl.stall_ns"};
+  MetricHandle<Counter> evicted_bytes_{sim_->metrics(),
+                                       "flowctl.evicted_bytes"};
+  MetricHandle<Counter> evicted_blocks_{sim_->metrics(),
+                                        "flowctl.evicted_blocks"};
+  MetricHandle<Counter> urgent_flushes_{sim_->metrics(),
+                                        "flowctl.urgent_flushes"};
+  MetricHandle<Gauge> dirty_gauge_{sim_->metrics(), "bb.dirty_bytes"};
+  MetricHandle<Gauge> clean_gauge_{sim_->metrics(), "bb.clean_bytes"};
+  MetricHandle<Gauge> reserved_gauge_{sim_->metrics(), "bb.reserved_bytes"};
 };
 
 // Pacing for background work over the buffer (scrubber passes,

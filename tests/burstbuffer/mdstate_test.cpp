@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "burstbuffer/md_expect.h"
+
 namespace hpcbb::bb {
 namespace {
 
@@ -98,8 +100,8 @@ TEST(MdStateTest, CheckpointInstallRestoresFilesAndCounters) {
                   .is_ok());
   state.recovered_blocks = 2;
   MdState restored{.chunk_size = 1 * MiB};
-  restored.install(state.checkpoint());
-  EXPECT_EQ(restored.checkpoint(), state.checkpoint());
+  ASSERT_TRUE(decode_checkpoint(encode_checkpoint(state), restored).is_ok());
+  expect_same_checkpoint_fields(restored, state);
   EXPECT_EQ(restored.recovered_blocks, 2u);
   EXPECT_EQ(restored.quarantined_blocks, 1u);
   EXPECT_EQ(restored.files.at("/f").create_token, 9u);
