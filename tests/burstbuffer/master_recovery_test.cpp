@@ -5,10 +5,18 @@
 // replicated KV tier (R=2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "testing/co_assert.h"
 #include "common/units.h"
 #include "cluster/cluster.h"
+#include "kvstore/store.h"
+#include "mapred/workloads.h"
 #include "sim/sync.h"
+#include "sim/trace.h"
 
 namespace hpcbb {
 namespace {
@@ -17,6 +25,7 @@ using namespace hpcbb::duration;  // NOLINT
 using cluster::Cluster;
 using cluster::ClusterConfig;
 using cluster::FsKind;
+using sim::SimTime;
 using sim::Task;
 
 // Small cluster with metadata journaling armed. Checkpoints are off by
@@ -215,6 +224,100 @@ TEST(MasterRecoveryTest, SizeTriggeredCheckpointsBoundReplayAndStopWithIt) {
   EXPECT_EQ(cluster.bb_master().lost_blocks(), 0u);
   EXPECT_EQ(cluster.sim().metrics().counter_value("bb.md.recovery_errors"),
             0u);
+}
+
+TEST(MasterRecoveryTest, SizeTriggerBoundsTheJournalBetweenCheckpoints) {
+  // experiment_runner fs=bb block.size=8m files=4 file.size=16m
+  // bb.md.journal=true bb.md.journal_max_bytes=256: records keep landing
+  // while each checkpoint is written, past its snapshot horizon. Those
+  // records stay in the journal after the checkpoint, so their bytes still
+  // count toward the next size trigger. Between checkpoints the journal,
+  // which then holds exactly the records since the last checkpoint, never
+  // exceeds journal_max_bytes plus one record. While a checkpoint runs no
+  // second one may start, so the bound is checked outside md.checkpoint
+  // spans.
+  ClusterConfig config;
+  config.block_size = 8 * MiB;
+  config.bb_md.journal = true;
+  config.bb_md.journal_max_bytes = 256;
+  Cluster cluster(config);
+  sim::TraceRecorder trace(cluster.sim());
+  cluster.bb_master().set_trace(&trace);
+  std::vector<std::pair<SimTime, SimTime>> checkpoints;
+  trace.set_span_sink([&checkpoints](const sim::TraceSpan& s) {
+    if (s.name == "md.checkpoint") checkpoints.emplace_back(s.begin_ns, s.end_ns);
+  });
+
+  struct Sample {
+    SimTime at;
+    std::uint64_t journal_bytes;
+  };
+  std::vector<Sample> samples;
+  std::uint64_t largest_record = 0;
+  bool done = false;
+  // Sums the journal records the KV tier holds, every 10 us.
+  cluster.sim().spawn([](Cluster& c, std::vector<Sample>& out,
+                         std::uint64_t& largest, const bool& stop) -> Task<void> {
+    std::uint64_t oldest = 0;  // truncation only moves the head forward
+    while (!stop) {
+      const std::uint64_t durable =
+          c.sim().metrics().counter_value("bb.md.journal_records");
+      std::uint64_t bytes = 0;
+      for (std::uint64_t seq = oldest; seq < durable; ++seq) {
+        const std::string key = std::string(kv::kReservedMetaPrefix) +
+                                "bb:j:" + std::to_string(seq);
+        std::uint64_t size = 0;
+        bool held = false;
+        for (std::uint32_t i = 0; i < c.kv_server_count(); ++i) {
+          auto value = c.kv_server(i).store().get_verified(key);
+          if (!value.is_ok()) continue;
+          size = value.value().value.length;
+          held = true;
+        }
+        if (!held && bytes == 0) oldest = seq + 1;
+        bytes += size;
+        largest = std::max(largest, size);
+      }
+      out.push_back({c.sim().now(), bytes});
+      co_await c.sim().delay(10 * us);
+    }
+  }(cluster, samples, largest_record, done));
+
+  bool written = false;
+  cluster.sim().spawn([](Cluster& c, bool& ok, bool& stop) -> Task<void> {
+    mapred::DfsioParams dfsio;
+    dfsio.files = 4;
+    dfsio.file_size = 16 * MiB;
+    auto w = co_await mapred::dfsio_write(c.filesystem(FsKind::kBurstBuffer),
+                                          c.hub_for(FsKind::kBurstBuffer),
+                                          c.compute_nodes(), dfsio);
+    CO_ASSERT(w.is_ok());
+    co_await c.bb_master().wait_all_flushed();
+    co_await c.sim().delay(5 * ms);  // the last records become durable
+    c.bb_master().stop_heartbeat();
+    ok = true;
+    stop = true;
+  }(cluster, written, done));
+  cluster.sim().run();
+  ASSERT_TRUE(written);
+  ASSERT_GE(checkpoints.size(), 3u);
+  ASSERT_GT(largest_record, 0u);
+
+  std::size_t between = 0;
+  Sample largest{0, 0};
+  for (const Sample& sample : samples) {
+    const bool in_checkpoint = std::any_of(
+        checkpoints.begin(), checkpoints.end(), [&](const auto& span) {
+          return span.first <= sample.at && sample.at <= span.second;
+        });
+    if (in_checkpoint) continue;
+    ++between;
+    if (sample.journal_bytes > largest.journal_bytes) largest = sample;
+  }
+  EXPECT_GE(between, samples.size() / 4);
+  EXPECT_LE(largest.journal_bytes,
+            config.bb_md.journal_max_bytes + largest_record)
+      << "at " << largest.at << " ns";
 }
 
 TEST(MasterRecoveryTest, DoubleCrashDuringRecoveryStillConverges) {
