@@ -343,6 +343,7 @@ sim::Task<void> MetadataJournal::writer_loop() {
     }
     durable_next_ = pending.seq + 1;
     bytes_since_checkpoint_ += record_bytes;
+    if (pending.seq >= horizon_seq_) bytes_past_horizon_ += record_bytes;
     records_->add();
     bytes_->add(record_bytes);
     append_ns_->record(sim_->now() - start);
@@ -350,6 +351,7 @@ sim::Task<void> MetadataJournal::writer_loop() {
     // span covering queue wait + durability, and two overlapping spans
     // would double-charge the md layer.
     durable_.notify_all();
+    maybe_checkpoint();
   }
 }
 
@@ -361,13 +363,11 @@ sim::Task<void> MetadataJournal::append(MdRecord record) {
     queue_.push(Pending{seq, encode_record(record)});
     while (durable_next_ <= seq) co_await durable_.wait();
   }
-  maybe_checkpoint();
 }
 
 void MetadataJournal::append_async(MdRecord record) {
   const std::uint64_t seq = next_seq_++;
   queue_.push(Pending{seq, encode_record(record)});
-  maybe_checkpoint();
 }
 
 void MetadataJournal::crash() {
@@ -413,10 +413,14 @@ sim::Task<void> MetadataJournal::run_checkpoint() {
     // Snapshot and watermark in one synchronous segment: the snapshot then
     // reflects exactly the mutations journaled as records [0, upto).
     const std::uint64_t upto = next_seq_;
+    horizon_seq_ = upto;
+    bytes_past_horizon_ = 0;
     co_await write_checkpoint(encode_checkpoint(*state_), upto);
   }
   checkpoint_running_ = false;
   checkpoint_ns_->record(sim_->now() - start);
+  // The records that landed meanwhile may already fill the journal.
+  maybe_checkpoint();
 }
 
 sim::Task<std::uint64_t> MetadataJournal::recover(MdState& state) {
@@ -462,6 +466,7 @@ sim::Task<std::uint64_t> MetadataJournal::recover(MdState& state) {
   // Journal tail: the writer serializes appends in seq order, so the first
   // missing key is the end of the durable, hole-free prefix.
   std::vector<MdRecord> tail;
+  std::uint64_t tail_bytes = 0;
   for (std::uint64_t seq = replay_from;; ++seq) {
     Result<BytesPtr> raw = co_await kv_->get(journal_key(seq));
     if (!raw.is_ok()) {
@@ -474,6 +479,7 @@ sim::Task<std::uint64_t> MetadataJournal::recover(MdState& state) {
       break;
     }
     tail.push_back(std::move(record).value());
+    tail_bytes += raw.value()->size();
   }
 
   if (!checkpoint.empty() && !decode_checkpoint(checkpoint, state).is_ok()) {
@@ -487,6 +493,7 @@ sim::Task<std::uint64_t> MetadataJournal::recover(MdState& state) {
   next_seq_ = replay_from + tail.size();
   durable_next_ = next_seq_;
   oldest_seq_ = replay_from;
+  bytes_since_checkpoint_ = tail_bytes;
   co_return tail.size();
 }
 
@@ -524,10 +531,12 @@ sim::Task<void> MetadataJournal::write_checkpoint(Bytes snapshot,
   checkpoints_->add();
   checkpoint_bytes_->add(snapshot_bytes);
 
-  // The control record is durable: every record below upto_seq is subsumed.
+  // The control record is durable: every record below upto_seq is subsumed,
+  // and the journal since this checkpoint holds the records that landed
+  // past it while the parts were written.
   const std::uint64_t truncate_from = oldest_seq_;
   oldest_seq_ = upto_seq;
-  bytes_since_checkpoint_ = 0;
+  bytes_since_checkpoint_ = bytes_past_horizon_;
   for (std::uint64_t seq = truncate_from; seq < upto_seq; ++seq) {
     // A crash here leaves it partially truncated, which is fine:
     // re-erasing on the next checkpoint is idempotent, and recovery never

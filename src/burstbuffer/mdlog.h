@@ -203,7 +203,8 @@ class MetadataJournal {
   };
 
   sim::Task<void> writer_loop();
-  // Start a checkpoint once the journal outgrows journal_max_bytes.
+  // Start a checkpoint once the journal outgrows journal_max_bytes. The
+  // writer calls it as each record lands, and run_checkpoint() as it ends.
   void maybe_checkpoint();
   sim::Task<void> checkpoint_worker();
   // Single-flight: snapshot the state, then write_checkpoint().
@@ -232,7 +233,13 @@ class MetadataJournal {
   std::uint64_t durable_next_ = 0;  // all seqs < this are durable
   std::uint64_t oldest_seq_ = 0;   // journal head (first non-truncated seq)
   std::uint32_t checkpoint_slot_ = 0;
+  // Durable bytes of the records at or past oldest_seq_: the journal since
+  // the last checkpoint.
   std::uint64_t bytes_since_checkpoint_ = 0;
+  // The running checkpoint's snapshot horizon, and the durable bytes of the
+  // records at or past it: the journal since that checkpoint once it lands.
+  std::uint64_t horizon_seq_ = 0;
+  std::uint64_t bytes_past_horizon_ = 0;
   bool checkpoint_running_ = false;
   bool stopped_ = false;
   MetricHandle<Counter> retries_{sim_->metrics(), "bb.md.journal_retries"};

@@ -187,6 +187,12 @@ TEST(MasterRecoveryTest, SizeTriggeredCheckpointsBoundReplayAndStopWithIt) {
     co_await write_file(c, "/b", 102, 16 * MiB);
     co_await c.bb_master().wait_all_flushed();
     co_await c.sim().delay(5 * ms);  // the last records become durable
+    // The last checkpoint may subsume every record; an empty file leaves a
+    // tail below the trigger for the crash to replay.
+    auto empty = co_await c.filesystem(FsKind::kBurstBuffer).create("/e", 0);
+    CO_ASSERT(empty.is_ok());
+    CO_ASSERT_OK(co_await empty.value()->close());
+    co_await c.sim().delay(5 * ms);
     CO_ASSERT(metrics.counter_value("bb.md.checkpoints") >= 2u);
     const std::uint64_t truncated =
         metrics.counter_value("bb.md.journal_truncated");
@@ -198,7 +204,7 @@ TEST(MasterRecoveryTest, SizeTriggeredCheckpointsBoundReplayAndStopWithIt) {
     co_await c.sim().delay(5 * ms);
     c.injector().restart_master_target(0);
     co_await c.bb_master().wait_recovered();
-    CO_ASSERT(c.bb_master().recovered_files() == 2u);
+    CO_ASSERT(c.bb_master().recovered_files() == 3u);
     // Exactly the records no checkpoint subsumed.
     CO_ASSERT(c.bb_master().replayed_records() == records - truncated);
     co_await c.bb_master().wait_all_flushed();
