@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/crc32c_internal.h"
 #include "common/rng.h"
+#include "common/units.h"
 
 namespace hpcbb {
 namespace {
@@ -47,8 +49,8 @@ TEST(Crc32cTest, SensitiveToSingleBitFlip) {
   }
 }
 
-// Bit-at-a-time CRC32C straight from the polynomial: the reference both
-// implementation paths are compared against.
+// Bit-at-a-time CRC32C straight from the polynomial: the reference every
+// implementation path is compared against.
 std::uint32_t crc32c_bitwise(std::uint32_t crc, const std::uint8_t* p,
                              std::size_t n) {
   crc = ~crc;
@@ -64,30 +66,70 @@ std::uint32_t crc32c_bitwise(std::uint32_t crc, const std::uint8_t* p,
 using Crc32cFn = std::uint32_t (*)(std::uint32_t, const void*,
                                    std::size_t) noexcept;
 
-// Checks `fn` against the bitwise reference on every length up to
-// 3 * kStride + 64 (past the first three-stream block) at start alignments
-// 0..15, from random initial CRCs, and chained across the stride boundary.
+// One implementation path of crc32c.
+struct Crc32cPath {
+  const char* name;
+  Crc32cFn fn;
+};
+
+// Every path this CPU can run: the table one always, the crc32 instruction
+// and the folding path where the CPU has them. The names go to the test
+// log and its XML report, so a CI log shows which paths were tested.
+std::vector<Crc32cPath> supported_paths() {
+  std::vector<Crc32cPath> paths = {{"table", &crc32c_detail::crc32c_table}};
+  std::string names = "table";
+  if (crc32c_detail::crc32c_hw_supported()) {
+    paths.push_back({"sse4.2", &crc32c_detail::crc32c_hw});
+    names += " sse4.2";
+  }
+  if (crc32c_detail::crc32c_fold_supported()) {
+    paths.push_back({"vpclmulqdq", &crc32c_detail::crc32c_fold});
+    names += " vpclmulqdq";
+  }
+  std::cout << "crc32c paths tested: " << names << std::endl;
+  ::testing::Test::RecordProperty("crc32c_paths", names);
+  return paths;
+}
+
+// Checks `fn` against the bitwise reference from a random initial CRC at
+// every start offset 0..63: over every length up to 1100 (the folding
+// path's first blocks and ragged tails), over 4 KiB + 13 and 1 MiB + 7
+// (many folding blocks and three-stream strides), and chained at every
+// 64-byte boundary +-1 inside the first 2 KiB and across the three-stream
+// stride, as verify_chunks chains across pieces.
 void expect_matches_reference(Crc32cFn fn) {
-  constexpr std::size_t kMaxLen = 3 * crc32c_detail::kStride + 64;
+  constexpr std::size_t kMaxExhaustive = 1100;
+  constexpr std::size_t kLong[] = {4 * KiB + 13, 1 * MiB + 7};
+  std::vector<std::size_t> cuts;
+  for (std::size_t boundary = 64; boundary < 2 * KiB; boundary += 64) {
+    cuts.insert(cuts.end(), {boundary - 1, boundary, boundary + 1});
+  }
+  cuts.insert(cuts.end(), {crc32c_detail::kStride - 1,
+                           3 * crc32c_detail::kStride - 8,
+                           3 * crc32c_detail::kStride,
+                           3 * crc32c_detail::kStride + 3});
   Rng rng(2024);
-  std::vector<std::uint8_t> buf(kMaxLen + 16);
+  std::vector<std::uint8_t> buf(kLong[1] + 64);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
-  for (std::size_t align = 0; align < 16; ++align) {
-    const std::uint8_t* p = buf.data() + align;
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
     const auto init = static_cast<std::uint32_t>(rng.next());
     // The reference for length n+1 extends the one for length n by a byte.
     std::uint32_t ref = init;
-    for (std::size_t n = 0; n <= kMaxLen; ++n) {
-      ASSERT_EQ(fn(init, p, n), ref) << "align " << align << " len " << n;
-      if (n < kMaxLen) ref = crc32c_bitwise(ref, p + n, 1);
+    for (std::size_t n = 0; n <= kMaxExhaustive; ++n) {
+      ASSERT_EQ(fn(init, p, n), ref) << "offset " << offset << " len " << n;
+      ref = crc32c_bitwise(ref, p + n, 1);
     }
-    for (const std::size_t cut : {std::size_t{1}, crc32c_detail::kStride - 1,
-                                  3 * crc32c_detail::kStride - 8,
-                                  3 * crc32c_detail::kStride,
-                                  3 * crc32c_detail::kStride + 3}) {
-      const std::uint32_t head = fn(init, p, cut);
-      EXPECT_EQ(fn(head, p + cut, kMaxLen - cut), ref)
-          << "align " << align << " cut " << cut;
+    for (const std::size_t len : kLong) {
+      const std::uint32_t whole = crc32c_bitwise(init, p, len);
+      ASSERT_EQ(fn(init, p, len), whole) << "offset " << offset << " len "
+                                         << len;
+      if (len != kLong[0]) continue;
+      for (const std::size_t cut : cuts) {
+        const std::uint32_t head = fn(init, p, cut);
+        ASSERT_EQ(fn(head, p + cut, len - cut), whole)
+            << "offset " << offset << " cut " << cut;
+      }
     }
   }
 }
@@ -103,8 +145,38 @@ TEST(Crc32cTest, HardwarePathMatchesBitwiseReference) {
   expect_matches_reference(&crc32c_detail::crc32c_hw);
 }
 
+TEST(Crc32cTest, FoldingPathMatchesBitwiseReference) {
+  if (!crc32c_detail::crc32c_fold_supported()) {
+    GTEST_SKIP() << "CPU has no AVX-512 VPCLMULQDQ";
+  }
+  expect_matches_reference(&crc32c_detail::crc32c_fold);
+}
+
+TEST(Crc32cTest, FoldConstantsMatchPublishedValues) {
+  // Bit-reflected x^(8D+31) and x^(8D-33) mod P, the multipliers the
+  // CRC32C folding kernels in the literature use for these distances.
+  struct Row {
+    std::size_t distance;
+    std::uint32_t low;
+    std::uint32_t high;
+  };
+  constexpr Row kRows[] = {{256, 0xdcb17aa4u, 0xb9e02b86u},
+                           {64, 0x740eef02u, 0x9e4addf8u},
+                           {48, 0x1c291d04u, 0xddc0152bu},
+                           {32, 0x3da6d0cbu, 0xba4fc28eu},
+                           {16, 0xf20c0dfeu, 0x493c7d27u}};
+  for (const Row& row : kRows) {
+    const crc32c_detail::FoldConstants k =
+        crc32c_detail::fold_constants(row.distance);
+    EXPECT_EQ(k.low, row.low) << "distance " << row.distance;
+    EXPECT_EQ(k.high, row.high) << "distance " << row.distance;
+  }
+}
+
 TEST(Crc32cTest, PathsAgreeOnLargeRandomBuffers) {
-  // Many three-stream blocks plus a ragged tail, at random offsets.
+  // Many folding blocks and three-stream strides plus a ragged tail, at
+  // random offsets, on every path this CPU has.
+  const std::vector<Crc32cPath> paths = supported_paths();
   Rng rng(7);
   std::vector<std::uint8_t> buf(256 * 1024 + 77);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
@@ -115,8 +187,8 @@ TEST(Crc32cTest, PathsAgreeOnLargeRandomBuffers) {
     const std::uint32_t table =
         crc32c_detail::crc32c_table(init, buf.data() + off, len);
     EXPECT_EQ(crc32c(init, buf.data() + off, len), table);
-    if (crc32c_detail::crc32c_hw_supported()) {
-      EXPECT_EQ(crc32c_detail::crc32c_hw(init, buf.data() + off, len), table);
+    for (const Crc32cPath& path : paths) {
+      EXPECT_EQ(path.fn(init, buf.data() + off, len), table) << path.name;
     }
   }
 }
