@@ -251,7 +251,9 @@ TEST(MasterRecoveryTest, SizeTriggerBoundsTheJournalBetweenCheckpoints) {
   cluster.bb_master().set_trace(&trace);
   std::vector<std::pair<SimTime, SimTime>> checkpoints;
   trace.set_span_sink([&checkpoints](const sim::TraceSpan& s) {
-    if (s.name == "md.checkpoint") checkpoints.emplace_back(s.begin_ns, s.end_ns);
+    if (s.name == "md.checkpoint") {
+      checkpoints.emplace_back(s.begin_ns, s.end_ns);
+    }
   });
 
   struct Sample {
@@ -263,7 +265,8 @@ TEST(MasterRecoveryTest, SizeTriggerBoundsTheJournalBetweenCheckpoints) {
   bool done = false;
   // Sums the journal records the KV tier holds, every 10 us.
   cluster.sim().spawn([](Cluster& c, std::vector<Sample>& out,
-                         std::uint64_t& largest, const bool& stop) -> Task<void> {
+                         std::uint64_t& largest,
+                         const bool& stop) -> Task<void> {
     std::uint64_t oldest = 0;  // truncation only moves the head forward
     while (!stop) {
       const std::uint64_t durable =
