@@ -19,6 +19,7 @@
 // whole chaos schedule is deterministic in faults.seed.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -609,9 +610,14 @@ HealthOutcome run_health(const ClusterConfig& config, const Properties& slo,
                  params.status().to_string().c_str());
     return out;
   }
+  // The harness is declared before the cluster and so outlives it: tasks
+  // still suspended when the run ends close their spans into its recorder
+  // as the cluster's simulation destroys them.
+  std::optional<HealthHarness> harness_storage;
   Cluster cluster(config);
   const SimTime interval = k.smoke ? 2 * duration::ms : 10 * duration::ms;
-  HealthHarness harness(cluster, std::move(params).value(), interval);
+  HealthHarness& harness = harness_storage.emplace(
+      cluster, std::move(params).value(), interval);
   Outcome outcome;
   harness.sampler.start();
   hpcbb::bench::run_to_completion(

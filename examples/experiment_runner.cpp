@@ -16,6 +16,7 @@
 #include <string>
 
 #include <memory>
+#include <optional>
 
 #include "cluster/cluster.h"
 #include "cluster/config.h"
@@ -63,12 +64,9 @@ int main(int argc, char** argv) {
   const FsKind kind = options.fs;
   const mapred::DfsioParams& workload = options.workload;
 
-  Cluster cluster(config);
-  sim::TraceRecorder trace(cluster.sim());
-  cluster.bb_master().set_trace(&trace);
-  // Simulation-wide trace hook: every instrumented layer (hdfs, kv, lustre,
-  // bb, mapred) emits causally-linked spans into the same recorder.
-  cluster.sim().set_trace(&trace);
+  // The recorder and the span consumers its sink feeds are declared before
+  // the cluster and so outlive it: tasks still suspended when the run ends
+  // close their spans as the cluster's simulation destroys them.
   // Latency attribution: consume op-tagged spans as they close and build
   // per-op critical-path breakdowns for the report's "attribution" section.
   obs::SpanAccountant attribution(options.attr_topk);
@@ -76,6 +74,14 @@ int main(int argc, char** argv) {
   // the monitor rides the sampler tick and the recorder rides the span
   // sink, so an unconfigured run schedules zero extra events.
   std::unique_ptr<obs::FlightRecorder> flightrec;
+  std::optional<sim::TraceRecorder> recorder;
+
+  Cluster cluster(config);
+  sim::TraceRecorder& trace = recorder.emplace(cluster.sim());
+  cluster.bb_master().set_trace(&trace);
+  // Simulation-wide trace hook: every instrumented layer (hdfs, kv, lustre,
+  // bb, mapred) emits causally-linked spans into the same recorder.
+  cluster.sim().set_trace(&trace);
   std::unique_ptr<obs::HealthMonitor> health;
   if (!health_params.value().rules.empty()) {
     flightrec = std::make_unique<obs::FlightRecorder>(

@@ -7,6 +7,15 @@
 
 namespace hpcbb::mapred {
 
+namespace {
+
+// Reduce input the host may fold ahead of the simulation. A started reduce
+// holds its output, about its input's size for a sort, until the
+// simulation joins it; past this budget, reduces wait to start.
+constexpr std::uint64_t kReduceBytesAhead = 256 * MiB;
+
+}  // namespace
+
 JobRunner::JobRunner(net::RpcHub& hub, fs::FileSystem& filesystem,
                      std::vector<net::NodeId> compute_nodes,
                      const MrParams& params)
@@ -122,6 +131,7 @@ sim::Task<void> JobRunner::map_worker(Job& job, RunState& state,
     const std::uint64_t chunk_bytes =
         std::max(rs, params_.io_chunk_bytes / rs * rs);
     partitions.assign(nparts, Bytes{});
+    job.begin_split(split, partitions);
     for (std::uint64_t off = 0; off < split.length; off += chunk_bytes) {
       const std::uint64_t len = std::min(chunk_bytes, split.length - off);
       auto chunk = co_await reader.value()->read(split.offset + off, len);
@@ -129,8 +139,13 @@ sim::Task<void> JobRunner::map_worker(Job& job, RunState& state,
         if (state.first_error.is_ok()) state.first_error = chunk.status();
         co_return;
       }
+      // The chunk is mapped on the pool while its compute is charged, and
+      // the partitions are touched again only after the join.
+      HostTask<void> mapped = pool_.submit([&job, &split, &chunk, &partitions] {
+        job.map_chunk(split, chunk.value(), partitions);
+      });
       co_await charge_compute(node, job.map_cpu_ns(len));
-      job.map_chunk(split, chunk.value(), partitions);
+      mapped.join();
       state.stats.input_bytes += len;
     }
 
@@ -140,6 +155,33 @@ sim::Task<void> JobRunner::map_worker(Job& job, RunState& state,
     for (auto& part : partitions) {
       output.parts.push_back(make_bytes(std::move(part)));
     }
+  }
+}
+
+void JobRunner::start_reduce(Job& job, RunState& state,
+                             std::uint32_t reducer) {
+  HostReduce& host = state.reduces[reducer];
+  state.waiting.erase({host.join_at, reducer});
+  state.bytes_ahead += host.bytes;
+  // The task holds the only references to the reducer's parts and drops
+  // them as soon as the reduce returns, so its input is freed on the host
+  // as soon as it is folded.
+  host.task.emplace(pool_.submit(
+      [&job, reducer, parts = std::move(host.parts)]() mutable {
+        Result<Bytes> folded = job.reduce(reducer, parts);
+        parts = {};
+        return folded;
+      }));
+}
+
+void JobRunner::start_waiting_reduces(Job& job, RunState& state) {
+  while (!state.waiting.empty()) {
+    const std::uint32_t next = state.waiting.begin()->second;
+    if (state.bytes_ahead > 0 &&
+        state.bytes_ahead + state.reduces[next].bytes > kReduceBytesAhead) {
+      return;
+    }
+    start_reduce(job, state, next);
   }
 }
 
@@ -166,12 +208,26 @@ sim::Task<void> JobRunner::reduce_task(Job& job, RunState& state,
     parts.push_back(part);
   }
 
-  co_await charge_compute(node, job.reduce_cpu_ns(input_bytes));
-  Result<Bytes> folded = job.reduce(reducer, parts);
-  parts.clear();
+  // The reduce runs on the pool while its compute is charged, and the
+  // simulation joins it when the charge ends.
+  const std::uint64_t cpu_ns = job.reduce_cpu_ns(input_bytes);
+  const sim::BandwidthQueue& cpu = *compute_.at(node);
+  HostReduce& host = state.reduces[reducer];
+  host.parts = std::move(parts);
+  host.bytes = input_bytes;
+  host.join_at = hub_->transport().fabric().simulation().now() +
+                 cpu.backlog_ns() + cpu.service_time(cpu_ns);
+  state.waiting.emplace(host.join_at, reducer);
+  start_waiting_reduces(job, state);
   for (MapOutput& output : state.outputs) {
     if (reducer < output.parts.size()) output.parts[reducer].reset();
   }
+  co_await charge_compute(node, cpu_ns);
+  if (!host.task) start_reduce(job, state, reducer);
+  Result<Bytes> folded = host.task->join();
+  host.task.reset();
+  state.bytes_ahead -= host.bytes;
+  start_waiting_reduces(job, state);
   if (!folded.is_ok()) {
     if (state.first_error.is_ok()) state.first_error = folded.status();
     co_return;
@@ -231,6 +287,7 @@ sim::Task<Result<JobStats>> JobRunner::run(
   state.stats.reducers = reducers;
   if (reducers > 0) {
     const sim::SimTime reduce_started = sim.now();
+    state.reduces.resize(reducers);
     std::size_t reduce_span = 0;
     if (sim.trace() != nullptr) {
       reduce_span = sim.trace()->begin("reduce_phase", "mapred", 0, op_id);

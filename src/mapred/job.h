@@ -9,10 +9,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/host_pool.h"
 #include "net/rpc.h"
 #include "sim/sync.h"
 #include "storage/filesystem.h"
@@ -29,12 +33,31 @@ struct InputSplit {
 
 // A MapReduce job: chunk-streamed map with partitioned output, and a
 // per-partition reduce. Map-only jobs return num_reducers() == 0.
+//
+// map_chunk and reduce run on the runner's host threads, concurrently with
+// other calls of the same job and with the simulation. They must touch
+// neither the simulation, nor the metrics, nor job members another call
+// shares: a call reads its arguments and writes its `out` or its result,
+// plus at most state that belongs to its own reducer. The engine joins each
+// call before it uses the result, at the simulated instant a serial run
+// would have made the call. Every other member runs on the simulation
+// thread.
 class Job {
  public:
   virtual ~Job() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual std::uint32_t num_reducers() const = 0;
+
+  // Called with a split's empty partitions before its first map_chunk. A
+  // job whose output grows with its input reserves the partitions here:
+  // memory the simulation thread allocates returns to its own malloc arena
+  // once the reduces free it, where the simulation's writes reuse it, while
+  // a host thread's allocations stay in that thread's arena.
+  virtual void begin_split(const InputSplit& split, std::vector<Bytes>& out) {
+    (void)split;
+    (void)out;
+  }
 
   // Consume one chunk of a split; append emitted bytes to out[partition].
   virtual void map_chunk(const InputSplit& split,
@@ -43,8 +66,7 @@ class Job {
 
   // Fold one reducer's map partitions into the final bytes written to
   // <output>/part-<r>. `parts` are the non-empty partitions in map-output
-  // order, shared read-only with the map side; the engine frees them once
-  // the reduce returns.
+  // order, read-only; the engine frees them as soon as the reduce returns.
   virtual Result<Bytes> reduce(std::uint32_t reducer,
                                std::span<const BytesPtr> parts) = 0;
 
@@ -109,11 +131,27 @@ class JobRunner {
     net::NodeId node = 0;          // where the map ran (shuffle source)
     std::vector<BytesPtr> parts;   // one per reducer, dropped once it ran
   };
+  // One reducer's fold on the host: its map parts until it starts, then
+  // the pool task that owns them until the simulation joins it at
+  // `join_at`, the end of its compute charge.
+  struct HostReduce {
+    std::vector<BytesPtr> parts;
+    std::uint64_t bytes = 0;  // of the parts
+    sim::SimTime join_at = 0;
+    std::optional<HostTask<Result<Bytes>>> task;
+  };
   struct RunState {
     std::vector<InputSplit> pending;
     std::vector<MapOutput> outputs;  // by split index
     JobStats stats;
     Status first_error;
+    // A started reduce holds its whole output until it is joined, so the
+    // reduces running ahead of the simulation are bounded by their input
+    // bytes. The others wait here and start in the order the simulation
+    // will join them.
+    std::vector<HostReduce> reduces;  // by reducer
+    std::set<std::pair<sim::SimTime, std::uint32_t>> waiting;
+    std::uint64_t bytes_ahead = 0;
   };
 
   sim::Task<Status> build_splits(const std::vector<std::string>& inputs,
@@ -124,6 +162,8 @@ class JobRunner {
   sim::Task<void> reduce_task(Job& job, RunState& state, std::uint32_t reducer,
                               net::NodeId node,
                               const std::string& output_prefix);
+  void start_reduce(Job& job, RunState& state, std::uint32_t reducer);
+  void start_waiting_reduces(Job& job, RunState& state);
   sim::Task<void> charge_compute(net::NodeId node, std::uint64_t cpu_ns);
 
   net::RpcHub* hub_;
@@ -132,6 +172,9 @@ class JobRunner {
   MrParams params_;
   // Per-node compute capacity: a work-conserving queue at cores x 1 ns/ns.
   std::map<net::NodeId, std::unique_ptr<sim::BandwidthQueue>> compute_;
+  // Runs map_chunk and reduce calls off the simulation thread. Declared
+  // last, so it is joined before anything else of the runner goes.
+  HostPool pool_;
 };
 
 }  // namespace hpcbb::mapred

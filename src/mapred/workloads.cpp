@@ -189,6 +189,14 @@ sim::Task<Result<GenerateResult>> generate_records_input(
 
 // ---- SortJob ----------------------------------------------------------------
 
+void SortJob::begin_split(const InputSplit& split, std::vector<Bytes>& out) {
+  // Each bucket's share of the split plus 1/16, so most buckets allocate
+  // once per split instead of doubling their way up.
+  const std::uint64_t share =
+      split.length / reducers_ / kRecordSize * 17 / 16 * kRecordSize;
+  for (Bytes& bucket : out) bucket.reserve(share);
+}
+
 void SortJob::map_chunk(const InputSplit& split,
                         std::span<const std::uint8_t> data,
                         std::vector<Bytes>& out) {
@@ -218,8 +226,9 @@ void SortJob::map_chunk(const InputSplit& split,
 namespace {
 
 // One record's sort key: `hi` is key bytes 0-7 big-endian; `lo` is key bytes
-// 8-9 above the record's input position, so (hi, lo) order is key order with
-// ties broken by position, a stable sort.
+// 8-9, then the record's part and its index in that part. (hi, lo) order is
+// key order with ties broken by input position, a stable sort, and `lo`
+// alone locates the record.
 struct SortEntry {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -228,6 +237,7 @@ struct SortEntry {
   }
 };
 static_assert(kKeySize == 10);
+constexpr std::size_t kMaxSortParts = std::size_t{1} << 16;
 
 }  // namespace
 
@@ -241,24 +251,25 @@ Result<Bytes> SortJob::reduce(std::uint32_t reducer,
     }
     count += part->size() / kRecordSize;
   }
-  if (count > std::numeric_limits<std::uint32_t>::max()) {
+  if (count > std::numeric_limits<std::uint32_t>::max() ||
+      parts.size() > kMaxSortParts) {
     return error(StatusCode::kInvalidArgument,
-                 "sort reducer input exceeds 2^32 records");
+                 "sort reducer input exceeds 2^32 records or 2^16 parts");
   }
 
-  std::vector<const std::uint8_t*> records;
+  // 16 bytes of scratch per record: the entries are bucketed in place and
+  // the records are found again through `lo`.
   std::vector<SortEntry> entries;
-  records.reserve(count);
   entries.reserve(count);
-  for (const BytesPtr& part : parts) {
-    for (std::uint64_t off = 0; off < part->size(); off += kRecordSize) {
-      const std::uint8_t* key = part->data() + off;
+  for (std::uint64_t p = 0; p < parts.size(); ++p) {
+    const Bytes& part = *parts[p];
+    for (std::uint64_t i = 0; i < part.size() / kRecordSize; ++i) {
+      const std::uint8_t* key = part.data() + i * kRecordSize;
       std::uint64_t hi = 0;
       for (std::uint64_t b = 0; b < 8; ++b) hi = (hi << 8) | key[b];
-      const std::uint64_t lo = (std::uint64_t{key[8]} << 40) |
-                               (std::uint64_t{key[9]} << 32) | records.size();
+      const std::uint64_t lo = (std::uint64_t{key[8]} << 56) |
+                               (std::uint64_t{key[9]} << 48) | (p << 32) | i;
       entries.push_back(SortEntry{hi, lo});
-      records.push_back(key);
     }
   }
 
@@ -274,23 +285,32 @@ Result<Bytes> SortJob::reduce(std::uint32_t reducer,
   std::vector<std::uint32_t> start(0x10001, 0);
   for (const SortEntry& e : entries) ++start[bucket_of(e) + 1];
   for (std::uint32_t b = 1; b <= 0x10000; ++b) start[b] += start[b - 1];
-  std::vector<SortEntry> sorted(count);
   {
+    // American flag sort: carry each misplaced entry to the next free slot
+    // of its bucket, displacing the entry there, until one belongs here.
     std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
-    for (const SortEntry& e : entries) sorted[next[bucket_of(e)]++] = e;
+    for (std::uint32_t b = 0; b < 0x10000; ++b) {
+      while (next[b] < start[b + 1]) {
+        SortEntry e = entries[next[b]];
+        for (std::uint32_t t = bucket_of(e); t != b; t = bucket_of(e)) {
+          std::swap(e, entries[next[t]++]);
+        }
+        entries[next[b]++] = e;
+      }
+    }
   }
-  entries = {};
   for (std::uint32_t b = 0; b < 0x10000; ++b) {
     if (start[b + 1] - start[b] > 1) {
-      std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(start[b]),
-                sorted.begin() + static_cast<std::ptrdiff_t>(start[b + 1]));
+      std::sort(entries.begin() + static_cast<std::ptrdiff_t>(start[b]),
+                entries.begin() + static_cast<std::ptrdiff_t>(start[b + 1]));
     }
   }
 
   Bytes out;
   out.reserve(count * kRecordSize);
-  for (const SortEntry& e : sorted) {
-    const std::uint8_t* rec = records[e.lo & 0xFFFFFFFFu];
+  for (const SortEntry& e : entries) {
+    const std::uint8_t* rec = parts[(e.lo >> 32) & 0xFFFF]->data() +
+                              (e.lo & 0xFFFFFFFFu) * kRecordSize;
     out.insert(out.end(), rec, rec + kRecordSize);
   }
   return out;
@@ -334,7 +354,7 @@ Result<Bytes> GrepJob::reduce(std::uint32_t reducer,
       total += load_le(part->data() + off);
     }
   }
-  total_matches_ = total;
+  total_matches_ = total;  // the job's only reducer owns it
   Bytes out;
   const std::string text = "matches=" + std::to_string(total) + "\n";
   out.assign(text.begin(), text.end());
@@ -382,12 +402,14 @@ Result<Bytes> ByteHistogramJob::reduce(std::uint32_t reducer,
   }
   const auto [first, last] = bin_range(reducer);
   Bytes out;
+  std::uint64_t total = 0;
   for (std::uint32_t bin = first; bin < last; ++bin) {
     const std::string line =
         std::to_string(bin) + "\t" + std::to_string(bins[bin]) + "\n";
     out.insert(out.end(), line.begin(), line.end());
-    total_count_ += bins[bin];
+    total += bins[bin];
   }
+  reducer_totals_[reducer] = total;
   return out;
 }
 

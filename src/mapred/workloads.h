@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,6 +85,7 @@ class SortJob final : public Job {
   [[nodiscard]] std::uint32_t num_reducers() const override {
     return reducers_;
   }
+  void begin_split(const InputSplit& split, std::vector<Bytes>& out) override;
   void map_chunk(const InputSplit& split, std::span<const std::uint8_t> data,
                  std::vector<Bytes>& out) override;
   Result<Bytes> reduce(std::uint32_t reducer,
@@ -121,6 +123,7 @@ class GrepJob final : public Job {
   Result<Bytes> reduce(std::uint32_t reducer,
                        std::span<const BytesPtr> parts) override;
 
+  // Set by the job's one reduce(); read it after the run.
   [[nodiscard]] std::uint64_t total_matches() const noexcept {
     return total_matches_;
   }
@@ -139,7 +142,7 @@ class GrepJob final : public Job {
 class ByteHistogramJob final : public Job {
  public:
   explicit ByteHistogramJob(std::uint32_t reducers = 4)
-      : reducers_(reducers) {}
+      : reducers_(reducers), reducer_totals_(reducers, 0) {}
 
   [[nodiscard]] std::string name() const override { return "ByteHistogram"; }
   [[nodiscard]] std::uint32_t num_reducers() const override {
@@ -150,9 +153,11 @@ class ByteHistogramJob final : public Job {
   Result<Bytes> reduce(std::uint32_t reducer,
                        std::span<const BytesPtr> parts) override;
 
-  // Grand total across all reducers (each reduce() adds its bins).
+  // Grand total across all reducers: the sum of each reducer's last
+  // reduce(). Read it after the run.
   [[nodiscard]] std::uint64_t total_count() const noexcept {
-    return total_count_;
+    return std::accumulate(reducer_totals_.begin(), reducer_totals_.end(),
+                           std::uint64_t{0});
   }
 
  private:
@@ -165,7 +170,9 @@ class ByteHistogramJob final : public Job {
   }
 
   std::uint32_t reducers_;
-  std::uint64_t total_count_ = 0;
+  // One slot per reducer, each written only by that reducer's reduce(), so
+  // concurrent reduces share no counter.
+  std::vector<std::uint64_t> reducer_totals_;
 };
 
 }  // namespace hpcbb::mapred

@@ -3,6 +3,8 @@
 // workload.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "testing/co_assert.h"
 #include "common/units.h"
 #include "cluster/cluster.h"
@@ -193,6 +195,68 @@ TEST(ByteHistogramTest, ReducerCountsDontOverlap) {
   }(cluster, total, expect));
   cluster.sim().run();
   EXPECT_EQ(total, expect);
+}
+
+TEST(ByteHistogramTest, ConcurrentReducesTotalTheInput) {
+  // Sixteen reducers over eight nodes run up to 16 reduces at once, on
+  // however many host threads the runner has; each bin and the grand
+  // total must still come out exact. Under ThreadSanitizer, a total the
+  // reduces shared would be reported as a race.
+  ClusterConfig config = promo_config(false);
+  config.compute_nodes = 8;
+  // Small chunks give each reducer one partial histogram per chunk, enough
+  // work that the reduces run at the same time on different threads.
+  config.mapred.io_chunk_bytes = 4 * KiB;
+  Cluster cluster(config);
+  std::uint64_t total = 0, expect = 0;
+  std::array<std::uint64_t, 256> want{}, got{};
+  cluster.sim().spawn([](Cluster& c, std::uint64_t& out, std::uint64_t& in,
+                         std::array<std::uint64_t, 256>& want_bins,
+                         std::array<std::uint64_t, 256>& got_bins)
+                          -> Task<void> {
+    const auto kind = FsKind::kBurstBuffer;
+    mapred::GenerateParams gen;
+    gen.files = 8;
+    gen.records_per_file = 40000;
+    auto generated = co_await mapred::generate_records_input(
+        c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), gen);
+    CO_ASSERT(generated.is_ok());
+    in = generated.value().bytes;
+    std::vector<std::string> inputs;
+    for (std::uint32_t i = 0; i < gen.files; ++i) {
+      inputs.push_back(gen.dir + "/part-" + std::to_string(i));
+      auto reader = co_await c.filesystem(kind).open(inputs.back(), 0);
+      CO_ASSERT(reader.is_ok());
+      auto data = co_await reader.value()->read(0, reader.value()->size());
+      CO_ASSERT(data.is_ok());
+      for (const std::uint8_t byte : data.value()) ++want_bins[byte];
+    }
+    auto runner = c.make_runner(kind);
+    mapred::ByteHistogramJob job(16);
+    auto stats = co_await runner->run(job, inputs, "/out/hist");
+    CO_ASSERT(stats.is_ok());
+    out = job.total_count();
+    for (std::uint32_t r = 0; r < 16; ++r) {
+      auto reader = co_await c.filesystem(kind).open(
+          "/out/hist/part-" + std::to_string(r), 0);
+      CO_ASSERT(reader.is_ok());
+      auto data = co_await reader.value()->read(0, reader.value()->size());
+      CO_ASSERT(data.is_ok());
+      const std::string text(data.value().begin(), data.value().end());
+      std::size_t line = 0;
+      while (line < text.size()) {
+        const std::size_t tab = text.find('\t', line);
+        const std::size_t end = text.find('\n', tab);
+        got_bins[std::stoul(text.substr(line, tab - line))] +=
+            std::stoull(text.substr(tab + 1, end - tab - 1));
+        line = end + 1;
+      }
+    }
+  }(cluster, total, expect, want, got));
+  cluster.sim().run();
+  EXPECT_GT(expect, 0u);
+  EXPECT_EQ(total, expect);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

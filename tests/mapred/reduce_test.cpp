@@ -151,6 +151,17 @@ TEST(SortReduceTest, TornPartIsInternalError) {
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
 }
 
+TEST(SortReduceTest, MorePartsThanEntriesCanNameIsInvalidArgument) {
+  RecordMaker maker{Rng(3), Keys::kUniform};
+  std::vector<BytesPtr> parts((std::size_t{1} << 16) + 1, maker.part(1));
+  SortJob job(1);
+  auto result = job.reduce(0, parts);
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  parts.pop_back();
+  EXPECT_TRUE(job.reduce(0, parts).is_ok());
+}
+
 TEST(SortMapTest, BucketsMatchRecordAtATimeAppend) {
   constexpr std::uint32_t kReducers = 5;
   SortJob job(kReducers);

@@ -7,8 +7,12 @@
 #   tools/check.sh --chaos    # chaos-labeled tests + seeded bench_a4_chaos
 #                             # smoke + master crashes (scrubber on,
 #                             # checkpoints, R=2 with a KV crash,
-#                             # size-triggered checkpoints), all under
-#                             # ASan+UBSan
+#                             # size-triggered checkpoints, a late crash
+#                             # that leaves spans open at teardown), all
+#                             # under ASan+UBSan
+#   tools/check.sh --tsan     # mapred_test + integration_test under
+#                             # ThreadSanitizer (build-tsan/): the MapReduce
+#                             # engine's host threads
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f2_kv_throughput +
 #                             # bench_f3_dfsio_write + bench_f4_dfsio_read +
@@ -26,7 +30,7 @@
 #                             # trajectory FILE as run LABEL (default
 #                             # "change"; other runs in FILE are kept)
 #
-# Build trees: build/ and build-sanitize/ at the repo root.
+# Build trees: build/, build-sanitize/ and build-tsan/ at the repo root.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -36,7 +40,9 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 fast=0
 chaos=0
 gate=0
+tsan=0
 [[ "${1:-}" == "--fast" ]] && fast=1
+[[ "${1:-}" == "--tsan" ]] && tsan=1
 [[ "${1:-}" == "--chaos" ]] && chaos=1
 [[ "${1:-}" == "--gate" ]] && gate=1
 trajectory="${2:-}"
@@ -112,7 +118,30 @@ if [[ "${chaos}" == 1 ]]; then
   ./build-sanitize/examples/experiment_runner fs=bb block.size=8m \
     files=4 file.size=16m bb.md.journal=true bb.md.journal_max_bytes=256 \
     ${master_crash}
+  # The crash lands after the writes, so flush workers are still parked in
+  # open spans when the run ends and the cluster is torn down.
+  echo "== chaos: master crash late in the run, spans open at teardown =="
+  ./build-sanitize/examples/experiment_runner fs=bb block.size=8m files=4 \
+    file.size=16m bb.md.journal=true faults.enabled=1 \
+    faults.master.first=30ms faults.master.downtime=5ms
   echo "chaos checks passed"
+  exit 0
+fi
+
+if [[ "${tsan}" == 1 ]]; then
+  # No suppressions: any report fails the run. Warnings do not: this
+  # configuration checks threads, and the default one checks warnings.
+  echo "== tsan: configure (RelWithDebInfo + ThreadSanitizer) =="
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DHPCBB_WERROR=OFF -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  echo "== tsan: build =="
+  cmake --build build-tsan -j "${jobs}" --target mapred_test integration_test
+  echo "== tsan: mapred_test =="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mapred_test
+  echo "== tsan: integration_test =="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/integration_test
+  echo "tsan checks passed"
   exit 0
 fi
 
