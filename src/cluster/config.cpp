@@ -1,5 +1,7 @@
 #include "cluster/config.h"
 
+#include "storage/device.h"
+
 namespace hpcbb::cluster {
 
 namespace {
@@ -20,6 +22,12 @@ template <auto M> constexpr auto client = field<&C::kv_client, M>;
 template <auto M> constexpr auto fault = field<&C::faults, M>;
 template <auto M> constexpr auto md = field<&C::bb_md, M>;
 template <auto M> constexpr auto scrub = field<&C::bb_scrub, M>;
+
+// A limpware factor the device model can price.
+constexpr auto limp_factor = [](C& config, const TypedValue& value) {
+  return value.real <= storage::Device::kMaxSlowdown &&
+         fault<&FI::limp_factor>(config, value);
+};
 
 // Choice names, in enumerator order.
 constexpr std::string_view kSchemes[] = {"async", "sync", "local"};
@@ -63,7 +71,7 @@ constexpr ConfigKey<ClusterConfig> kClusterKeys[] = {
     {"faults.limp.first", kDuration, fault<&FI::limp_first_ns>},
     {"faults.limp.period", kDuration, fault<&FI::limp_period_ns>},
     {"faults.limp.duration", kDuration, fault<&FI::limp_duration_ns>},
-    {"faults.limp.factor", kReal, fault<&FI::limp_factor>},
+    {"faults.limp.factor", kReal, limp_factor},
     {"faults.limp.count", kSize, fault<&FI::limp_count>},
     {"faults.master.first", kDuration, fault<&FI::master_first_ns>},
     {"faults.master.period", kDuration, fault<&FI::master_period_ns>},

@@ -23,16 +23,14 @@ JobRunner::JobRunner(net::RpcHub& hub, fs::FileSystem& filesystem,
       fs_(&filesystem),
       nodes_(std::move(compute_nodes)),
       params_(params) {
-  sim::Simulation& sim = hub_->transport().fabric().simulation();
-  for (const net::NodeId node : nodes_) {
-    compute_.emplace(node, std::make_unique<sim::BandwidthQueue>(
-                               sim, params_.cores_per_node * duration::sec));
-  }
+  for (const net::NodeId node : nodes_) compute_.try_emplace(node);
 }
 
-sim::Task<void> JobRunner::charge_compute(net::NodeId node,
-                                          std::uint64_t cpu_ns) {
-  return compute_.at(node)->transfer(cpu_ns);
+sim::SimTime JobRunner::reserve_compute(net::NodeId node,
+                                        std::uint64_t cpu_ns) {
+  const sim::SimTime service =
+      transfer_time_ns(cpu_ns, params_.cores_per_node * duration::sec);
+  return compute_.at(node).reserve(simulation().now(), service) + service;
 }
 
 sim::Task<Status> JobRunner::build_splits(
@@ -105,8 +103,7 @@ sim::Task<void> JobRunner::map_worker(Job& job, RunState& state,
     if (pick == state.pending.size()) {
       if (delay_rounds_left > 0) {
         --delay_rounds_left;
-        co_await hub_->transport().fabric().simulation().delay(
-            params_.locality_delay_ns);
+        co_await simulation().delay(params_.locality_delay_ns);
         continue;
       }
       pick = 0;  // give up on locality, steal the head split
@@ -144,7 +141,8 @@ sim::Task<void> JobRunner::map_worker(Job& job, RunState& state,
       HostTask<void> mapped = pool_.submit([&job, &split, &chunk, &partitions] {
         job.map_chunk(split, chunk.value(), partitions);
       });
-      co_await charge_compute(node, job.map_cpu_ns(len));
+      co_await simulation().delay_until(
+          reserve_compute(node, job.map_cpu_ns(len)));
       mapped.join();
       state.stats.input_bytes += len;
     }
@@ -210,19 +208,16 @@ sim::Task<void> JobRunner::reduce_task(Job& job, RunState& state,
 
   // The reduce runs on the pool while its compute is charged, and the
   // simulation joins it when the charge ends.
-  const std::uint64_t cpu_ns = job.reduce_cpu_ns(input_bytes);
-  const sim::BandwidthQueue& cpu = *compute_.at(node);
   HostReduce& host = state.reduces[reducer];
   host.parts = std::move(parts);
   host.bytes = input_bytes;
-  host.join_at = hub_->transport().fabric().simulation().now() +
-                 cpu.backlog_ns() + cpu.service_time(cpu_ns);
+  host.join_at = reserve_compute(node, job.reduce_cpu_ns(input_bytes));
   state.waiting.emplace(host.join_at, reducer);
   start_waiting_reduces(job, state);
   for (MapOutput& output : state.outputs) {
     if (reducer < output.parts.size()) output.parts[reducer].reset();
   }
-  co_await charge_compute(node, cpu_ns);
+  co_await simulation().delay_until(host.join_at);
   if (!host.task) start_reduce(job, state, reducer);
   Result<Bytes> folded = host.task->join();
   host.task.reset();
@@ -250,7 +245,7 @@ sim::Task<void> JobRunner::reduce_task(Job& job, RunState& state,
 sim::Task<Result<JobStats>> JobRunner::run(
     Job& job, const std::vector<std::string>& inputs,
     const std::string& output_prefix) {
-  sim::Simulation& sim = hub_->transport().fabric().simulation();
+  sim::Simulation& sim = simulation();
   RunState state;
   const sim::SimTime started = sim.now();
 

@@ -164,14 +164,18 @@ class JobRunner {
                               const std::string& output_prefix);
   void start_reduce(Job& job, RunState& state, std::uint32_t reducer);
   void start_waiting_reduces(Job& job, RunState& state);
-  sim::Task<void> charge_compute(net::NodeId node, std::uint64_t cpu_ns);
+  // Queues `cpu_ns` of work on the node's cores; returns when it ends.
+  sim::SimTime reserve_compute(net::NodeId node, std::uint64_t cpu_ns);
+  sim::Simulation& simulation() const {
+    return hub_->transport().fabric().simulation();
+  }
 
   net::RpcHub* hub_;
   fs::FileSystem* fs_;
   std::vector<net::NodeId> nodes_;
   MrParams params_;
   // Per-node compute capacity: a work-conserving queue at cores x 1 ns/ns.
-  std::map<net::NodeId, std::unique_ptr<sim::BandwidthQueue>> compute_;
+  std::map<net::NodeId, sim::ResourceQueue> compute_;
   // Runs map_chunk and reduce calls off the simulation thread. Declared
   // last, so it is joined before anything else of the runner goes.
   HostPool pool_;

@@ -5,25 +5,9 @@
 
 namespace hpcbb::net {
 
-namespace {
-sim::SimTime serialization_ns(std::uint64_t bytes,
-                              std::uint64_t bytes_per_sec) noexcept {
-  return transfer_time_ns(bytes, bytes_per_sec);
-}
-}  // namespace
-
 Fabric::Fabric(sim::Simulation& sim, std::uint32_t node_count,
                const FabricParams& params)
-    : sim_(&sim), params_(params), links_(node_count) {
-  racks_.resize(rack_count());
-  cpu_.reserve(node_count);
-  for (std::uint32_t i = 0; i < node_count; ++i) {
-    // CPU work is measured in nanoseconds; one dedicated protocol-processing
-    // core per node => 1e9 ns of work per second.
-    cpu_.push_back(
-        std::make_unique<sim::BandwidthQueue>(sim, duration::sec));
-  }
-}
+    : sim_(&sim), params_(params), links_(node_count), racks_(rack_count()) {}
 
 sim::Task<Status> Fabric::deliver(NodeId src, NodeId dst, std::uint64_t bytes,
                                   std::uint64_t flow_rate_cap) {
@@ -54,12 +38,10 @@ sim::Task<Status> Fabric::deliver(NodeId src, NodeId dst, std::uint64_t bytes,
     // FIFO serialization on the node's memory path: a small message
     // submitted after a large one must not overtake it, or same-connection
     // protocol streams (HDFS pipelines) would reorder.
-    NodeLink& link = links_[src];
-    const sim::SimTime start = std::max(sim_->now(), link.loopback_next_free);
-    link.loopback_next_free =
-        start + serialization_ns(bytes, params_.loopback_bytes_per_sec);
-    co_await sim_->delay_until(link.loopback_next_free +
-                               params_.loopback_latency_ns);
+    const sim::SimTime ser =
+        transfer_time_ns(bytes, params_.loopback_bytes_per_sec);
+    const sim::SimTime start = links_[src].loopback.reserve(sim_->now(), ser);
+    co_await sim_->delay_until(start + ser + params_.loopback_latency_ns);
     co_return Status::ok();
   }
 
@@ -67,13 +49,8 @@ sim::Task<Status> Fabric::deliver(NodeId src, NodeId dst, std::uint64_t bytes,
       flow_rate_cap == 0
           ? params_.link_bytes_per_sec
           : std::min(params_.link_bytes_per_sec, flow_rate_cap);
-  const sim::SimTime ser = serialization_ns(bytes, rate);
-  const sim::SimTime now = sim_->now();
-
-  NodeLink& s = links_[src];
-  NodeLink& d = links_[dst];
-  const sim::SimTime start_up = std::max(now, s.up_next_free);
-  s.up_next_free = start_up + ser;
+  const sim::SimTime ser = transfer_time_ns(bytes, rate);
+  const sim::SimTime start_up = links_[src].uplink.reserve(sim_->now(), ser);
 
   // Cut-through: the head of the message reaches the next hop one latency
   // after it starts leaving the previous one; the tail cannot arrive before
@@ -83,25 +60,17 @@ sim::Task<Status> Fabric::deliver(NodeId src, NodeId dst, std::uint64_t bytes,
   sim::SimTime tail = start_up + ser + params_.hop_latency_ns;
   if (rack_of(src) != rack_of(dst)) {
     const sim::SimTime rack_ser =
-        serialization_ns(bytes, params_.rack_uplink_bytes_per_sec);
-    RackLink& src_rack = racks_[rack_of(src)];
-    RackLink& dst_rack = racks_[rack_of(dst)];
-    const sim::SimTime start_rack_up = std::max(head, src_rack.up_next_free);
-    src_rack.up_next_free = start_rack_up + rack_ser;
-    const sim::SimTime at_spine =
-        start_rack_up + params_.spine_latency_ns;
-    const sim::SimTime start_rack_down =
-        std::max(at_spine, dst_rack.down_next_free);
-    dst_rack.down_next_free = start_rack_down + rack_ser;
+        transfer_time_ns(bytes, params_.rack_uplink_bytes_per_sec);
+    const sim::SimTime start_rack_up =
+        racks_[rack_of(src)].uplink.reserve(head, rack_ser);
+    const sim::SimTime start_rack_down = racks_[rack_of(dst)].downlink.reserve(
+        start_rack_up + params_.spine_latency_ns, rack_ser);
     head = start_rack_down + params_.spine_latency_ns;
     tail = std::max(tail, start_rack_down + rack_ser +
                               params_.spine_latency_ns);
   }
-  const sim::SimTime start_down = std::max(head, d.down_next_free);
-  d.down_next_free = start_down + ser;
-  const sim::SimTime completion = std::max(start_down + ser, tail);
-
-  co_await sim_->delay_until(completion);
+  const sim::SimTime start_down = links_[dst].downlink.reserve(head, ser);
+  co_await sim_->delay_until(std::max(start_down + ser, tail));
   co_return Status::ok();
 }
 
@@ -116,8 +85,9 @@ bool Fabric::is_up(NodeId node) const {
 }
 
 sim::Task<void> Fabric::charge_cpu(NodeId node, sim::SimTime work_ns) {
-  assert(node < cpu_.size());
-  return cpu_[node]->transfer(work_ns);
+  assert(node < links_.size());
+  co_await sim_->delay_until(links_[node].cpu.reserve(sim_->now(), work_ns) +
+                             work_ns);
 }
 
 std::uint64_t Fabric::bytes_sent(NodeId node) const {

@@ -82,7 +82,8 @@ class Fabric {
                      params_.nodes_per_rack;
   }
 
-  // Per-node CPU available for protocol processing. Transports charge their
+  // Per-node CPU available for protocol processing: one core, which serves
+  // `work_ns` of work in as many nanoseconds. Transports charge their
   // per-operation overhead here, which creates the op-rate ceiling that
   // separates kernel-bypass RDMA from socket stacks.
   sim::Task<void> charge_cpu(NodeId node, sim::SimTime work_ns);
@@ -94,17 +95,18 @@ class Fabric {
 
  private:
   struct NodeLink {
-    sim::SimTime up_next_free = 0;
-    sim::SimTime down_next_free = 0;
-    sim::SimTime loopback_next_free = 0;  // FIFO: local sends must not reorder
+    sim::ResourceQueue uplink;
+    sim::ResourceQueue downlink;
+    sim::ResourceQueue loopback;  // FIFO: local sends must not reorder
+    sim::ResourceQueue cpu;       // protocol processing (charge_cpu)
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
     bool up = true;
   };
 
   struct RackLink {
-    sim::SimTime up_next_free = 0;    // rack -> spine
-    sim::SimTime down_next_free = 0;  // spine -> rack
+    sim::ResourceQueue uplink;    // rack -> spine
+    sim::ResourceQueue downlink;  // spine -> rack
   };
 
   sim::Simulation* sim_;
@@ -112,7 +114,6 @@ class Fabric {
   FaultHook fault_hook_;
   std::vector<NodeLink> links_;
   std::vector<RackLink> racks_;
-  std::vector<std::unique_ptr<sim::BandwidthQueue>> cpu_;
 };
 
 }  // namespace hpcbb::net

@@ -1,5 +1,5 @@
 // Synchronization primitives for simulated processes: Condition, Event,
-// Channel, Semaphore, BandwidthQueue, and fork/join combinators.
+// Channel, Semaphore, ResourceQueue, and fork/join combinators.
 //
 // All wakeups are funneled through the simulation event queue at the current
 // instant (never inline resumption), so waiters observe a consistent world
@@ -8,6 +8,7 @@
 // under multi-waiter contention.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
@@ -185,51 +186,22 @@ class [[nodiscard]] SemaphoreGuard {
   std::uint64_t n_ = 1;
 };
 
-// Work-conserving FIFO bandwidth server: each transfer serializes after all
-// previously submitted ones (store-and-forward link, disk streaming, NIC).
-// The caller observes queueing delay + its own serialization time.
-class BandwidthQueue {
+// A FIFO server: a link, a CPU or a device. A request that can start no
+// earlier than `earliest` and holds the server for `service` starts once
+// everything reserved before it is served. Callers reserve when they are
+// awaited, not when their task is made: sim::Task is lazy, and a task made
+// early must not take its place in the queue early.
+class ResourceQueue {
  public:
-  BandwidthQueue(Simulation& sim, std::uint64_t bytes_per_sec) noexcept
-      : sim_(&sim), bytes_per_sec_(bytes_per_sec) {}
-
-  Task<void> transfer(std::uint64_t bytes) {
-    const SimTime start = std::max(sim_->now(), next_free_);
-    const SimTime done = start + service_time(bytes);
-    next_free_ = done;
-    busy_ns_ += done - start;
-    bytes_moved_ += bytes;
-    co_await sim_->delay_until(done);
-  }
-
-  [[nodiscard]] SimTime service_time(std::uint64_t bytes) const noexcept {
-    return transfer_time(bytes, bytes_per_sec_);
-  }
-
-  [[nodiscard]] SimTime busy_ns() const noexcept { return busy_ns_; }
-  [[nodiscard]] std::uint64_t bytes_moved() const noexcept {
-    return bytes_moved_;
-  }
-  // Queueing backlog as seen by a transfer submitted now.
-  [[nodiscard]] SimTime backlog_ns() const noexcept {
-    return next_free_ > sim_->now() ? next_free_ - sim_->now() : 0;
+  // Returns the instant the request starts its service.
+  SimTime reserve(SimTime earliest, SimTime service) noexcept {
+    const SimTime start = std::max(earliest, next_free_);
+    next_free_ = start + service;
+    return start;
   }
 
  private:
-  static SimTime transfer_time(std::uint64_t bytes,
-                               std::uint64_t bytes_per_sec) noexcept {
-    if (bytes_per_sec == 0) return 0;
-    const std::uint64_t whole = bytes / bytes_per_sec;
-    const std::uint64_t rem = bytes % bytes_per_sec;
-    return whole * 1'000'000'000ull +
-           (rem * 1'000'000'000ull + bytes_per_sec - 1) / bytes_per_sec;
-  }
-
-  Simulation* sim_;
-  std::uint64_t bytes_per_sec_;
   SimTime next_free_ = 0;
-  SimTime busy_ns_ = 0;
-  std::uint64_t bytes_moved_ = 0;
 };
 
 // ---- fork/join combinators -------------------------------------------------

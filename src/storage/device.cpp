@@ -1,7 +1,5 @@
 #include "storage/device.h"
 
-#include <algorithm>
-
 namespace hpcbb::storage {
 
 std::string_view to_string(MediaKind kind) noexcept {
@@ -51,9 +49,7 @@ sim::Task<void> Device::io(std::uint64_t offset, std::uint64_t bytes,
   expected_next_offset_ = offset + bytes;
   ++io_count_;
 
-  const sim::SimTime start = std::max(sim_->now(), next_free_);
-  next_free_ = start + service;
-  co_await sim_->delay_until(next_free_);
+  co_await sim_->delay_until(queue_.reserve(sim_->now(), service) + service);
 }
 
 }  // namespace hpcbb::storage

@@ -5,6 +5,7 @@
 // is enforceable (writes fail with kResourceExhausted when full).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -14,6 +15,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 
 namespace hpcbb::storage {
 
@@ -64,7 +66,11 @@ class Device {
   // Limpware episode: a slowdown factor >= 1 divides the effective transfer
   // rate (factor 10 = the device limps at a tenth of its speed). 1 restores
   // healthy service. Fault injection drives this; nothing else should.
+  // Factors above kMaxSlowdown cannot be priced: a 64 MiB HDD transfer
+  // (~0.6 s) slowed 1e6 times still leaves SimTime room to queue.
+  static constexpr double kMaxSlowdown = 1e6;
   void set_slowdown(double factor) noexcept {
+    assert(factor <= kMaxSlowdown);
     slowdown_ = factor < 1.0 ? 1.0 : factor;
   }
   [[nodiscard]] double slowdown() const noexcept { return slowdown_; }
@@ -97,7 +103,7 @@ class Device {
   DeviceParams params_;
   CorruptHook corrupt_hook_;
   double slowdown_ = 1.0;
-  sim::SimTime next_free_ = 0;
+  sim::ResourceQueue queue_;
   std::uint64_t expected_next_offset_ = ~0ull;
   std::uint64_t used_ = 0;
   std::uint64_t io_count_ = 0;

@@ -84,6 +84,7 @@ TEST(ConfigTableTest, EveryClusterKeyReachesItsField) {
                                          {"faults.limp.period", "9ms"},
                                          {"faults.limp.duration", "11ms"},
                                          {"faults.limp.count", "3"},
+                                         {"faults.limp.factor", "1e6"},
                                          {"faults.master.first", "13ms"},
                                          {"faults.master.period", "17ms"},
                                          {"faults.master.downtime", "19ms"},
@@ -102,6 +103,7 @@ TEST(ConfigTableTest, EveryClusterKeyReachesItsField) {
   EXPECT_EQ(f.limp_period_ns, 9 * ms);
   EXPECT_EQ(f.limp_duration_ns, 11 * ms);
   EXPECT_EQ(f.limp_count, 3u);
+  EXPECT_DOUBLE_EQ(f.limp_factor, storage::Device::kMaxSlowdown);
   EXPECT_EQ(f.master_first_ns, 13 * ms);
   EXPECT_EQ(f.master_period_ns, 17 * ms);
   EXPECT_EQ(f.master_downtime_ns, 19 * ms);
@@ -229,6 +231,8 @@ TEST(ConfigTableTest, RejectsBadValuesNamingTheKey) {
       {"faults.rpc.drop_prob", "-0.1"},
       {"net.retry.multiplier", "nan"},
       {"faults.limp.factor", "8x"},
+      {"faults.limp.factor", "1000000.5"},  // past what a device can price
+      {"faults.limp.factor", "1e30"},       // once wrote faster than no fault
       {"bb.md.journal", "on"},
       {"files", "many"},
       {"stats.interval", "fast"},

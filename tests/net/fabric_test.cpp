@@ -100,6 +100,24 @@ TEST(FabricTest, LoopbackBypassesLinks) {
   EXPECT_EQ(sim.now(), 10 * ms + 100);
 }
 
+TEST(FabricTest, LoopbackSendsStayInOrder) {
+  // A small local send submitted behind a large one waits for it: the
+  // node's memory path is FIFO, so same-connection streams do not reorder.
+  Simulation sim;
+  Fabric fabric(sim, 2, test_params());
+  std::vector<SimTime> done(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    sim.spawn([](Fabric& f, std::uint64_t bytes, SimTime& out) -> Task<void> {
+      (void)co_await f.deliver(1, 1, bytes);
+      out = f.simulation().now();
+    }(fabric, i == 0 ? 10 * MB : 1 * MB, done[i]));
+  }
+  sim.run();
+  // 10 MB then 1 MB at 1000 MB/s, each followed by the 100 ns latency.
+  EXPECT_EQ(done[0], 10 * ms + 100);
+  EXPECT_EQ(done[1], 11 * ms + 100);
+}
+
 TEST(FabricTest, DownNodeRefusesTraffic) {
   Simulation sim;
   Fabric fabric(sim, 2, test_params());

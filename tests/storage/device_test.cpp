@@ -73,6 +73,32 @@ TEST(DeviceTest, ConcurrentRequestsQueue) {
   EXPECT_EQ(done.size(), 2u);
 }
 
+TEST(DeviceTest, SlowdownPricesTransfersAtSubmission) {
+  // A limpware episode slows the transfers submitted during it; one already
+  // queued keeps the price it was given, and so does the seek.
+  Simulation sim;
+  Device disk(sim, simple_disk());
+  std::vector<SimTime> done(3);
+  sim.spawn([](Simulation& s, Device& d, SimTime& out) -> Task<void> {
+    co_await d.write(0, 5 * MB);  // seek + 100 ms
+    out = s.now();
+  }(sim, disk, done[0]));
+  sim.spawn([](Simulation& s, Device& d, std::vector<SimTime>& out)
+                -> Task<void> {
+    co_await s.delay(50 * ms);
+    d.set_slowdown(4.0);
+    co_await d.write(5 * MB, 5 * MB);  // sequential: 4 x 100 ms
+    out[1] = s.now();
+    d.set_slowdown(1.0);
+    co_await d.write(10 * MB, 5 * MB);  // healthy again: 100 ms
+    out[2] = s.now();
+  }(sim, disk, done));
+  sim.run();
+  EXPECT_EQ(done[0], 101 * ms);
+  EXPECT_EQ(done[1], 501 * ms);
+  EXPECT_EQ(done[2], 601 * ms);
+}
+
 TEST(DeviceTest, CapacityEnforced) {
   Simulation sim;
   Device disk(sim, simple_disk());  // 100 MiB capacity
