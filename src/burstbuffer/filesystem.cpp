@@ -9,6 +9,19 @@
 #include "sim/trace.h"
 
 namespace hpcbb::bb {
+namespace {
+
+// `payload` followed by zeros up to `chunk_size` bytes, in one allocation.
+Bytes padded_chunk(std::span<const std::uint8_t> payload,
+                   std::uint64_t chunk_size) {
+  Bytes padded;
+  padded.reserve(chunk_size);
+  padded.assign(payload.begin(), payload.end());
+  padded.resize(chunk_size, 0);
+  return padded;
+}
+
+}  // namespace
 
 // ---- Writer ----------------------------------------------------------------
 
@@ -52,7 +65,11 @@ class BbWriter final : public fs::Writer {
           co_return st;
         }
       } else {
-        // A chunk spanning two appends is gathered first.
+        // A chunk spanning two appends is gathered first, into room for
+        // all of it.
+        if (chunk_buf_.empty()) {
+          chunk_buf_.reserve(std::min(chunk_room, block_room));
+        }
         chunk_buf_.insert(
             chunk_buf_.end(),
             data->begin() + static_cast<std::ptrdiff_t>(offset),
@@ -177,8 +194,7 @@ class BbWriter final : public fs::Writer {
     ByteSlice stored = payload;
     std::optional<std::uint32_t> stored_crc = crc;
     if (payload.length < bbfs_->common_.chunk_size) {
-      Bytes padded(payload.span().begin(), payload.span().end());
-      padded.resize(bbfs_->common_.chunk_size, 0);
+      Bytes padded = padded_chunk(payload.span(), bbfs_->common_.chunk_size);
       stored = whole(make_bytes(std::move(padded)));
       stored_crc = std::nullopt;
     }
@@ -501,9 +517,9 @@ class BbReader final : public fs::Reader {
       const std::uint64_t c_end =
           std::min(c_start + chunk, block.size);  // block tail is short
       if (c_start >= end || c_end > end) break;
-      Bytes payload(data.begin() + static_cast<std::ptrdiff_t>(c_start - offset),
-                    data.begin() + static_cast<std::ptrdiff_t>(c_end - offset));
-      payload.resize(chunk, 0);  // uniform slab class (see store_chunk)
+      // Padded to one slab class (see store_chunk).
+      Bytes payload = padded_chunk(
+          std::span(data).subspan(c_start - offset, c_end - c_start), chunk);
       sim.spawn(promote_chunk(bbfs_, client_,
                               chunk_key(path_, block.index, c),
                               make_bytes(std::move(payload))));

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 
+#include "common/byte_pool.h"
 #include "common/crc32c_internal.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -47,6 +48,36 @@ const Tables& tables() noexcept {
 constexpr std::uint32_t x_pow_mod_p(std::uint64_t n) noexcept {
   std::uint32_t v = 0x80000000u;  // x^0
   for (; n > 0; --n) v = (v >> 1) ^ ((v & 1u) ? kPoly : 0u);
+  return v;
+}
+
+// a times b mod P, both bit-reflected: b times each power of x in a,
+// lowest (bit 31) first.
+constexpr std::uint32_t multiply_mod_p(std::uint32_t a,
+                                       std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t bit = 0x80000000u; bit != 0; bit >>= 1) {
+    if ((a & bit) != 0) product ^= b;
+    b = (b >> 1) ^ ((b & 1u) ? kPoly : 0u);  // b times x
+  }
+  return product;
+}
+
+// Bit-reflected x^(8n) mod P, by squaring: multiplying a CRC by it appends
+// n zero bytes. n below 2^61, as every buffer length is.
+std::uint32_t x_pow_8n_mod_p(std::uint64_t n) noexcept {
+  static const std::array<std::uint32_t, 64> kSquares = [] {
+    std::array<std::uint32_t, 64> squares{};  // x^(2^k) mod P
+    squares[0] = x_pow_mod_p(1);
+    for (std::size_t k = 1; k < squares.size(); ++k) {
+      squares[k] = multiply_mod_p(squares[k - 1], squares[k - 1]);
+    }
+    return squares;
+  }();
+  std::uint32_t v = x_pow_mod_p(0);
+  for (std::size_t k = 3; n != 0; n >>= 1, ++k) {
+    if ((n & 1u) != 0) v = multiply_mod_p(v, kSquares[k]);
+  }
   return v;
 }
 
@@ -137,6 +168,11 @@ __attribute__((target("avx512f"))) __m128i lane(__m512i v) noexcept {
 
 FoldConstants fold_constants(std::size_t distance) noexcept {
   return fold_by(distance);
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::size_t length_b) noexcept {
+  return multiply_mod_p(crc_a, x_pow_8n_mod_p(length_b)) ^ crc_b;
 }
 
 std::uint32_t crc32c_table(std::uint32_t crc, const void* data,
@@ -279,18 +315,55 @@ std::uint32_t crc32c_fold(std::uint32_t crc, const void* data,
 }  // namespace crc32c_detail
 
 namespace {
+
 thread_local std::uint64_t checksummed_bytes = 0;
+
+using Crc32cFn = std::uint32_t (*)(std::uint32_t, const void*,
+                                   std::size_t) noexcept;
+
+Crc32cFn serial_crc32c() noexcept {
+  static const Crc32cFn kImpl = crc32c_detail::crc32c_fold_supported()
+                                    ? &crc32c_detail::crc32c_fold
+                                : crc32c_detail::crc32c_hw_supported()
+                                    ? &crc32c_detail::crc32c_hw
+                                    : &crc32c_detail::crc32c_table;
+  return kImpl;
+}
+
+// `crc` extended over data[0, n) by the byte pool: part 0 from `crc`, the
+// others from 0, combined in order. False, with `crc` untouched, when the
+// pool cannot take the call.
+bool split_crc32c(std::uint32_t& crc, const std::uint8_t* data,
+                  std::size_t n) noexcept {
+  std::array<std::uint32_t, kMaxSplitParts> crcs{};
+  const Crc32cFn serial = serial_crc32c();
+  auto part = [&](std::size_t i, SplitRange range) noexcept {
+    crcs[i] = serial(i == 0 ? crc : 0, data + range.begin, range.size());
+  };
+  if (!split_run(n, part)) return false;
+  static_assert(kSplitCrcBytes >= 2 * kSplitPartBytes, "at least two parts");
+  const std::size_t parts = split_parts(n);
+  // Every part but the last has the first one's length.
+  const std::size_t length = split_range(n, parts, 0).size();
+  const std::uint32_t shift = crc32c_detail::x_pow_8n_mod_p(length);
+  std::uint32_t out = crcs[0];
+  for (std::size_t i = 1; i + 1 < parts; ++i) {
+    out = crc32c_detail::multiply_mod_p(out, shift) ^ crcs[i];
+  }
+  crc = crc32c_detail::crc32c_combine(
+      out, crcs[parts - 1], split_range(n, parts, parts - 1).size());
+  return true;
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) noexcept {
   checksummed_bytes += n;
-  using Fn = std::uint32_t (*)(std::uint32_t, const void*, std::size_t) noexcept;
-  static const Fn kImpl = crc32c_detail::crc32c_fold_supported()
-                              ? &crc32c_detail::crc32c_fold
-                          : crc32c_detail::crc32c_hw_supported()
-                              ? &crc32c_detail::crc32c_hw
-                              : &crc32c_detail::crc32c_table;
-  return kImpl(crc, data, n);
+  if (n >= kSplitCrcBytes &&
+      split_crc32c(crc, static_cast<const std::uint8_t*>(data), n)) {
+    return crc;
+  }
+  return serial_crc32c()(crc, data, n);
 }
 
 std::uint64_t crc32c_bytes() noexcept { return checksummed_bytes; }

@@ -12,7 +12,8 @@ namespace hpcbb {
 
 // Extend `crc` (use 0 for a fresh checksum) over `data`. Runs the CPU's
 // CRC32C instruction where it has one (chosen once, from CPUID); the value
-// is the same on every path.
+// is the same on every path. From kSplitCrcBytes up the call is split
+// across the byte pool (common/byte_pool.h) and returns the same value.
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) noexcept;
 
 // Bytes checksummed by crc32c() on the calling thread so far: what tests

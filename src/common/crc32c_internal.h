@@ -39,6 +39,12 @@ struct FoldConstants {
 };
 FoldConstants fold_constants(std::size_t distance) noexcept;
 
+// crc32c(c, A || B) from crc_a = crc32c(c, A) and crc_b = crc32c(0, B):
+// crc_a times x^(8 * length_b) mod P, XOR crc_b. A call that the byte pool
+// splits (common/byte_pool.h) joins its parts' CRCs this way.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::size_t length_b) noexcept;
+
 // True when this build and CPU can run crc32c_fold (x86-64 with AVX-512F,
 // AVX-512VL, VPCLMULQDQ and SSE4.2).
 bool crc32c_fold_supported() noexcept;

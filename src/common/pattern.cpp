@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <atomic>
 
+#include "common/byte_pool.h"
 #include "common/bytes.h"
 #include "common/pattern_internal.h"
 
@@ -176,14 +178,35 @@ const PatternKernels& kernels() noexcept {
 
 Bytes pattern_bytes(std::uint64_t seed, std::uint64_t offset,
                     std::size_t size) {
-  Bytes out(size);
-  kernels().fill(seed, offset, out.data(), size);
+  Bytes out = split_zeroed(size);
+  const auto fill = kernels().fill;
+  if (size >= kSplitBytes) {
+    auto part = [&](std::size_t, SplitRange range) noexcept {
+      fill(seed, offset + range.begin, out.data() + range.begin, range.size());
+    };
+    if (split_run(size, part)) return out;
+  }
+  fill(seed, offset, out.data(), size);
   return out;
 }
 
 bool verify_pattern(std::uint64_t seed, std::uint64_t offset,
                     std::span<const std::uint8_t> data) {
-  return kernels().verify(seed, offset, data.data(), data.size());
+  const auto verify = kernels().verify;
+  if (data.size() >= kSplitBytes) {
+    std::atomic<bool> match{true};
+    auto part = [&](std::size_t, SplitRange range) noexcept {
+      if (!match.load(std::memory_order_relaxed)) return;  // one part failed
+      if (!verify(seed, offset + range.begin, data.data() + range.begin,
+                  range.size())) {
+        match.store(false, std::memory_order_relaxed);
+      }
+    };
+    if (split_run(data.size(), part)) {
+      return match.load(std::memory_order_relaxed);
+    }
+  }
+  return verify(seed, offset, data.data(), data.size());
 }
 
 }  // namespace hpcbb

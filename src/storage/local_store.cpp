@@ -30,6 +30,16 @@ Bytes& LocalStore::writable(Page& page, std::uint64_t held,
   return bytes;
 }
 
+namespace {
+
+// kPageSize zero bytes, shared by every page that lies wholly in a gap.
+const BytesPtr& zero_page() {
+  static const BytesPtr kZeros = make_bytes(Bytes(LocalStore::kPageSize));
+  return kZeros;
+}
+
+}  // namespace
+
 void LocalStore::put(Object& obj, std::uint64_t offset, const ByteSlice& data) {
   const std::uint64_t end = offset + data.length;
   const std::uint64_t old_size = obj.size;
@@ -49,6 +59,10 @@ void LocalStore::put(Object& obj, std::uint64_t offset, const ByteSlice& data) {
     if (from == 0 && to == len) {
       // The write fills the page: keep it as a slice of the sender's buffer.
       obj.pages[p] = Page{data.bytes, data.offset + (start - offset), false};
+    } else if (held == 0 && from == to) {
+      // A new page wholly in the gap, which an out-of-order write usually
+      // fills later: zeros nobody owns until a write lands in them.
+      obj.pages[p] = Page{zero_page(), 0, false};
     } else {
       Bytes& bytes = writable(obj.pages[p], held, len);
       if (held < from) bytes.insert(bytes.end(), from - held, 0);  // the gap

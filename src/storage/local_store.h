@@ -85,14 +85,16 @@ class LocalStore {
   // holds the rest. A page is bytes [offset, offset + its length) of
   // `bytes`, which is either
   //   - a slice of a buffer the store received (owned = false): a whole
-  //     page of a write, kept instead of copied, or
+  //     page of a write, kept instead of copied,
+  //   - a shared page of zeros (owned = false) for a new page that lies
+  //     wholly in a gap, which a later write usually fills, or
   //   - a buffer the store allocated (owned = true, offset 0), exactly as
   //     long as the page. Its capacity grows with the page, so a small
   //     object costs about its size.
   // Copy-on-write: the store writes into a page in place only while it
   // owns the page's buffer alone; a received slice, or an owned buffer a
   // read has handed out, is copied first. Owned pages are never
-  // zero-filled, only gaps are.
+  // zero-filled; only a gap in a page that also holds data is.
   struct Page {
     BytesPtr bytes;
     std::uint64_t offset = 0;

@@ -526,5 +526,80 @@ TEST(LocalStoreSliceTest, OnlyWholePageWritesShareTheSendersBuffer) {
   EXPECT_EQ(tail.use_count(), 1);
 }
 
+
+TEST(LocalStoreSliceTest, OutOfOrderWholePageWritesOwnNoPage) {
+  // Chunk stores finish out of order: page 3 of an object lands first, then
+  // pages 1, 0 and 2, then page 5, which leaves page 4 a real gap. A page
+  // wholly in a gap is the one shared page of zeros, never a buffer the
+  // store fills and owns.
+  Simulation sim;
+  Device dev(sim, ramdisk_preset(16 * MiB));
+  LocalStore store(dev);
+  LocalStore other(dev);
+  const std::uint64_t kPage = LocalStore::kPageSize;
+  const BytesPtr data = make_bytes(pattern_bytes(27, 0, 6 * kPage));
+  std::vector<ByteSlice> early;  // pages 0-2 while only page 3 is written
+  std::vector<ByteSlice> done;   // pages 0-5 at the end
+  std::vector<ByteSlice> gap;    // `other`'s page 0, also in a gap
+  sim.spawn([](LocalStore& ls, LocalStore& os, BytesPtr d,
+               std::vector<ByteSlice>& e, std::vector<ByteSlice>& f,
+               std::vector<ByteSlice>& g) -> Task<void> {
+    const std::uint64_t page = LocalStore::kPageSize;
+    for (const std::uint64_t p : {3u, 1u, 0u, 2u, 5u}) {
+      const ByteSlice one{d, p * page, page};
+      CO_ASSERT_OK(co_await ls.write_at("obj", p * page, one));
+      if (p == 3) {
+        auto r = co_await ls.read("obj", 0, 3 * page);
+        CO_ASSERT_OK(r);
+        e = std::move(r.value());
+      }
+    }
+    auto r = co_await ls.read("obj", 0, 6 * page);
+    CO_ASSERT_OK(r);
+    f = std::move(r.value());
+    const ByteSlice last{d, 0, 10};
+    CO_ASSERT_OK(co_await os.write_at("obj", page, last));
+    auto o = co_await os.read("obj", 0, page);
+    CO_ASSERT_OK(o);
+    g = std::move(o.value());
+  }(store, other, data, early, done, gap));
+  sim.run();
+  ASSERT_EQ(early.size(), 3u);
+  ASSERT_EQ(done.size(), 6u);
+  ASSERT_EQ(gap.size(), 1u);
+  const auto zeros = [](const ByteSlice& slice) {
+    return std::all_of(slice.span().begin(), slice.span().end(),
+                       [](std::uint8_t b) { return b == 0; });
+  };
+  // Before their writes, pages 0-2 read as zeros from the one page that
+  // `other`'s gap reads too.
+  for (const ByteSlice& slice : early) {
+    EXPECT_EQ(slice.bytes, gap[0].bytes);
+    EXPECT_TRUE(zeros(slice));
+  }
+  // Every written page is a slice of the sender's buffer.
+  for (const std::uint64_t p : {0u, 1u, 2u, 3u, 5u}) {
+    EXPECT_EQ(done[p].bytes, data) << "page " << p;
+    EXPECT_EQ(done[p].offset, p * kPage) << "page " << p;
+  }
+  EXPECT_EQ(done[4].bytes, gap[0].bytes);
+  EXPECT_TRUE(zeros(done[4]));
+  EXPECT_TRUE(pieces_equal({done[5]}, std::span(*data).subspan(5 * kPage)));
+  // A write into a gap page copies it first: the shared zeros stay zeros.
+  store.flip_byte("obj", 4 * kPage + 17);
+  std::vector<ByteSlice> flipped;
+  sim.spawn([](LocalStore& ls, std::vector<ByteSlice>& out) -> Task<void> {
+    auto r = co_await ls.read("obj", 4 * LocalStore::kPageSize,
+                              LocalStore::kPageSize);
+    CO_ASSERT_OK(r);
+    out = std::move(r.value());
+  }(store, flipped));
+  sim.run();
+  ASSERT_EQ(flipped.size(), 1u);
+  EXPECT_EQ(flipped[0].span()[17], 0xFF);
+  EXPECT_TRUE(zeros(gap[0]));
+  EXPECT_TRUE(zeros(done[4]));
+}
+
 }  // namespace
 }  // namespace hpcbb::storage

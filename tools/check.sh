@@ -10,9 +10,10 @@
 #                             # size-triggered checkpoints, a late crash
 #                             # that leaves spans open at teardown), all
 #                             # under ASan+UBSan
-#   tools/check.sh --tsan     # mapred_test + integration_test under
-#                             # ThreadSanitizer (build-tsan/): the MapReduce
-#                             # engine's host threads
+#   tools/check.sh --tsan     # common_test + mapred_test +
+#                             # integration_test under ThreadSanitizer
+#                             # (build-tsan/): the byte pool and the
+#                             # MapReduce engine's host threads
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f2_kv_throughput +
 #                             # bench_f3_dfsio_write + bench_f4_dfsio_read +
@@ -136,7 +137,10 @@ if [[ "${tsan}" == 1 ]]; then
     -DHPCBB_WERROR=OFF -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   echo "== tsan: build =="
-  cmake --build build-tsan -j "${jobs}" --target mapred_test integration_test
+  cmake --build build-tsan -j "${jobs}" --target common_test mapred_test \
+    integration_test
+  echo "== tsan: common_test =="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/common_test
   echo "== tsan: mapred_test =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mapred_test
   echo "== tsan: integration_test =="
