@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/byte_pool.h"
 #include "common/strings.h"
 #include "common/units.h"
 #include "mapred/workloads.h"
@@ -73,7 +74,9 @@ inline const std::chrono::steady_clock::time_point kProcessStart =
 // stdout. Output lands in "<id>_result.json" in the working directory, or
 // under $HPCBB_BENCH_OUT if that directory variable is set. write() also
 // appends the process's host wall time and peak RSS as the "host.wall_s"
-// and "host.peak_rss_mb" series: informational, never pinned by a gate.
+// and "host.peak_rss_mb" series, and its large reads served from a spare
+// buffer and served fresh as "host.buffer_reuses" and "host.buffer_fresh"
+// (common/byte_pool.h): informational, never pinned by a gate.
 class JsonResult {
  public:
   JsonResult(std::string id, std::string title)
@@ -106,6 +109,10 @@ class JsonResult {
     getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KiB on Linux
     points.push_back(Point{"host.peak_rss_mb", "process",
                            static_cast<double>(usage.ru_maxrss) / 1024.0});
+    points.push_back(Point{"host.buffer_reuses", "process",
+                           static_cast<double>(buffer_reuses())});
+    points.push_back(Point{"host.buffer_fresh", "process",
+                           static_cast<double>(buffer_fresh())});
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) return {};
     out << "{\n  \"schema\": \"hpcbb.bench.v1\",\n  \"bench\": \""

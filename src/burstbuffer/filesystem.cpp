@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "common/byte_pool.h"
 #include "common/crc32c.h"
 #include "sim/sync.h"
 #include "sim/trace.h"
@@ -470,10 +471,10 @@ class BbReader final : public fs::Reader {
         co_await sim::parallel_collect(bbfs_->sim(), std::move(gets));
 
     // Each chunk is verified where it lies, then only its share of the
-    // requested range is copied, once, into the result.
+    // requested range is copied, once, into the result: a spare buffer's
+    // resident pages when one fits.
     const std::uint64_t end = offset + length;
-    Bytes out;
-    out.reserve(length);
+    Bytes out = take_reserved(length);
     for (std::uint32_t c = first; c <= last; ++c) {
       auto& piece = pieces[c - first];
       if (!piece.is_ok()) co_return piece.status();  // miss or server down

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -149,6 +150,44 @@ BytePool& pool() noexcept {
   return kPool;
 }
 
+// The spare list: plain buffers, each kSplitBytes or larger. It reserves
+// room for every spare up front, so giving one back never allocates.
+struct Spares {
+  Spares() { buffers.reserve(kMaxSpares); }
+
+  std::mutex mu;
+  std::vector<std::vector<std::uint8_t>> buffers;
+  std::atomic<std::uint64_t> reuses{0};
+  std::atomic<std::uint64_t> fresh{0};
+};
+
+Spares& spares() noexcept {
+  static Spares kSpares;
+  return kSpares;
+}
+
+// The last spare given back that holds size..2*size bytes, taken off the
+// list; an empty buffer when none does or `size` is below kSplitBytes.
+// Counts the call as a reuse or as fresh.
+std::vector<std::uint8_t> take_spare(std::size_t size) {
+  if (size < kSplitBytes) return {};
+  Spares& s = spares();
+  std::vector<std::uint8_t> out;
+  {
+    std::lock_guard lock(s.mu);
+    const auto fits = std::find_if(
+        s.buffers.rbegin(), s.buffers.rend(), [size](const auto& buffer) {
+          return buffer.size() >= size && buffer.size() - size <= size;
+        });
+    if (fits != s.buffers.rend()) {
+      out = std::move(*fits);
+      s.buffers.erase(std::next(fits).base());
+    }
+  }
+  (out.empty() ? s.fresh : s.reuses).fetch_add(1);
+  return out;
+}
+
 }  // namespace
 
 std::size_t split_parts(std::size_t n) noexcept {
@@ -181,5 +220,43 @@ std::vector<std::uint8_t> split_zeroed(std::size_t size) {
   out.resize(size);
   return out;
 }
+
+std::vector<std::uint8_t> take_buffer(std::size_t size) {
+  std::vector<std::uint8_t> out = take_spare(size);
+  if (out.empty()) return split_zeroed(size);
+  out.resize(size);
+  return out;
+}
+
+std::vector<std::uint8_t> take_reserved(std::size_t size) {
+  std::vector<std::uint8_t> out = take_spare(size);
+  out.clear();
+  out.reserve(size);
+  return out;
+}
+
+void give_back(std::vector<std::uint8_t>&& buffer) noexcept {
+  if (buffer.size() < kSplitBytes) return;
+  std::vector<std::uint8_t> dropped = std::move(buffer);
+  Spares& s = spares();
+  std::lock_guard lock(s.mu);
+  if (s.buffers.size() < kMaxSpares) s.buffers.push_back(std::move(dropped));
+}
+
+void drop_spares() noexcept {
+  Spares& s = spares();
+  std::lock_guard lock(s.mu);
+  s.buffers.clear();
+}
+
+std::size_t spare_count() noexcept {
+  Spares& s = spares();
+  std::lock_guard lock(s.mu);
+  return s.buffers.size();
+}
+
+std::uint64_t buffer_reuses() noexcept { return spares().reuses.load(); }
+
+std::uint64_t buffer_fresh() noexcept { return spares().fresh.load(); }
 
 }  // namespace hpcbb

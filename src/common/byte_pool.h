@@ -12,6 +12,9 @@
 // This pool is not mapred::JobRunner's HostPool (DESIGN.md §17): that one
 // runs long map and reduce tasks, and a 1 MiB checksum must never wait
 // behind a reduce.
+//
+// Beside it, a short list of spare buffers lets a large read fill pages a
+// finished read left resident (take_buffer, give_back).
 #pragma once
 
 #include <cstddef>
@@ -89,5 +92,36 @@ bool split_run(std::size_t n, F& part) noexcept {
 // caller. A kernel that cannot (MADV_POPULATE_WRITE needs Linux 5.14) leaves
 // the faults to the zero-fill, as for a smaller buffer.
 std::vector<std::uint8_t> split_zeroed(std::size_t size);
+
+// Spare buffers: a process-wide list of large buffers whose pages are
+// already resident, so a read that builds a fresh result of kSplitBytes or
+// more can fill one instead of faulting and zero-filling new pages
+// (DESIGN.md §17). The list holds at most kMaxSpares buffers.
+inline constexpr std::size_t kMaxSpares = 16;
+
+// `size` bytes in a buffer the caller overwrites whole. From kSplitBytes
+// up, a spare of size..2*size bytes truncated to `size`: its bytes are
+// stale, not zero. Otherwise, and when no spare fits, split_zeroed(size).
+std::vector<std::uint8_t> take_buffer(std::size_t size);
+
+// An empty buffer with capacity for `size` bytes, to insert into: a spare
+// that take_buffer would return, cleared, or else a fresh reserve(size),
+// which zero-fills nothing.
+std::vector<std::uint8_t> take_reserved(std::size_t size);
+
+// Keeps `buffer` as a spare if it holds kSplitBytes or more and the list
+// has room; frees it otherwise.
+void give_back(std::vector<std::uint8_t>&& buffer) noexcept;
+
+// Frees every spare.
+void drop_spares() noexcept;
+
+// The number of spares held now.
+std::size_t spare_count() noexcept;
+
+// Calls to take_buffer and take_reserved of kSplitBytes or more served
+// from a spare, and served fresh, since the process started.
+std::uint64_t buffer_reuses() noexcept;
+std::uint64_t buffer_fresh() noexcept;
 
 }  // namespace hpcbb

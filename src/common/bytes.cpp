@@ -29,7 +29,7 @@ Bytes gather(std::span<const ByteSlice> pieces, std::uint64_t from,
   const std::uint64_t total = total_length(pieces);
   const std::uint64_t n = from >= total ? 0 : std::min(length, total - from);
   if (n >= kSplitBytes) {
-    Bytes out = split_zeroed(n);
+    Bytes out = take_buffer(n);
     auto part = [&](std::size_t, SplitRange range) noexcept {
       copy_out(pieces, from + range.begin, out.data() + range.begin,
                range.size());

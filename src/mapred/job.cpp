@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/byte_pool.h"
 #include "common/metrics.h"
 #include "sim/trace.h"
 
@@ -144,6 +145,8 @@ sim::Task<void> JobRunner::map_worker(Job& job, RunState& state,
       co_await simulation().delay_until(
           reserve_compute(node, job.map_cpu_ns(len)));
       mapped.join();
+      // The next read can fill the chunk's pages instead of new ones.
+      give_back(std::move(chunk).value());
       state.stats.input_bytes += len;
     }
 
@@ -272,6 +275,9 @@ sim::Task<Result<JobStats>> JobRunner::run(
     }
   }
   co_await sim::parallel(sim, std::move(workers));
+  // The reduce phase reads no map input: its spares would only add to the
+  // reduce-phase peak.
+  drop_spares();
   if (sim.trace() != nullptr) sim.trace()->end(map_span);
   if (!state.first_error.is_ok()) co_return state.first_error;
   state.stats.map_phase_ns = sim.now() - started;

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "testing/co_assert.h"
+#include "common/byte_pool.h"
 #include "common/crc32c.h"
 #include "common/units.h"
 #include "burstbuffer/filesystem.h"
@@ -296,6 +297,35 @@ TEST(BbLocalTest, RoundTripChecksumsEachUserByteThreeTimes) {
   EXPECT_EQ(rig.master->recovered_blocks(), 0u);
   EXPECT_EQ(rig.sim.metrics().counter("bb.read.local_crc_failures").get(), 0u);
   EXPECT_EQ(checksummed, 3 * kSize);
+}
+
+TEST(BbAsyncTest, BufferReadIntoAStaleSpareReturnsTheWrittenBytes) {
+  // A buffer read of one whole block fills a spare buffer instead of a
+  // fresh one (common/byte_pool.h). The spare's stale bytes must not show,
+  // and the read checksums exactly what a read into a fresh buffer does.
+  Rig rig(Scheme::kAsync);
+  constexpr std::uint64_t kBlock = 8 * MiB;
+  rig.write_file("/f", 16, 2 * kBlock);
+  rig.drain_flushes();
+  drop_spares();
+  std::uint64_t before = crc32c_bytes();
+  const Bytes fresh = rig.read_file("/f", kBlock);
+  const std::uint64_t fresh_checksummed = crc32c_bytes() - before;
+
+  Bytes spare(kBlock + kBlock / 2, 0xA5);
+  const std::uint8_t* const reused = spare.data();
+  give_back(std::move(spare));
+  const std::uint64_t reuses = buffer_reuses();
+  before = crc32c_bytes();
+  const Bytes got = rig.read_file("/f", kBlock);
+  EXPECT_EQ(crc32c_bytes() - before, fresh_checksummed);
+  EXPECT_EQ(fresh_checksummed, kBlock);
+  EXPECT_EQ(buffer_reuses(), reuses + 1);
+  EXPECT_EQ(got.data(), reused);
+  ASSERT_EQ(got.size(), kBlock);
+  EXPECT_TRUE(verify_pattern(16, 0, got));
+  EXPECT_EQ(got, fresh);
+  drop_spares();
 }
 
 TEST(BbAsyncTest, CloseReturnsBeforeFlushCompletes) {

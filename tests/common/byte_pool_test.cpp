@@ -1,6 +1,8 @@
 // The byte kernels that split one call across the byte pool: each must
 // return exactly what its serial path does, also when every pool thread is
-// busy and the caller runs every part itself.
+// busy and the caller runs every part itself. Then the spare list: which
+// buffers it keeps and hands out, and that a reused spare's stale bytes
+// never show.
 #include "common/byte_pool.h"
 
 #include <gtest/gtest.h>
@@ -198,6 +200,120 @@ TEST(BytePoolTest, KernelsRunOnTheCallerWhilePoolThreadsAreBlocked) {
   holder.join();
   // The pool threads went back to serving; a split call still works.
   EXPECT_EQ(crc32c(buf), crc32c_detail::crc32c_table(0, buf.data(), buf.size()));
+}
+
+// The spare list is process-wide: each test starts and ends with it empty.
+class SpareTest : public ::testing::Test {
+ protected:
+  void SetUp() override { drop_spares(); }
+  void TearDown() override { drop_spares(); }
+};
+
+TEST_F(SpareTest, GatherOverwritesAReusedSpareWhole) {
+  Bytes spare(3 * MiB, 0xA5);
+  const std::uint8_t* const reused = spare.data();
+  give_back(std::move(spare));
+  ASSERT_EQ(spare_count(), 1u);
+  const Bytes source = random_bytes(4 * MiB, 51);
+  const std::vector<ByteSlice> pieces = {
+      ByteSlice{make_bytes(source), 9, 1 * MiB + 77},
+      ByteSlice{make_bytes(source), 2 * MiB, 2 * MiB}};
+  const std::uint64_t reuses = buffer_reuses();
+  const std::uint64_t fresh = buffer_fresh();
+  // 2 MiB + 3 bytes: no byte of the spare's 0xA5 fill may survive.
+  const Bytes got = gather(pieces, 3, 2 * MiB + 3);
+  EXPECT_EQ(got.data(), reused);
+  EXPECT_EQ(got, concatenated(pieces, 3, 2 * MiB + 3));
+  EXPECT_EQ(buffer_reuses(), reuses + 1);
+  EXPECT_EQ(buffer_fresh(), fresh);
+  EXPECT_EQ(spare_count(), 0u);
+}
+
+TEST_F(SpareTest, TakesOnlyASpareOfNToTwoNBytes) {
+  constexpr std::size_t n = 2 * MiB;
+  Bytes larger(2 * n + 1, 0xA5);
+  Bytes smaller(n - 1, 0xA5);
+  const std::uint8_t* const not_taken[] = {larger.data(), smaller.data()};
+  give_back(std::move(larger));
+  give_back(std::move(smaller));
+  ASSERT_EQ(spare_count(), 2u);
+  const std::uint64_t reuses = buffer_reuses();
+  const std::uint64_t fresh = buffer_fresh();
+  const Bytes got = take_buffer(n);
+  ASSERT_EQ(got.size(), n);
+  EXPECT_NE(got.data(), not_taken[0]);
+  EXPECT_NE(got.data(), not_taken[1]);
+  EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(buffer_fresh(), fresh + 1);
+  EXPECT_EQ(buffer_reuses(), reuses);
+  EXPECT_EQ(spare_count(), 2u);
+
+  // Both ends of the window fit.
+  drop_spares();
+  for (const std::size_t size : {n, 2 * n}) {
+    Bytes spare(size, 0xA5);
+    const std::uint8_t* const at = spare.data();
+    give_back(std::move(spare));
+    const Bytes taken = take_buffer(n);
+    EXPECT_EQ(taken.data(), at) << "spare of " << size;
+    EXPECT_EQ(taken.size(), n);
+  }
+  EXPECT_EQ(buffer_reuses(), reuses + 2);
+}
+
+TEST_F(SpareTest, TakeReservedClearsASpareOrReservesFresh) {
+  Bytes spare(3 * MiB, 0xA5);
+  const std::uint8_t* const at = spare.data();
+  give_back(std::move(spare));
+  const std::uint64_t reuses = buffer_reuses();
+  const std::uint64_t fresh = buffer_fresh();
+  const Bytes reused = take_reserved(2 * MiB);
+  EXPECT_TRUE(reused.empty());
+  EXPECT_GE(reused.capacity(), 2 * MiB);
+  EXPECT_EQ(reused.data(), at);
+  const Bytes reserved = take_reserved(2 * MiB);
+  EXPECT_TRUE(reserved.empty());
+  EXPECT_GE(reserved.capacity(), 2 * MiB);
+  EXPECT_EQ(buffer_reuses(), reuses + 1);
+  EXPECT_EQ(buffer_fresh(), fresh + 1);
+  // A small read neither looks for a spare nor counts.
+  EXPECT_GE(take_reserved(kSplitBytes - 1).capacity(), kSplitBytes - 1);
+  EXPECT_EQ(take_buffer(kSplitBytes - 1), Bytes(kSplitBytes - 1));
+  EXPECT_EQ(buffer_reuses(), reuses + 1);
+  EXPECT_EQ(buffer_fresh(), fresh + 1);
+}
+
+TEST_F(SpareTest, KeepsNoBufferBelowTheSplitThreshold) {
+  give_back(Bytes(kSplitBytes - 1, 0xA5));
+  give_back(Bytes{});
+  EXPECT_EQ(spare_count(), 0u);
+  give_back(Bytes(kSplitBytes, 0xA5));
+  EXPECT_EQ(spare_count(), 1u);
+}
+
+TEST_F(SpareTest, HoldsAtMostTheCap) {
+  for (std::size_t i = 0; i < kMaxSpares + 4; ++i) {
+    give_back(Bytes(kSplitBytes, 0xA5));
+  }
+  EXPECT_EQ(spare_count(), kMaxSpares);
+  const std::uint64_t reuses = buffer_reuses();
+  const std::uint64_t fresh = buffer_fresh();
+  for (std::size_t i = 0; i < kMaxSpares + 4; ++i) {
+    EXPECT_EQ(take_buffer(kSplitBytes).size(), kSplitBytes);
+  }
+  EXPECT_EQ(buffer_reuses(), reuses + kMaxSpares);
+  EXPECT_EQ(buffer_fresh(), fresh + 4);
+}
+
+TEST_F(SpareTest, DropSparesEmptiesTheList) {
+  for (int i = 0; i < 3; ++i) give_back(Bytes(2 * MiB, 0xA5));
+  ASSERT_EQ(spare_count(), 3u);
+  drop_spares();
+  EXPECT_EQ(spare_count(), 0u);
+  const std::uint64_t fresh = buffer_fresh();
+  EXPECT_EQ(take_buffer(2 * MiB), Bytes(2 * MiB));
+  EXPECT_EQ(buffer_fresh(), fresh + 1);
 }
 
 }  // namespace

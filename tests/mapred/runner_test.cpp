@@ -1,7 +1,8 @@
 // JobRunner runs map_chunk and reduce on host threads. These tests check
 // that doing so changes nothing a run produces: outputs and JobStats equal
 // a serial fold of the same input, a repeated run is event-for-event
-// identical, and a run torn down mid-map waits for its host tasks.
+// identical, map reads into stale spare buffers change nothing, and a run
+// torn down mid-map waits for its host tasks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 
 #include "testing/co_assert.h"
 #include "cluster/cluster.h"
+#include "common/byte_pool.h"
 #include "common/host_pool.h"
 #include "mapred/workloads.h"
 
@@ -71,8 +73,9 @@ struct RunOutput {
 // Generates `files` x `records` on `kind`, runs `job` over them and reads
 // every input file and output part back.
 RunOutput run_job(Job& job, FsKind kind, std::uint32_t files,
-                  std::uint64_t records) {
-  Cluster cluster(runner_config());
+                  std::uint64_t records,
+                  const ClusterConfig& config = runner_config()) {
+  Cluster cluster(config);
   auto runner = cluster.make_runner(kind);
   RunOutput out;
   cluster.sim().spawn([](Cluster& c, FsKind k, JobRunner& r, Job& j,
@@ -159,15 +162,16 @@ RunOutput serial_reference(Job& job, const std::vector<Bytes>& inputs,
 }
 
 template <typename MakeJob>
-void expect_runner_matches_serial(MakeJob make_job, std::uint32_t files,
-                                  std::uint64_t records) {
+void expect_runner_matches_serial(
+    MakeJob make_job, std::uint32_t files, std::uint64_t records,
+    FsKind kind = FsKind::kLustre,
+    const ClusterConfig& config = runner_config()) {
   auto pooled_job = make_job();
-  const RunOutput pooled =
-      run_job(pooled_job, FsKind::kLustre, files, records);
+  const RunOutput pooled = run_job(pooled_job, kind, files, records, config);
   ASSERT_EQ(pooled.inputs.size(), files);
   auto serial_job = make_job();
   const RunOutput serial =
-      serial_reference(serial_job, pooled.inputs, runner_config().mapred);
+      serial_reference(serial_job, pooled.inputs, config.mapred);
   ASSERT_EQ(pooled.parts.size(), serial.parts.size());
   for (std::size_t r = 0; r < serial.parts.size(); ++r) {
     EXPECT_EQ(pooled.parts[r], serial.parts[r]) << "part " << r;
@@ -188,6 +192,59 @@ TEST(JobRunnerDifferentialTest, SortMatchesSerialFold) {
                                    3, records);
     }
   }
+}
+
+// BB-Local with map chunks of 2 MiB: each map read is large enough to fill
+// a spare buffer that an earlier map gave back (common/byte_pool.h).
+ClusterConfig large_chunk_config() {
+  ClusterConfig config = runner_config();
+  config.scheme = bb::Scheme::kLocal;
+  config.mapred.split_size = 4 * MiB + 7;
+  config.mapred.io_chunk_bytes = 2 * MiB + 3;
+  return config;
+}
+
+TEST(JobRunnerDifferentialTest, BbLocalSortInLargeChunksMatchesSerialFold) {
+  const std::uint64_t reuses = buffer_reuses();
+  expect_runner_matches_serial([] { return SortJob(3); }, 3, 50000,
+                               FsKind::kBurstBuffer, large_chunk_config());
+  EXPECT_GT(buffer_reuses(), reuses);
+  EXPECT_EQ(spare_count(), 0u);  // dropped when the map phase ended
+}
+
+TEST(JobRunnerSpareTest, StaleSparesChangeNothing) {
+  drop_spares();
+  const ClusterConfig config = large_chunk_config();
+  std::uint64_t reuses = buffer_reuses();
+  SortJob plain_job(3);
+  const RunOutput plain =
+      run_job(plain_job, FsKind::kBurstBuffer, 3, 50000, config);
+  const std::uint64_t plain_reuses = buffer_reuses() - reuses;
+  // Spares that fit a map read, filled with a byte no record holds there.
+  for (std::size_t i = 0; i < kMaxSpares; ++i) {
+    give_back(Bytes(3 * MiB, 0xA5));
+  }
+  reuses = buffer_reuses();
+  SortJob spared_job(3);
+  const RunOutput spared =
+      run_job(spared_job, FsKind::kBurstBuffer, 3, 50000, config);
+  // The first map reads drew the stale spares.
+  EXPECT_GT(buffer_reuses() - reuses, plain_reuses);
+  EXPECT_EQ(spare_count(), 0u);
+  EXPECT_EQ(spared.inputs, plain.inputs);
+  EXPECT_EQ(spared.parts, plain.parts);
+  EXPECT_EQ(spared.events, plain.events);
+  const JobStats& a = plain.stats;
+  const JobStats& b = spared.stats;
+  EXPECT_EQ(a.makespan_ns, b.makespan_ns);
+  EXPECT_EQ(a.map_phase_ns, b.map_phase_ns);
+  EXPECT_EQ(a.reduce_phase_ns, b.reduce_phase_ns);
+  EXPECT_EQ(a.maps_total, b.maps_total);
+  EXPECT_EQ(a.maps_node_local, b.maps_node_local);
+  EXPECT_EQ(a.reducers, b.reducers);
+  EXPECT_EQ(a.input_bytes, b.input_bytes);
+  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+  EXPECT_EQ(a.output_bytes, b.output_bytes);
 }
 
 TEST(JobRunnerDifferentialTest, GrepMatchesSerialFold) {

@@ -12,7 +12,7 @@ each benchmark's median is gated).
 Usage:
     tools/bench_gate.py check BASELINE RESULT [--tol T] [--scale-candidate F]
     tools/bench_gate.py update RESULT [--out DIR] [--tol T] [--bench ID]
-    tools/bench_gate.py trajectory RESULT_DIR --out FILE [--label L]
+    tools/bench_gate.py trajectory RESULT_DIR... --out FILE [--label L]
 
 `check` prints a pass/fail table, one row per baseline point. Tolerance
 precedence: a point's own "tolerance" in the baseline, else --tol, else the
@@ -28,10 +28,11 @@ host.peak_rss_mb) are never written to a baseline; `check` lists them as
 informational.
 
 `trajectory` collects the host-time series of every hpcbb.bench.v1 result
-in RESULT_DIR into FILE (schema hpcbb.hosttraj.v1) under LABEL, keeping the
-other labels already there: `tools/check.sh --gate FILE LABEL` runs it once
-per checkout, so one file holds a change's host time and peak RSS beside its
-parent's.
+in the RESULT_DIRs into FILE (schema hpcbb.hosttraj.v1) under LABEL, keeping
+the other labels already there. Given a directory per repetition of the same
+benches, it keeps each point's median over them. `tools/check.sh --gate FILE
+LABEL` runs it once per checkout, so one file holds a change's host time and
+peak RSS beside its parent's.
 
 Baseline schema (hpcbb.gatebase.v1):
     {"schema": "hpcbb.gatebase.v1", "bench": "f1", "default_tolerance": 0.05,
@@ -47,6 +48,7 @@ across very different CI hosts.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 GATEBASE_SCHEMA = "hpcbb.gatebase.v1"
@@ -200,22 +202,25 @@ def host_cpu():
 
 
 def trajectory(args):
-    benches = {}
-    for name in sorted(os.listdir(args.result_dir)):
-        if not name.endswith(".json"):
-            continue
-        doc = load_json(os.path.join(args.result_dir, name))
-        if doc.get("schema") != BENCH_SCHEMA:
-            continue  # google-benchmark output carries no host points
-        bench, points = result_points(doc, name)
-        host = {series[len(HOST_PREFIX):]: value
-                for (series, _), value in points.items()
-                if series.startswith(HOST_PREFIX)}
-        if host:
-            benches[bench] = host
-    if not benches:
+    runs = {}  # bench -> host point -> its value in each directory
+    for result_dir in args.result_dirs:
+        for name in sorted(os.listdir(result_dir)):
+            if not name.endswith(".json"):
+                continue
+            doc = load_json(os.path.join(result_dir, name))
+            if doc.get("schema") != BENCH_SCHEMA:
+                continue  # google-benchmark output carries no host points
+            bench, points = result_points(doc, name)
+            for (series, _), value in points.items():
+                if series.startswith(HOST_PREFIX):
+                    runs.setdefault(bench, {}).setdefault(
+                        series[len(HOST_PREFIX):], []).append(value)
+    if not runs:
         sys.exit(f"bench_gate: no {BENCH_SCHEMA} host points in "
-                 f"{args.result_dir}")
+                 f"{' '.join(args.result_dirs)}")
+    benches = {bench: {point: statistics.median(values)
+                       for point, values in host.items()}
+               for bench, host in runs.items()}
     doc = {"schema": TRAJECTORY_SCHEMA, "runs": {}}
     if os.path.exists(args.out):
         doc = load_json(args.out)
@@ -256,7 +261,8 @@ def main():
 
     p_traj = sub.add_parser("trajectory",
                             help="collect host points into a trajectory")
-    p_traj.add_argument("result_dir")
+    p_traj.add_argument("result_dirs", nargs="+", metavar="result_dir",
+                        help="result directories, one per repetition")
     p_traj.add_argument("--out", required=True,
                         help="trajectory file to write or extend")
     p_traj.add_argument("--label", default="change",
