@@ -1,16 +1,7 @@
 #include "common/byte_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <iterator>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "common/host_pool.h"
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -18,15 +9,12 @@
 #endif
 
 namespace hpcbb {
-namespace {
-
-using byte_pool_detail::PartFn;
 
 // One split call. Pool threads hold it by shared_ptr, so a thread that
-// reaches it after the call has returned still finds its counters; it
-// then finds no part left and never calls `fn`, whose context lives on the
+// reaches it after the call has returned still finds its counters; it then
+// finds no part left and never calls `fn`, whose context lives on the
 // caller's stack.
-struct Job {
+struct BytePool::Job {
   Job(std::size_t parts_in, PartFn fn_in, void* context_in) noexcept
       : parts(parts_in), fn(fn_in), context(context_in) {}
 
@@ -47,88 +35,94 @@ struct Job {
   std::atomic<std::size_t> done{0};  // parts that have returned
 };
 
-class BytePool {
- public:
-  // Starts as many threads as it can, up to the width; none is no error.
-  BytePool() noexcept {
-    const unsigned width =
-        std::clamp(std::thread::hardware_concurrency(), 1u,
-                   HostPool::kMaxThreads) -
-        1;
-    try {
-      threads_.reserve(width);
-      for (unsigned i = 0; i < width; ++i) {
-        threads_.emplace_back([this] { serve(); });
-      }
-    } catch (...) {
-      // The threads that started serve on; a call runs on fewer of them.
+BytePool::BytePool(unsigned width) noexcept {
+  try {
+    threads_.reserve(width);
+    for (unsigned i = 0; i < width; ++i) {
+      threads_.emplace_back([this] { serve(); });
     }
+  } catch (...) {
+    // The threads that started serve on; a call runs on fewer of them.
   }
+}
 
-  ~BytePool() {
-    {
-      std::lock_guard lock(mu_);
-      stopping_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread& thread : threads_) thread.join();
+BytePool::~BytePool() {
+  {
+    std::lock_guard lock(mu_);
+    stopping_ = true;
   }
+  wake_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+}
 
-  BytePool(const BytePool&) = delete;
-  BytePool& operator=(const BytePool&) = delete;
-
-  [[nodiscard]] unsigned threads() const noexcept {
-    return static_cast<unsigned>(threads_.size());
+void BytePool::post(std::packaged_task<void()> task) {
+  if (threads_.empty()) {
+    task();
+    return;
   }
+  // A submitted task is a call of one part that owns its task.
+  struct Submitted final : Job {
+    explicit Submitted(std::packaged_task<void()> submitted) noexcept
+        : Job(1,
+              [](void* t, std::size_t) noexcept {
+                (*static_cast<std::packaged_task<void()>*>(t))();
+              },
+              &task),
+          task(std::move(submitted)) {}
+    std::packaged_task<void()> task;
+  };
+  std::shared_ptr<Job> job = std::make_shared<Submitted>(std::move(task));
+  {
+    std::lock_guard lock(mu_);
+    jobs_.push_back(std::move(job));
+  }
+  wake_.notify_one();
+}
 
-  bool run(std::size_t parts, PartFn fn, void* context) noexcept {
-    if (threads_.empty()) return false;
+bool BytePool::run(std::size_t parts, PartFn fn, void* context) noexcept {
+  if (threads_.empty()) return false;
+  std::shared_ptr<Job> job;
+  try {
+    job = std::make_shared<Job>(parts, fn, context);
+    std::lock_guard lock(mu_);
+    jobs_.push_back(job);
+  } catch (...) {
+    return false;
+  }
+  wake_.notify_all();
+  job->work();
+  {
+    // Every part is claimed: a thread that has not reached the job yet
+    // need not.
+    std::lock_guard lock(mu_);
+    std::erase(jobs_, job);
+  }
+  for (std::size_t d = job->done.load(); d != parts; d = job->done.load()) {
+    job->done.wait(d);
+  }
+  return true;
+}
+
+void BytePool::serve() noexcept {
+  for (;;) {
     std::shared_ptr<Job> job;
-    try {
-      job = std::make_shared<Job>(parts, fn, context);
-      std::lock_guard lock(mu_);
-      jobs_.push_back(job);
-    } catch (...) {
-      return false;
-    }
-    wake_.notify_all();
-    job->work();
     {
-      // Every part is claimed: a thread that has not reached the job yet
-      // need not.
-      std::lock_guard lock(mu_);
-      std::erase(jobs_, job);
+      std::unique_lock lock(mu_);
+      wake_.wait(lock, [this] {
+        while (!jobs_.empty() && jobs_.front()->claimed()) jobs_.pop_front();
+        return stopping_ || !jobs_.empty();
+      });
+      // Stopping: every queued task still runs, so no handle is left
+      // without its result.
+      if (jobs_.empty()) return;
+      // Left queued: every free thread joins the same call.
+      job = jobs_.front();
     }
-    for (std::size_t d = job->done.load(); d != parts; d = job->done.load()) {
-      job->done.wait(d);
-    }
-    return true;
+    job->work();
   }
+}
 
- private:
-  void serve() noexcept {
-    for (;;) {
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock lock(mu_);
-        wake_.wait(lock, [this] {
-          while (!jobs_.empty() && jobs_.front()->claimed()) jobs_.pop_front();
-          return stopping_ || !jobs_.empty();
-        });
-        if (stopping_) return;
-        // Left queued: every free thread joins the same call.
-        job = jobs_.front();
-      }
-      job->work();
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable wake_;
-  std::deque<std::shared_ptr<Job>> jobs_;  // calls with parts unclaimed
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
-};
+namespace {
 
 // Faults in [data, data + n) writable, as a first write would, without
 // writing it; a kernel without MADV_POPULATE_WRITE leaves it to that write.
@@ -143,11 +137,6 @@ void populate_writable(void* data, std::size_t n) noexcept {
   (void)data;
   (void)n;
 #endif
-}
-
-BytePool& pool() noexcept {
-  static BytePool kPool;
-  return kPool;
 }
 
 // The spare list: plain buffers, each kSplitBytes or larger. It reserves
@@ -201,11 +190,11 @@ SplitRange split_range(std::size_t n, std::size_t parts,
   return {std::min(n, i * each), std::min(n, (i + 1) * each)};
 }
 
-unsigned byte_pool_threads() noexcept { return pool().threads(); }
-
-bool byte_pool_detail::run(std::size_t parts, PartFn fn,
-                           void* context) noexcept {
-  return pool().run(parts, fn, context);
+BytePool& byte_pool() noexcept {
+  static BytePool kPool(std::clamp(std::thread::hardware_concurrency(), 1u,
+                                  BytePool::kMaxThreads) -
+                       1);
+  return kPool;
 }
 
 std::vector<std::uint8_t> split_zeroed(std::size_t size) {

@@ -139,9 +139,10 @@ sim::Task<void> JobRunner::map_worker(Job& job, RunState& state,
       }
       // The chunk is mapped on the pool while its compute is charged, and
       // the partitions are touched again only after the join.
-      HostTask<void> mapped = pool_.submit([&job, &split, &chunk, &partitions] {
-        job.map_chunk(split, chunk.value(), partitions);
-      });
+      HostTask<void> mapped =
+          byte_pool().submit([&job, &split, &chunk, &partitions] {
+            job.map_chunk(split, chunk.value(), partitions);
+          });
       co_await simulation().delay_until(
           reserve_compute(node, job.map_cpu_ns(len)));
       mapped.join();
@@ -167,7 +168,7 @@ void JobRunner::start_reduce(Job& job, RunState& state,
   // The task holds the only references to the reducer's parts and drops
   // them as soon as the reduce returns, so its input is freed on the host
   // as soon as it is folded.
-  host.task.emplace(pool_.submit(
+  host.task.emplace(byte_pool().submit(
       [&job, reducer, parts = std::move(host.parts)]() mutable {
         Result<Bytes> folded = job.reduce(reducer, parts);
         parts = {};

@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/host_pool.h"
+#include "common/byte_pool.h"
 #include "net/rpc.h"
 #include "sim/sync.h"
 #include "storage/filesystem.h"
@@ -34,14 +34,14 @@ struct InputSplit {
 // A MapReduce job: chunk-streamed map with partitioned output, and a
 // per-partition reduce. Map-only jobs return num_reducers() == 0.
 //
-// map_chunk and reduce run on the runner's host threads, concurrently with
-// other calls of the same job and with the simulation. They must touch
-// neither the simulation, nor the metrics, nor job members another call
-// shares: a call reads its arguments and writes its `out` or its result,
-// plus at most state that belongs to its own reducer. The engine joins each
-// call before it uses the result, at the simulated instant a serial run
-// would have made the call. Every other member runs on the simulation
-// thread.
+// map_chunk and reduce run on the host pool's threads (common/byte_pool.h),
+// concurrently with other calls of the same job and with the simulation.
+// They must touch neither the simulation, nor the metrics, nor job members
+// another call shares: a call reads its arguments and writes its `out` or
+// its result, plus at most state that belongs to its own reducer. The
+// engine joins each call before it uses the result, at the simulated
+// instant a serial run would have made the call. Every other member runs
+// on the simulation thread.
 class Job {
  public:
   virtual ~Job() = default;
@@ -176,9 +176,6 @@ class JobRunner {
   MrParams params_;
   // Per-node compute capacity: a work-conserving queue at cores x 1 ns/ns.
   std::map<net::NodeId, sim::ResourceQueue> compute_;
-  // Runs map_chunk and reduce calls off the simulation thread. Declared
-  // last, so it is joined before anything else of the runner goes.
-  HostPool pool_;
 };
 
 }  // namespace hpcbb::mapred

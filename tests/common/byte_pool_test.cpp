@@ -1,16 +1,20 @@
 // The byte kernels that split one call across the byte pool: each must
 // return exactly what its serial path does, also when every pool thread is
-// busy and the caller runs every part itself. Then the spare list: which
-// buffers it keeps and hands out, and that a reused spare's stale bytes
-// never show.
+// busy with a submitted task and the caller runs every part itself, and
+// when the calls are made from submitted tasks. Then submitted tasks on
+// their own: the width, the no-thread rule, teardown. Then the spare list:
+// which buffers it keeps and hands out, and that a reused spare's stale
+// bytes never show.
 #include "common/byte_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <latch>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -172,19 +176,19 @@ TEST(BytePoolTest, SplitGatherMatchesConcatenation) {
 }
 
 TEST(BytePoolTest, KernelsRunOnTheCallerWhilePoolThreadsAreBlocked) {
-  const unsigned threads = byte_pool_threads();
+  const unsigned threads = byte_pool().threads();
   if (threads == 0) GTEST_SKIP() << "the byte pool has no thread on this host";
-  // One call whose parts block: its caller takes one, each pool thread one.
-  const std::size_t n = (threads + 1) * kSplitPartBytes;
-  ASSERT_EQ(split_parts(n), threads + 1);
+  // One submitted task per pool thread, each blocked until released.
   std::latch release(1);
   std::atomic<unsigned> blocked{0};
-  auto block = [&](std::size_t, SplitRange) noexcept {
-    blocked.fetch_add(1);
-    release.wait();
-  };
-  std::thread holder([&] { EXPECT_TRUE(split_run(n, block)); });
-  while (blocked.load() < threads + 1) std::this_thread::yield();
+  std::vector<HostTask<void>> blockers;
+  for (unsigned i = 0; i < threads; ++i) {
+    blockers.push_back(byte_pool().submit([&] {
+      blocked.fetch_add(1);
+      release.wait();
+    }));
+  }
+  while (blocked.load() < threads) std::this_thread::yield();
 
   const Bytes buf = random_bytes(4 * MiB + 7, 41);
   EXPECT_EQ(crc32c(5, buf.data() + 1, buf.size() - 1),
@@ -197,9 +201,98 @@ TEST(BytePoolTest, KernelsRunOnTheCallerWhilePoolThreadsAreBlocked) {
   EXPECT_EQ(gather(pieces, 5, 5 * MiB), concatenated(pieces, 5, 5 * MiB));
 
   release.count_down();
-  holder.join();
+  for (HostTask<void>& blocker : blockers) blocker.join();
   // The pool threads went back to serving; a split call still works.
   EXPECT_EQ(crc32c(buf), crc32c_detail::crc32c_table(0, buf.data(), buf.size()));
+}
+
+TEST(BytePoolTest, SubmittedTasksMakingSplitCallsGetTheSerialResults) {
+  // More tasks than threads, each splitting calls on the pool it runs on:
+  // some queue behind the others, and every split call finds the other
+  // threads busy or free in turn.
+  const unsigned tasks = 2 * byte_pool().threads() + 3;
+  struct Out {
+    std::uint32_t crc = 0;
+    Bytes pattern;
+  };
+  std::vector<Bytes> inputs;
+  for (unsigned t = 0; t < tasks; ++t) {
+    inputs.push_back(random_bytes(2 * MiB + 11 * t, 60 + t));
+  }
+  std::vector<HostTask<Out>> running;
+  for (unsigned t = 0; t < tasks; ++t) {
+    running.push_back(byte_pool().submit([&input = inputs[t], t] {
+      return Out{crc32c(t, input.data(), input.size()),
+                 pattern_bytes(t, 4093 * t, 1 * MiB + 5 * t)};
+    }));
+  }
+  for (unsigned t = 0; t < tasks; ++t) {
+    const Out got = running[t].join();
+    EXPECT_EQ(got.crc, crc32c_detail::crc32c_table(t, inputs[t].data(),
+                                                   inputs[t].size()))
+        << "task " << t;
+    EXPECT_EQ(got.pattern, scalar_pattern(t, 4093 * t, 1 * MiB + 5 * t))
+        << "task " << t;
+  }
+}
+
+TEST(BytePoolTest, APoolWithNoThreadRunsEverythingOnTheCaller) {
+  BytePool pool(0);
+  EXPECT_EQ(pool.threads(), 0u);
+  // A submitted task has run by the time submit returns.
+  bool ran = false;
+  HostTask<std::thread::id> task = pool.submit([&ran] {
+    ran = true;
+    return std::this_thread::get_id();
+  });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(task.join(), std::this_thread::get_id());
+  // A split call runs no part and leaves the work to its caller.
+  std::atomic<unsigned> parts{0};
+  auto part = [&parts](std::size_t, SplitRange) noexcept { ++parts; };
+  EXPECT_FALSE(pool.split_run(4 * MiB, part));
+  EXPECT_EQ(parts.load(), 0u);
+}
+
+TEST(BytePoolTest, DestroyingAPoolRunsEveryQueuedTask) {
+  std::vector<HostTask<int>> tasks;
+  {
+    BytePool pool(1);
+    ASSERT_EQ(pool.threads(), 1u);
+    // The first task holds the one thread while the others queue.
+    tasks.push_back(pool.submit([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return 0;
+    }));
+    for (int i = 1; i < 5; ++i) tasks.push_back(pool.submit([i] { return i; }));
+  }
+  int expected = 0;
+  for (HostTask<int>& task : tasks) EXPECT_EQ(task.join(), expected++);
+}
+
+TEST(HostPoolTest, JoinReturnsTheValueOrRethrows) {
+  // The process-wide pool's width: the host's cores, at most
+  // BytePool::kMaxThreads, less one for the caller.
+  EXPECT_EQ(byte_pool().threads(),
+            std::clamp(std::thread::hardware_concurrency(), 1u,
+                       BytePool::kMaxThreads) -
+                1);
+  HostTask<int> value = byte_pool().submit([] { return 42; });
+  HostTask<int> thrown =
+      byte_pool().submit([]() -> int { throw std::runtime_error("boom"); });
+  EXPECT_EQ(value.join(), 42);
+  EXPECT_THROW(thrown.join(), std::runtime_error);
+}
+
+TEST(HostPoolTest, UnjoinedHandleWaitsForItsTask) {
+  std::atomic<bool> done{false};
+  {
+    HostTask<void> task = byte_pool().submit([&done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      done = true;
+    });
+  }
+  EXPECT_TRUE(done);
 }
 
 // The spare list is process-wide: each test starts and ends with it empty.

@@ -8,13 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 
 #include "testing/co_assert.h"
 #include "cluster/cluster.h"
 #include "common/byte_pool.h"
-#include "common/host_pool.h"
 #include "mapred/workloads.h"
 
 namespace hpcbb::mapred {
@@ -24,29 +22,6 @@ using cluster::Cluster;
 using cluster::ClusterConfig;
 using cluster::FsKind;
 using sim::Task;
-
-TEST(HostPoolTest, JoinReturnsTheValueOrRethrows) {
-  HostPool pool;
-  EXPECT_GE(pool.size(), 1u);
-  EXPECT_LE(pool.size(), HostPool::kMaxThreads);
-  HostTask<int> value = pool.submit([] { return 42; });
-  HostTask<int> thrown =
-      pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(value.join(), 42);
-  EXPECT_THROW(thrown.join(), std::runtime_error);
-}
-
-TEST(HostPoolTest, UnjoinedHandleWaitsForItsTask) {
-  HostPool pool;
-  std::atomic<bool> done{false};
-  {
-    HostTask<void> task = pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      done = true;
-    });
-  }
-  EXPECT_TRUE(done);
-}
 
 ClusterConfig runner_config() {
   ClusterConfig config;
@@ -304,9 +279,10 @@ class GatedJob final : public Job {
 };
 
 // Stops the run mid-map and tears the cluster down while host tasks run.
-// `runner_outlives_cluster` picks who goes first: the pool (it drops queued
-// tasks and joins the running ones) or the map workers' frames (each waits
-// for its task before freeing the chunk and partitions the task uses).
+// `runner_outlives_cluster` picks who goes first: the runner, which owns no
+// thread, or the cluster with the map workers' frames. Either way each
+// frame waits for its task, queued or running on the process-wide pool,
+// before freeing the chunk and partitions the task uses.
 void tear_down_mid_map(bool runner_outlives_cluster) {
   GatedJob job;
   std::thread releaser;
@@ -352,7 +328,7 @@ void tear_down_mid_map(bool runner_outlives_cluster) {
   EXPECT_EQ(job.started, job.finished);
 }
 
-TEST(JobRunnerTeardownTest, PoolJoinsRunningMapsBeforeTheCluster) {
+TEST(JobRunnerTeardownTest, FramesWaitForTheirMapsWhenTheRunnerGoesFirst) {
   tear_down_mid_map(false);
 }
 

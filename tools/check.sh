@@ -12,8 +12,8 @@
 #                             # under ASan+UBSan
 #   tools/check.sh --tsan     # common_test + mapred_test +
 #                             # integration_test under ThreadSanitizer
-#                             # (build-tsan/): the byte pool and the
-#                             # MapReduce engine's host threads
+#                             # (build-tsan/): the byte pool, which also
+#                             # runs the MapReduce engine's host tasks
 #   tools/check.sh --gate     # perf-regression gate: bench_m1_kv_micro +
 #                             # bench_f1_kv_latency + bench_f2_kv_throughput +
 #                             # bench_f3_dfsio_write + bench_f4_dfsio_read +
@@ -62,6 +62,8 @@ if [[ "${gate}" == 1 ]]; then
     bench_a1_bb_transport bench_a2_read_promotion bench_a3_overload \
     bench_a4_chaos bench_m1_kv_micro
   out="$(mktemp -d)"
+  # The result files go with the run, whether it passes or a bench fails.
+  trap 'rm -rf "${out}"' EXIT
   # One run's host time swings by more than most changes move it: for a
   # trajectory, each F/A bench runs twice more, into a directory per
   # repetition, and only the first run is gated.
