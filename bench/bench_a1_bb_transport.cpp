@@ -3,81 +3,43 @@
 // write/read. In this paper series the RDMA transport is the foundation:
 // socket transports erase most of the read gain and a chunk of the write
 // gain.
-#include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 
-namespace {
-
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using sim::Task;
-
-struct Point {
-  double write_mbps = 0;
-  double read_mbps = 0;
-};
-
-Point run_case(net::TransportKind kind) {
-  cluster::ClusterConfig config =
-      hpcbb::bench::default_config(bb::Scheme::kAsync);
-  config.fast_transport = kind;  // the whole BB + Lustre stack's transport
-  Cluster cluster(config);
-  Point point;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, Point& out) -> Task<void> {
-        const auto fs_kind = cluster::FsKind::kBurstBuffer;
-        mapred::DfsioParams params;
-        params.files = 8;
-        params.file_size = 64 * MiB;
-        auto write_result = co_await mapred::dfsio_write(
-            c.filesystem(fs_kind), c.hub_for(fs_kind), c.compute_nodes(),
-            params);
-        if (!write_result.is_ok()) co_return;
-        out.write_mbps = write_result.value().aggregate_mbps;
-        auto read_result = co_await mapred::dfsio_read(
-            c.filesystem(fs_kind), c.hub_for(fs_kind), c.compute_nodes(),
-            params);
-        if (read_result.is_ok()) {
-          out.read_mbps = read_result.value().aggregate_mbps;
-        }
-      }(cluster, point));
-  return point;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("A1 (ablation)",
-               "the burst buffer over RDMA vs socket transports",
-               "RDMA is load-bearing: socket transports forfeit most of the "
-               "read gain");
-  hpcbb::bench::JsonResult result(
-      "a1", "the burst buffer over RDMA vs socket transports");
+  using namespace hpcbb;         // NOLINT
+  using namespace hpcbb::bench;  // NOLINT
+  JsonResult result =
+      figure("A1 (ablation)",
+             "the burst buffer over RDMA vs socket transports",
+             "RDMA is load-bearing: socket transports forfeit most of the "
+             "read gain");
 
-  const std::vector<std::pair<const char*, hpcbb::net::TransportKind>>
-      transports = {{"RDMA", hpcbb::net::TransportKind::kRdma},
-                    {"IPoIB", hpcbb::net::TransportKind::kIpoib},
-                    {"10GigE", hpcbb::net::TransportKind::kTenGigE}};
+  const std::vector<std::pair<const char*, net::TransportKind>> transports = {
+      {"RDMA", net::TransportKind::kRdma},
+      {"IPoIB", net::TransportKind::kIpoib},
+      {"10GigE", net::TransportKind::kTenGigE}};
 
-  std::printf("\n%-10s  %12s  %12s\n", "transport", "write MB/s", "read MB/s");
+  Table table(result, "transport",
+              {{"write MB/s", "write-mbps"},
+               {"read MB/s", "read-mbps"},
+               {"read loss vs RDMA", "read-loss-vs-RDMA", "%.1fx"}});
   double rdma_read = 0;
   for (const auto& [label, kind] : transports) {
-    const Point point = run_case(kind);
-    std::printf("%-10s  %12.0f  %12.0f", label, point.write_mbps,
-                point.read_mbps);
-    result.add("write-mbps", label, point.write_mbps);
-    result.add("read-mbps", label, point.read_mbps);
-    if (std::string(label) == "RDMA") {
-      rdma_read = point.read_mbps;
-      std::printf("   (baseline)");
-    } else {
-      std::printf("   read loses %.1fx",
-                  hpcbb::bench::ratio(rdma_read, point.read_mbps));
-    }
-    std::printf("\n");
+    ClusterConfig config = default_config(bb::Scheme::kAsync);
+    config.fast_transport = kind;  // the whole BB + Lustre stack's transport
+    const Outcome o = run_case(config, [](Cluster& c, Outcome& out) {
+      return dfsio_write_read(c, FsKind::kBurstBuffer,
+                              {.files = 8, .file_size = 64 * MiB}, out);
+    });
+    const bool baseline = std::string(label) == "RDMA";
+    if (baseline) rdma_read = o.read_mbps;
+    table.row(label,
+              {o.write_mbps, o.read_mbps,
+               baseline ? kNone : ratio(rdma_read, o.read_mbps)},
+              baseline ? "(baseline)" : "");
   }
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

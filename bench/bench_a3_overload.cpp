@@ -13,108 +13,80 @@
 
 namespace {
 
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using sim::Task;
+using namespace hpcbb;         // NOLINT
+using namespace hpcbb::bench;  // NOLINT
 
-struct OverloadPoint {
-  double write_mbps = 0;
-  sim::SimTime p99_stall_ns = 0;
-  std::uint64_t stalls = 0;
+struct OverloadOutcome : Outcome {
+  bool dirty_bounded = false;  // peak dirty <= high watermark + one block
+  bool acked = false;          // every write delayed, not failed, none lost
   std::uint64_t peak_dirty = 0;
-  std::uint64_t high_bytes = 0;
-  std::uint64_t block_size = 0;
-  std::uint64_t evicted_bytes = 0;
-  std::uint64_t urgent_flushes = 0;
-  std::uint64_t lost_blocks = 0;
-  bool all_acked = false;
-
-  [[nodiscard]] bool dirty_bounded() const {
-    return peak_dirty <= high_bytes + block_size;
-  }
 };
 
-OverloadPoint run_case(std::uint64_t buffer_total, std::uint64_t dataset) {
-  cluster::ClusterConfig config =
-      hpcbb::bench::default_config(bb::Scheme::kAsync);
-  config.kv_memory_per_server = buffer_total / config.kv_servers;
-  Cluster cluster(config);
-  OverloadPoint point;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, std::uint64_t data_total,
-                  OverloadPoint& out) -> Task<void> {
-        const auto kind = cluster::FsKind::kBurstBuffer;
-        mapred::DfsioParams params;
-        params.files = 8;
-        params.file_size = data_total / 8;
-        auto result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (!result.is_ok()) co_return;
-        out.all_acked = true;  // every write completed (delayed, not failed)
-        out.write_mbps = result.value().aggregate_mbps;
-        co_await c.bb_master().wait_all_flushed();
-      }(cluster, dataset, point));
+// The burst, then the drain; every write completing means it was delayed,
+// not failed.
+sim::Task<void> overload(Cluster& c, std::uint64_t dataset,
+                         OverloadOutcome& out) {
+  const mapred::DfsioParams dfsio{.files = 8, .file_size = dataset / 8};
+  co_await dfsio_write(c, FsKind::kBurstBuffer, dfsio, out);
+  if (out.write_ok) co_await c.bb_master().wait_all_flushed();
+}
 
-  const auto& fc = cluster.bb_master().flow_control();
-  auto& metrics = cluster.sim().metrics();
-  // No stalls at low offered load is a real 0, not "no data" — fold the
-  // never-recorded case back to 0 explicitly.
-  point.p99_stall_ns =
-      metrics.histogram_quantile("flowctl.stall_ns", 0.99).value_or(0);
-  point.stalls = metrics.counter("flowctl.stalls").get();
-  point.peak_dirty = fc.peak_dirty_bytes();
-  point.high_bytes = fc.high_bytes();
-  point.block_size = cluster.bb_master().common().block_size;
-  point.evicted_bytes = metrics.counter("flowctl.evicted_bytes").get();
-  point.urgent_flushes = metrics.counter("flowctl.urgent_flushes").get();
-  point.lost_blocks = cluster.bb_master().lost_blocks();
-  return point;
+void read_flow_control(Cluster& c, OverloadOutcome& out) {
+  const auto& fc = c.bb_master().flow_control();
+  out.peak_dirty = fc.peak_dirty_bytes();
+  out.dirty_bounded =
+      out.peak_dirty <= fc.high_bytes() + c.bb_master().common().block_size;
+  out.acked = out.write_ok && c.bb_master().lost_blocks() == 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("A3", "flow control under sustained overload (BB-Async)",
-               "dirty bytes stay bounded by the high watermark and writes "
-               "are delayed, never rejected, as the burst exceeds the "
-               "buffer by 2-4x");
-  hpcbb::bench::JsonResult result(
-      "a3", "flow control under sustained overload (BB-Async)");
+  JsonResult result =
+      figure("A3", "flow control under sustained overload (BB-Async)",
+             "dirty bytes stay bounded by the high watermark and writes are "
+             "delayed, never rejected, as the burst exceeds the buffer by "
+             "2-4x");
 
   constexpr std::uint64_t kBufferTotal = 512 * MiB;
   const std::vector<double> overload_factors = {0.5, 1.0, 2.0, 4.0};
 
-  std::printf("\n%-10s  %10s  %12s  %8s  %14s  %12s  %8s  %9s  %6s\n",
-              "burst/buf", "MB/s", "p99 stall", "stalls", "peak dirty",
-              "evicted", "urgent", "bounded", "acked");
+  Table table(result, "burst/buf",
+              {{"MB/s", "write-mbps"},
+               {"p99 stall", "p99-stall-ns", "", 1, duration_text},
+               {"stalls", "stalls"},
+               {"peak dirty", "peak-dirty-bytes", "", 1, bytes_text},
+               {"evicted", "evicted-bytes", "", 1, bytes_text},
+               {"urgent", "urgent-flushes"},
+               {"bounded", "dirty-bounded", "", 1, flag_text},
+               {"acked", "all-acked", "", 1, flag_text}});
   bool all_ok = true;
   for (const double factor : overload_factors) {
+    ClusterConfig config = default_config(bb::Scheme::kAsync);
+    config.kv_memory_per_server = kBufferTotal / config.kv_servers;
     const auto dataset = static_cast<std::uint64_t>(
         factor * static_cast<double>(kBufferTotal));
-    const OverloadPoint point = run_case(kBufferTotal, dataset);
-    std::printf(
-        "%-10.1f  %10.0f  %12s  %8llu  %14s  %12s  %8llu  %9s  %6s\n", factor,
-        point.write_mbps, format_duration_ns(point.p99_stall_ns).c_str(),
-        static_cast<unsigned long long>(point.stalls),
-        format_bytes(point.peak_dirty).c_str(),
-        format_bytes(point.evicted_bytes).c_str(),
-        static_cast<unsigned long long>(point.urgent_flushes),
-        point.dirty_bounded() ? "yes" : "NO",
-        point.all_acked && point.lost_blocks == 0 ? "yes" : "NO");
-    all_ok = all_ok && point.dirty_bounded() && point.all_acked &&
-             point.lost_blocks == 0;
+    const auto o = run_case<OverloadOutcome>(
+        config,
+        [dataset](Cluster& c, OverloadOutcome& out) {
+          return overload(c, dataset, out);
+        },
+        read_flow_control);
+    all_ok = all_ok && o.dirty_bounded && o.acked;
     char x[16];
     std::snprintf(x, sizeof x, "%.1f", factor);
-    result.add("write-mbps", x, point.write_mbps);
-    result.add("p99-stall-ns", x, static_cast<double>(point.p99_stall_ns));
-    result.add("stalls", x, static_cast<double>(point.stalls));
-    result.add("peak-dirty-bytes", x, static_cast<double>(point.peak_dirty));
-    result.add("evicted-bytes", x, static_cast<double>(point.evicted_bytes));
+    const Metrics& m = o.metrics;
+    table.row(x, {o.write_mbps,
+                  static_cast<double>(m.histogram("flowctl.stall_ns").p99),
+                  m.counter("flowctl.stalls"),
+                  static_cast<double>(o.peak_dirty),
+                  m.counter("flowctl.evicted_bytes"),
+                  m.counter("flowctl.urgent_flushes"),
+                  o.dirty_bounded ? 1.0 : 0.0, o.acked ? 1.0 : 0.0});
   }
   std::printf("\n%s: dirty bytes %s bounded by the high watermark "
               "(+1 block) and all writes acked\n",
               all_ok ? "PASS" : "FAIL", all_ok ? "stayed" : "were NOT");
-  const int gate_rc = hpcbb::bench::finish(result, argc, argv);
+  const int gate_rc = finish(result, argc, argv);
   return all_ok ? gate_rc : 1;
 }

@@ -34,12 +34,10 @@
 
 namespace {
 
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using hpcbb::bench::ClusterConfig;
+using namespace hpcbb;         // NOLINT
+using namespace hpcbb::bench;  // NOLINT
 using sim::SimTime;
 using sim::Task;
-using cluster::field;
 using enum ValueType;
 
 struct ChaosKnobs {
@@ -48,7 +46,7 @@ struct ChaosKnobs {
   std::uint64_t records_per_file = 80000;  // 8 MiB of sort input per file
 };
 
-constexpr cluster::ConfigKey<ChaosKnobs> kChaosKeys[] = {
+constexpr ConfigKey<ChaosKnobs> kChaosKeys[] = {
     {"smoke", kBool, field<&ChaosKnobs::smoke>},
     {"files", kSize, field<&ChaosKnobs::dfsio, &mapred::DfsioParams::files>},
     {"file.size", kSize,
@@ -70,7 +68,7 @@ Result<ChaosKnobs> knobs_from(const Properties& props) {
     k.dfsio.files = 2;
     k.dfsio.file_size = 8 * MiB;
     k.records_per_file = 10000;
-    (void)cluster::apply_keys(props, kChaosKeys, k);
+    (void)apply_keys(props, kChaosKeys, k);
   }
   return k;
 }
@@ -84,7 +82,7 @@ ClusterConfig with_args(ClusterConfig config, const Properties& props) {
 // Chaos and healthy runs share identical resilience settings; only the
 // injector differs, so the throughput delta is attributable to the faults.
 ClusterConfig base_config(bb::Scheme scheme, const ChaosKnobs& k) {
-  ClusterConfig config = hpcbb::bench::default_config(scheme);
+  ClusterConfig config = default_config(scheme);
   config.retry.max_attempts = 4;
   // The full-geometry write burst (8 x 64 MiB) queues individual RPCs for
   // longer than the smoke run's aggressive deadline — a 20 ms per-attempt
@@ -113,310 +111,10 @@ ClusterConfig chaos_config(bb::Scheme scheme, const Properties& props,
   return with_args(config, props);
 }
 
-struct Outcome {
-  bool write_ok = false;
-  double write_mbps = 0;
-  double read_mbps = 0;
-  std::uint64_t blocks_lost = 0;
-  std::uint64_t blocks_recovered = 0;
-  std::uint32_t files_readable = 0;
-  std::uint32_t files_total = 0;
-  double recovery_s = 0;
-  std::uint64_t degraded_windows = 0;
-  std::uint64_t retry_attempts = 0;
-  std::uint64_t retry_recovered = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t faults_injected = 0;
-  double sort_s = 0;
-  bool sorted = false;
-  // Replication subsystem (kv.repl.*); all zero at factor 1.
-  std::uint64_t repl_repair_bytes = 0;
-  std::uint64_t repl_repair_chunks = 0;
-  std::uint64_t repl_repair_failed = 0;
-  std::uint64_t repl_anti_entropy_chunks = 0;
-  std::uint64_t repl_replica_reads = 0;
-  std::uint64_t under_replicated_peak = 0;
-  HistogramSnapshot repair_hist{};
-  HistogramSnapshot anti_entropy_hist{};
-  // Integrity subsystem (kv.integrity.* / kv.scrub.* / quarantine).
-  std::uint64_t integ_detected = 0;
-  std::uint64_t integ_repaired = 0;
-  std::uint64_t integ_unrepairable = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t scrub_passes = 0;
-  std::uint64_t scrub_chunks = 0;
-  // Readbacks that returned OK with wrong bytes: must be zero at any R —
-  // corruption may fail a read loudly, never pass through silently.
-  std::uint64_t silent_corruptions = 0;
-  // Master metadata durability (bb.md.*); all zero unless the master
-  // crashed with journaling on.
-  std::uint64_t md_recovered_files = 0;
-  std::uint64_t md_replayed_records = 0;
-  std::uint64_t md_restarts = 0;
-  std::uint64_t md_journal_records = 0;
-  std::uint64_t md_checkpoints = 0;
-  std::uint64_t md_recovery_errors = 0;
-  HistogramSnapshot md_recovery_hist{};
-};
-
-// Reads every DFSIO file back, each from the node after its writer, and
-// verifies the pattern. A file counts as readable only if all of it reads
-// and verifies; its first failure ends its read.
-Task<void> verified_readback(Cluster& c, const ChaosKnobs& k, Outcome& out) {
-  const auto kind = cluster::FsKind::kBurstBuffer;
-  sim::Simulation& sim = c.sim();
-  out.files_total = k.dfsio.files;
-  const SimTime read_start = sim.now();
-  std::uint64_t read_bytes = 0;
-  for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
-    const std::string path = k.dfsio.dir + "/io_file_" + std::to_string(i);
-    auto reader = co_await c.filesystem(kind).open(
-        path, c.compute_nodes()[(i + 1) % c.compute_nodes().size()]);
-    if (!reader.is_ok()) continue;
-    bool all_ok = true;
-    const std::uint64_t size = reader.value()->size();
-    for (std::uint64_t off = 0; off < size && all_ok; off += 4 * MiB) {
-      const std::uint64_t len = std::min<std::uint64_t>(4 * MiB, size - off);
-      auto data = co_await reader.value()->read(off, len);
-      all_ok = data.is_ok() &&
-               verify_pattern(fnv1a(path), off, data.value());
-      if (all_ok) read_bytes += len;
-    }
-    if (all_ok) ++out.files_readable;
-  }
-  const SimTime read_ns = sim.now() - read_start;
-  out.read_mbps = read_ns == 0
-                      ? 0
-                      : static_cast<double>(read_bytes) / MiB /
-                            (static_cast<double>(read_ns) / duration::sec);
-}
-
-Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
-  const auto kind = cluster::FsKind::kBurstBuffer;
-  sim::Simulation& sim = c.sim();
-
-  // Phase 1: DFSIO write burst (the crash schedule fires mid-burst).
-  auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
-  out.write_ok = write_result.is_ok();
-  if (write_result.is_ok()) {
-    out.write_mbps = write_result.value().aggregate_mbps;
-  }
-  co_await c.bb_master().wait_all_flushed();
-  out.blocks_lost = c.bb_master().lost_blocks();
-  out.blocks_recovered = c.bb_master().recovered_blocks();
-
-  // Phase 2: verified read-back of every file, from rotated nodes.
-  co_await verified_readback(c, k, out);
-
-  // Phase 3: Sort with the fault schedule still armed (RPC faults apply to
-  // the whole run; later crashes land here in the full schedule).
-  mapred::GenerateParams gen;
-  gen.files = k.dfsio.files;
-  gen.records_per_file = k.records_per_file;
-  auto generated = co_await mapred::generate_records_input(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), gen);
-  if (generated.is_ok()) {
-    std::vector<std::string> inputs;
-    for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
-      inputs.push_back(gen.dir + "/part-" + std::to_string(i));
-    }
-    auto runner = c.make_runner(kind);
-    mapred::SortJob job(8);
-    const SimTime sort_start = sim.now();
-    auto stats = co_await runner->run(job, inputs, "/out/chaos_sort");
-    if (stats.is_ok()) {
-      out.sort_s = ns_to_sec(sim.now() - sort_start);
-      auto reader = co_await c.filesystem(kind).open("/out/chaos_sort/part-0",
-                                                     c.compute_nodes()[0]);
-      if (reader.is_ok()) {
-        auto data = co_await reader.value()->read(0, reader.value()->size());
-        out.sorted = data.is_ok() && mapred::records_sorted(data.value());
-      }
-    }
-  }
-
-  co_await c.bb_master().wait_all_flushed();
-
-  // Let the cluster heal before stopping the prober: the recovery-time
-  // measurement needs the last scheduled restart plus a successful probe
-  // round, even when the workload finishes inside the downtime window.
-  const faults::InjectorParams& f = c.injector().params();
-  const SimTime schedule_end =
-      f.crash_first_ns +
-      (f.crash_count > 0 ? f.crash_count - 1 : 0) * f.crash_period_ns +
-      f.crash_downtime_ns;
-  if (f.enabled && sim.now() < schedule_end) {
-    co_await sim.delay_until(schedule_end);
-  }
-  const SimTime probe = c.config().bb_heartbeat_interval_ns;
-  for (int i = 0; i < 10 && c.bb_master().degraded() && probe > 0; ++i) {
-    co_await sim.delay(probe);
-  }
-  c.bb_master().stop_heartbeat();
-}
-
-// Corruption storm: DFSIO write burst, scheduled corruption across the KV
-// slabs and OSS devices, the scrubber sweeping in the background, then a
-// verified read-back of every byte. Reads that fail are accounted; reads
-// that return wrong bytes count as silent corruption (must never happen).
-Task<void> integrity_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
-  const auto kind = cluster::FsKind::kBurstBuffer;
-  sim::Simulation& sim = c.sim();
-
-  auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
-  out.write_ok = write_result.is_ok();
-  if (write_result.is_ok()) {
-    out.write_mbps = write_result.value().aggregate_mbps;
-  } else {
-    // A failed burst leaves nothing to corrupt or scrub — say so instead of
-    // letting the integrity table read as a vacuous pass.
-    std::fprintf(stderr, "warning: integrity DFSIO write failed: %s\n",
-                 write_result.status().to_string().c_str());
-  }
-  co_await c.bb_master().wait_all_flushed();
-
-  // Let the whole corruption schedule land, then give the scrubber two full
-  // passes over the aftermath.
-  const faults::InjectorParams& f = c.injector().params();
-  const SimTime storm_end =
-      f.corrupt_first_ns +
-      (f.corrupt_count > 0 ? f.corrupt_count - 1 : 0) * f.corrupt_period_ns;
-  if (f.enabled && sim.now() < storm_end) {
-    co_await sim.delay_until(storm_end);
-  }
-  if (const SimTime interval = c.config().bb_scrub.interval_ns;
-      interval > 0) {
-    co_await sim.delay(2 * interval);
-  }
-
-  out.files_total = k.dfsio.files;
-  std::uint64_t read_bytes = 0;
-  const SimTime read_start = sim.now();
-  for (std::uint32_t i = 0; i < k.dfsio.files; ++i) {
-    const std::string path = k.dfsio.dir + "/io_file_" + std::to_string(i);
-    auto reader = co_await c.filesystem(kind).open(
-        path, c.compute_nodes()[(i + 1) % c.compute_nodes().size()]);
-    if (!reader.is_ok()) continue;
-    bool all_ok = true;
-    const std::uint64_t size = reader.value()->size();
-    for (std::uint64_t off = 0; off < size; off += 4 * MiB) {
-      const std::uint64_t len = std::min<std::uint64_t>(4 * MiB, size - off);
-      auto data = co_await reader.value()->read(off, len);
-      if (!data.is_ok()) {
-        all_ok = false;  // loud failure (kDataLoss on a quarantined block)
-        continue;
-      }
-      if (!verify_pattern(fnv1a(path), off, data.value())) {
-        all_ok = false;
-        ++out.silent_corruptions;  // OK status with wrong bytes: never allowed
-        continue;
-      }
-      read_bytes += len;
-    }
-    if (all_ok) ++out.files_readable;
-  }
-  const SimTime read_ns = sim.now() - read_start;
-  out.read_mbps = read_ns == 0
-                      ? 0
-                      : static_cast<double>(read_bytes) / MiB /
-                            (static_cast<double>(read_ns) / duration::sec);
-
-  co_await c.bb_master().wait_all_flushed();
-  c.bb_master().stop_heartbeat();
-}
-
-// Master crash mid-DFSIO: the write burst is in flight when the scheduled
-// faults.master.* crash takes the control plane (and its fabric node) down.
-// Clients ride the outage on the retry policy; recovery replays the journal
-// and reconciles, then the read-back verifies every byte survived.
-Task<void> master_crash_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
-  const auto kind = cluster::FsKind::kBurstBuffer;
-  auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
-  out.write_ok = write_result.is_ok();
-  if (write_result.is_ok()) {
-    out.write_mbps = write_result.value().aggregate_mbps;
-  }
-  co_await c.bb_master().wait_recovered();
-  co_await c.bb_master().wait_all_flushed();
-  out.blocks_lost = c.bb_master().lost_blocks();
-  out.blocks_recovered = c.bb_master().recovered_blocks();
-
-  co_await verified_readback(c, k, out);
-  c.bb_master().stop_heartbeat();
-}
-
-void collect_counters(Cluster& c, Outcome& out) {
-  MetricRegistry& metrics = c.sim().metrics();
-  out.retry_attempts = metrics.counter_value("net.retry.attempts");
-  out.retry_recovered = metrics.counter_value("net.retry.recovered");
-  out.failovers = metrics.counter_value("kv.failover.get") +
-                  metrics.counter_value("kv.failover.set");
-  out.restarts = metrics.counter_value("kv.restarts");
-  for (const auto& [name, value] : metrics.counters()) {
-    if (name.rfind("faults.injected", 0) == 0) out.faults_injected += value;
-  }
-  const auto histograms = metrics.histograms();
-  if (const auto it = histograms.find("bb.degraded_window_ns");
-      it != histograms.end()) {
-    out.recovery_s = ns_to_sec(it->second.sum);
-    out.degraded_windows = it->second.count;
-  }
-  out.repl_repair_bytes = metrics.counter_value("kv.repl.repair_bytes");
-  out.repl_repair_chunks = metrics.counter_value("kv.repl.repair_chunks");
-  out.repl_repair_failed = metrics.counter_value("kv.repl.repair_failed");
-  out.repl_anti_entropy_chunks =
-      metrics.counter_value("kv.repl.anti_entropy_chunks");
-  out.repl_replica_reads = metrics.counter_value("kv.repl.replica_reads");
-  const auto gauges = metrics.gauges();
-  if (const auto it = gauges.find("kv.repl.under_replicated");
-      it != gauges.end()) {
-    out.under_replicated_peak = it->second.high_watermark;
-  }
-  if (const auto it = histograms.find("kv.repl.repair_ns");
-      it != histograms.end()) {
-    out.repair_hist = it->second;
-  }
-  if (const auto it = histograms.find("kv.repl.anti_entropy_ns");
-      it != histograms.end()) {
-    out.anti_entropy_hist = it->second;
-  }
-  out.integ_detected = metrics.counter_value("kv.integrity.detected");
-  out.integ_repaired = metrics.counter_value("kv.integrity.repaired") +
-                       metrics.counter_value("kv.scrub.repaired");
-  out.integ_unrepairable =
-      metrics.counter_value("kv.integrity.unrepairable") +
-      metrics.counter_value("kv.scrub.unrepairable");
-  out.scrub_passes = metrics.counter_value("kv.scrub.passes");
-  out.scrub_chunks = metrics.counter_value("kv.scrub.chunks");
-  out.quarantined = c.bb_master().quarantined_blocks();
-  out.md_recovered_files = metrics.counter_value("bb.md.recovered_files");
-  out.md_replayed_records = metrics.counter_value("bb.md.replayed_records");
-  out.md_restarts = metrics.counter_value("bb.md.restarts");
-  out.md_journal_records = metrics.counter_value("bb.md.journal_records");
-  out.md_checkpoints = metrics.counter_value("bb.md.checkpoints");
-  out.md_recovery_errors = metrics.counter_value("bb.md.recovery_errors");
-  if (const auto it = histograms.find("bb.md.recovery_ns");
-      it != histograms.end()) {
-    out.md_recovery_hist = it->second;
-  }
-}
-
-Outcome run_scheme(bb::Scheme scheme, const Properties& props,
-                   const ChaosKnobs& k, bool with_faults,
-                   std::uint32_t repl_factor = 0) {
-  ClusterConfig config = chaos_config(scheme, props, k);
-  if (!with_faults) config.faults = faults::InjectorParams{};
-  if (repl_factor > 0) config.kv_client.replication_factor = repl_factor;
-  Cluster cluster(config);
-  Outcome outcome;
-  hpcbb::bench::run_to_completion(cluster,
-                                  chaos_task(cluster, k, outcome));
-  collect_counters(cluster, outcome);
-  return outcome;
+// The fault-free twin of a run: the same config with no injector.
+ClusterConfig without_faults(ClusterConfig config) {
+  config.faults = faults::InjectorParams{};
+  return config;
 }
 
 // Corruption-storm configuration: crash/RPC faults off so every anomaly is
@@ -434,16 +132,6 @@ ClusterConfig integrity_config(const Properties& props, const ChaosKnobs& k,
   config = with_args(config, props);
   config.kv_client.replication_factor = repl_factor;
   return config;
-}
-
-Outcome run_integrity(const Properties& props, const ChaosKnobs& k,
-                      std::uint32_t repl_factor) {
-  Cluster cluster(integrity_config(props, k, repl_factor));
-  Outcome outcome;
-  hpcbb::bench::run_to_completion(cluster,
-                                  integrity_task(cluster, k, outcome));
-  collect_counters(cluster, outcome);
-  return outcome;
 }
 
 // Mid-DFSIO master crash with the metadata journal on. Crash/RPC faults on
@@ -472,14 +160,136 @@ ClusterConfig master_crash_config(bb::Scheme scheme, const Properties& props,
   return config;
 }
 
-Outcome run_master_crash(bb::Scheme scheme, const Properties& props,
-                         const ChaosKnobs& k, std::uint32_t repl_factor) {
-  Cluster cluster(master_crash_config(scheme, props, k, repl_factor));
-  Outcome outcome;
-  hpcbb::bench::run_to_completion(cluster,
-                                  master_crash_task(cluster, k, outcome));
-  collect_counters(cluster, outcome);
-  return outcome;
+// One limpware episode on the first device target (kv0's journal SSD, which
+// the put path co_awaits), spanning the write burst. Episodes are serialized
+// by the injector, so one long episode beats many short ones here.
+ClusterConfig limp_config(const Properties& props, const ChaosKnobs& k) {
+  ClusterConfig config = base_config(bb::Scheme::kAsync, k);
+  faults::InjectorParams& limp = config.faults;
+  limp.enabled = true;
+  // The episode must be in force before the burst's first puts reach the
+  // journal: Device::io prices each transfer when it is *enqueued*, so a
+  // slowdown applied mid-queue would not reprice writes already in line.
+  limp.limp_first_ns = 100 * duration::us;
+  limp.limp_duration_ns = k.smoke ? 60 * duration::ms : 600 * duration::ms;
+  limp.limp_factor = 8.0;
+  limp.limp_count = 1;
+  return with_args(config, props);
+}
+
+struct ChaosOutcome : Outcome {
+  std::uint64_t quarantined = 0;  // read once the run has quiesced
+  double healthy_write_mbps = 0;  // of the fault-free twin, where one ran
+  double healthy_read_mbps = 0;
+};
+
+using ChaosTask = Task<void> (*)(Cluster&, const ChaosKnobs&, ChaosOutcome&);
+
+// The DFSIO write burst (the crash schedule fires mid-burst), the flush of
+// what survived it, and a verified read-back of every file from rotated
+// nodes. After a master crash the flush waits for the recovery.
+Task<void> write_flush_read_back(Cluster& c, const ChaosKnobs& k,
+                                 ChaosOutcome& out, bool master_crashes) {
+  co_await dfsio_write(c, FsKind::kBurstBuffer, k.dfsio, out);
+  if (master_crashes) co_await c.bb_master().wait_recovered();
+  co_await c.bb_master().wait_all_flushed();
+  out.blocks_lost = c.bb_master().lost_blocks();
+  out.blocks_recovered = c.bb_master().recovered_blocks();
+  const Readback rotated{.node_shift = 1};
+  co_await verified_readback(c, k.dfsio, rotated, out);
+}
+
+Task<void> chaos_task(Cluster& c, const ChaosKnobs& k, ChaosOutcome& out) {
+  const auto kind = FsKind::kBurstBuffer;
+  sim::Simulation& sim = c.sim();
+  co_await write_flush_read_back(c, k, out, false);
+
+  // Then Sort with the fault schedule still armed (RPC faults apply to
+  // the whole run; later crashes land here in the full schedule).
+  const SortParams sort_params{.files = k.dfsio.files,
+                               .records_per_file = k.records_per_file,
+                               .reducers = 8,
+                               .out_dir = "/out/chaos_sort"};
+  co_await sort(c, kind, sort_params, out);
+  co_await c.bb_master().wait_all_flushed();
+
+  // Let the cluster heal before stopping the prober: the recovery-time
+  // measurement needs the last scheduled restart plus a successful probe
+  // round, even when the workload finishes inside the downtime window.
+  const faults::InjectorParams& f = c.injector().params();
+  const SimTime schedule_end =
+      f.crash_first_ns +
+      (f.crash_count > 0 ? f.crash_count - 1 : 0) * f.crash_period_ns +
+      f.crash_downtime_ns;
+  if (f.enabled && sim.now() < schedule_end) {
+    co_await sim.delay_until(schedule_end);
+  }
+  const SimTime probe = c.config().bb_heartbeat_interval_ns;
+  for (int i = 0; i < 10 && c.bb_master().degraded() && probe > 0; ++i) {
+    co_await sim.delay(probe);
+  }
+  c.bb_master().stop_heartbeat();
+}
+
+// Corruption storm: DFSIO write burst, scheduled corruption across the KV
+// slabs and OSS devices, the scrubber sweeping in the background, then a
+// verified read-back of every byte. Reads that fail are accounted; reads
+// that return wrong bytes count as silent corruption (must never happen).
+Task<void> integrity_task(Cluster& c, const ChaosKnobs& k, ChaosOutcome& out) {
+  sim::Simulation& sim = c.sim();
+  co_await dfsio_write(c, FsKind::kBurstBuffer, k.dfsio, out);
+  if (!out.write_ok) {
+    // A failed burst leaves nothing to corrupt or scrub — say so instead of
+    // letting the integrity table read as a vacuous pass.
+    std::fprintf(stderr, "warning: integrity DFSIO write failed\n");
+  }
+  co_await c.bb_master().wait_all_flushed();
+
+  // Let the whole corruption schedule land, then give the scrubber two full
+  // passes over the aftermath.
+  const faults::InjectorParams& f = c.injector().params();
+  const SimTime storm_end =
+      f.corrupt_first_ns +
+      (f.corrupt_count > 0 ? f.corrupt_count - 1 : 0) * f.corrupt_period_ns;
+  if (f.enabled && sim.now() < storm_end) {
+    co_await sim.delay_until(storm_end);
+  }
+  if (const SimTime interval = c.config().bb_scrub.interval_ns;
+      interval > 0) {
+    co_await sim.delay(2 * interval);
+  }
+
+  const Readback every_chunk{.node_shift = 1, .first_failure_ends_file = false};
+  co_await verified_readback(c, k.dfsio, every_chunk, out);
+  co_await c.bb_master().wait_all_flushed();
+  c.bb_master().stop_heartbeat();
+}
+
+// Master crash mid-DFSIO: the write burst is in flight when the scheduled
+// faults.master.* crash takes the control plane (and its fabric node) down.
+// Clients ride the outage on the retry policy; recovery replays the journal
+// and reconciles, then the read-back verifies every byte survived.
+Task<void> master_crash_task(Cluster& c, const ChaosKnobs& k,
+                             ChaosOutcome& out) {
+  co_await write_flush_read_back(c, k, out, true);
+  c.bb_master().stop_heartbeat();
+}
+
+// DFSIO burst + flush drain for the limpware class: no crash/RPC faults, so
+// every slow flush is attributable to the degraded devices.
+Task<void> limp_task(Cluster& c, const ChaosKnobs& k, ChaosOutcome& out) {
+  co_await dfsio_write(c, FsKind::kBurstBuffer, k.dfsio, out);
+  co_await c.bb_master().wait_all_flushed();
+  c.bb_master().stop_heartbeat();
+}
+
+ChaosOutcome run(const ClusterConfig& config, const ChaosKnobs& k,
+                 ChaosTask task) {
+  return run_case<ChaosOutcome>(
+      config, [&](Cluster& c, ChaosOutcome& out) { return task(c, k, out); },
+      [](Cluster& c, ChaosOutcome& out) {
+        out.quarantined = c.bb_master().quarantined_blocks();
+      });
 }
 
 // ---- health monitor (DESIGN.md §15) ----
@@ -529,52 +339,6 @@ Task<void> with_sampler(Task<void> inner, obs::TimeSeriesSampler& sampler) {
   sampler.stop();
 }
 
-// DFSIO burst + flush drain for the limpware class: no crash/RPC faults, so
-// every slow flush is attributable to the degraded devices.
-Task<void> limp_task(Cluster& c, const ChaosKnobs& k, Outcome& out) {
-  const auto kind = cluster::FsKind::kBurstBuffer;
-  auto write_result = co_await mapred::dfsio_write(
-      c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), k.dfsio);
-  out.write_ok = write_result.is_ok();
-  if (write_result.is_ok()) {
-    out.write_mbps = write_result.value().aggregate_mbps;
-  }
-  co_await c.bb_master().wait_all_flushed();
-  c.bb_master().stop_heartbeat();
-}
-
-// One limpware episode on the first device target (kv0's journal SSD, which
-// the put path co_awaits), spanning the write burst. Episodes are serialized
-// by the injector, so one long episode beats many short ones here.
-ClusterConfig limp_config(const Properties& props, const ChaosKnobs& k) {
-  ClusterConfig config = base_config(bb::Scheme::kAsync, k);
-  faults::InjectorParams& limp = config.faults;
-  limp.enabled = true;
-  // The episode must be in force before the burst's first puts reach the
-  // journal: Device::io prices each transfer when it is *enqueued*, so a
-  // slowdown applied mid-queue would not reprice writes already in line.
-  limp.limp_first_ns = 100 * duration::us;
-  limp.limp_duration_ns = k.smoke ? 60 * duration::ms : 600 * duration::ms;
-  limp.limp_factor = 8.0;
-  limp.limp_count = 1;
-  return with_args(config, props);
-}
-
-// The limpware SLO threshold is relative: 3x the put-latency max of a
-// fault-free run of the same workload, so the rule tracks the geometry
-// instead of hard-coding a simulator constant.
-std::uint64_t healthy_put_max_ns(const Properties& props,
-                                 const ChaosKnobs& k) {
-  ClusterConfig config = chaos_config(bb::Scheme::kAsync, props, k);
-  config.faults = faults::InjectorParams{};
-  Cluster cluster(config);
-  Outcome outcome;
-  hpcbb::bench::run_to_completion(cluster, limp_task(cluster, k, outcome));
-  const auto histograms = cluster.sim().metrics().histograms();
-  const auto it = histograms.find("kv.put");
-  return it != histograms.end() ? it->second.max : 0;
-}
-
 // Where incident bundles land: the working directory, or $HPCBB_BENCH_OUT
 // beside the JSON results (CI uploads incident-*.json as an artifact).
 std::string incident_dir() {
@@ -592,17 +356,22 @@ struct HealthOutcome {
   bool bundle_ok = false;      // incident parses: schema + flightrec + alerts
   bool bundle_faults = false;  // bundle correlates >= 1 injected fault
   bool bundle_suspects = false;  // >= 1 op_id in flight at a fault instant
+  bool expect_suspects = false;  // the class has in-flight ops to name
   std::uint64_t flightrec_dropped = 0;
-};
+  double baseline_put_ms = kNone;  // the limpware rule's healthy reference
 
-using HealthTask = Task<void> (*)(Cluster&, const ChaosKnobs&, Outcome&);
+  [[nodiscard]] bool ok() const {
+    return rule_paged && bundle_ok && bundle_faults && healthy_alerts == 0 &&
+           (!expect_suspects || bundle_suspects);
+  }
+};
 
 // One instrumented run: `config` carries the fault schedule (or none, for
 // the healthy twin), `slo` the rule set. Fills the monitor-side fields of
 // HealthOutcome; healthy_alerts is merged by the caller.
 HealthOutcome run_health(const ClusterConfig& config, const Properties& slo,
                          const ChaosKnobs& k, const std::string& rule,
-                         HealthTask task) {
+                         ChaosTask task) {
   HealthOutcome out;
   auto params = obs::HealthParams::from_properties(slo);
   if (!params.is_ok()) {
@@ -613,38 +382,73 @@ HealthOutcome run_health(const ClusterConfig& config, const Properties& slo,
   // The harness is declared before the cluster and so outlives it: tasks
   // still suspended when the run ends close their spans into its recorder
   // as the cluster's simulation destroys them.
-  std::optional<HealthHarness> harness_storage;
-  Cluster cluster(config);
+  std::optional<HealthHarness> harness;
   const SimTime interval = k.smoke ? 2 * duration::ms : 10 * duration::ms;
-  HealthHarness& harness = harness_storage.emplace(
-      cluster, std::move(params).value(), interval);
-  Outcome outcome;
-  harness.sampler.start();
-  hpcbb::bench::run_to_completion(
-      cluster, with_sampler(task(cluster, k, outcome), harness.sampler));
-  out.warns = harness.monitor.warn_count();
-  out.pages = harness.monitor.page_count();
-  out.resolves = harness.monitor.resolve_count();
-  out.incidents = harness.monitor.incidents().size();
-  out.flightrec_dropped = harness.flightrec.dropped_total();
-  for (const obs::AlertEvent& event : harness.monitor.transitions()) {
-    if (event.rule == rule && event.to == obs::AlertState::kPage) {
-      out.rule_paged = true;
+  const auto watched = [&](Cluster& c, ChaosOutcome& o) {
+    harness.emplace(c, std::move(params).value(), interval);
+    harness->sampler.start();
+    return with_sampler(task(c, k, o), harness->sampler);
+  };
+  // Read while the cluster still stands, as its teardown closes spans.
+  const auto read_monitor = [&](Cluster&, ChaosOutcome&) {
+    const obs::HealthMonitor& monitor = harness->monitor;
+    out.warns = monitor.warn_count();
+    out.pages = monitor.page_count();
+    out.resolves = monitor.resolve_count();
+    out.incidents = monitor.incidents().size();
+    out.flightrec_dropped = harness->flightrec.dropped_total();
+    for (const obs::AlertEvent& event : monitor.transitions()) {
+      if (event.rule == rule && event.to == obs::AlertState::kPage) {
+        out.rule_paged = true;
+      }
     }
-  }
-  for (const obs::Incident& incident : harness.monitor.incidents()) {
-    if (incident.rule != rule) continue;
-    const std::string& json = incident.json;
-    out.bundle_ok =
-        json.find("\"schema\":\"hpcbb.incident.v1\"") != std::string::npos &&
-        json.find("\"flightrec\":{") != std::string::npos &&
-        json.find("\"alerts\":[{") != std::string::npos;
-    out.bundle_faults = json.find("\"faults\":[{") != std::string::npos;
-    out.bundle_suspects =
-        json.find("\"suspect_op_ids\":[]") == std::string::npos;
-    break;
-  }
+    for (const obs::Incident& incident : monitor.incidents()) {
+      if (incident.rule != rule) continue;
+      const std::string& json = incident.json;
+      out.bundle_ok =
+          json.find("\"schema\":\"hpcbb.incident.v1\"") != std::string::npos &&
+          json.find("\"flightrec\":{") != std::string::npos &&
+          json.find("\"alerts\":[{") != std::string::npos;
+      out.bundle_faults = json.find("\"faults\":[{") != std::string::npos;
+      out.bundle_suspects =
+          json.find("\"suspect_op_ids\":[]") == std::string::npos;
+      break;
+    }
+  };
+  run_case<ChaosOutcome>(config, watched, read_monitor);
   return out;
+}
+
+double num(std::uint64_t value) { return static_cast<double>(value); }
+
+// A column that reads the run's field `m`.
+template <class T, class C>
+Stat<ChaosOutcome> of(Column column, T C::*m) {
+  return member<ChaosOutcome>(std::move(column), m);
+}
+
+// A column that reports the sum of the run's counters `names`.
+Stat<ChaosOutcome> counter(Column column,
+                           std::vector<std::string> names) {
+  return {std::move(column), [names](const ChaosOutcome& o) {
+            double sum = 0;
+            for (const std::string& name : names) {
+              sum += o.metrics.counter(name);
+            }
+            return sum;
+          }};
+}
+
+// A column that reports one field of a histogram of the run, in ms.
+Stat<ChaosOutcome> histogram_ms(Column column, std::string name,
+                                std::uint64_t HistogramSnapshot::*part) {
+  return {std::move(column), [name, part](const ChaosOutcome& o) {
+            return num(o.metrics.histogram(name).*part) / duration::ms;
+          }};
+}
+
+double faults_injected(const ChaosOutcome& o) {
+  return o.metrics.counter_sum("faults.injected");
 }
 
 }  // namespace
@@ -665,7 +469,7 @@ int main(int argc, char** argv) {
   const faults::InjectorParams shown =
       chaos_config(bb::Scheme::kAsync, props, knobs).faults;
 
-  hpcbb::bench::print_header(
+  print_header(
       "A4",
       "chaos: DFSIO + Sort under rolling KV crashes and transient RPC faults",
       "FT schemes lose nothing and stay readable; throughput degrades "
@@ -674,56 +478,53 @@ int main(int argc, char** argv) {
               "(downtime %.0fms)%s\n",
               static_cast<unsigned long long>(shown.seed),
               shown.rpc_drop_prob, shown.rpc_delay_prob, shown.crash_count,
-              static_cast<double>(shown.crash_downtime_ns) /
-                  hpcbb::duration::ms,
+              static_cast<double>(shown.crash_downtime_ns) / duration::ms,
               knobs.smoke ? "  [smoke]" : "");
-  hpcbb::bench::JsonResult result(
+  JsonResult result(
       "a4", "chaos: DFSIO + Sort under rolling crashes and RPC faults");
+  const std::string of_files = "%.0f/" + std::to_string(knobs.dfsio.files);
+  constexpr bb::Scheme kSchemes[] = {bb::Scheme::kAsync, bb::Scheme::kSync,
+                                     bb::Scheme::kLocal};
 
-  std::printf("\n%-10s %5s %5s %9s %9s %7s %8s %8s %7s %7s %6s\n",
-              "scheme", "lost", "recov", "readable", "wr-deg%", "rd-deg%",
-              "recov-s", "retries", "failov", "sort-s", "sorted");
-  for (const bb::Scheme scheme :
-       {bb::Scheme::kAsync, bb::Scheme::kSync, bb::Scheme::kLocal}) {
-    const Outcome healthy = run_scheme(scheme, props, knobs, false);
-    const Outcome chaos = run_scheme(scheme, props, knobs, true);
-    const std::string label(to_string(scheme));
-    const double wr_frac = hpcbb::bench::ratio(chaos.write_mbps,
-                                               healthy.write_mbps);
-    const double rd_frac = hpcbb::bench::ratio(chaos.read_mbps,
-                                               healthy.read_mbps);
-    std::printf("%-10s %5llu %5llu %6u/%-2u %8.0f%% %6.0f%% %8.3f %8llu "
-                "%7llu %7.2f %6s\n",
-                label.c_str(),
-                static_cast<unsigned long long>(chaos.blocks_lost),
-                static_cast<unsigned long long>(chaos.blocks_recovered),
-                chaos.files_readable, chaos.files_total, 100.0 * wr_frac,
-                100.0 * rd_frac, chaos.recovery_s,
-                static_cast<unsigned long long>(chaos.retry_attempts),
-                static_cast<unsigned long long>(chaos.failovers),
-                chaos.sort_s, chaos.sorted ? "yes" : "NO");
-    result.add("blocks-lost", label, static_cast<double>(chaos.blocks_lost));
-    result.add("blocks-recovered", label,
-               static_cast<double>(chaos.blocks_recovered));
-    result.add("files-readable", label,
-               static_cast<double>(chaos.files_readable));
-    result.add("write-healthy-mbps", label, healthy.write_mbps);
-    result.add("write-chaos-mbps", label, chaos.write_mbps);
-    result.add("read-healthy-mbps", label, healthy.read_mbps);
-    result.add("read-chaos-mbps", label, chaos.read_mbps);
-    result.add("recovery-s", label, chaos.recovery_s);
-    result.add("degraded-windows", label,
-               static_cast<double>(chaos.degraded_windows));
-    result.add("retry-attempts", label,
-               static_cast<double>(chaos.retry_attempts));
-    result.add("retry-recovered", label,
-               static_cast<double>(chaos.retry_recovered));
-    result.add("failovers", label, static_cast<double>(chaos.failovers));
-    result.add("kv-restarts", label, static_cast<double>(chaos.restarts));
-    result.add("faults-injected", label,
-               static_cast<double>(chaos.faults_injected));
-    result.add("sort-chaos-s", label, chaos.sort_s);
-    result.add("sort-sorted", label, chaos.sorted ? 1.0 : 0.0);
+  OutcomeTable<ChaosOutcome> schemes(
+      result, "scheme",
+      {of({"lost", "blocks-lost"}, &Outcome::blocks_lost),
+       of({"recov", "blocks-recovered"}, &Outcome::blocks_recovered),
+       of({"readable", "files-readable", of_files}, &Outcome::files_readable),
+       {{"wr-deg%", "write-degraded-frac", "", 1, percent_text},
+        [](const ChaosOutcome& o) {
+          return ratio(o.write_mbps, o.healthy_write_mbps);
+        }},
+       {{"rd-deg%", "read-degraded-frac", "", 1, percent_text},
+        [](const ChaosOutcome& o) {
+          return ratio(o.read_mbps, o.healthy_read_mbps);
+        }},
+       {{"recov-s", "recovery-s", "%.3f"},
+        [](const ChaosOutcome& o) {
+          return ns_to_sec(o.metrics.histogram("bb.degraded_window_ns").sum);
+        }},
+       counter({"retries", "retry-attempts"}, {"net.retry.attempts"}),
+       counter({"failov", "failovers"}, {"kv.failover.get", "kv.failover.set"}),
+       of({"sort-s", "sort-chaos-s", "%.2f"}, &Outcome::job_s),
+       of({"sorted", "sort-sorted", "", 1, flag_text}, &Outcome::sorted),
+       of({"", "write-healthy-mbps"}, &ChaosOutcome::healthy_write_mbps),
+       of({"", "write-chaos-mbps"}, &Outcome::write_mbps),
+       of({"", "read-healthy-mbps"}, &ChaosOutcome::healthy_read_mbps),
+       of({"", "read-chaos-mbps"}, &Outcome::read_mbps),
+       {{"", "degraded-windows"},
+        [](const ChaosOutcome& o) {
+          return num(o.metrics.histogram("bb.degraded_window_ns").count);
+        }},
+       counter({"", "retry-recovered"}, {"net.retry.recovered"}),
+       counter({"", "kv-restarts"}, {"kv.restarts"}),
+       {{"", "faults-injected"}, faults_injected}});
+  for (const bb::Scheme scheme : kSchemes) {
+    const ClusterConfig config = chaos_config(scheme, props, knobs);
+    const ChaosOutcome healthy = run(without_faults(config), knobs, chaos_task);
+    ChaosOutcome chaos = run(config, knobs, chaos_task);
+    chaos.healthy_write_mbps = healthy.write_mbps;
+    chaos.healthy_read_mbps = healthy.read_mbps;
+    schemes.row(std::string(to_string(scheme)), chaos);
   }
   std::printf("\n(wr/rd-deg%% = chaos throughput as a fraction of the "
               "healthy run with identical resilience settings)\n");
@@ -732,53 +533,44 @@ int main(int argc, char** argv) {
   // schedule. R=1 documents the durability window (dirty chunks die with
   // their server); R=2 must report zero lost blocks and every file
   // readable, with the repair/anti-entropy traffic accounted.
-  std::printf("\nreplication (bb-async under chaos):\n");
-  std::printf("%-5s %5s %9s %11s %7s %7s %9s %11s %11s\n",
-              "R", "lost", "readable", "repair-MiB", "chunks", "a-e",
-              "rd-repl", "repair-ms", "underrepl");
+  using HS = HistogramSnapshot;
+  OutcomeTable<ChaosOutcome> replication(
+      result, "R",
+      {of({"lost", "repl-blocks-lost"}, &Outcome::blocks_lost),
+       of({"readable", "repl-files-readable", of_files},
+          &Outcome::files_readable),
+       counter({"repair-MiB", "repl-repair-bytes", "%.1f", MiB},
+               {"kv.repl.repair_bytes"}),
+       counter({"chunks", "repl-repair-chunks"}, {"kv.repl.repair_chunks"}),
+       counter({"a-e", "repl-anti-entropy-chunks"},
+               {"kv.repl.anti_entropy_chunks"}),
+       counter({"rd-repl", "repl-replica-reads"}, {"kv.repl.replica_reads"}),
+       histogram_ms({"repair-ms", "repl-repair-max-ms", "%.2f"},
+                    "kv.repl.repair_ns", &HS::max),
+       {{"underrepl", "repl-under-replicated-peak"},
+        [](const ChaosOutcome& o) {
+          return num(
+              o.metrics.gauge("kv.repl.under_replicated").high_watermark);
+        }},
+       of({"", "repl-write-chaos-mbps"}, &Outcome::write_mbps),
+       of({"", "repl-read-chaos-mbps"}, &Outcome::read_mbps),
+       counter({"", "repl-repair-failed"}, {"kv.repl.repair_failed"}),
+       {{"", "repl-repair-runs"},
+        [](const ChaosOutcome& o) {
+          return num(o.metrics.histogram("kv.repl.repair_ns").count);
+        }},
+       histogram_ms({"", "repl-repair-p50-ms"}, "kv.repl.repair_ns",
+                    &HS::p50),
+       histogram_ms({"", "repl-repair-p99-ms"}, "kv.repl.repair_ns",
+                    &HS::p99),
+       histogram_ms({"", "repl-anti-entropy-p50-ms"},
+                    "kv.repl.anti_entropy_ns", &HS::p50)},
+      "replication (bb-async under chaos):");
   for (const std::uint32_t factor : {1u, 2u}) {
-    const Outcome o =
-        run_scheme(bb::Scheme::kAsync, props, knobs, true, factor);
-    const std::string label = "R=" + std::to_string(factor);
-    std::printf("%-5s %5llu %6u/%-2u %11.1f %7llu %7llu %9llu %11.2f %11llu\n",
-                label.c_str(),
-                static_cast<unsigned long long>(o.blocks_lost),
-                o.files_readable, o.files_total,
-                static_cast<double>(o.repl_repair_bytes) / MiB,
-                static_cast<unsigned long long>(o.repl_repair_chunks),
-                static_cast<unsigned long long>(o.repl_anti_entropy_chunks),
-                static_cast<unsigned long long>(o.repl_replica_reads),
-                static_cast<double>(o.repair_hist.max) / hpcbb::duration::ms,
-                static_cast<unsigned long long>(o.under_replicated_peak));
-    result.add("repl-blocks-lost", label,
-               static_cast<double>(o.blocks_lost));
-    result.add("repl-files-readable", label,
-               static_cast<double>(o.files_readable));
-    result.add("repl-write-chaos-mbps", label, o.write_mbps);
-    result.add("repl-read-chaos-mbps", label, o.read_mbps);
-    result.add("repl-repair-bytes", label,
-               static_cast<double>(o.repl_repair_bytes));
-    result.add("repl-repair-chunks", label,
-               static_cast<double>(o.repl_repair_chunks));
-    result.add("repl-repair-failed", label,
-               static_cast<double>(o.repl_repair_failed));
-    result.add("repl-anti-entropy-chunks", label,
-               static_cast<double>(o.repl_anti_entropy_chunks));
-    result.add("repl-replica-reads", label,
-               static_cast<double>(o.repl_replica_reads));
-    result.add("repl-under-replicated-peak", label,
-               static_cast<double>(o.under_replicated_peak));
-    result.add("repl-repair-runs", label,
-               static_cast<double>(o.repair_hist.count));
-    result.add("repl-repair-p50-ms", label,
-               static_cast<double>(o.repair_hist.p50) / hpcbb::duration::ms);
-    result.add("repl-repair-p99-ms", label,
-               static_cast<double>(o.repair_hist.p99) / hpcbb::duration::ms);
-    result.add("repl-repair-max-ms", label,
-               static_cast<double>(o.repair_hist.max) / hpcbb::duration::ms);
-    result.add("repl-anti-entropy-p50-ms", label,
-               static_cast<double>(o.anti_entropy_hist.p50) /
-                   hpcbb::duration::ms);
+    ClusterConfig config = chaos_config(bb::Scheme::kAsync, props, knobs);
+    config.kv_client.replication_factor = factor;
+    replication.row("R=" + std::to_string(factor),
+                    run(config, knobs, chaos_task));
   }
   std::printf("(a-e = anti-entropy chunks restored to rejoined servers; "
               "rd-repl = reads served by a non-primary replica)\n");
@@ -790,43 +582,30 @@ int main(int argc, char** argv) {
   // verified-read failover + scrub repair machinery keeps files readable and
   // no corrupt byte reaches Lustre (the flusher re-verifies every block);
   // at R=1 unrepairable dirty blocks are quarantined instead of flushed.
-  std::printf("\nintegrity (bb-async corruption storm, scrubber on):\n");
-  std::printf("%-5s %7s %7s %7s %8s %7s %7s %9s %7s\n",
-              "R", "detect", "repair", "unrep", "quarant", "silent",
-              "passes", "readable", "inject");
+  OutcomeTable<ChaosOutcome> integrity(
+      result, "R",
+      {counter({"detect", "integ-detected"}, {"kv.integrity.detected"}),
+       counter({"repair", "integ-repaired"},
+               {"kv.integrity.repaired", "kv.scrub.repaired"}),
+       counter({"unrep", "integ-unrepairable"},
+               {"kv.integrity.unrepairable", "kv.scrub.unrepairable"}),
+       of({"quarant", "integ-quarantined"}, &ChaosOutcome::quarantined),
+       of({"silent", "integ-silent-corruptions"},
+          &Outcome::silent_corruptions),
+       counter({"passes", "integ-scrub-passes"}, {"kv.scrub.passes"}),
+       of({"readable", "integ-files-readable", of_files},
+          &Outcome::files_readable),
+       {{"inject", "integ-faults-injected"}, faults_injected},
+       counter({"", "integ-scrub-chunks"}, {"kv.scrub.chunks"}),
+       {{"", "integ-readback-ok"},
+        [](const ChaosOutcome& o) {
+          return o.silent_corruptions == 0 ? 1.0 : 0.0;
+        }}},
+      "integrity (bb-async corruption storm, scrubber on):");
   for (const std::uint32_t factor : {1u, 2u}) {
-    const Outcome o = run_integrity(props, knobs, factor);
-    const std::string label = "R=" + std::to_string(factor);
-    std::printf("%-5s %7llu %7llu %7llu %8llu %7llu %7llu %6u/%-2u %7llu\n",
-                label.c_str(),
-                static_cast<unsigned long long>(o.integ_detected),
-                static_cast<unsigned long long>(o.integ_repaired),
-                static_cast<unsigned long long>(o.integ_unrepairable),
-                static_cast<unsigned long long>(o.quarantined),
-                static_cast<unsigned long long>(o.silent_corruptions),
-                static_cast<unsigned long long>(o.scrub_passes),
-                o.files_readable, o.files_total,
-                static_cast<unsigned long long>(o.faults_injected));
-    result.add("integ-detected", label,
-               static_cast<double>(o.integ_detected));
-    result.add("integ-repaired", label,
-               static_cast<double>(o.integ_repaired));
-    result.add("integ-unrepairable", label,
-               static_cast<double>(o.integ_unrepairable));
-    result.add("integ-quarantined", label,
-               static_cast<double>(o.quarantined));
-    result.add("integ-silent-corruptions", label,
-               static_cast<double>(o.silent_corruptions));
-    result.add("integ-scrub-passes", label,
-               static_cast<double>(o.scrub_passes));
-    result.add("integ-scrub-chunks", label,
-               static_cast<double>(o.scrub_chunks));
-    result.add("integ-files-readable", label,
-               static_cast<double>(o.files_readable));
-    result.add("integ-readback-ok", label,
-               o.silent_corruptions == 0 ? 1.0 : 0.0);
-    result.add("integ-faults-injected", label,
-               static_cast<double>(o.faults_injected));
+    integrity.row("R=" + std::to_string(factor),
+                  run(integrity_config(props, knobs, factor), knobs,
+                      integrity_task));
   }
   std::printf("(silent = reads returning OK with wrong bytes, the one number "
               "that must be 0 at every R; quarantined blocks fail loudly "
@@ -838,171 +617,130 @@ int main(int argc, char** argv) {
   // writers ride the outage on retries. At R=2 the journal keys themselves
   // are replicated, so the zero-metadata-loss invariant must hold: every
   // file recovered, every byte readable, nothing lost.
-  std::printf("\nmaster crash (mid-DFSIO, journal on):\n");
-  std::printf("%-10s %-4s %5s %9s %7s %9s %6s %11s %7s %6s %9s\n",
-              "scheme", "R", "lost", "readable", "recov-f", "replayed",
-              "rstrt", "recov-ms", "jrnl", "ckpt", "zero-loss");
-  for (const bb::Scheme scheme :
-       {bb::Scheme::kAsync, bb::Scheme::kSync, bb::Scheme::kLocal}) {
+  const auto zero_loss = [&knobs](const ChaosOutcome& o) {
+    return o.blocks_lost == 0 && o.files_readable == knobs.dfsio.files &&
+           o.metrics.counter("bb.md.restarts") >= 1 &&
+           o.metrics.counter("bb.md.recovery_errors") == 0;
+  };
+  OutcomeTable<ChaosOutcome> master(
+      result, "scheme/R",
+      {of({"lost", "master-blocks-lost"}, &Outcome::blocks_lost),
+       of({"readable", "master-files-readable", of_files},
+          &Outcome::files_readable),
+       counter({"recov-f", "master-recovered-files"},
+               {"bb.md.recovered_files"}),
+       counter({"replayed", "master-replayed-records"},
+               {"bb.md.replayed_records"}),
+       counter({"rstrt", "master-restarts"}, {"bb.md.restarts"}),
+       histogram_ms({"recov-p50", "master-recovery-p50-ms", "%.1f"},
+                    "bb.md.recovery_ns", &HS::p50),
+       histogram_ms({"recov-max", "master-recovery-max-ms", "%.1f"},
+                    "bb.md.recovery_ns", &HS::max),
+       counter({"jrnl", "master-journal-records"}, {"bb.md.journal_records"}),
+       counter({"ckpt", "master-checkpoints"}, {"bb.md.checkpoints"}),
+       {{"zero-loss", "master-zero-md-loss", "", 1, flag_text},
+        [zero_loss](const ChaosOutcome& o) {
+          return zero_loss(o) ? 1.0 : 0.0;
+        }},
+       counter({"", "master-recovery-errors"}, {"bb.md.recovery_errors"}),
+       of({"", "master-write-mbps"}, &Outcome::write_mbps),
+       counter({"", "master-retry-attempts"}, {"net.retry.attempts"})},
+      "master crash (mid-DFSIO, journal on):");
+  for (const bb::Scheme scheme : kSchemes) {
     for (const std::uint32_t factor : {1u, 2u}) {
-      const Outcome o = run_master_crash(scheme, props, knobs, factor);
-      const std::string label =
-          std::string(to_string(scheme)) + "/R=" + std::to_string(factor);
-      const bool zero_loss = o.blocks_lost == 0 &&
-                             o.files_readable == o.files_total &&
-                             o.md_restarts >= 1 &&
-                             o.md_recovery_errors == 0;
-      std::printf(
-          "%-10s %-4u %5llu %6u/%-2u %7llu %9llu %6llu %5.1f/%-5.1f %7llu "
-          "%6llu %9s\n",
-          std::string(to_string(scheme)).c_str(), factor,
-          static_cast<unsigned long long>(o.blocks_lost),
-          o.files_readable, o.files_total,
-          static_cast<unsigned long long>(o.md_recovered_files),
-          static_cast<unsigned long long>(o.md_replayed_records),
-          static_cast<unsigned long long>(o.md_restarts),
-          static_cast<double>(o.md_recovery_hist.p50) / hpcbb::duration::ms,
-          static_cast<double>(o.md_recovery_hist.max) / hpcbb::duration::ms,
-          static_cast<unsigned long long>(o.md_journal_records),
-          static_cast<unsigned long long>(o.md_checkpoints),
-          zero_loss ? "yes" : "NO");
-      result.add("master-blocks-lost", label,
-                 static_cast<double>(o.blocks_lost));
-      result.add("master-files-readable", label,
-                 static_cast<double>(o.files_readable));
-      result.add("master-recovered-files", label,
-                 static_cast<double>(o.md_recovered_files));
-      result.add("master-replayed-records", label,
-                 static_cast<double>(o.md_replayed_records));
-      result.add("master-restarts", label,
-                 static_cast<double>(o.md_restarts));
-      result.add("master-recovery-p50-ms", label,
-                 static_cast<double>(o.md_recovery_hist.p50) /
-                     hpcbb::duration::ms);
-      result.add("master-recovery-max-ms", label,
-                 static_cast<double>(o.md_recovery_hist.max) /
-                     hpcbb::duration::ms);
-      result.add("master-journal-records", label,
-                 static_cast<double>(o.md_journal_records));
-      result.add("master-checkpoints", label,
-                 static_cast<double>(o.md_checkpoints));
-      result.add("master-recovery-errors", label,
-                 static_cast<double>(o.md_recovery_errors));
-      result.add("master-write-mbps", label, o.write_mbps);
-      result.add("master-retry-attempts", label,
-                 static_cast<double>(o.retry_attempts));
-      result.add("master-zero-md-loss", label, zero_loss ? 1.0 : 0.0);
+      master.row(std::string(to_string(scheme)) + "/R=" +
+                     std::to_string(factor),
+                 run(master_crash_config(scheme, props, knobs, factor), knobs,
+                     master_crash_task));
     }
   }
-  std::printf("(recov-ms = journal-replay recovery time p50/max; zero-loss "
-              "= no lost blocks, every file readable, recovery clean — the "
+  std::printf("(recov-p50/max = journal-replay recovery time; zero-loss = "
+              "no lost blocks, every file readable, recovery clean — the "
               "R=2 invariant)\n");
 
   // ---- health monitor: every fault class above re-run with the SLO engine
   // armed. The class's mapped rule must page with a parseable incident
   // bundle that correlates the injected faults, and the fault-free twin of
   // the same run must fire zero alerts (EXPERIMENTS.md alert table).
-  std::printf("\nhealth monitor (SLO burn-rate alerts per fault class):\n");
-  std::printf("%-12s %-24s %7s %5s %8s %6s %6s %6s %8s\n",
-              "class", "rule", "healthy", "pages", "resolves", "incid",
-              "bundle", "fault", "suspect");
+  // The limpware SLO threshold is relative: 3x the put-latency max of a
+  // fault-free run of the same workload, so the rule tracks the geometry
+  // instead of hard-coding a simulator constant.
+  const std::uint64_t put_max =
+      run(without_faults(chaos_config(bb::Scheme::kAsync, props, knobs)),
+          knobs, limp_task)
+          .metrics.histogram("kv.put")
+          .max;
+  struct HealthClass {
+    const char* name;
+    const char* incident_prefix;
+    const char* rule;
+    std::string threshold;
+    ClusterConfig faulted;
+    ChaosTask task;
+    bool expect_suspects;
+  };
+  const ClusterConfig kv_crash = chaos_config(bb::Scheme::kAsync, props, knobs);
+  const HealthClass classes[] = {
+      // KV crash: the failure detector's live-peer gauge dips below the
+      // full ring while a server is down.
+      {"kv-crash", "incident-kvcrash", "kv_live_min",
+       std::to_string(kv_crash.kv_servers), kv_crash, chaos_task, true},
+      // Master crash: the control-plane liveness gauge drops to 0 for the
+      // whole downtime window.
+      {"master-crash", "incident-master", "master_up_min", "1",
+       master_crash_config(bb::Scheme::kAsync, props, knobs, 1),
+       master_crash_task, true},
+      // Corruption storm: any verified-read or scrubber detection at all is
+      // a breach (threshold 0 on the cumulative detection counters).
+      {"corruption", "incident-corrupt", "integrity_detected_max", "0",
+       integrity_config(props, knobs, 1), integrity_task, false},
+      // Limpware: put latency through the degraded journal SSD blows past
+      // 3x the fault-free maximum of the same workload (generic max_max
+      // rule — no built-in needed for a metric named in the key).
+      {"limpware", "incident-limp", "max_max.kv.put",
+       std::to_string(3 * put_max) + "ns", limp_config(props, knobs),
+       limp_task, false},
+  };
+  using H = HealthOutcome;
+  OutcomeTable<H> health(
+      result, "class",
+      {member<H>({"healthy", "health-healthy-alerts"}, &H::healthy_alerts),
+       member<H>({"pages", "health-pages"}, &H::pages),
+       member<H>({"resolves", "health-resolves"}, &H::resolves),
+       member<H>({"incid", "health-incidents"}, &H::incidents),
+       member<H>({"bundle", "health-bundle-ok", "", 1, flag_text},
+                 &H::bundle_ok),
+       member<H>({"fault", "health-bundle-faults", "", 1, flag_text},
+                 &H::bundle_faults),
+       {{"suspect", "health-bundle-suspects", "", 1, flag_text},
+        [](const H& o) {
+          if (o.bundle_suspects) return 1.0;
+          return o.expect_suspects ? 0.0 : kNone;
+        }},
+       member<H>({"", "health-warns"}, &H::warns),
+       member<H>({"", "health-rule-paged"}, &H::rule_paged),
+       member<H>({"", "health-flightrec-dropped"}, &H::flightrec_dropped),
+       member<H>({"", "health-limp-baseline-put-ms"}, &H::baseline_put_ms)},
+      "health monitor (SLO burn-rate alerts per fault class; each row ends "
+      "with its rule):");
   bool health_ok = true;
   const std::string inc_dir = incident_dir();
-  const auto slo_base = [&inc_dir](const char* prefix) {
+  for (const HealthClass& cls : classes) {
     Properties slo;
     slo.set("slo.incident_dir", inc_dir);
-    slo.set("slo.incident_prefix", prefix);
-    return slo;
-  };
-  const auto report_health = [&](const char* cls, const char* rule,
-                                 const HealthOutcome& o,
-                                 bool expect_suspects) {
-    const bool ok = o.rule_paged && o.bundle_ok && o.bundle_faults &&
-                    o.healthy_alerts == 0 &&
-                    (!expect_suspects || o.bundle_suspects);
-    health_ok = health_ok && ok;
-    std::printf("%-12s %-24s %7llu %5llu %8llu %6zu %6s %6s %8s%s\n", cls,
-                rule, static_cast<unsigned long long>(o.healthy_alerts),
-                static_cast<unsigned long long>(o.pages),
-                static_cast<unsigned long long>(o.resolves), o.incidents,
-                o.bundle_ok ? "yes" : "NO", o.bundle_faults ? "yes" : "NO",
-                o.bundle_suspects ? "yes" : "-", ok ? "" : "   <- FAIL");
-    result.add("health-pages", cls, static_cast<double>(o.pages));
-    result.add("health-warns", cls, static_cast<double>(o.warns));
-    result.add("health-resolves", cls, static_cast<double>(o.resolves));
-    result.add("health-incidents", cls, static_cast<double>(o.incidents));
-    result.add("health-healthy-alerts", cls,
-               static_cast<double>(o.healthy_alerts));
-    result.add("health-rule-paged", cls, o.rule_paged ? 1.0 : 0.0);
-    result.add("health-bundle-ok", cls, o.bundle_ok ? 1.0 : 0.0);
-    result.add("health-flightrec-dropped", cls,
-               static_cast<double>(o.flightrec_dropped));
-  };
-  const auto healthy_alerts = [](const HealthOutcome& o) {
-    return o.warns + o.pages + o.resolves;
-  };
-
-  {
-    // KV crash: the failure detector's live-peer gauge dips below the full
-    // ring while a server is down.
-    const ClusterConfig faulted =
-        chaos_config(bb::Scheme::kAsync, props, knobs);
-    ClusterConfig healthy = faulted;
-    healthy.faults = faults::InjectorParams{};
-    Properties slo = slo_base("incident-kvcrash");
-    slo.set("slo.kv_live_min", std::to_string(faulted.kv_servers));
-    HealthOutcome chaos =
-        run_health(faulted, slo, knobs, "kv_live_min", chaos_task);
-    chaos.healthy_alerts = healthy_alerts(
-        run_health(healthy, slo, knobs, "kv_live_min", chaos_task));
-    report_health("kv-crash", "kv_live_min", chaos, true);
-  }
-  {
-    // Master crash: the control-plane liveness gauge drops to 0 for the
-    // whole downtime window.
-    ClusterConfig faulted = master_crash_config(bb::Scheme::kAsync, props,
-                                                knobs, 1);
-    ClusterConfig healthy = faulted;
-    healthy.faults = faults::InjectorParams{};
-    Properties slo = slo_base("incident-master");
-    slo.set("slo.master_up_min", "1");
-    HealthOutcome chaos =
-        run_health(faulted, slo, knobs, "master_up_min", master_crash_task);
-    chaos.healthy_alerts = healthy_alerts(
-        run_health(healthy, slo, knobs, "master_up_min", master_crash_task));
-    report_health("master-crash", "master_up_min", chaos, true);
-  }
-  {
-    // Corruption storm: any verified-read or scrubber detection at all is a
-    // breach (threshold 0 on the cumulative detection counters).
-    ClusterConfig faulted = integrity_config(props, knobs, 1);
-    ClusterConfig healthy = faulted;
-    healthy.faults = faults::InjectorParams{};
-    Properties slo = slo_base("incident-corrupt");
-    slo.set("slo.integrity_detected_max", "0");
-    HealthOutcome chaos = run_health(faulted, slo, knobs,
-                                     "integrity_detected_max", integrity_task);
-    chaos.healthy_alerts = healthy_alerts(run_health(
-        healthy, slo, knobs, "integrity_detected_max", integrity_task));
-    report_health("corruption", "integrity_detected_max", chaos, false);
-  }
-  {
-    // Limpware: put latency through the degraded journal SSD blows past 3x
-    // the fault-free maximum of the same workload (generic max_max rule —
-    // no built-in needed for a metric named in the key).
-    const std::uint64_t baseline = healthy_put_max_ns(props, knobs);
-    ClusterConfig faulted = limp_config(props, knobs);
-    ClusterConfig healthy = faulted;
-    healthy.faults = faults::InjectorParams{};
-    Properties slo = slo_base("incident-limp");
-    slo.set("slo.max_max.kv.put", std::to_string(3 * baseline) + "ns");
-    HealthOutcome chaos =
-        run_health(faulted, slo, knobs, "max_max.kv.put", limp_task);
-    chaos.healthy_alerts = healthy_alerts(
-        run_health(healthy, slo, knobs, "max_max.kv.put", limp_task));
-    report_health("limpware", "max_max.kv.put", chaos, false);
-    result.add("health-limp-baseline-put-ms", "limpware",
-               static_cast<double>(baseline) / hpcbb::duration::ms);
+    slo.set("slo.incident_prefix", cls.incident_prefix);
+    slo.set(std::string("slo.") + cls.rule, cls.threshold);
+    HealthOutcome o = run_health(cls.faulted, slo, knobs, cls.rule, cls.task);
+    const HealthOutcome twin = run_health(without_faults(cls.faulted), slo,
+                                          knobs, cls.rule, cls.task);
+    o.healthy_alerts = twin.warns + twin.pages + twin.resolves;
+    o.expect_suspects = cls.expect_suspects;
+    if (cls.task == limp_task) {
+      o.baseline_put_ms = num(put_max) / duration::ms;
+    }
+    health_ok = health_ok && o.ok();
+    health.row(cls.name, o,
+               std::string(cls.rule) + (o.ok() ? "" : "   <- FAIL"));
   }
   std::printf("(healthy = alert transitions in the fault-free twin, must be "
               "0; bundle = hpcbb.incident.v1 with flight-recorder rings; "
@@ -1012,6 +750,6 @@ int main(int argc, char** argv) {
               "parseable incident bundle and zero healthy-run alerts\n",
               health_ok ? "PASS" : "FAIL");
 
-  const int gate_rc = hpcbb::bench::finish(result, argc, argv);
+  const int gate_rc = finish(result, argc, argv);
   return health_ok ? gate_rc : 1;
 }

@@ -2,80 +2,43 @@
 // grows, fixed data per node. The burst-buffer advantage must hold (or
 // grow) with scale, since the KV tier scales with the cluster while Lustre
 // stays fixed.
-#include <cstdio>
+#include <algorithm>
 #include <vector>
 
 #include "bench_util.h"
 
-namespace {
-
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using hpcbb::bench::SystemCase;
-using sim::Task;
-
-struct ScalingPoint {
-  double write_mbps = 0;
-  double read_mbps = 0;
-};
-
-ScalingPoint run_case(const SystemCase& system, std::uint32_t nodes,
-                      std::uint64_t bytes_per_node) {
-  cluster::ClusterConfig config = hpcbb::bench::default_config(system.scheme);
-  config.compute_nodes = nodes;
-  config.kv_servers = std::max(2u, nodes / 2);  // BB tier scales with nodes
-  Cluster cluster(config);
-  ScalingPoint point;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, cluster::FsKind kind, std::uint64_t per_node,
-                  ScalingPoint& out) -> Task<void> {
-        mapred::DfsioParams params;
-        params.files = static_cast<std::uint32_t>(c.compute_nodes().size());
-        params.file_size = per_node;
-        auto write_result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (!write_result.is_ok()) co_return;
-        out.write_mbps = write_result.value().aggregate_mbps;
-        auto read_result = co_await mapred::dfsio_read(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (read_result.is_ok()) out.read_mbps = read_result.value().aggregate_mbps;
-      }(cluster, system.kind, bytes_per_node, point));
-  return point;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F10", "weak scaling: aggregate MB/s, 64 MiB per node",
-               "BB advantage holds as the cluster grows");
-  hpcbb::bench::JsonResult result(
-      "f10", "weak scaling: aggregate MB/s, 64 MiB per node");
+  using namespace hpcbb;         // NOLINT
+  using namespace hpcbb::bench;  // NOLINT
+  JsonResult result =
+      figure("F10", "weak scaling: aggregate MB/s, 64 MiB per node",
+             "BB advantage holds as the cluster grows");
 
   const std::vector<std::uint32_t> node_counts = {4, 8, 16};
-  const std::vector<hpcbb::bench::SystemCase> systems = {
-      {"HDFS", hpcbb::bench::FsKind::kHdfs, hpcbb::bb::Scheme::kAsync},
-      {"Lustre", hpcbb::bench::FsKind::kLustre, hpcbb::bb::Scheme::kAsync},
-      {"BB-Async", hpcbb::bench::FsKind::kBurstBuffer,
-       hpcbb::bb::Scheme::kAsync},
-  };
+  std::vector<SystemCase> systems = all_systems();
+  systems.resize(3);  // HDFS, Lustre, BB-Async
 
-  std::printf("\n%-8s", "nodes");
+  std::vector<Column> columns;
   for (const auto& system : systems) {
-    std::printf("  %9s-wr %9s-rd", system.label, system.label);
+    const std::string label = system.label;
+    columns.push_back({label + "-wr", label + "-write-mbps"});
+    columns.push_back({label + "-rd", label + "-read-mbps"});
   }
-  std::printf("\n");
+  Table table(result, "nodes", columns);
   for (const std::uint32_t nodes : node_counts) {
-    std::printf("%-8u", nodes);
+    std::vector<double> row;
     for (const auto& system : systems) {
-      const ScalingPoint point = run_case(system, nodes, 64 * MiB);
-      std::printf("  %12.0f %12.0f", point.write_mbps, point.read_mbps);
-      result.add(std::string(system.label) + "-write-mbps", nodes,
-                 point.write_mbps);
-      result.add(std::string(system.label) + "-read-mbps", nodes,
-                 point.read_mbps);
+      ClusterConfig config = default_config(system.scheme);
+      config.compute_nodes = nodes;
+      config.kv_servers = std::max(2u, nodes / 2);  // BB tier scales with nodes
+      const Outcome o = run_case(config, [&](Cluster& c, Outcome& out) {
+        return dfsio_write_read(c, system.kind,
+                                {.files = nodes, .file_size = 64 * MiB}, out);
+      });
+      row.push_back(o.write_mbps);
+      row.push_back(o.read_mbps);
     }
-    std::printf("\n");
+    table.row(std::to_string(nodes), row);
   }
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

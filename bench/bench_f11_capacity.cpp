@@ -9,70 +9,54 @@
 
 namespace {
 
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using sim::Task;
+using namespace hpcbb;         // NOLINT
+using namespace hpcbb::bench;  // NOLINT
 
-struct CapacityPoint {
-  double write_mbps = 0;
+struct CapacityOutcome : Outcome {
   std::uint64_t backpressure_retries = 0;
   std::uint64_t evictions = 0;
 };
 
-CapacityPoint run_case(std::uint64_t buffer_total, std::uint64_t dataset) {
-  cluster::ClusterConfig config =
-      hpcbb::bench::default_config(bb::Scheme::kAsync);
-  config.kv_memory_per_server = buffer_total / config.kv_servers;
-  Cluster cluster(config);
-  CapacityPoint point;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, std::uint64_t data_total,
-                  CapacityPoint& out) -> Task<void> {
-        const auto kind = cluster::FsKind::kBurstBuffer;
-        mapred::DfsioParams params;
-        params.files = 8;
-        params.file_size = data_total / 8;
-        auto result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (!result.is_ok()) co_return;
-        out.write_mbps = result.value().aggregate_mbps;
-        out.backpressure_retries =
-            c.sim().metrics().counter_value("bb.store.backpressure_retries");
-        for (std::uint32_t i = 0; i < c.kv_server_count(); ++i) {
-          out.evictions += c.kv_server(i).store().stats().evictions;
-        }
-      }(cluster, dataset, point));
-  return point;
+// An 8-file DFSIO write of `dataset` bytes, and the backpressure it met.
+sim::Task<void> burst(Cluster& c, std::uint64_t dataset, CapacityOutcome& out) {
+  const mapred::DfsioParams dfsio{.files = 8, .file_size = dataset / 8};
+  co_await dfsio_write(c, FsKind::kBurstBuffer, dfsio, out);
+  if (!out.write_ok) co_return;
+  out.backpressure_retries =
+      c.sim().metrics().counter_value("bb.store.backpressure_retries");
+  for (std::uint32_t i = 0; i < c.kv_server_count(); ++i) {
+    out.evictions += c.kv_server(i).store().stats().evictions;
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F11", "buffer capacity sensitivity (BB-Async, 1 GiB burst)",
-               "throughput degrades gracefully toward the flush rate as the "
-               "buffer shrinks below the burst size");
-  hpcbb::bench::JsonResult result(
-      "f11", "buffer capacity sensitivity (BB-Async, 1 GiB burst)");
+  JsonResult result =
+      figure("F11", "buffer capacity sensitivity (BB-Async, 1 GiB burst)",
+             "throughput degrades gracefully toward the flush rate as the "
+             "buffer shrinks below the burst size");
 
   constexpr std::uint64_t kDataset = 1 * GiB;
   const std::vector<double> capacity_ratios = {0.25, 0.5, 1.0, 2.0, 4.0};
 
-  std::printf("\n%-16s  %10s  %20s  %10s\n", "buffer/burst", "MB/s",
-              "backpressure retries", "evictions");
-  for (const double ratio : capacity_ratios) {
-    const auto buffer_total =
-        static_cast<std::uint64_t>(ratio * static_cast<double>(kDataset));
-    const CapacityPoint point = run_case(buffer_total, kDataset);
-    std::printf("%-16.2f  %10.0f  %20llu  %10llu\n", ratio, point.write_mbps,
-                static_cast<unsigned long long>(point.backpressure_retries),
-                static_cast<unsigned long long>(point.evictions));
+  Table table(result, "buffer/burst",
+              {{"MB/s", "write-mbps"},
+               {"backpressure retries", "backpressure-retries"},
+               {"evictions", "evictions"}});
+  for (const double capacity : capacity_ratios) {
+    ClusterConfig config = default_config(bb::Scheme::kAsync);
+    config.kv_memory_per_server =
+        static_cast<std::uint64_t>(capacity * static_cast<double>(kDataset)) /
+        config.kv_servers;
+    const auto o = run_case<CapacityOutcome>(
+        config, [](Cluster& c, CapacityOutcome& out) {
+          return burst(c, kDataset, out);
+        });
     char x[16];
-    std::snprintf(x, sizeof x, "%.2f", ratio);
-    result.add("write-mbps", x, point.write_mbps);
-    result.add("backpressure-retries", x,
-               static_cast<double>(point.backpressure_retries));
-    result.add("evictions", x, static_cast<double>(point.evictions));
+    std::snprintf(x, sizeof x, "%.2f", capacity);
+    table.row(x, {o.write_mbps, static_cast<double>(o.backpressure_retries),
+                  static_cast<double>(o.evictions)});
   }
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

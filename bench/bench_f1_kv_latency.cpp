@@ -2,19 +2,13 @@
 // latency across value sizes. The enabling microbenchmark of the paper:
 // native-verbs KV ops are roughly an order of magnitude faster than the
 // socket paths for small and mid-size values.
-#include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_util.h"
-#include "kvstore/client.h"
-#include "kvstore/server.h"
 
 namespace {
 
 using namespace hpcbb;          // NOLINT
-using namespace hpcbb::duration;  // NOLINT
-using net::NodeId;
 using sim::SimTime;
 using sim::Task;
 
@@ -24,15 +18,8 @@ struct OpLatency {
 };
 
 OpLatency measure(net::TransportKind kind, std::uint64_t value_size) {
-  sim::Simulation sim;
-  net::Fabric fabric(sim, 2, net::FabricParams{});
-  net::Transport transport(fabric, net::transport_preset(kind));
-  net::RpcHub hub(transport);
-  kv::ServerParams server_params;
-  server_params.store.memory_budget = 256 * MiB;
-  kv::Server server(hub, 1, server_params);
-  kv::Client client(hub, 0, {1});
-
+  bench::KvRig rig(kind, 1, 1, 256 * MiB);
+  sim::Simulation& sim = rig.sim;
   OpLatency result;
   sim.spawn([](sim::Simulation& s, kv::Client& c, std::uint64_t size,
                OpLatency& out) -> Task<void> {
@@ -51,7 +38,7 @@ OpLatency measure(net::TransportKind kind, std::uint64_t value_size) {
     }
     out.set_ns = set_total / kReps;
     out.get_ns = get_total / kReps;
-  }(sim, client, value_size, result));
+  }(sim, *rig.clients[0], value_size, result));
   sim.run();
   return result;
 }
@@ -59,11 +46,10 @@ OpLatency measure(net::TransportKind kind, std::uint64_t value_size) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F1", "KV store op latency by transport and value size",
-               "RDMA ops ~an order of magnitude faster than socket paths");
-  hpcbb::bench::JsonResult result(
-      "f1", "KV store op latency by transport and value size");
+  using namespace hpcbb::bench;  // NOLINT
+  JsonResult result =
+      figure("F1", "KV store op latency by transport and value size",
+             "RDMA ops ~an order of magnitude faster than socket paths");
 
   const std::vector<std::pair<const char*, hpcbb::net::TransportKind>>
       transports = {{"RDMA", hpcbb::net::TransportKind::kRdma},
@@ -73,29 +59,25 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> sizes = {1 * KiB,  4 * KiB,   16 * KiB,
                                             64 * KiB, 256 * KiB, 1 * MiB};
 
-  std::printf("\n%-10s", "value");
+  std::vector<Column> columns;
   for (const auto& [label, kind] : transports) {
-    std::printf("  %10s-set %10s-get", label, label);
+    for (const char* op : {"set", "get"}) {
+      const std::string name = std::string(label) + "-" + op;
+      columns.push_back({name, name + "-ns", "%.1fus", 1000.0});
+    }
   }
-  std::printf("   RDMA-get-speedup-vs-IPoIB\n");
-
+  columns.push_back({"RDMA-get-speedup-vs-IPoIB", "RDMA-get-speedup-vs-IPoIB",
+                     "%.1fx"});
+  Table table(result, "value", columns);
   for (const std::uint64_t size : sizes) {
-    std::printf("%-10s", hpcbb::format_bytes(size).c_str());
-    double rdma_get = 0, ipoib_get = 0;
+    std::vector<double> row;
     for (const auto& [label, kind] : transports) {
       const OpLatency lat = measure(kind, size);
-      std::printf("  %11.1fus %11.1fus",
-                  static_cast<double>(lat.set_ns) / 1000.0,
-                  static_cast<double>(lat.get_ns) / 1000.0);
-      const std::string x = hpcbb::format_bytes(size);
-      result.add(std::string(label) + "-set-ns", x,
-                 static_cast<double>(lat.set_ns));
-      result.add(std::string(label) + "-get-ns", x,
-                 static_cast<double>(lat.get_ns));
-      if (std::string(label) == "RDMA") rdma_get = static_cast<double>(lat.get_ns);
-      if (std::string(label) == "IPoIB") ipoib_get = static_cast<double>(lat.get_ns);
+      row.push_back(static_cast<double>(lat.set_ns));
+      row.push_back(static_cast<double>(lat.get_ns));
     }
-    std::printf("   %.1fx\n", hpcbb::bench::ratio(ipoib_get, rdma_get));
+    row.push_back(ratio(row[3], row[1]));  // IPoIB-get over RDMA-get
+    table.row(hpcbb::format_bytes(size), row);
   }
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

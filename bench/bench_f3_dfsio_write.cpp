@@ -1,68 +1,15 @@
 // F3 — TestDFSIO write throughput: HDFS vs Lustre vs the three burst-buffer
 // schemes across dataset sizes. Headline claim: BB write throughput up to
-// 2.6x HDFS and 1.5x Lustre.
-#include <cstdio>
-#include <map>
-#include <vector>
-
+// 2.6x HDFS and 1.5x Lustre. Scaled-down sweep: the paper sweeps 20-80 GB on
+// 128 MiB blocks; we run 0.25-1 GB on 32 MiB blocks (EXPERIMENTS.md
+// "Scaling").
 #include "bench_util.h"
 
-namespace {
-
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using hpcbb::bench::SystemCase;
-using sim::Task;
-
-double run_case(const SystemCase& system, std::uint32_t files,
-                std::uint64_t file_size) {
-  Cluster cluster(hpcbb::bench::default_config(system.scheme));
-  mapred::DfsioParams params;
-  params.files = files;
-  params.file_size = file_size;
-  double mbps = 0;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, cluster::FsKind kind, mapred::DfsioParams p,
-                  double& out) -> Task<void> {
-        auto result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), p);
-        if (result.is_ok()) out = result.value().aggregate_mbps;
-      }(cluster, system.kind, params, mbps));
-  return mbps;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F3", "TestDFSIO write throughput (aggregate MB/s, 8 nodes)",
-               "write up to 2.6x over HDFS and 1.5x over Lustre");
-  hpcbb::bench::JsonResult result(
-      "f3", "TestDFSIO write throughput (aggregate MB/s, 8 nodes)");
-
-  // Scaled-down sweep: paper sweeps 20-80 GB on 128 MiB blocks; we run
-  // 0.25-1 GB on 32 MiB blocks (EXPERIMENTS.md "Scaling").
-  const std::vector<std::uint64_t> file_sizes = {32 * MiB, 64 * MiB, 128 * MiB};
-  constexpr std::uint32_t kFiles = 8;
-
-  std::printf("\n%-12s", "dataset");
-  for (const auto& system : hpcbb::bench::all_systems()) {
-    std::printf("  %9s", system.label);
-  }
-  std::printf("   BB-Async/HDFS  BB-Async/Lustre\n");
-
-  for (const std::uint64_t file_size : file_sizes) {
-    std::printf("%-12s", hpcbb::format_bytes(kFiles * file_size).c_str());
-    std::map<std::string, double> mbps;
-    for (const auto& system : hpcbb::bench::all_systems()) {
-      mbps[system.label] = run_case(system, kFiles, file_size);
-      std::printf("  %9.0f", mbps[system.label]);
-      result.add(std::string(system.label) + "-mbps",
-                 hpcbb::format_bytes(kFiles * file_size), mbps[system.label]);
-    }
-    std::printf("   %13.2fx  %14.2fx\n",
-                hpcbb::bench::ratio(mbps["BB-Async"], mbps["HDFS"]),
-                hpcbb::bench::ratio(mbps["BB-Async"], mbps["Lustre"]));
-  }
-  return hpcbb::bench::finish(result, argc, argv);
+  using namespace hpcbb::bench;  // NOLINT
+  JsonResult result =
+      figure("F3", "TestDFSIO write throughput (aggregate MB/s, 8 nodes)",
+             "write up to 2.6x over HDFS and 1.5x over Lustre");
+  dfsio_sweep(result, dfsio_write, &Outcome::write_mbps);
+  return finish(result, argc, argv);
 }

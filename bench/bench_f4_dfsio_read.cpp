@@ -1,68 +1,12 @@
 // F4 — TestDFSIO read throughput, buffer-resident and after flush+crash
 // (Lustre fallback). Headline claim: read gains up to 8x.
-#include <cstdio>
-#include <map>
-#include <vector>
-
 #include "bench_util.h"
 
-namespace {
-
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using hpcbb::bench::SystemCase;
-using sim::Task;
-
-double run_case(const SystemCase& system, std::uint32_t files,
-                std::uint64_t file_size) {
-  Cluster cluster(hpcbb::bench::default_config(system.scheme));
-  mapred::DfsioParams params;
-  params.files = files;
-  params.file_size = file_size;
-  double mbps = 0;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, cluster::FsKind kind, mapred::DfsioParams p,
-                  double& out) -> Task<void> {
-        auto write_result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), p);
-        if (!write_result.is_ok()) co_return;
-        auto read_result = co_await mapred::dfsio_read(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), p);
-        if (read_result.is_ok()) out = read_result.value().aggregate_mbps;
-      }(cluster, system.kind, params, mbps));
-  return mbps;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F4", "TestDFSIO read throughput (aggregate MB/s, 8 nodes)",
-               "read gains up to 8x (buffer-resident data at RDMA speed)");
-  hpcbb::bench::JsonResult result(
-      "f4", "TestDFSIO read throughput (aggregate MB/s, 8 nodes)");
-
-  const std::vector<std::uint64_t> file_sizes = {32 * MiB, 64 * MiB, 128 * MiB};
-  constexpr std::uint32_t kFiles = 8;
-
-  std::printf("\n%-12s", "dataset");
-  for (const auto& system : hpcbb::bench::all_systems()) {
-    std::printf("  %9s", system.label);
-  }
-  std::printf("   BB-Async/HDFS  BB-Async/Lustre\n");
-
-  for (const std::uint64_t file_size : file_sizes) {
-    std::printf("%-12s", hpcbb::format_bytes(kFiles * file_size).c_str());
-    std::map<std::string, double> mbps;
-    for (const auto& system : hpcbb::bench::all_systems()) {
-      mbps[system.label] = run_case(system, kFiles, file_size);
-      std::printf("  %9.0f", mbps[system.label]);
-      result.add(std::string(system.label) + "-mbps",
-                 hpcbb::format_bytes(kFiles * file_size), mbps[system.label]);
-    }
-    std::printf("   %13.2fx  %14.2fx\n",
-                hpcbb::bench::ratio(mbps["BB-Async"], mbps["HDFS"]),
-                hpcbb::bench::ratio(mbps["BB-Async"], mbps["Lustre"]));
-  }
-  return hpcbb::bench::finish(result, argc, argv);
+  using namespace hpcbb::bench;  // NOLINT
+  JsonResult result =
+      figure("F4", "TestDFSIO read throughput (aggregate MB/s, 8 nodes)",
+             "read gains up to 8x (buffer-resident data at RDMA speed)");
+  dfsio_sweep(result, dfsio_write_read, &Outcome::read_mbps);
+  return finish(result, argc, argv);
 }

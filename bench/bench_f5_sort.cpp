@@ -3,111 +3,60 @@
 // shuffle-heavy, so the I/O speedup dilutes to tens of percent end-to-end
 // (SortJob cpu_scale calibrates the compute fraction; see EXPERIMENTS.md).
 #include <cstdio>
-#include <map>
 #include <vector>
 
 #include "bench_util.h"
-
-namespace {
-
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using hpcbb::bench::SystemCase;
-using sim::SimTime;
-using sim::Task;
 
 // Calibrated so map+reduce compute is roughly half of HDFS sort time
 // (2015-era Hadoop: JVM record paths and spill merging dominate).
 constexpr double kSortCpuScale = 18.0;
 
-struct SortOutcome {
-  SimTime makespan = 0;
-  double locality = 0;
-  bool sorted = true;
-};
-
-SortOutcome run_case(const SystemCase& system, std::uint64_t records_per_file,
-                     std::uint32_t files) {
-  Cluster cluster(hpcbb::bench::default_config(system.scheme));
-  SortOutcome outcome;
-  hpcbb::bench::run_to_completion(
-      cluster,
-      [](Cluster& c, cluster::FsKind kind, std::uint32_t nfiles,
-         std::uint64_t records, SortOutcome& out) -> Task<void> {
-        mapred::GenerateParams gen;
-        gen.files = nfiles;
-        gen.records_per_file = records;
-        auto generated = co_await mapred::generate_records_input(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), gen);
-        if (!generated.is_ok()) co_return;
-
-        std::vector<std::string> inputs;
-        for (std::uint32_t i = 0; i < nfiles; ++i) {
-          inputs.push_back(gen.dir + "/part-" + std::to_string(i));
-        }
-        auto runner = c.make_runner(kind);
-        mapred::SortJob job(16, kSortCpuScale);
-        auto stats = co_await runner->run(job, inputs, "/out/sort");
-        if (!stats.is_ok()) co_return;
-        out.makespan = stats.value().makespan_ns;
-        out.locality = stats.value().locality_fraction();
-
-        // Spot-check sortedness of one output partition.
-        auto reader = co_await c.filesystem(kind).open("/out/sort/part-0",
-                                                       c.compute_nodes()[0]);
-        if (reader.is_ok()) {
-          auto data =
-              co_await reader.value()->read(0, reader.value()->size());
-          out.sorted =
-              data.is_ok() && mapred::records_sorted(data.value());
-        }
-      }(cluster, system.kind, files, records_per_file, outcome));
-  return outcome;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F5", "Sort execution time (8 nodes, 16 reducers)",
-               "sort time reduced up to 28% vs Lustre, 19% vs HDFS");
-  hpcbb::bench::JsonResult result("f5",
-                                  "Sort execution time (8 nodes, 16 reducers)");
+  using namespace hpcbb;         // NOLINT
+  using namespace hpcbb::bench;  // NOLINT
+  JsonResult result =
+      figure("F5", "Sort execution time (8 nodes, 16 reducers)",
+             "sort time reduced up to 28% vs Lustre, 19% vs HDFS");
 
   // 100-byte records; paper sorts 8-32 GB, we run the scaled sweep.
   const std::vector<std::uint64_t> records_per_file = {320000, 640000,
                                                        1280000};
   constexpr std::uint32_t kFiles = 8;
 
-  std::printf("\n%-12s", "dataset");
-  for (const auto& system : hpcbb::bench::all_systems()) {
-    std::printf("  %10s", system.label);
+  std::vector<Column> columns = system_columns("-makespan-s", "%.2fs");
+  columns.push_back({"vs-HDFS", "BB-Local-cut-vs-HDFS", "", 1, percent_text});
+  columns.push_back(
+      {"vs-Lustre", "BB-Local-cut-vs-Lustre", "", 1, percent_text});
+  columns.push_back(
+      {"locality(BB-Local)", "BB-Local-locality", "", 1, percent_text});
+  for (const SystemCase& system : all_systems()) {
+    columns.push_back({system.label + std::string(" sorted"),
+                       system.label + std::string("-sorted"), "", 1,
+                       flag_text});
   }
-  std::printf("   vs-HDFS  vs-Lustre  locality(BB-Local)\n");
-
+  Table table(result, "dataset", columns);
   for (const std::uint64_t records : records_per_file) {
-    std::printf("%-12s",
-                hpcbb::format_bytes(kFiles * records * mapred::kRecordSize)
-                    .c_str());
-    std::map<std::string, SortOutcome> outcomes;
-    const std::string dataset =
-        hpcbb::format_bytes(kFiles * records * mapred::kRecordSize);
-    for (const auto& system : hpcbb::bench::all_systems()) {
-      outcomes[system.label] = run_case(system, records, kFiles);
-      std::printf("  %9.2fs%s",
-                  hpcbb::ns_to_sec(outcomes[system.label].makespan),
-                  outcomes[system.label].sorted ? "" : "!");
-      result.add(std::string(system.label) + "-makespan-s", dataset,
-                 hpcbb::ns_to_sec(outcomes[system.label].makespan));
+    std::vector<Outcome> outcomes;  // in all_systems() order
+    for (const auto& system : all_systems()) {
+      outcomes.push_back(run_case(
+          default_config(system.scheme), [&](Cluster& c, Outcome& out) {
+            return sort(c, system.kind,
+                        {.files = kFiles,
+                         .records_per_file = records,
+                         .cpu_scale = kSortCpuScale},
+                        out);
+          }));
     }
-    const double best = hpcbb::ns_to_sec(outcomes["BB-Local"].makespan);
-    const double hdfs = hpcbb::ns_to_sec(outcomes["HDFS"].makespan);
-    const double lustre = hpcbb::ns_to_sec(outcomes["Lustre"].makespan);
-    std::printf("   %6.0f%%  %8.0f%%  %17.0f%%\n",
-                100.0 * (1.0 - best / hdfs), 100.0 * (1.0 - best / lustre),
-                100.0 * outcomes["BB-Local"].locality);
+    std::vector<double> row;
+    for (const Outcome& o : outcomes) row.push_back(o.job_s);
+    const Outcome& best = outcomes[4];  // BB-Local
+    row.push_back(1.0 - best.job_s / outcomes[0].job_s);
+    row.push_back(1.0 - best.job_s / outcomes[1].job_s);
+    row.push_back(best.locality);
+    for (const Outcome& o : outcomes) row.push_back(o.sorted ? 1.0 : 0.0);
+    table.row(format_bytes(kFiles * records * mapred::kRecordSize), row);
   }
   std::printf("\n(reduction percentages use BB-Local, the scheme the paper "
               "recommends for MapReduce)\n");
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

@@ -1,86 +1,57 @@
 // F6 — I/O-intensive workloads: RandomWriter (write-only record generation)
 // and Grep (full-scan read) execution time per storage system. The abstract:
 // "our design can also significantly benefit I/O-intensive workloads".
-#include <cstdio>
-#include <vector>
-
 #include "bench_util.h"
 
 namespace {
 
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using hpcbb::bench::SystemCase;
-using sim::SimTime;
-using sim::Task;
+using namespace hpcbb;         // NOLINT
+using namespace hpcbb::bench;  // NOLINT
 
-struct Outcome {
-  SimTime random_writer = 0;
-  SimTime grep = 0;
-};
-
-Outcome run_case(const SystemCase& system, std::uint64_t records_per_file) {
-  Cluster cluster(hpcbb::bench::default_config(system.scheme));
-  Outcome outcome;
-  hpcbb::bench::run_to_completion(
-      cluster,
-      [](Cluster& c, cluster::FsKind kind, std::uint64_t records,
-         Outcome& out) -> Task<void> {
-        mapred::GenerateParams gen;
-        gen.files = static_cast<std::uint32_t>(c.compute_nodes().size());
-        gen.records_per_file = records;
-        auto generated = co_await mapred::generate_records_input(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), gen);
-        if (!generated.is_ok()) co_return;
-        out.random_writer = generated.value().elapsed_ns;
-
-        std::vector<std::string> inputs;
-        for (std::uint32_t i = 0; i < gen.files; ++i) {
-          inputs.push_back(gen.dir + "/part-" + std::to_string(i));
-        }
-        auto runner = c.make_runner(kind);
-        mapred::GrepJob job;
-        auto stats = co_await runner->run(job, inputs, "/out/grep");
-        if (stats.is_ok()) out.grep = stats.value().makespan_ns;
-      }(cluster, system.kind, records_per_file, outcome));
-  return outcome;
+// RandomWriter writes a record file per node (generate_ns), then Grep scans
+// them all (job_s).
+sim::Task<void> random_writer_grep(Cluster& c, FsKind kind,
+                                   std::uint64_t records, Outcome& out) {
+  mapred::GenerateParams gen;
+  gen.files = static_cast<std::uint32_t>(c.compute_nodes().size());
+  gen.records_per_file = records;
+  mapred::GrepJob job;
+  const std::string out_dir = "/out/grep";
+  co_await record_job(c, kind, gen, job, out_dir, out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F6", "I/O-intensive workloads: RandomWriter + Grep (8 nodes)",
-               "significant benefit for I/O-intensive workloads");
-  hpcbb::bench::JsonResult result(
-      "f6", "I/O-intensive workloads: RandomWriter + Grep (8 nodes)");
+  JsonResult result =
+      figure("F6", "I/O-intensive workloads: RandomWriter + Grep (8 nodes)",
+             "significant benefit for I/O-intensive workloads");
 
   constexpr std::uint64_t kRecordsPerFile = 640000;  // ~64 MB per node
-  std::printf("\ndataset: 8 x %s of 100-byte records\n",
-              hpcbb::format_bytes(kRecordsPerFile * mapred::kRecordSize)
-                  .c_str());
-  std::printf("%-10s  %14s  %14s\n", "system", "RandomWriter", "Grep(scan)");
+  Table table(result, "system",
+              {{"RandomWriter", "random-writer-s", "%.2fs"},
+               {"Grep(scan)", "grep-s", "%.2fs"},
+               {"RandomWriter vs HDFS", "random-writer-vs-HDFS", "%.1fx"},
+               {"Grep vs HDFS", "grep-vs-HDFS", "%.1fx"}},
+              "dataset: 8 x " +
+                  format_bytes(kRecordsPerFile * mapred::kRecordSize) +
+                  " of 100-byte records");
   double hdfs_rw = 0, hdfs_grep = 0;
-  for (const auto& system : hpcbb::bench::all_systems()) {
-    const Outcome outcome = run_case(system, kRecordsPerFile);
-    std::printf("%-10s  %13.2fs  %13.2fs", system.label,
-                hpcbb::ns_to_sec(outcome.random_writer),
-                hpcbb::ns_to_sec(outcome.grep));
-    result.add("random-writer-s", system.label,
-               hpcbb::ns_to_sec(outcome.random_writer));
-    result.add("grep-s", system.label, hpcbb::ns_to_sec(outcome.grep));
-    if (std::string(system.label) == "HDFS") {
-      hdfs_rw = hpcbb::ns_to_sec(outcome.random_writer);
-      hdfs_grep = hpcbb::ns_to_sec(outcome.grep);
-      std::printf("   (baseline)");
-    } else {
-      std::printf("   %4.1fx / %4.1fx vs HDFS",
-                  hpcbb::bench::ratio(hdfs_rw,
-                                      hpcbb::ns_to_sec(outcome.random_writer)),
-                  hpcbb::bench::ratio(hdfs_grep,
-                                      hpcbb::ns_to_sec(outcome.grep)));
+  for (const auto& system : all_systems()) {
+    const Outcome o = run_case(
+        default_config(system.scheme), [&](Cluster& c, Outcome& out) {
+          return random_writer_grep(c, system.kind, kRecordsPerFile, out);
+        });
+    const double rw = ns_to_sec(o.generate_ns);
+    const bool baseline = std::string(system.label) == "HDFS";
+    if (baseline) {
+      hdfs_rw = rw;
+      hdfs_grep = o.job_s;
     }
-    std::printf("\n");
+    table.row(system.label,
+              {rw, o.job_s, baseline ? kNone : ratio(hdfs_rw, rw),
+               baseline ? kNone : ratio(hdfs_grep, o.job_s)},
+              baseline ? "(baseline)" : "");
   }
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

@@ -2,92 +2,57 @@
 // paper designed them for — write ack time (I/O), map locality
 // (data-locality), and the durability window (fault-tolerance).
 #include <cstdio>
-#include <vector>
 
 #include "bench_util.h"
 
 namespace {
 
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
+using namespace hpcbb;         // NOLINT
+using namespace hpcbb::bench;  // NOLINT
 using sim::SimTime;
-using sim::Task;
 
-struct SchemeOutcome {
-  SimTime write_ack = 0;         // DFSIO write makespan (ack-based)
-  SimTime durability_window = 0; // last ack -> all blocks durable
-  double locality = 0;           // map locality of a follow-up sort
-  std::uint64_t local_bytes = 0; // node-local storage consumed
+struct SchemeOutcome : Outcome {
+  SimTime durability_window = 0;  // last ack -> all blocks durable
+  std::uint64_t local_bytes = 0;  // node-local storage consumed
 };
 
-SchemeOutcome run_scheme(bb::Scheme scheme) {
-  Cluster cluster(hpcbb::bench::default_config(scheme));
-  SchemeOutcome outcome;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, SchemeOutcome& out) -> Task<void> {
-        const auto kind = cluster::FsKind::kBurstBuffer;
-        mapred::DfsioParams params;
-        params.files = 8;
-        params.file_size = 64 * MiB;
-        auto write_result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (!write_result.is_ok()) co_return;
-        out.write_ack = write_result.value().elapsed_ns;
-
-        const SimTime ack_done = c.sim().now();
-        co_await c.bb_master().wait_all_flushed();
-        out.durability_window = c.sim().now() - ack_done;
-        out.local_bytes = c.total_local_bytes_used();
-
-        mapred::GenerateParams gen;
-        gen.files = 8;
-        gen.records_per_file = 320000;
-        auto generated = co_await mapred::generate_records_input(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), gen);
-        if (!generated.is_ok()) co_return;
-        std::vector<std::string> inputs;
-        for (std::uint32_t i = 0; i < 8; ++i) {
-          inputs.push_back(gen.dir + "/part-" + std::to_string(i));
-        }
-        auto runner = c.make_runner(kind);
-        mapred::SortJob job(16);
-        auto stats = co_await runner->run(job, inputs, "/out/sort");
-        if (stats.is_ok()) out.locality = stats.value().locality_fraction();
-      }(cluster, outcome));
-  return outcome;
+// A DFSIO write (ack time = write_ns), the flush that makes it durable,
+// then a Sort for its map locality.
+sim::Task<void> scheme_task(Cluster& c, SchemeOutcome& out) {
+  const auto kind = FsKind::kBurstBuffer;
+  const mapred::DfsioParams dfsio{.files = 8, .file_size = 64 * MiB};
+  co_await dfsio_write(c, kind, dfsio, out);
+  if (!out.write_ok) co_return;
+  const SimTime ack_done = c.sim().now();
+  co_await c.bb_master().wait_all_flushed();
+  out.durability_window = c.sim().now() - ack_done;
+  out.local_bytes = c.total_local_bytes_used();
+  const SortParams sort_params{.files = 8, .records_per_file = 320000};
+  co_await sort(c, kind, sort_params, out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F7",
-               "scheme ablation: I/O vs data-locality vs fault-tolerance",
-               "three schemes trade write latency, locality, durability");
-  hpcbb::bench::JsonResult result(
-      "f7", "scheme ablation: I/O vs data-locality vs fault-tolerance");
+  JsonResult result =
+      figure("F7", "scheme ablation: I/O vs data-locality vs fault-tolerance",
+             "three schemes trade write latency, locality, durability");
 
-  std::printf("\n%-10s  %12s  %18s  %14s  %12s\n", "scheme",
-              "write(512MiB)", "durability window", "map locality",
-              "local bytes");
+  Table table(result, "scheme",
+              {{"write(512MiB)", "write-ack-s", "%.2fs"},
+               {"durability window", "durability-window-s", "%.2fs"},
+               {"map locality", "map-locality", "", 1, percent_text},
+               {"local bytes", "local-bytes", "", 1, bytes_text}});
   for (const bb::Scheme scheme :
        {bb::Scheme::kAsync, bb::Scheme::kSync, bb::Scheme::kLocal}) {
-    const SchemeOutcome outcome = run_scheme(scheme);
-    const std::string label(to_string(scheme));
-    std::printf("%-10s  %11.2fs  %17.2fs  %13.0f%%  %12s\n", label.c_str(),
-                hpcbb::ns_to_sec(outcome.write_ack),
-                hpcbb::ns_to_sec(outcome.durability_window),
-                100.0 * outcome.locality,
-                hpcbb::format_bytes(outcome.local_bytes).c_str());
-    result.add("write-ack-s", label, hpcbb::ns_to_sec(outcome.write_ack));
-    result.add("durability-window-s", label,
-               hpcbb::ns_to_sec(outcome.durability_window));
-    result.add("map-locality", label, outcome.locality);
-    result.add("local-bytes", label,
-               static_cast<double>(outcome.local_bytes));
+    const SchemeOutcome o =
+        run_case<SchemeOutcome>(default_config(scheme), scheme_task);
+    table.row(std::string(to_string(scheme)),
+              {ns_to_sec(o.write_ns), ns_to_sec(o.durability_window),
+               o.locality, static_cast<double>(o.local_bytes)});
   }
   std::printf("\nexpected shape: Async fastest ack but longest window; Sync "
               "zero window,\nslowest ack; Local adds locality and a RAM-disk "
               "copy for modest local storage.\n");
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

@@ -2,131 +2,74 @@
 // write burst is acknowledged (worst case: nothing flushed yet) and measure
 // per scheme what survives; plus HDFS DataNode-loss re-replication for
 // comparison.
-#include <cstdio>
-#include <vector>
-
 #include "bench_util.h"
 
 namespace {
 
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using sim::SimTime;
-using sim::Task;
+using namespace hpcbb;         // NOLINT
+using namespace hpcbb::bench;  // NOLINT
 
-struct FaultOutcome {
-  std::uint64_t blocks_total = 0;
-  std::uint64_t blocks_lost = 0;
-  std::uint64_t blocks_recovered = 0;
-  std::uint32_t files_fully_readable = 0;
-  std::uint32_t files_total = 0;
-};
+const mapred::DfsioParams kDfsio{.files = 8, .file_size = 64 * MiB};
 
-FaultOutcome run_scheme(bb::Scheme scheme) {
-  Cluster cluster(hpcbb::bench::default_config(scheme));
-  FaultOutcome outcome;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, FaultOutcome& out) -> Task<void> {
-        const auto kind = cluster::FsKind::kBurstBuffer;
-        mapred::DfsioParams params;
-        params.files = 8;
-        params.file_size = 64 * MiB;
-        params.verify_on_read = true;
-        auto write_result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (!write_result.is_ok()) co_return;
-        out.blocks_total = params.files * params.file_size /
-                           c.config().block_size;
-        out.files_total = params.files;
-
-        // Crash one of the KV servers the moment the burst is acked. Routed
-        // through the fault injector so the crash is counted and traced
-        // (faults.injected{kind=crash}) like any scheduled fault.
-        c.injector().crash_target(0);
-        co_await c.bb_master().wait_all_flushed();
-        out.blocks_lost = c.bb_master().lost_blocks();
-        out.blocks_recovered = c.bb_master().recovered_blocks();
-
-        // How many files remain fully readable (from any source)?
-        for (std::uint32_t i = 0; i < params.files; ++i) {
-          const std::string path =
-              params.dir + "/io_file_" + std::to_string(i);
-          auto reader = co_await c.filesystem(kind).open(
-              path, c.compute_nodes()[i % c.compute_nodes().size()]);
-          if (!reader.is_ok()) continue;
-          bool all_ok = true;
-          const std::uint64_t size = reader.value()->size();
-          for (std::uint64_t off = 0; off < size && all_ok; off += 4 * MiB) {
-            const std::uint64_t len = std::min<std::uint64_t>(4 * MiB,
-                                                              size - off);
-            auto data = co_await reader.value()->read(off, len);
-            all_ok = data.is_ok() &&
-                     verify_pattern(fnv1a(path), off, data.value());
-          }
-          if (all_ok) ++out.files_fully_readable;
-        }
-      }(cluster, outcome));
-  return outcome;
+sim::Task<void> crash_after_ack(Cluster& c, Outcome& out) {
+  co_await dfsio_write(c, FsKind::kBurstBuffer, kDfsio, out);
+  if (!out.write_ok) co_return;
+  // Crash one of the KV servers the moment the burst is acked. Routed
+  // through the fault injector so the crash is counted and traced
+  // (faults.injected{kind=crash}) like any scheduled fault.
+  c.injector().crash_target(0);
+  co_await c.bb_master().wait_all_flushed();
+  out.blocks_lost = c.bb_master().lost_blocks();
+  out.blocks_recovered = c.bb_master().recovered_blocks();
+  // How many files remain fully readable (from any source)?
+  co_await verified_readback(c, kDfsio, {}, out);
 }
 
-void hdfs_comparison() {
-  Cluster cluster(hpcbb::bench::default_config(bb::Scheme::kAsync));
-  std::uint32_t readable = 0;
-  std::size_t rereplicated = 0;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, std::uint32_t& files_ok,
-                  std::size_t& resched) -> Task<void> {
-        const auto kind = cluster::FsKind::kHdfs;
-        mapred::DfsioParams params;
-        params.files = 8;
-        params.file_size = 64 * MiB;
-        auto write_result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (!write_result.is_ok()) co_return;
-        c.datanode(0).crash();
-        resched = c.namenode().mark_datanode_dead(0);
-        for (std::uint32_t i = 0; i < params.files; ++i) {
-          const std::string path =
-              params.dir + "/io_file_" + std::to_string(i);
-          auto reader = co_await c.filesystem(kind).open(path, 1);
-          if (!reader.is_ok()) continue;
-          auto data = co_await reader.value()->read(0, reader.value()->size());
-          if (data.is_ok()) ++files_ok;
-        }
-      }(cluster, readable, rereplicated));
-  std::printf("%-10s  %6s  %9s  %13llu  %14u/8\n", "HDFS", "-", "-",
-              static_cast<unsigned long long>(rereplicated), readable);
+// HDFS loses a DataNode after the same burst: the NameNode re-replicates
+// its blocks (blocks_recovered), then every file is read whole from node 1.
+sim::Task<void> hdfs_datanode_loss(Cluster& c, Outcome& out) {
+  const auto kind = FsKind::kHdfs;
+  co_await dfsio_write(c, kind, kDfsio, out);
+  if (!out.write_ok) co_return;
+  c.datanode(0).crash();
+  out.blocks_recovered = c.namenode().mark_datanode_dead(0);
+  for (std::uint32_t i = 0; i < kDfsio.files; ++i) {
+    const std::string path = kDfsio.dir + "/io_file_" + std::to_string(i);
+    auto reader = co_await c.filesystem(kind).open(path, 1);
+    if (!reader.is_ok()) continue;
+    auto data = co_await reader.value()->read(0, reader.value()->size());
+    if (data.is_ok()) ++out.files_readable;
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
   print_header("F8",
                "fault tolerance: 1 of 4 buffer servers crashes right after "
                "the write burst ack",
                "Sync loses nothing; Local recovers from RAM-disk replicas; "
                "Async has a durability window");
-  hpcbb::bench::JsonResult result(
+  JsonResult result(
       "f8", "fault tolerance: buffer-server crash after write-burst ack");
 
-  std::printf("\n%-10s  %6s  %9s  %13s  %16s\n", "scheme", "lost",
-              "recovered", "re-replicated", "files readable");
+  const std::string of_files = "%.0f/" + std::to_string(kDfsio.files);
+  Table table(result, "scheme",
+              {{"lost", "blocks-lost"},
+               {"recovered", "blocks-recovered"},
+               {"re-replicated", "re-replicated"},
+               {"files readable", "files-readable", of_files}});
   for (const bb::Scheme scheme :
        {bb::Scheme::kAsync, bb::Scheme::kSync, bb::Scheme::kLocal}) {
-    const FaultOutcome outcome = run_scheme(scheme);
-    const std::string label(to_string(scheme));
-    std::printf("%-10s  %6llu  %9llu  %13s  %14u/%u\n", label.c_str(),
-                static_cast<unsigned long long>(outcome.blocks_lost),
-                static_cast<unsigned long long>(outcome.blocks_recovered),
-                "-", outcome.files_fully_readable, outcome.files_total);
-    result.add("blocks-lost", label,
-               static_cast<double>(outcome.blocks_lost));
-    result.add("blocks-recovered", label,
-               static_cast<double>(outcome.blocks_recovered));
-    result.add("files-readable", label,
-               static_cast<double>(outcome.files_fully_readable));
+    const Outcome o = run_case(default_config(scheme), crash_after_ack);
+    table.row(std::string(to_string(scheme)),
+              {static_cast<double>(o.blocks_lost),
+               static_cast<double>(o.blocks_recovered), kNone,
+               static_cast<double>(o.files_readable)});
   }
-  hdfs_comparison();
-  return hpcbb::bench::finish(result, argc, argv);
+  const Outcome hdfs =
+      run_case(default_config(bb::Scheme::kAsync), hdfs_datanode_loss);
+  table.row("HDFS", {kNone, kNone, static_cast<double>(hdfs.blocks_recovered),
+                     static_cast<double>(hdfs.files_readable)});
+  return finish(result, argc, argv);
 }

@@ -1,84 +1,67 @@
 // F9 — node-local storage requirement: bytes of compute-node-local storage
 // consumed by a DFSIO write, per system. The paper's deployment motivation:
 // HPC compute nodes have little local storage; the burst buffer frees it.
+#include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "bench_util.h"
 
 namespace {
 
-using namespace hpcbb;          // NOLINT
-using hpcbb::bench::Cluster;
-using hpcbb::bench::SystemCase;
-using sim::Task;
+using namespace hpcbb;         // NOLINT
+using namespace hpcbb::bench;  // NOLINT
 
-struct StorageOutcome {
+struct StorageOutcome : Outcome {
   std::uint64_t total_local = 0;
   std::uint64_t max_node_local = 0;
   std::uint64_t lustre_bytes = 0;
   std::uint64_t buffer_bytes = 0;
 };
 
-StorageOutcome run_case(const SystemCase& system, std::uint64_t file_size) {
-  Cluster cluster(hpcbb::bench::default_config(system.scheme));
-  StorageOutcome outcome;
-  hpcbb::bench::run_to_completion(
-      cluster, [](Cluster& c, cluster::FsKind kind, std::uint64_t fsize,
-                  StorageOutcome& out) -> Task<void> {
-        mapred::DfsioParams params;
-        params.files = 8;
-        params.file_size = fsize;
-        auto result = co_await mapred::dfsio_write(
-            c.filesystem(kind), c.hub_for(kind), c.compute_nodes(), params);
-        if (!result.is_ok()) co_return;
-        if (kind == cluster::FsKind::kBurstBuffer) {
-          co_await c.bb_master().wait_all_flushed();
-        }
-        out.total_local = c.total_local_bytes_used();
-        for (std::uint32_t i = 0; i < c.config().compute_nodes; ++i) {
-          out.max_node_local = std::max(out.max_node_local,
-                                        c.local_bytes_used(i));
-        }
-        for (std::uint32_t i = 0; i < c.oss_count(); ++i) {
-          out.lustre_bytes += c.oss(i).used_bytes();
-        }
-        for (std::uint32_t i = 0; i < c.kv_server_count(); ++i) {
-          out.buffer_bytes += c.kv_server(i).store().stats().bytes;
-        }
-      }(cluster, system.kind, file_size, outcome));
-  return outcome;
+// A 512 MiB DFSIO write (8 files of 64 MiB), flushed if buffered, then
+// where its bytes sit.
+sim::Task<void> storage_task(Cluster& c, FsKind kind, StorageOutcome& out) {
+  const mapred::DfsioParams dfsio{.files = 8, .file_size = 64 * MiB};
+  co_await dfsio_write(c, kind, dfsio, out);
+  if (!out.write_ok) co_return;
+  if (kind == FsKind::kBurstBuffer) co_await c.bb_master().wait_all_flushed();
+  out.total_local = c.total_local_bytes_used();
+  for (std::uint32_t i = 0; i < c.config().compute_nodes; ++i) {
+    out.max_node_local = std::max(out.max_node_local, c.local_bytes_used(i));
+  }
+  for (std::uint32_t i = 0; i < c.oss_count(); ++i) {
+    out.lustre_bytes += c.oss(i).used_bytes();
+  }
+  for (std::uint32_t i = 0; i < c.kv_server_count(); ++i) {
+    out.buffer_bytes += c.kv_server(i).store().stats().bytes;
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using hpcbb::bench::print_header;
-  print_header("F9", "node-local storage consumed by a 512 MiB DFSIO write",
-               "reduced local storage requirement vs HDFS's 3x replication");
-  hpcbb::bench::JsonResult result(
-      "f9", "node-local storage consumed by a 512 MiB DFSIO write");
+  JsonResult result =
+      figure("F9", "node-local storage consumed by a 512 MiB DFSIO write",
+             "reduced local storage requirement vs HDFS's 3x replication");
 
-  constexpr std::uint64_t kFileSize = 64 * MiB;  // 8 files => 512 MiB dataset
-  std::printf("\n%-10s  %14s  %14s  %12s  %14s\n", "system", "local (total)",
-              "local (max/node)", "on Lustre", "in buffer");
-  for (const auto& system : hpcbb::bench::all_systems()) {
-    const StorageOutcome outcome = run_case(system, kFileSize);
-    std::printf("%-10s  %14s  %14s  %12s  %14s\n", system.label,
-                hpcbb::format_bytes(outcome.total_local).c_str(),
-                hpcbb::format_bytes(outcome.max_node_local).c_str(),
-                hpcbb::format_bytes(outcome.lustre_bytes).c_str(),
-                hpcbb::format_bytes(outcome.buffer_bytes).c_str());
-    result.add("local-total-bytes", system.label,
-               static_cast<double>(outcome.total_local));
-    result.add("local-max-node-bytes", system.label,
-               static_cast<double>(outcome.max_node_local));
-    result.add("lustre-bytes", system.label,
-               static_cast<double>(outcome.lustre_bytes));
-    result.add("buffer-bytes", system.label,
-               static_cast<double>(outcome.buffer_bytes));
+  Table table(result, "system",
+              {{"local (total)", "local-total-bytes", "", 1, bytes_text},
+               {"local (max/node)", "local-max-node-bytes", "", 1, bytes_text},
+               {"on Lustre", "lustre-bytes", "", 1, bytes_text},
+               {"in buffer", "buffer-bytes", "", 1, bytes_text}});
+  for (const auto& system : all_systems()) {
+    const auto o = run_case<StorageOutcome>(
+        default_config(system.scheme),
+        [&](Cluster& c, StorageOutcome& out) {
+          return storage_task(c, system.kind, out);
+        });
+    table.row(system.label,
+              {static_cast<double>(o.total_local),
+               static_cast<double>(o.max_node_local),
+               static_cast<double>(o.lustre_bytes),
+               static_cast<double>(o.buffer_bytes)});
   }
   std::printf("\nexpected: HDFS 1.5 GiB local (3x replicas); BB-Async/Sync "
               "zero local;\nBB-Local 512 MiB (one RAM-disk replica).\n");
-  return hpcbb::bench::finish(result, argc, argv);
+  return finish(result, argc, argv);
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/bytes.h"
 #include "common/crc32c.h"
 #include "common/rng.h"
@@ -108,8 +109,8 @@ BENCHMARK(BM_PatternBytes)->Arg(4096)->Arg(1 << 20);
 // --benchmark_out on the command line wins; $HPCBB_BENCH_OUT relocates the
 // default file. `--gate` (stripped before google-benchmark sees the args)
 // verifies the result against bench/baselines/m1.json via
-// tools/bench_gate.py, exactly like the bench_util.h finish() epilogue; the
-// baseline's loose tolerances absorb host-clock noise on real-time numbers.
+// tools/bench_gate.py through bench_util.h's gate_result(), as finish()
+// does; the baseline's loose tolerances absorb host-clock noise on real-time numbers.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   bool gate = false;
@@ -142,13 +143,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (gate) {
-    const char* root = std::getenv("HPCBB_ROOT");
-    const std::string base = root != nullptr ? root : ".";
-    const std::string cmd = "python3 \"" + base + "/tools/bench_gate.py\""
-                            " check \"" + base + "/bench/baselines/m1.json\""
-                            " \"" + path + "\"";
-    return std::system(cmd.c_str()) == 0 ? 0 : 1;
-  }
-  return 0;
+  return gate ? hpcbb::bench::gate_result("m1", path) : 0;
 }

@@ -27,9 +27,8 @@ struct DemoOptions {
   std::uint64_t file_size = 256 * MiB;
 };
 
-constexpr cluster::ConfigKey<DemoOptions> kDemoKeys[] = {
-    {"file.size", ValueType::kSize,
-     cluster::field<&DemoOptions::file_size>},
+constexpr ConfigKey<DemoOptions> kDemoKeys[] = {
+    {"file.size", ValueType::kSize, field<&DemoOptions::file_size>},
 };
 
 Task<void> demo(Cluster& c, std::uint64_t file_size) {

@@ -22,14 +22,13 @@ struct RunnerOptions {
   std::uint64_t attr_topk = 5;  // slowest ops dumped with their spans
 };
 
-using cluster::field;
 using enum ValueType;
 using mapred::DfsioParams;
 
 // FsKind names, in enumerator order.
 inline constexpr std::string_view kFsNames[] = {"hdfs", "lustre", "bb"};
 
-inline constexpr cluster::ConfigKey<RunnerOptions> kRunnerKeys[] = {
+inline constexpr ConfigKey<RunnerOptions> kRunnerKeys[] = {
     {"fs", kChoice, field<&RunnerOptions::fs>, kFsNames},
     {"files", kSize, field<&RunnerOptions::workload, &DfsioParams::files>},
     {"file.size", kSize,

@@ -1,7 +1,7 @@
 // Key=value properties (Hadoop-configuration style) with strict typed
 // getters. Examples and benches accept overrides like "bb.scheme=local" on
 // the command line; this is the shared parser. Which keys exist and what
-// they set is declared once, in cluster/config.h.
+// they set is declared once, in key tables (common/config_key.h).
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 
 #include "sim/trace.h"
 
+#include "common/config_key.h"
 #include "common/metrics.h"
 #include "obs/attribution.h"
 #include "obs/json.h"
@@ -61,6 +62,23 @@ const std::vector<BuiltinRule>& builtin_rules() {
   return kRules;
 }
 
+// The engine tunables: one config-key row each (common/config_key.h).
+constexpr ConfigKey<HealthParams> kTunables[] = {
+    {"slo.fast_window", ValueType::kSize, field<&HealthParams::fast_window>},
+    {"slo.slow_window", ValueType::kSize, field<&HealthParams::slow_window>},
+    {"slo.incident_max", ValueType::kSize,
+     field<&HealthParams::incident_max>},
+    {"slo.warn_fast", ValueType::kFraction, field<&HealthParams::warn_fast>},
+    {"slo.page_fast", ValueType::kFraction, field<&HealthParams::page_fast>},
+    {"slo.page_slow", ValueType::kFraction, field<&HealthParams::page_slow>},
+    {"slo.incident_dir", ValueType::kText,
+     field<&HealthParams::incident_dir>},
+    {"slo.incident_prefix", ValueType::kText,
+     field<&HealthParams::incident_prefix>},
+    {"flightrec.bytes", ValueType::kSize,
+     field<&HealthParams::flightrec_bytes>},
+};
+
 // Generic escape hatches: the metric name is embedded in the key, e.g.
 // slo.counter_max.faults.injected{kind=crash} = 0.
 struct GenericRule {
@@ -112,59 +130,38 @@ std::string_view to_string(SloKind kind) noexcept {
 
 Result<HealthParams> HealthParams::from_properties(const Properties& props) {
   HealthParams out;
-  for (const auto& [key, raw] : props.entries()) {
-    if (key == "flightrec.bytes") {
-      auto parsed = props.get_u64(key);
-      if (!parsed.is_ok()) return parsed.status();
-      out.flightrec_bytes = parsed.value();
+  if (Status st = apply_keys(props, kTunables, out); !st.is_ok()) return st;
+  const auto invalid = [](std::string_view key, const char* why) {
+    return error(StatusCode::kInvalidArgument,
+                 "key " + std::string(key) + ": " + why);
+  };
+  // The defaults are valid, so a value that is not came from its key.
+  const std::pair<const char*, std::size_t> counts[] = {
+      {"slo.fast_window", out.fast_window},
+      {"slo.slow_window", out.slow_window},
+      {"slo.incident_max", out.incident_max}};
+  for (const auto& [key, value] : counts) {
+    if (value == 0) return invalid(key, "must be >= 1");
+  }
+  const std::pair<const char*, double> fractions[] = {
+      {"slo.warn_fast", out.warn_fast},
+      {"slo.page_fast", out.page_fast},
+      {"slo.page_slow", out.page_slow}};
+  for (const auto& [key, value] : fractions) {
+    if (value == 0.0) return invalid(key, "not a fraction in (0,1]");
+  }
+  for (const auto& entry : props.entries()) {
+    const std::string& key = entry.first;
+    if (std::ranges::any_of(kTunables, [&key](const auto& tunable) {
+          return tunable.name == key;
+        })) {
       continue;
     }
     if (key.rfind("flightrec.", 0) == 0) {
-      return error(StatusCode::kInvalidArgument,
-                   "key " + key + ": unknown flightrec.* key");
+      return invalid(key, "unknown flightrec.* key");
     }
     if (key.rfind("slo.", 0) != 0) continue;
     const std::string suffix = key.substr(4);
-
-    // Engine tunables.
-    if (suffix == "fast_window" || suffix == "slow_window" ||
-        suffix == "incident_max") {
-      auto parsed = props.get_u64(key);
-      if (!parsed.is_ok()) return parsed.status();
-      if (parsed.value() == 0) {
-        return error(StatusCode::kInvalidArgument,
-                     "key " + key + ": must be >= 1");
-      }
-      if (suffix == "fast_window") {
-        out.fast_window = static_cast<std::size_t>(parsed.value());
-      } else if (suffix == "slow_window") {
-        out.slow_window = static_cast<std::size_t>(parsed.value());
-      } else {
-        out.incident_max = static_cast<std::size_t>(parsed.value());
-      }
-      continue;
-    }
-    if (suffix == "warn_fast" || suffix == "page_fast" ||
-        suffix == "page_slow") {
-      const auto value = props.get_value(key, ValueType::kFraction);
-      if (!value.is_ok() || value.value().real == 0.0) {
-        return error(StatusCode::kInvalidArgument,
-                     "key " + key + ": not a fraction in (0,1]");
-      }
-      const double fraction = value.value().real;
-      if (suffix == "warn_fast") out.warn_fast = fraction;
-      else if (suffix == "page_fast") out.page_fast = fraction;
-      else out.page_slow = fraction;
-      continue;
-    }
-    if (suffix == "incident_dir") {
-      out.incident_dir = raw;
-      continue;
-    }
-    if (suffix == "incident_prefix") {
-      out.incident_prefix = raw;
-      continue;
-    }
 
     // Built-in rules.
     const BuiltinRule* builtin = nullptr;
